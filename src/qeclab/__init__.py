@@ -37,7 +37,6 @@ from .errors import (
     pauli_unitary,
     rotation_unitary,
     sample_placement,
-    sample_rotation_angle,
 )
 from .experiments import (
     ExperimentConfig,
@@ -54,12 +53,10 @@ from .statevec import (
     MAX_QUBITS,
     StateVector,
     apply_1q,
-    apply_controlled,
     apply_pauli_string,
     basis_state,
     fidelity,
     measure_pauli_string,
-    measure_qubit,
     support_size,
 )
 
@@ -83,7 +80,6 @@ __all__ = [
     "SweepRow",
     "SyndromeResult",
     "apply_1q",
-    "apply_controlled",
     "apply_error_model",
     "apply_pauli_string",
     "basis_state",
@@ -97,7 +93,6 @@ __all__ = [
     "get_code",
     "logical_fidelity",
     "measure_pauli_string",
-    "measure_qubit",
     "model_for",
     "pauli_strings_commute",
     "pauli_unitary",
@@ -106,7 +101,6 @@ __all__ = [
     "rotation_unitary",
     "run_trial",
     "sample_placement",
-    "sample_rotation_angle",
     "sensitivity_experiment",
     "shor_code",
     "steane_code",

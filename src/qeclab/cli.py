@@ -134,13 +134,6 @@ class _Doc:
     def line(self, key: str) -> int:
         return self.entries[key][0]
 
-    def raw(self, key: str, default=_MISSING):
-        if key not in self.entries:
-            if default is _MISSING:
-                raise ConfigError(f"missing required key {key!r}")
-            return default
-        return self.entries[key][1]
-
     def parse(self, key: str, kind, default=_MISSING):
         if key not in self.entries:
             if default is _MISSING:
@@ -199,7 +192,7 @@ def _theta_grid_from_doc(doc: _Doc) -> tuple[float, ...]:
     lo = doc.parse("theta.min", float)
     hi = doc.parse("theta.max", float)
     points = doc.parse("theta.points", int)
-    scale = doc.raw("theta.scale", "log")
+    scale = doc.parse("theta.scale", str, "log")
     if scale not in ("linear", "log"):
         raise ConfigError(
             f"line {doc.line('theta.scale')}: theta.scale must be linear or log"
@@ -233,13 +226,13 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse a flat config document into a validated ExperimentConfig."""
     doc = _Doc(_scan(text))
 
-    code = doc.raw("code")
+    code = doc.parse("code", str)
     if code not in CODE_NAMES:
         raise ConfigError(
             f"line {doc.line('code')}: unknown code {code!r}; "
             f"expected one of {', '.join(CODE_NAMES)}"
         )
-    kind = doc.raw("error.kind")
+    kind = doc.parse("error.kind", str)
     if kind not in ERROR_KINDS:
         raise ConfigError(
             f"line {doc.line('error.kind')}: unknown error kind {kind!r}; "
@@ -258,7 +251,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     axis = "y"
     if kind == "rotation":
-        axis = doc.raw("error.axis", "y")
+        axis = doc.parse("error.axis", str, "y")
         if axis not in ROTATION_AXES:
             raise ConfigError(
                 f"line {doc.line('error.axis')}: unknown axis {axis!r}"
@@ -392,24 +385,23 @@ def render_csv(result: SweepResult, comments: tuple[str, ...] = ()) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    tmp = path + ".tmp"
+    # A unique sibling temp file, so concurrent writers never share one;
+    # mode 0o666 under the umask is what open(path, "w") would give.
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as handle:
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
-    except OSError:
+    except BaseException:
         try:
             os.unlink(tmp)
         except OSError:
             pass
         raise
-
-
-def write_csv(result: SweepResult, path: str, comments: tuple[str, ...] = ()) -> None:
-    """Write the sweep CSV atomically; an empty result never creates a file."""
-    if not result.rows:
-        raise ValueError("refusing to write a CSV with no rows")
-    _write_atomic(path, render_csv(result, comments))
 
 
 def _deliver(text: str, out_path: str | None) -> None:
@@ -445,11 +437,7 @@ def _parse_logical_flag(value: str) -> LogicalQubit:
 
 
 def _resolve_experiment(args: argparse.Namespace) -> ExperimentConfig:
-    fields: dict = {
-        "error_kind": "rotation",
-        "placement": ALL_QUBITS,
-        "theta_grid": (0.0,),
-    }
+    fields: dict = {"error_kind": "rotation"}
     if getattr(args, "config", None):
         file_config = parse_config(_read_text(args.config))
         fields = {
@@ -474,8 +462,6 @@ def _resolve_experiment(args: argparse.Namespace) -> ExperimentConfig:
         fields["seed"] = args.seed
     if getattr(args, "logical", None):
         fields["logical"] = _parse_logical_flag(args.logical)
-    fields.setdefault("trials", 10000)
-    fields.setdefault("seed", 0)
     try:
         return ExperimentConfig(**fields)
     except ValueError as exc:

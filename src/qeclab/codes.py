@@ -83,9 +83,6 @@ class CodeSpec:
     recovery_table: Mapping[str, str]
     encoder: Callable[[LogicalQubit], StateVector]
 
-    def encode(self, logical: LogicalQubit) -> StateVector:
-        return self.encoder(logical)
-
 
 # ---------------------------------------------------------------------------
 # Pauli-string bookkeeping

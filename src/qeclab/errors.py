@@ -91,10 +91,6 @@ class Placement:
         return cls("fixed", qubits=tuple(qubits))
 
     @classmethod
-    def all_qubits(cls) -> "Placement":
-        return cls("all_qubits")
-
-    @classmethod
     def bose_einstein(cls, n_errors: int) -> "Placement":
         return cls("bose_einstein", n_errors=n_errors)
 
@@ -103,7 +99,7 @@ class Placement:
         return cls("fermi", n_errors=n_errors)
 
 
-ALL_QUBITS = Placement.all_qubits()
+ALL_QUBITS = Placement("all_qubits")
 
 _PARAM_TYPES = {
     "general_unitary": GeneralErrorParams,
@@ -253,18 +249,6 @@ def sample_placement(
     else:
         raise ValueError(f"unknown statistics {statistics!r}")
     return occupancy
-
-
-def sample_rotation_angle(theta_max: float, rng: np.random.Generator) -> float:
-    """Uniform angle on the half-open interval (0, theta_max].
-
-    Continuous error angles have no atoms: a draw of exactly zero has
-    measure zero, so every sampled rotation is a genuine error.  The
-    construction below makes that structural rather than statistical.
-    """
-    if not (math.isfinite(theta_max) and theta_max > 0.0):
-        raise ValueError(f"theta_max must be positive, got {theta_max!r}")
-    return theta_max * (1.0 - rng.random())
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,16 @@ def run_trial(
     return infid, support
 
 
+def _bare_qubit_placement(placement: Placement) -> Placement:
+    """Project a placement onto one qubit: fixed errors all land on qubit 0,
+    fermi keeps at most one error, and every other rule is unchanged."""
+    if placement.rule == "fixed":
+        return Placement.fixed((0,) * len(placement.qubits))
+    if placement.rule == "fermi":
+        return Placement.fermi(min(placement.n_errors, 1))
+    return placement
+
+
 def sweep_theta(config: ExperimentConfig) -> SweepResult:
     """Monte Carlo sweep over the theta grid, coded against uncoded baseline.
 
@@ -145,7 +155,9 @@ def sweep_theta(config: ExperimentConfig) -> SweepResult:
     ``all_qubits`` placement the comparison is per-physical-qubit fair:
     the baseline sees the error exactly once.
     """
-    uncoded_config = replace(config, code="uncoded")
+    uncoded_config = replace(
+        config, code="uncoded", placement=_bare_qubit_placement(config.placement)
+    )
     rows = []
     for grid_index, theta in enumerate(config.theta_grid):
         coded = np.empty(config.trials)
@@ -195,12 +207,10 @@ def proliferation_experiment(
     return before, support_size(state, threshold)
 
 
-def sensitivity_experiment(
-    n_qubits: int, target_prob: float, theta: float, target_index: int = 0
-) -> float:
+def sensitivity_experiment(n_qubits: int, target_prob: float, theta: float) -> float:
     """Relative damage (p - p')/p to a target amplitude under global rotation.
 
-    Prepares sqrt(p)|t> plus a uniform tail over the other basis states,
+    Prepares sqrt(p)|0...0> plus a uniform tail over the other basis states,
     rotates every qubit by theta, and reports how much of the target's
     probability was lost.  Swept over p this exhibits how concentrated
     amplitudes become disproportionately fragile.  Damage inside the
@@ -211,16 +221,14 @@ def sensitivity_experiment(
     if not 0.0 < target_prob < 1.0:
         raise ValueError(f"target probability must be in (0, 1), got {target_prob!r}")
     dim = 1 << n_qubits
-    if not 0 <= target_index < dim:
-        raise ValueError(f"target index {target_index} out of range for {dim} states")
     tail = math.sqrt((1.0 - target_prob) / (dim - 1))
     amps = np.full(dim, tail, dtype=np.complex128)
-    amps[target_index] = math.sqrt(target_prob)
+    amps[0] = math.sqrt(target_prob)
     state = StateVector(n_qubits, amps)
     rotation = rotation_unitary(RotationErrorParams("y", theta))
     for q in range(n_qubits):
         state = apply_1q(state, rotation, q)
-    damaged = float(np.abs(state.amps[target_index]) ** 2)
+    damaged = float(np.abs(state.amps[0]) ** 2)
     damage = (target_prob - damaged) / target_prob
     if abs(damage) < NUMERICAL_FLOOR:
         damage = 0.0

@@ -12,7 +12,6 @@ from qeclab.cli import (
     main,
     parse_config,
     render_csv,
-    write_csv,
 )
 from qeclab.codes import LogicalQubit
 from qeclab.errors import GeneralErrorParams, Placement
@@ -254,23 +253,24 @@ class TestFormatFloat:
             assert float(format_float(value)) == value
 
 
+SWEEP_ARGV = ["sweep", "--code", "steane7", "--theta", "0.05", "--trials", "3"]
+
+
 def make_result(rows, slope_coded=float("nan"), slope_uncoded=float("nan")):
     return SweepResult(rows=tuple(rows), slope_coded=slope_coded, slope_uncoded=slope_uncoded)
 
 
 class TestWriteCsv:
-    def test_zero_row_renders_exactly(self, tmp_path):
+    def test_zero_row_renders_exactly(self):
         """A no-error Steane row is the literal line 0,0,0,0,0,8."""
         result = make_result([SweepRow(0.0, 0.0, 0.0, 0.0, 0.0, 8.0)])
-        path = tmp_path / "zero.csv"
-        write_csv(result, str(path))
-        lines = path.read_text().splitlines()
+        lines = render_csv(result).splitlines()
         assert lines[0] == "theta,mean_infid_coded,std_coded,mean_infid_uncoded,std_uncoded,mean_support"
         assert lines[1] == "0,0,0,0,0,8"
         assert lines[2] == "# slope_coded=nan"
         assert lines[3] == "# slope_uncoded=nan"
 
-    def test_planted_quartic_footer(self, tmp_path):
+    def test_planted_quartic_footer(self):
         """Footer slope parses back to the planted exponent 4."""
         rows = [
             SweepRow(1e-2, 1e-8, 0.0, 1e-4, 0.0, 128.0),
@@ -278,19 +278,18 @@ class TestWriteCsv:
         ]
         slope_coded = fit_power_law([(r.theta, r.mean_infid_coded) for r in rows])
         slope_uncoded = fit_power_law([(r.theta, r.mean_infid_uncoded) for r in rows])
-        path = tmp_path / "quartic.csv"
-        write_csv(make_result(rows, slope_coded, slope_uncoded), str(path))
-        lines = path.read_text().splitlines()
+        lines = render_csv(make_result(rows, slope_coded, slope_uncoded)).splitlines()
         coded_footer = float(lines[-2].split("=", 1)[1])
         uncoded_footer = float(lines[-1].split("=", 1)[1])
         assert coded_footer == pytest.approx(4.0, abs=1e-12)
         assert uncoded_footer == pytest.approx(2.0, abs=1e-12)
 
-    def test_empty_rows_creates_no_file(self, tmp_path):
+    def test_empty_rows_creates_no_file(self, tmp_path, capsys):
+        """A sweep that fails before producing any row writes no file."""
         path = tmp_path / "never.csv"
-        with pytest.raises(ValueError, match="no rows"):
-            write_csv(make_result([]), str(path))
-        assert not path.exists()
+        argv = ["sweep", "--code", "uncoded", "--placement", "fermi:2", "--out", str(path)]
+        assert main(argv) == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_comments_go_on_top(self):
         result = make_result([SweepRow(0.0, 0.0, 0.0, 0.0, 0.0, 8.0)])
@@ -300,12 +299,32 @@ class TestWriteCsv:
         assert lines[1] == "# seed = 0"
         assert lines[2].startswith("theta,")
 
-    def test_failed_write_leaves_no_temp_file(self, tmp_path):
-        result = make_result([SweepRow(0.0, 0.0, 0.0, 0.0, 0.0, 8.0)])
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, capsys):
         missing = tmp_path / "nowhere" / "out.csv"
-        with pytest.raises(OSError):
-            write_csv(result, str(missing))
+        assert main(SWEEP_ARGV + ["--out", str(missing)]) == 3
         assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_out_matches_render(self, tmp_path, capsys):
+        """The --out file holds exactly the bytes that stdout would carry."""
+        out = tmp_path / "sweep.csv"
+        assert main(SWEEP_ARGV + ["--out", str(out)]) == 0
+        assert main(SWEEP_ARGV) == 0
+        assert out.read_text() == capsys.readouterr().out
+
+    def test_existing_sibling_tmp_survives(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        sibling = tmp_path / "sweep.csv.tmp"
+        sibling.write_text("mine")
+        assert main(SWEEP_ARGV + ["--out", str(out)]) == 0
+        assert sibling.read_text() == "mine"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv", "sweep.csv.tmp"]
+
+    def test_written_file_has_plain_open_mode(self, tmp_path, capsys):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("")
+        out = tmp_path / "sweep.csv"
+        assert main(SWEEP_ARGV + ["--out", str(out)]) == 0
+        assert out.stat().st_mode == plain.stat().st_mode
 
 
 class TestCliCommands:

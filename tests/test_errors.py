@@ -23,7 +23,6 @@ from qeclab.errors import (
     pauli_unitary,
     rotation_unitary,
     sample_placement,
-    sample_rotation_angle,
 )
 from qeclab.statevec import basis_state, support_size
 
@@ -225,20 +224,6 @@ class TestSamplePlacement:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="statistics"):
             sample_placement(3, 1, "boltzmann", rng)
-
-
-class TestSampleRotationAngle:
-    def test_draws_are_strictly_positive(self):
-        """Zero-angle draws have measure zero: 1e6 samples, none is 0."""
-        rng = np.random.default_rng(77)
-        draws = np.array([sample_rotation_angle(0.2, rng) for _ in range(1_000_000)])
-        assert draws.min() > 0.0
-        assert draws.max() <= 0.2
-
-    def test_rejects_nonpositive_bound(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="positive"):
-            sample_rotation_angle(0.0, rng)
 
 
 class TestErrorModelValidation:

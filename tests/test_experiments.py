@@ -142,6 +142,22 @@ class TestSweepTheta:
         )
         assert row.std_uncoded == 0.0
 
+    @pytest.mark.parametrize(
+        "placement,angle",
+        [
+            (Placement.fixed([3]), 0.15),
+            (Placement.fermi(2), 0.15),
+            (Placement.fixed([0, 0]), 0.3),
+        ],
+    )
+    def test_uncoded_baseline_projects_placement(self, placement, angle):
+        """The bare qubit takes each fixed error on qubit 0 and at most one
+        fermi error, so theta = 0.3 costs it sin^2(angle) exactly."""
+        config = rotation_config(placement=placement, theta_grid=(0.3,), trials=20)
+        row = sweep_theta(config).rows[0]
+        assert row.mean_infid_uncoded == pytest.approx(math.sin(angle) ** 2, abs=1e-12)
+        assert row.std_uncoded == 0.0
+
     def test_trials_are_schedule_independent(self):
         """Recomputing trials out of order reproduces the sweep exactly."""
         config = rotation_config(theta_grid=(0.04, 0.09), trials=30, seed=5)

@@ -8,12 +8,10 @@ import pytest
 from qeclab.statevec import (
     StateVector,
     apply_1q,
-    apply_controlled,
     apply_pauli_string,
     basis_state,
     fidelity,
     measure_pauli_string,
-    measure_qubit,
     support_size,
 )
 
@@ -34,6 +32,13 @@ def ry(theta: float) -> np.ndarray:
 def random_state(n: int, rng: np.random.Generator) -> StateVector:
     amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     return StateVector(n, amps / np.linalg.norm(amps))
+
+
+def measure_z(state: StateVector, target: int, rng: np.random.Generator):
+    """Measure qubit ``target`` in the Z basis; returns (bit, collapsed state)."""
+    ops = "".join("Z" if q == target else "I" for q in range(state.n_qubits))
+    sign, post = measure_pauli_string(state, ops, rng)
+    return (1 - sign) // 2, post
 
 
 def random_unitary(rng: np.random.Generator) -> np.ndarray:
@@ -119,34 +124,13 @@ class TestApply1q:
             apply_1q(basis_state(1, "0"), np.eye(4), 0)
 
 
-class TestApplyControlled:
-    def test_cnot_truth_table(self):
-        assert np.flatnonzero(apply_controlled(basis_state(2, "10"), X, 0, 1).amps).tolist() == [3]
-        assert np.flatnonzero(apply_controlled(basis_state(2, "00"), X, 0, 1).amps).tolist() == [0]
-
-    def test_bell_pair_construction(self):
-        state = apply_controlled(apply_1q(basis_state(2, "00"), H, 0), X, 0, 1)
-        np.testing.assert_allclose(state.amps, [SQRT2_INV, 0, 0, SQRT2_INV], atol=1e-15)
-
-    def test_control_below_target(self):
-        """Control on a higher-index qubit than the target still works."""
-        state = apply_controlled(basis_state(3, "001"), X, 2, 0)
-        assert np.flatnonzero(state.amps).tolist() == [5]  # |101>
-
-    def test_rejects_control_equals_target(self):
-        with pytest.raises(ValueError, match="differ"):
-            apply_controlled(basis_state(2, "00"), X, 1, 1)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            apply_controlled(basis_state(2, "00"), X, 0, 5)
-
-
 class TestMeasureQubit:
+    """One-qubit Z measurements, the single-qubit case of measure_pauli_string."""
+
     def test_eigenstate_is_deterministic(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            bit, post = measure_qubit(basis_state(1, "0"), 0, rng)
+            bit, post = measure_z(basis_state(1, "0"), 0, rng)
             assert bit == 0
             np.testing.assert_allclose(post.amps, [1, 0], atol=1e-15)
 
@@ -154,7 +138,7 @@ class TestMeasureQubit:
         """(|0>+|1>)/sqrt(2) measures 0 with frequency 0.5 +/- 0.02 at 1e4 trials."""
         rng = np.random.default_rng(123)
         plus = StateVector(1, np.array([SQRT2_INV, SQRT2_INV]))
-        zeros = sum(1 - measure_qubit(plus, 0, rng)[0] for _ in range(10_000))
+        zeros = sum(1 - measure_z(plus, 0, rng)[0] for _ in range(10_000))
         assert abs(zeros / 10_000 - 0.5) < 0.02
 
     def test_bell_correlation(self):
@@ -162,22 +146,23 @@ class TestMeasureQubit:
         rng = np.random.default_rng(7)
         bell = StateVector(2, np.array([SQRT2_INV, 0, 0, SQRT2_INV]))
         for _ in range(200):
-            first, post = measure_qubit(bell, 0, rng)
-            second, _ = measure_qubit(post, 1, rng)
+            first, post = measure_z(bell, 0, rng)
+            second, _ = measure_z(post, 1, rng)
             assert first == second
 
     def test_repeated_measurement_is_stable(self):
         rng = np.random.default_rng(21)
         state = random_state(3, rng)
-        bit, post = measure_qubit(state, 1, rng)
+        bit, post = measure_z(state, 1, rng)
         for _ in range(5):
-            again, post = measure_qubit(post, 1, rng)
+            again, post = measure_z(post, 1, rng)
             assert again == bit
 
     def test_rejects_out_of_range(self):
+        """A Z on qubit 3 of a 1-qubit register is a string of the wrong length."""
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="out of range"):
-            measure_qubit(basis_state(1, "0"), 3, rng)
+        with pytest.raises(ValueError, match="does not match 1 qubits"):
+            measure_pauli_string(basis_state(1, "0"), "IIIZ", rng)
 
 
 class TestMeasurePauliString:
@@ -308,13 +293,7 @@ class TestInvariants:
             n = int(rng.integers(1, 6))
             state = random_state(n, rng)
             for _ in range(40):
-                if n > 1 and rng.random() < 0.3:
-                    pair = rng.choice(n, size=2, replace=False)
-                    state = apply_controlled(
-                        state, random_unitary(rng), int(pair[0]), int(pair[1])
-                    )
-                else:
-                    state = apply_1q(state, random_unitary(rng), int(rng.integers(n)))
+                state = apply_1q(state, random_unitary(rng), int(rng.integers(n)))
             assert abs(state.norm_sq() - 1.0) < 1e-10
 
     def test_unitary_round_trip(self):
@@ -342,10 +321,10 @@ class TestInvariants:
         trials = 100_000
         rng = np.random.default_rng(1234)
         theta = 1.1
-        state = apply_1q(basis_state(2, "00"), ry(theta), 0)
-        state = apply_controlled(state, X, 0, 1)
+        c, s = math.cos(theta / 2), math.sin(theta / 2)
+        state = StateVector(2, np.array([c, 0, 0, s]))  # c|00> + s|11>
         state = apply_1q(state, ry(0.4), 1)  # does not touch qubit 0's marginal
-        p_one = math.sin(theta / 2) ** 2
-        ones = sum(measure_qubit(state, 0, rng)[0] for _ in range(trials))
+        p_one = s**2
+        ones = sum(measure_pauli_string(state, "ZI", rng)[0] == -1 for _ in range(trials))
         sigma = math.sqrt(trials * p_one * (1 - p_one))
         assert abs(ones - trials * p_one) < 3 * sigma
