@@ -23,7 +23,9 @@ Unknown keys are rejected with their line number.  Inline flags override
 file values.  All output is byte-deterministic for a fixed seed; files
 are written atomically (temp file + rename), never partially.
 
-Exit codes: 0 success, 2 config/validation error, 3 I/O error.
+Exit codes: 0 success, 2 config/validation error or a simulation that
+cannot continue (a vanishing measurement branch, a missing recovery-table
+entry), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -289,8 +291,8 @@ def parse_config(text: str) -> ExperimentConfig:
             error_kind=kind,
             placement=placement,
             theta_grid=_theta_grid_from_doc(doc),
-            trials=doc.parse("trials", int, default=10000),
-            seed=doc.parse("seed", int, default=0),
+            trials=doc.parse("trials", int, default=ExperimentConfig.trials),
+            seed=doc.parse("seed", int, default=ExperimentConfig.seed),
             logical=_logical_from_doc(doc),
             axis=axis,
             general=general,
@@ -610,13 +612,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    # ValueError covers ConfigError; RuntimeError is a vanishing measurement
+    # branch and LookupError a syndrome missing from a recovery table.
+    except (ValueError, RuntimeError, LookupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

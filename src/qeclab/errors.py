@@ -255,9 +255,11 @@ def sample_placement(
 # Channel application
 # ---------------------------------------------------------------------------
 
-def _resolve_occupancy(
+def resolve_occupancy(
     placement: Placement, n_qubits: int, rng: np.random.Generator
 ) -> np.ndarray:
+    """Errors per qubit under ``placement``: fixed rules draw nothing from
+    ``rng``, sampled rules draw one pattern."""
     if placement.rule == "all_qubits":
         return np.ones(n_qubits, dtype=np.int64)
     if placement.rule == "fixed":
@@ -280,10 +282,10 @@ def _operator_for(model: ErrorModel) -> np.ndarray:
     return rotation_unitary(model.params)
 
 
-def apply_error_model(
-    state: StateVector, model: ErrorModel, rng: np.random.Generator
+def apply_occupancy(
+    state: StateVector, model: ErrorModel, occupancy: np.ndarray
 ) -> StateVector:
-    """Sample a placement and apply the channel to each occupied qubit.
+    """Apply the channel to each occupied qubit of a resolved placement.
 
     Unitary kinds are applied once per unit of occupancy, so two bosonic
     bit flips landing on the same qubit cancel.  The decay kind instead
@@ -292,7 +294,6 @@ def apply_error_model(
     pure-state simulation (the unconditioned channel would need density
     matrices); occupancy above 1 is rejected for it.
     """
-    occupancy = _resolve_occupancy(model.placement, state.n_qubits, rng)
     if model.kind == "decay":
         if occupancy.max(initial=0) > 1:
             raise ValueError("decay placement must not stack errors on one qubit")
@@ -312,3 +313,11 @@ def apply_error_model(
         for _ in range(int(occupancy[q])):
             out = apply_1q(out, op, int(q))
     return out
+
+
+def apply_error_model(
+    state: StateVector, model: ErrorModel, rng: np.random.Generator
+) -> StateVector:
+    """Sample a placement and apply the channel to each occupied qubit."""
+    occupancy = resolve_occupancy(model.placement, state.n_qubits, rng)
+    return apply_occupancy(state, model, occupancy)

@@ -1,11 +1,20 @@
 """Monte Carlo harness: residual infidelity vs. error strength, component
 proliferation, and amplitude-sensitivity measurements.
 
-Every trial pushes one freshly encoded state through the full pipeline
-(inject error, count support, measure syndrome, recover) and reports the
-infidelity 1 - F against the ideal encoding.  Trials derive their random
-streams from (seed, grid index, trial index, side), so results are
-bit-identical no matter how trials are scheduled, serial or concurrent.
+A trial samples a placement occupancy, then one Born outcome per
+stabilizer, and reports the support right after injection and the
+infidelity 1 - F of the recovered state against the ideal encoding.
+Everything a trial computes is a function of its branch: the occupancy
+and the syndrome bits drawn so far.  ``sweep_theta`` therefore keeps one
+cache per grid point and side, holding the injected state and its support
+per occupancy, the +1 probability per (occupancy, syndrome prefix), and
+the floored infidelity per leaf.  A trial still makes every random draw
+the uncached pipeline makes, in the same order and from the same stream,
+and a cache miss recomputes its branch with the same arithmetic, so rows
+are bit-identical to pushing each trial through encode, inject, measure
+and recover on its own.  Trials derive their random streams from (seed,
+grid index, trial index, side), so results are bit-identical no matter
+how trials are scheduled, serial or concurrent.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codes import LogicalQubit, extract_syndrome, get_code, logical_fidelity, recover
+from .codes import LogicalQubit, SyndromeResult, get_code, logical_fidelity, recover
 from .errors import (
     ALL_QUBITS,
     ERROR_KINDS,
@@ -25,10 +34,17 @@ from .errors import (
     Placement,
     RotationErrorParams,
     ROTATION_AXES,
-    apply_error_model,
+    apply_occupancy,
+    resolve_occupancy,
     rotation_unitary,
 )
-from .statevec import StateVector, apply_1q, support_size
+from .statevec import (
+    StateVector,
+    apply_1q,
+    pauli_plus_probability,
+    project_pauli_string,
+    support_size,
+)
 
 SUPPORT_THRESHOLD = 1e-12
 # Infidelities this small are rounding residue, not physics; they are
@@ -36,6 +52,13 @@ SUPPORT_THRESHOLD = 1e-12
 NUMERICAL_FLOOR = 1e-13
 
 _CODED, _UNCODED = 0, 1
+
+
+def _stacks_errors(placement: Placement) -> bool:
+    """Whether ``placement`` can land two errors on one qubit."""
+    if placement.rule == "fixed":
+        return len(set(placement.qubits)) < len(placement.qubits)
+    return placement.rule == "bose_einstein" and placement.n_errors >= 2
 
 
 @dataclass(frozen=True)
@@ -70,6 +93,11 @@ class ExperimentConfig:
             raise ValueError("theta grid must be strictly increasing")
         if self.error_kind == "general_unitary" and self.general is None:
             raise ValueError("general_unitary sweeps need e1/e2 parameters")
+        if self.error_kind == "decay" and _stacks_errors(self.placement):
+            raise ValueError(
+                "decay placement must not stack errors on one qubit of the "
+                f"{self.code} register"
+            )
         object.__setattr__(self, "theta_grid", grid)
 
 
@@ -119,23 +147,69 @@ def _trial_rng(seed: int, grid_index: int, trial: int, side: int) -> np.random.G
     )
 
 
+class _BranchCache:
+    """The trial kernel for one grid point and side, memoizing its branches.
+
+    Only injected states are kept, one per occupancy; a miss deeper in the
+    syndrome tree projects the injected state down its path again.  The
+    projection is advanced at most once per stabilizer in a trial.
+    """
+
+    def __init__(self, config: ExperimentConfig, theta: float) -> None:
+        self.code = get_code(config.code)
+        self.model = model_for(config, theta)
+        self.logical = config.logical
+        self.encoded = self.code.encoder(config.logical)
+        self.injected: dict[bytes, tuple[StateVector, int]] = {}
+        self.p_plus: dict[tuple[bytes, tuple[int, ...]], float] = {}
+        self.infidelity: dict[tuple[bytes, tuple[int, ...]], float] = {}
+
+    def trial(self, rng: np.random.Generator) -> tuple[float, int]:
+        occupancy = resolve_occupancy(self.model.placement, self.code.n_physical, rng)
+        key = occupancy.tobytes()
+        entry = self.injected.get(key)
+        if entry is None:
+            state = apply_occupancy(self.encoded, self.model, occupancy)
+            entry = self.injected[key] = (state, support_size(state, SUPPORT_THRESHOLD))
+        injected, support = entry
+        # ``state`` is ``injected`` projected onto bits[:depth].
+        state, depth, bits = injected, 0, ()
+        for stabilizer in self.code.stabilizers:
+            node = (key, bits)
+            p_plus = self.p_plus.get(node)
+            if p_plus is None:
+                state, depth = self._descend(state, depth, bits)
+                p_plus = self.p_plus[node] = pauli_plus_probability(state, stabilizer)
+            bits += (0 if rng.random() < p_plus else 1,)
+        leaf = (key, bits)
+        infid = self.infidelity.get(leaf)
+        if infid is None:
+            state, _ = self._descend(state, depth, bits)
+            corrected = recover(SyndromeResult(bits, state), self.code)
+            infid = 1.0 - logical_fidelity(corrected, self.code, self.logical)
+            if infid < NUMERICAL_FLOOR:
+                infid = 0.0
+            self.infidelity[leaf] = infid
+        return infid, support
+
+    def _descend(
+        self, state: StateVector, depth: int, bits: tuple[int, ...]
+    ) -> tuple[StateVector, int]:
+        for stabilizer, bit in zip(self.code.stabilizers[depth:], bits[depth:]):
+            state = project_pauli_string(state, stabilizer, 1 - 2 * bit)
+        return state, len(bits)
+
+
 def run_trial(
     config: ExperimentConfig, theta: float, rng: np.random.Generator
 ) -> tuple[float, int]:
     """Encode, inject, measure syndrome, recover; return (infidelity, support).
 
     Support is counted right after error injection at the 1e-12 threshold,
-    before any measurement collapses the proliferated components.
+    before any measurement collapses the proliferated components.  This is
+    one trial of ``sweep_theta``'s kernel on an empty cache.
     """
-    code = get_code(config.code)
-    state = code.encoder(config.logical)
-    state = apply_error_model(state, model_for(config, theta), rng)
-    support = support_size(state, SUPPORT_THRESHOLD)
-    corrected = recover(extract_syndrome(state, code, rng), code)
-    infid = 1.0 - logical_fidelity(corrected, code, config.logical)
-    if infid < NUMERICAL_FLOOR:
-        infid = 0.0
-    return infid, support
+    return _BranchCache(config, theta).trial(rng)
 
 
 def _bare_qubit_placement(placement: Placement) -> Placement:
@@ -160,15 +234,17 @@ def sweep_theta(config: ExperimentConfig) -> SweepResult:
     )
     rows = []
     for grid_index, theta in enumerate(config.theta_grid):
+        coded_side = _BranchCache(config, theta)
+        uncoded_side = _BranchCache(uncoded_config, theta)
         coded = np.empty(config.trials)
         supports = np.empty(config.trials)
         uncoded = np.empty(config.trials)
         for trial in range(config.trials):
-            coded[trial], supports[trial] = run_trial(
-                config, theta, _trial_rng(config.seed, grid_index, trial, _CODED)
+            coded[trial], supports[trial] = coded_side.trial(
+                _trial_rng(config.seed, grid_index, trial, _CODED)
             )
-            uncoded[trial], _ = run_trial(
-                uncoded_config, theta, _trial_rng(config.seed, grid_index, trial, _UNCODED)
+            uncoded[trial], _ = uncoded_side.trial(
+                _trial_rng(config.seed, grid_index, trial, _UNCODED)
             )
         rows.append(
             SweepRow(

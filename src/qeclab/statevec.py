@@ -150,31 +150,51 @@ def apply_pauli_string(state: StateVector, ops: str) -> StateVector:
     return StateVector(state.n_qubits, phases * state.amps[src])
 
 
+def _measured_image(state: StateVector, ops: str) -> np.ndarray:
+    _check_pauli_string(state, ops)
+    if set(ops) == {"I"}:
+        raise ValueError("Pauli string must contain at least one non-identity")
+    src, phases = _pauli_action(state.n_qubits, ops)
+    return phases * state.amps[src]
+
+
+def pauli_plus_probability(state: StateVector, ops: str) -> float:
+    """Born probability of the +1 outcome of measuring a Pauli string.
+
+    That is the squared norm of (I + P)/2 psi, computed as (1 + <P>)/2 and
+    clipped into [0, 1] against rounding.
+    """
+    expectation = float(np.real(np.vdot(state.amps, _measured_image(state, ops))))
+    return min(max((1.0 + expectation) / 2.0, 0.0), 1.0)
+
+
+def project_pauli_string(state: StateVector, ops: str, sign: int) -> StateVector:
+    """Renormalized projection (I + sign * P)/2 psi onto one outcome.
+
+    Raises RuntimeError when the branch has vanishing norm, i.e. when the
+    outcome ``sign`` has (numerically) zero probability.
+    """
+    branch = (state.amps + sign * _measured_image(state, ops)) / 2.0
+    norm = float(np.linalg.norm(branch))
+    if norm < _BRANCH_NORM_FLOOR:
+        raise RuntimeError(
+            f"sampled projective branch has vanishing norm {norm:.3e}"
+        )
+    return StateVector(state.n_qubits, branch / norm)
+
+
 def measure_pauli_string(
     state: StateVector, ops: str, rng: np.random.Generator
 ) -> tuple[int, StateVector]:
     """Projective measurement of a Pauli string observable.
 
     Samples the +1/-1 outcome from the Born rule on the projectors
-    (I +/- P)/2 and returns (sign, renormalized projection).  Measuring
-    the same string again returns the same sign and leaves the state
-    unchanged.
+    (I +/- P)/2 with one ``rng.random()`` draw and returns (sign,
+    renormalized projection).  Measuring the same string again returns
+    the same sign and leaves the state unchanged.
     """
-    _check_pauli_string(state, ops)
-    if set(ops) == {"I"}:
-        raise ValueError("Pauli string must contain at least one non-identity")
-    src, phases = _pauli_action(state.n_qubits, ops)
-    p_amps = phases * state.amps[src]
-    expectation = float(np.real(np.vdot(state.amps, p_amps)))
-    p_plus = min(max((1.0 + expectation) / 2.0, 0.0), 1.0)
-    sign = 1 if rng.random() < p_plus else -1
-    branch = (state.amps + sign * p_amps) / 2.0
-    norm = float(np.linalg.norm(branch))
-    if norm < _BRANCH_NORM_FLOOR:
-        raise RuntimeError(
-            f"sampled projective branch has vanishing norm {norm:.3e}"
-        )
-    return sign, StateVector(state.n_qubits, branch / norm)
+    sign = 1 if rng.random() < pauli_plus_probability(state, ops) else -1
+    return sign, project_pauli_string(state, ops, sign)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -1,10 +1,12 @@
 """Tests for config parsing, CSV emission, and the CLI commands."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import qeclab.cli
 from qeclab.cli import (
     ConfigError,
     emit_config,
@@ -55,6 +57,11 @@ class TestParseConfig:
         assert config.trials == 10000
         assert config.seed == 0
         assert config.axis == "y"
+
+    def test_missing_trials_and_seed_take_dataclass_defaults(self):
+        defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+        config = parse_config(MINIMAL.replace("trials = 100\n", ""))
+        assert (config.trials, config.seed) == (defaults["trials"], defaults["seed"])
 
     def test_colon_separator_and_comments(self):
         config = parse_config(
@@ -437,3 +444,42 @@ class TestCliCommands:
 
     def test_missing_config_file_exits_3(self, capsys):
         assert main(["sweep", "--config", "/definitely/not/here.txt"]) == 3
+
+    @pytest.mark.parametrize("placement", ["fixed:0,1", "bose_einstein:2"])
+    def test_decay_sweep_that_stacks_errors_exits_2_up_front(
+        self, placement, tmp_path, capsys
+    ):
+        """The uncoded baseline would stack both errors on its one qubit."""
+        out = tmp_path / "never.csv"
+        argv = ["sweep", "--code", "steane7", "--error", "decay", "--placement",
+                placement, "--theta", "0.5", "--trials", "5", "--out", str(out)]
+        assert main(argv) == 2
+        assert "must not stack errors" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["inject", "correct"])
+    def test_decay_on_two_distinct_qubits_still_runs(self, command, capsys):
+        argv = [command, "--code", "steane7", "--error", "decay", "--placement",
+                "fixed:0,1", "--theta", "0.5"]
+        assert main(argv) == 0
+
+    def test_vanishing_branch_exits_2(self, monkeypatch, capsys):
+        def vanish(config):
+            raise RuntimeError("sampled projective branch has vanishing norm 0.000e+00")
+
+        monkeypatch.setattr(qeclab.cli, "sweep_theta", vanish)
+        assert main(SWEEP_ARGV) == 2
+        assert capsys.readouterr().err == (
+            "error: sampled projective branch has vanishing norm 0.000e+00\n"
+        )
+
+    def test_missing_recovery_entry_exits_2(self, monkeypatch, capsys):
+        def missing(result, code):
+            raise LookupError(f"recovery table for {code.name} is missing syndrome")
+
+        monkeypatch.setattr(qeclab.cli, "recover", missing)
+        argv = ["correct", "--code", "shor9", "--error", "bit_flip", "--placement", "fixed:4"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: recovery table for shor9 is missing syndrome\n"
+        )

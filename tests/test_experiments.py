@@ -7,9 +7,14 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from qeclab.errors import ALL_QUBITS, GeneralErrorParams, Placement
+from qeclab.codes import LogicalQubit, extract_syndrome, get_code, logical_fidelity, recover
+from qeclab.errors import ALL_QUBITS, GeneralErrorParams, Placement, apply_error_model
 from qeclab.experiments import (
+    NUMERICAL_FLOOR,
+    SUPPORT_THRESHOLD,
     ExperimentConfig,
+    SweepRow,
+    _bare_qubit_placement,
     _trial_rng,
     fit_power_law,
     model_for,
@@ -18,6 +23,7 @@ from qeclab.experiments import (
     sensitivity_experiment,
     sweep_theta,
 )
+from qeclab.statevec import support_size
 
 
 def rotation_config(**overrides) -> ExperimentConfig:
@@ -31,6 +37,19 @@ def rotation_config(**overrides) -> ExperimentConfig:
     )
     fields.update(overrides)
     return ExperimentConfig(**fields)
+
+
+GENERIC = LogicalQubit(0.6, complex(0.48, 0.64))
+
+
+def uncached_trial(config, theta, rng):
+    """One trial pushed through every pipeline stage, nothing reused."""
+    code = get_code(config.code)
+    state = apply_error_model(code.encoder(config.logical), model_for(config, theta), rng)
+    support = support_size(state, SUPPORT_THRESHOLD)
+    corrected = recover(extract_syndrome(state, code, rng), code)
+    infid = 1.0 - logical_fidelity(corrected, code, config.logical)
+    return (0.0 if infid < NUMERICAL_FLOOR else infid), support
 
 
 class TestExperimentConfig:
@@ -61,6 +80,13 @@ class TestExperimentConfig:
     def test_general_unitary_needs_params(self):
         with pytest.raises(ValueError, match="e1/e2"):
             rotation_config(error_kind="general_unitary")
+
+    @pytest.mark.parametrize(
+        "placement", [Placement.fixed([1, 1]), Placement.bose_einstein(2)]
+    )
+    def test_decay_rejects_placements_that_stack(self, placement):
+        with pytest.raises(ValueError, match="must not stack errors"):
+            rotation_config(error_kind="decay", placement=placement)
 
     def test_model_for_flavors(self):
         rot = model_for(rotation_config(), 0.3)
@@ -187,6 +213,46 @@ class TestSweepTheta:
             assert row.mean_infid_coded == pytest.approx(np.mean(coded), abs=1e-15)
             assert row.mean_infid_uncoded == pytest.approx(np.mean(bare), abs=1e-15)
             assert row.mean_support == pytest.approx(np.mean(supports), abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(code="shor9", placement=Placement.bose_einstein(2), logical=GENERIC),
+            dict(placement=Placement.fermi(2)),
+            dict(code="shor9", error_kind="decay", decay_rate=0.8, logical=GENERIC),
+            dict(
+                error_kind="general_unitary",
+                general=GeneralErrorParams(0.3, complex(0.1, 0.2)),
+                placement=Placement.bose_einstein(2),
+                logical=GENERIC,
+            ),
+        ],
+        ids=["shor9-bose2", "steane7-fermi2", "shor9-decay", "steane7-general"],
+    )
+    def test_cached_kernel_matches_uncached_pipeline(self, overrides):
+        """Every trial of the sweep equals the full pipeline run on its own
+        stream, so each row's statistics come out bit-identical."""
+        config = rotation_config(theta_grid=(0.3, 1.1), trials=60, seed=2, **overrides)
+        bare_config = dataclasses.replace(
+            config, code="uncoded", placement=_bare_qubit_placement(config.placement)
+        )
+        expected = []
+        for grid_index, theta in enumerate(config.theta_grid):
+            coded, supports = zip(*(
+                uncached_trial(config, theta, _trial_rng(config.seed, grid_index, t, 0))
+                for t in range(config.trials)
+            ))
+            bare = [
+                uncached_trial(bare_config, theta, _trial_rng(config.seed, grid_index, t, 1))[0]
+                for t in range(config.trials)
+            ]
+            coded, bare = np.array(coded), np.array(bare)
+            expected.append(
+                SweepRow(theta, float(coded.mean()), float(coded.std()),
+                         float(bare.mean()), float(bare.std()), float(np.mean(supports)))
+            )
+        assert sweep_theta(config).rows == tuple(expected)
+        assert len(set(coded)) > 1  # the grid point reaches several branches
 
     @pytest.mark.slow
     @pytest.mark.parametrize("code", ["shor9", "steane7"])
