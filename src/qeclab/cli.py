@@ -25,7 +25,7 @@ are written atomically (temp file + rename), never partially.
 
 Exit codes: 0 success, 2 config/validation error or a simulation that
 cannot continue (a vanishing measurement branch, a missing recovery-table
-entry), 3 I/O error.
+entry, a trial budget too large to allocate), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -156,10 +156,12 @@ class _Doc:
 
 def _parse_placement(value: str, lineno: int | None = None) -> Placement:
     where = f"line {lineno}: " if lineno is not None else ""
-    rule, _, arg = value.partition(":")
+    rule, sep, arg = value.partition(":")
     rule = rule.strip()
     try:
         if rule == "all_qubits":
+            if sep:
+                raise ValueError("all_qubits takes no argument")
             return ALL_QUBITS
         if rule == "fixed":
             qubits = [int(q) for q in arg.split(",") if q.strip() != ""]
@@ -475,10 +477,6 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _seed_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed))
-
-
 def _cmd_encode(args: argparse.Namespace) -> None:
     config = _resolve_experiment(args)
     state = get_code(config.code).encoder(config.logical)
@@ -488,7 +486,7 @@ def _cmd_encode(args: argparse.Namespace) -> None:
 def _cmd_inject(args: argparse.Namespace) -> None:
     config = _resolve_experiment(args)
     code = get_code(config.code)
-    rng = _seed_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     state = apply_error_model(
         code.encoder(config.logical), model_for(config, config.theta_grid[0]), rng
     )
@@ -500,7 +498,7 @@ def _cmd_inject(args: argparse.Namespace) -> None:
 def _cmd_correct(args: argparse.Namespace) -> None:
     config = _resolve_experiment(args)
     code = get_code(config.code)
-    rng = _seed_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     state = apply_error_model(
         code.encoder(config.logical), model_for(config, config.theta_grid[0]), rng
     )
@@ -615,9 +613,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    # ValueError covers ConfigError; RuntimeError is a vanishing measurement
-    # branch and LookupError a syndrome missing from a recovery table.
-    except (ValueError, RuntimeError, LookupError) as exc:
+    # ValueError covers ConfigError; the others are a vanishing measurement
+    # branch, a missing recovery-table entry and an unallocatable budget.
+    except (ValueError, RuntimeError, LookupError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

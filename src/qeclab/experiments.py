@@ -6,15 +6,16 @@ stabilizer, and reports the support right after injection and the
 infidelity 1 - F of the recovered state against the ideal encoding.
 Everything a trial computes is a function of its branch: the occupancy
 and the syndrome bits drawn so far.  ``sweep_theta`` therefore keeps one
-cache per grid point and side, holding the injected state and its support
-per occupancy, the +1 probability per (occupancy, syndrome prefix), and
-the floored infidelity per leaf.  A trial still makes every random draw
-the uncached pipeline makes, in the same order and from the same stream,
-and a cache miss recomputes its branch with the same arithmetic, so rows
-are bit-identical to pushing each trial through encode, inject, measure
-and recover on its own.  Trials derive their random streams from (seed,
-grid index, trial index, side), so results are bit-identical no matter
-how trials are scheduled, serial or concurrent.
+coded-side cache per grid point, holding the injected state and its
+support per occupancy, the +1 probability per (occupancy, syndrome
+prefix), and the floored infidelity per leaf.  A trial still makes every
+random draw the uncached pipeline makes, in the same order and from the
+same stream, and a cache miss recomputes its branch with the same
+arithmetic, so rows are bit-identical to pushing each trial through
+encode, inject, measure and recover on its own.  The bare-qubit baseline
+has one branch and runs once per grid point, on trial 0's stream.
+Trials derive their random streams from (seed, grid index, trial index,
+side), so results are bit-identical no matter how they are scheduled.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ def _trial_rng(seed: int, grid_index: int, trial: int, side: int) -> np.random.G
 
 
 class _BranchCache:
-    """The trial kernel for one grid point and side, memoizing its branches.
+    """The coded trial kernel for one grid point, memoizing its branches.
 
     Only injected states are kept, one per occupancy; a miss deeper in the
     syndrome tree projects the injected state down its path again.  The
@@ -235,17 +236,16 @@ def sweep_theta(config: ExperimentConfig) -> SweepResult:
     rows = []
     for grid_index, theta in enumerate(config.theta_grid):
         coded_side = _BranchCache(config, theta)
-        uncoded_side = _BranchCache(uncoded_config, theta)
         coded = np.empty(config.trials)
         supports = np.empty(config.trials)
-        uncoded = np.empty(config.trials)
         for trial in range(config.trials):
             coded[trial], supports[trial] = coded_side.trial(
                 _trial_rng(config.seed, grid_index, trial, _CODED)
             )
-            uncoded[trial], _ = uncoded_side.trial(
-                _trial_rng(config.seed, grid_index, trial, _UNCODED)
-            )
+        # The bare qubit's one branch: every trial would repeat trial 0.  The
+        # mean of n equal floats need not be the value, so average anyway.
+        bare_rng = _trial_rng(config.seed, grid_index, 0, _UNCODED)
+        uncoded = np.full(config.trials, run_trial(uncoded_config, theta, bare_rng)[0])
         rows.append(
             SweepRow(
                 theta=theta,

@@ -93,6 +93,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"line 3: fermi placement n=9 exceeds register size N=7"):
             parse_config(bad)
 
+    def test_all_qubits_argument_is_line_anchored(self):
+        bad = MINIMAL.replace("fermi:1", "all_qubits:3")
+        with pytest.raises(ConfigError, match=r"line 3: bad placement 'all_qubits:3'"):
+            parse_config(bad)
+
     def test_unnormalized_logical_rejected(self):
         text = MINIMAL + "logical.alpha_re = 0.8\nlogical.beta_re = 0.7\n"
         with pytest.raises(ConfigError, match=r"line 7: .*normalized"):
@@ -471,6 +476,24 @@ class TestCliCommands:
         assert main(SWEEP_ARGV) == 2
         assert capsys.readouterr().err == (
             "error: sampled projective branch has vanishing norm 0.000e+00\n"
+        )
+
+    def test_all_qubits_argument_exits_2(self, capsys):
+        assert main(SWEEP_ARGV + ["--placement", "all_qubits:junk"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: bad placement 'all_qubits:junk': all_qubits takes no argument\n"
+        )
+
+    def test_unallocatable_trial_budget_exits_2(self, monkeypatch, capsys):
+        def too_big(config):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(qeclab.cli, "sweep_theta", too_big)
+        assert main(SWEEP_ARGV) == 2
+        assert capsys.readouterr().err == (
+            "error: Unable to allocate 7.28 TiB for an array\n"
         )
 
     def test_missing_recovery_entry_exits_2(self, monkeypatch, capsys):

@@ -7,14 +7,22 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import qeclab.experiments
 from qeclab.codes import LogicalQubit, extract_syndrome, get_code, logical_fidelity, recover
-from qeclab.errors import ALL_QUBITS, GeneralErrorParams, Placement, apply_error_model
+from qeclab.errors import (
+    ALL_QUBITS,
+    FLIP_KINDS,
+    GeneralErrorParams,
+    Placement,
+    apply_error_model,
+)
 from qeclab.experiments import (
     NUMERICAL_FLOOR,
     SUPPORT_THRESHOLD,
     ExperimentConfig,
     SweepRow,
     _bare_qubit_placement,
+    _stacks_errors,
     _trial_rng,
     fit_power_law,
     model_for,
@@ -174,6 +182,7 @@ class TestSweepTheta:
             (Placement.fixed([3]), 0.15),
             (Placement.fermi(2), 0.15),
             (Placement.fixed([0, 0]), 0.3),
+            (Placement.bose_einstein(2), 0.3),
         ],
     )
     def test_uncoded_baseline_projects_placement(self, placement, angle):
@@ -183,6 +192,57 @@ class TestSweepTheta:
         row = sweep_theta(config).rows[0]
         assert row.mean_infid_uncoded == pytest.approx(math.sin(angle) ** 2, abs=1e-12)
         assert row.std_uncoded == 0.0
+
+    @pytest.mark.parametrize(
+        "placement,kind",
+        [
+            (placement, kind)
+            for placement in [
+                ALL_QUBITS,
+                Placement.fixed([3]),
+                Placement.fixed([0, 0]),
+                Placement.fermi(1),
+                Placement.fermi(2),
+                Placement.bose_einstein(2),
+                Placement.bose_einstein(3),
+            ]
+            for kind in ["rotation", *FLIP_KINDS, "general_unitary", "decay"]
+            # decay refuses a placement that stacks errors on the bare qubit
+            if kind != "decay" or not _stacks_errors(_bare_qubit_placement(placement))
+        ],
+    )
+    def test_bare_qubit_is_one_branch(self, placement, kind):
+        """The sweep computes the baseline once per grid point, which holds
+        only while every uncoded stream gives the bare qubit the same
+        result."""
+        config = rotation_config(
+            code="uncoded",
+            error_kind=kind,
+            placement=_bare_qubit_placement(placement),
+            logical=GENERIC,
+            general=GeneralErrorParams(0.3, complex(0.1, 0.2)),
+        )
+        for seed, grid_index, theta in [(0, 0, 0.05), (3, 2, 0.3), (7, 5, 1.1)]:
+            outcomes = {
+                run_trial(config, theta, _trial_rng(seed, grid_index, t, 1))
+                for t in range(8)
+            }
+            assert len(outcomes) == 1
+
+    def test_sweep_derives_one_uncoded_stream_per_grid_point(self, monkeypatch):
+        calls = []
+
+        def counting(*key):
+            calls.append(key)
+            return _trial_rng(*key)
+
+        monkeypatch.setattr(qeclab.experiments, "_trial_rng", counting)
+        config = rotation_config(theta_grid=(0.02, 0.08, 0.3), trials=12)
+        sweep_theta(config)
+        assert len(calls) == len(config.theta_grid) * (config.trials + 1)
+        assert [key for key in calls if key[3] == 1] == [
+            (config.seed, g, 0, 1) for g in range(len(config.theta_grid))
+        ]
 
     def test_trials_are_schedule_independent(self):
         """Recomputing trials out of order reproduces the sweep exactly."""
