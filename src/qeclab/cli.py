@@ -164,8 +164,10 @@ def _parse_placement(value: str, lineno: int | None = None) -> Placement:
                 raise ValueError("all_qubits takes no argument")
             return ALL_QUBITS
         if rule == "fixed":
-            qubits = [int(q) for q in arg.split(",") if q.strip() != ""]
-            return Placement.fixed(qubits)
+            entries = arg.split(",")
+            if any(q.strip() == "" for q in entries):
+                raise ValueError("fixed qubit list has an empty entry")
+            return Placement.fixed([int(q) for q in entries])
         if rule in ("fermi", "bose_einstein"):
             return Placement(rule, n_errors=int(arg))
     except ValueError as exc:
@@ -263,9 +265,9 @@ def parse_config(text: str) -> ExperimentConfig:
     else:
         doc.reject("error.axis", "error.axis only applies to rotation errors")
 
-    decay_rate = 0.5
+    decay_rate = ExperimentConfig.decay_rate
     if kind == "decay":
-        decay_rate = doc.parse("error.lambda", float, default=0.5)
+        decay_rate = doc.parse("error.lambda", float, default=decay_rate)
     else:
         doc.reject("error.lambda", "error.lambda only applies to decay errors")
 

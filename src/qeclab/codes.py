@@ -31,6 +31,7 @@ import numpy as np
 
 from .statevec import (
     StateVector,
+    _adopt,
     apply_pauli_string,
     fidelity,
     measure_pauli_string,
@@ -158,7 +159,7 @@ def _frozen(amps: np.ndarray) -> np.ndarray:
 
 def _linear_encoder(v0: np.ndarray, v1: np.ndarray, n: int):
     def encode(logical: LogicalQubit) -> StateVector:
-        return StateVector(n, logical.alpha * v0 + logical.beta * v1)
+        return _adopt(n, logical.alpha * v0 + logical.beta * v1)
 
     return encode
 

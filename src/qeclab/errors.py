@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .statevec import StateVector, apply_1q
+from .statevec import StateVector, _adopt, apply_product
 
 FLIP_KINDS = ("bit_flip", "phase_flip", "bit_and_phase_flip")
 ERROR_KINDS = FLIP_KINDS + ("general_unitary", "rotation", "decay")
@@ -306,13 +306,9 @@ def apply_occupancy(
         norm = float(np.linalg.norm(amps))
         if norm < _STATE_NORM_FLOOR:
             raise ValueError("decay annihilated the state (norm underflow)")
-        return StateVector(state.n_qubits, amps / norm)
-    op = _operator_for(model)
-    out = state
-    for q in np.flatnonzero(occupancy):
-        for _ in range(int(occupancy[q])):
-            out = apply_1q(out, op, int(q))
-    return out
+        return _adopt(state.n_qubits, amps / norm)
+    targets = np.repeat(np.arange(occupancy.size), occupancy).tolist()
+    return apply_product(state, _operator_for(model), targets)
 
 
 def apply_error_model(

@@ -12,7 +12,10 @@ prefix), and the floored infidelity per leaf.  A trial still makes every
 random draw the uncached pipeline makes, in the same order and from the
 same stream, and a cache miss recomputes its branch with the same
 arithmetic, so rows are bit-identical to pushing each trial through
-encode, inject, measure and recover on its own.  The bare-qubit baseline
+encode, inject, measure and recover on its own.  On a miss, injection
+is one ``apply_product`` call, each syndrome level gathers its image P psi
+once for both the +1 probability and the projection, and the leaf
+compares against the grid point's one encoding.  The bare-qubit baseline
 has one branch and runs once per grid point, on trial 0's stream.
 Trials derive their random streams from (seed, grid index, trial index,
 side), so results are bit-identical no matter how they are scheduled.
@@ -25,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codes import LogicalQubit, SyndromeResult, get_code, logical_fidelity, recover
+from .codes import LogicalQubit, SyndromeResult, get_code, recover
 from .errors import (
     ALL_QUBITS,
     ERROR_KINDS,
@@ -41,9 +44,12 @@ from .errors import (
 )
 from .statevec import (
     StateVector,
-    apply_1q,
-    pauli_plus_probability,
-    project_pauli_string,
+    apply_product,
+    fidelity,
+    pauli_gather,
+    pauli_image,
+    plus_probability,
+    project_image,
     support_size,
 )
 
@@ -153,14 +159,18 @@ class _BranchCache:
 
     Only injected states are kept, one per occupancy; a miss deeper in the
     syndrome tree projects the injected state down its path again.  The
-    projection is advanced at most once per stabilizer in a trial.
+    projection is advanced at most once per stabilizer in a trial, and each
+    level's image P psi is gathered once, for both its +1 probability and
+    its projection.  Leaves compare against the kernel's own encoding.
     """
 
     def __init__(self, config: ExperimentConfig, theta: float) -> None:
         self.code = get_code(config.code)
         self.model = model_for(config, theta)
-        self.logical = config.logical
         self.encoded = self.code.encoder(config.logical)
+        self.gathers = tuple(
+            pauli_gather(self.code.n_physical, s) for s in self.code.stabilizers
+        )
         self.injected: dict[bytes, tuple[StateVector, int]] = {}
         self.p_plus: dict[tuple[bytes, tuple[int, ...]], float] = {}
         self.infidelity: dict[tuple[bytes, tuple[int, ...]], float] = {}
@@ -173,31 +183,40 @@ class _BranchCache:
             state = apply_occupancy(self.encoded, self.model, occupancy)
             entry = self.injected[key] = (state, support_size(state, SUPPORT_THRESHOLD))
         injected, support = entry
-        # ``state`` is ``injected`` projected onto bits[:depth].
-        state, depth, bits = injected, 0, ()
-        for stabilizer in self.code.stabilizers:
+        # ``state`` is ``injected`` projected onto bits[:depth]; ``image`` is
+        # its image under stabilizer ``depth`` once taken, else None.
+        state, depth, image, bits = injected, 0, None, ()
+        for gather in self.gathers:
             node = (key, bits)
             p_plus = self.p_plus.get(node)
             if p_plus is None:
-                state, depth = self._descend(state, depth, bits)
-                p_plus = self.p_plus[node] = pauli_plus_probability(state, stabilizer)
+                state, depth = self._descend(state, depth, image, bits)
+                image = pauli_image(state, gather)
+                p_plus = self.p_plus[node] = plus_probability(state, image)
             bits += (0 if rng.random() < p_plus else 1,)
         leaf = (key, bits)
         infid = self.infidelity.get(leaf)
         if infid is None:
-            state, _ = self._descend(state, depth, bits)
+            state, _ = self._descend(state, depth, image, bits)
             corrected = recover(SyndromeResult(bits, state), self.code)
-            infid = 1.0 - logical_fidelity(corrected, self.code, self.logical)
+            infid = 1.0 - fidelity(corrected, self.encoded)
             if infid < NUMERICAL_FLOOR:
                 infid = 0.0
             self.infidelity[leaf] = infid
         return infid, support
 
     def _descend(
-        self, state: StateVector, depth: int, bits: tuple[int, ...]
+        self,
+        state: StateVector,
+        depth: int,
+        image: np.ndarray | None,
+        bits: tuple[int, ...],
     ) -> tuple[StateVector, int]:
-        for stabilizer, bit in zip(self.code.stabilizers[depth:], bits[depth:]):
-            state = project_pauli_string(state, stabilizer, 1 - 2 * bit)
+        for level in range(depth, len(bits)):
+            if image is None:
+                image = pauli_image(state, self.gathers[level])
+            state = project_image(state, image, 1 - 2 * bits[level])
+            image = None
         return state, len(bits)
 
 
@@ -278,8 +297,7 @@ def proliferation_experiment(
     state = code.encoder(LogicalQubit(1.0, 0.0))
     before = support_size(state, threshold)
     rotation = rotation_unitary(RotationErrorParams("y", theta))
-    for q in range(code.n_physical):
-        state = apply_1q(state, rotation, q)
+    state = apply_product(state, rotation, range(code.n_physical))
     return before, support_size(state, threshold)
 
 
@@ -302,8 +320,7 @@ def sensitivity_experiment(n_qubits: int, target_prob: float, theta: float) -> f
     amps[0] = math.sqrt(target_prob)
     state = StateVector(n_qubits, amps)
     rotation = rotation_unitary(RotationErrorParams("y", theta))
-    for q in range(n_qubits):
-        state = apply_1q(state, rotation, q)
+    state = apply_product(state, rotation, range(n_qubits))
     damaged = float(np.abs(state.amps[0]) ** 2)
     damage = (target_prob - damaged) / target_prob
     if abs(damage) < NUMERICAL_FLOOR:

@@ -12,10 +12,19 @@ All operations are pure.  A ``StateVector`` is immutable once built;
 operations return fresh values and never touch their inputs.  Anything
 randomized takes an explicit ``numpy.random.Generator`` so concurrent
 callers can hold disjoint streams.
+
+The public constructor copies and validates its input.  Arrays the
+package has just computed are adopted without the copy (``_adopt``), still
+checked for shape and finiteness.  Measuring a Pauli string is split into
+taking the image P psi once (``pauli_gather``, ``pauli_image``) and
+reading both the +1 probability and the projection off that one image
+(``plus_probability``, ``project_image``), so a caller that needs both
+gathers once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,18 +54,42 @@ class StateVector:
                 f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}"
             )
         amps = np.array(self.amps, dtype=np.complex128)
-        if amps.shape != (1 << self.n_qubits,):
-            raise ValueError(
-                f"expected {1 << self.n_qubits} amplitudes for "
-                f"{self.n_qubits} qubits, got shape {amps.shape}"
-            )
-        if not np.all(np.isfinite(amps.view(np.float64))):
-            raise ValueError("amplitudes must be finite")
+        _check_amps(self.n_qubits, amps)
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amps) ** 2))
+
+
+# Bound once: rebinding the module name ``StateVector`` (as an outside-in
+# tracer does) must not reach the adoption path.
+_STATE_VECTOR = StateVector
+
+
+def _check_amps(n_qubits: int, amps: np.ndarray) -> None:
+    if amps.shape != (1 << n_qubits,):
+        raise ValueError(
+            f"expected {1 << n_qubits} amplitudes for "
+            f"{n_qubits} qubits, got shape {amps.shape}"
+        )
+    if not np.all(np.isfinite(amps.view(np.float64))):
+        raise ValueError("amplitudes must be finite")
+
+
+def _adopt(n_qubits: int, amps: np.ndarray) -> StateVector:
+    """Wrap complex128 amplitudes the package has just computed, uncopied.
+
+    Shape and finiteness are checked as in the constructor; only the
+    defensive copy is skipped.  ``amps`` is marked read-only, so the caller
+    must keep no writable alias of it.
+    """
+    _check_amps(n_qubits, amps)
+    amps.flags.writeable = False
+    state = object.__new__(_STATE_VECTOR)
+    object.__setattr__(state, "n_qubits", n_qubits)
+    object.__setattr__(state, "amps", amps)
+    return state
 
 
 def basis_state(n_qubits: int, bits: str) -> StateVector:
@@ -71,7 +104,7 @@ def basis_state(n_qubits: int, bits: str) -> StateVector:
         raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
     amps = np.zeros(1 << n_qubits, dtype=np.complex128)
     amps[int(bits, 2)] = 1.0
-    return StateVector(n_qubits, amps)
+    return _adopt(n_qubits, amps)
 
 
 def _require_unitary2(u: np.ndarray) -> np.ndarray:
@@ -91,15 +124,35 @@ def _require_target(state: StateVector, target: int) -> None:
         )
 
 
+def apply_product(
+    state: StateVector, u: np.ndarray, targets: Iterable[int]
+) -> StateVector:
+    """Apply the single-qubit unitary ``u`` to each of ``targets`` in turn.
+
+    A repeated target gets ``u`` once per occurrence.  ``u`` is validated
+    once; each target is one matmul over a (2**t, rest, 2) view,
+    new[..., i] = sum_j u[i, j] * old[..., j].  The last qubit takes the
+    flat (N/2, 2) form instead, because there the view (rest = 1) goes
+    through numpy's vector-matrix path, which rounds differently.  Both
+    forms round exactly as a per-target moveaxis-and-matmul does, so the
+    bits of every result are independent of how targets are batched.
+    """
+    u_t = _require_unitary2(u).T
+    n = state.n_qubits
+    amps = state.amps
+    for target in targets:
+        _require_target(state, target)
+        if target == n - 1:
+            amps = (amps.reshape(-1, 2) @ u_t).reshape(-1)
+        else:
+            view = amps.reshape(1 << target, 2, -1).swapaxes(1, 2)
+            amps = (view @ u_t).swapaxes(1, 2).reshape(-1)
+    return _adopt(n, amps)
+
+
 def apply_1q(state: StateVector, u: np.ndarray, target: int) -> StateVector:
     """Apply a single-qubit unitary to ``target``."""
-    _require_target(state, target)
-    u = _require_unitary2(u)
-    n = state.n_qubits
-    tensor = state.amps.reshape((2,) * n)
-    moved = np.moveaxis(tensor, target, -1)
-    out = moved @ u.T  # new[..., i] = sum_j u[i, j] * old[..., j]
-    return StateVector(n, np.moveaxis(out, -1, target).reshape(-1))
+    return apply_product(state, u, (target,))
 
 
 @lru_cache(maxsize=256)
@@ -132,55 +185,58 @@ def _pauli_action(n_qubits: int, ops: str) -> tuple[np.ndarray, np.ndarray]:
     return src, phases
 
 
-def _check_pauli_string(state: StateVector, ops: str) -> None:
-    if len(ops) != state.n_qubits:
+def _check_pauli_string(n_qubits: int, ops: str) -> None:
+    if len(ops) != n_qubits:
         raise ValueError(
-            f"Pauli string length {len(ops)} does not match {state.n_qubits} qubits"
+            f"Pauli string length {len(ops)} does not match {n_qubits} qubits"
         )
     if set(ops) - _PAULI_LABELS:
         raise ValueError(f"Pauli string must be over I/X/Y/Z, got {ops!r}")
 
 
-def apply_pauli_string(state: StateVector, ops: str) -> StateVector:
-    """Apply a tensor product of Paulis, e.g. ``"ZZIIIIIII"``."""
-    _check_pauli_string(state, ops)
-    if set(ops) == {"I"}:
-        return state
-    src, phases = _pauli_action(state.n_qubits, ops)
-    return StateVector(state.n_qubits, phases * state.amps[src])
-
-
-def _measured_image(state: StateVector, ops: str) -> np.ndarray:
-    _check_pauli_string(state, ops)
-    if set(ops) == {"I"}:
-        raise ValueError("Pauli string must contain at least one non-identity")
-    src, phases = _pauli_action(state.n_qubits, ops)
+def pauli_image(state: StateVector, gather: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Amplitudes of P psi for a (src, phases) gather of the Pauli string P."""
+    src, phases = gather
     return phases * state.amps[src]
 
 
-def pauli_plus_probability(state: StateVector, ops: str) -> float:
-    """Born probability of the +1 outcome of measuring a Pauli string.
+def apply_pauli_string(state: StateVector, ops: str) -> StateVector:
+    """Apply a tensor product of Paulis, e.g. ``"ZZIIIIIII"``."""
+    _check_pauli_string(state.n_qubits, ops)
+    if set(ops) == {"I"}:
+        return state
+    return _adopt(state.n_qubits, pauli_image(state, _pauli_action(state.n_qubits, ops)))
 
-    That is the squared norm of (I + P)/2 psi, computed as (1 + <P>)/2 and
-    clipped into [0, 1] against rounding.
-    """
-    expectation = float(np.real(np.vdot(state.amps, _measured_image(state, ops))))
+
+def pauli_gather(n_qubits: int, ops: str) -> tuple[np.ndarray, np.ndarray]:
+    """Validated (src, phases) gather of a measurable Pauli string."""
+    _check_pauli_string(n_qubits, ops)
+    if set(ops) == {"I"}:
+        raise ValueError("Pauli string must contain at least one non-identity")
+    return _pauli_action(n_qubits, ops)
+
+
+def plus_probability(state: StateVector, image: np.ndarray) -> float:
+    """Born +1 probability from the image P psi: the squared norm of
+    (I + P)/2 psi, computed as (1 + <P>)/2 and clipped into [0, 1] against
+    rounding."""
+    expectation = float(np.real(np.vdot(state.amps, image)))
     return min(max((1.0 + expectation) / 2.0, 0.0), 1.0)
 
 
-def project_pauli_string(state: StateVector, ops: str, sign: int) -> StateVector:
-    """Renormalized projection (I + sign * P)/2 psi onto one outcome.
+def project_image(state: StateVector, image: np.ndarray, sign: int) -> StateVector:
+    """Renormalized projection (I + sign * P)/2 psi, given the image P psi.
 
     Raises RuntimeError when the branch has vanishing norm, i.e. when the
     outcome ``sign`` has (numerically) zero probability.
     """
-    branch = (state.amps + sign * _measured_image(state, ops)) / 2.0
+    branch = (state.amps + sign * image) / 2.0
     norm = float(np.linalg.norm(branch))
     if norm < _BRANCH_NORM_FLOOR:
         raise RuntimeError(
             f"sampled projective branch has vanishing norm {norm:.3e}"
         )
-    return StateVector(state.n_qubits, branch / norm)
+    return _adopt(state.n_qubits, branch / norm)
 
 
 def measure_pauli_string(
@@ -193,8 +249,9 @@ def measure_pauli_string(
     renormalized projection).  Measuring the same string again returns
     the same sign and leaves the state unchanged.
     """
-    sign = 1 if rng.random() < pauli_plus_probability(state, ops) else -1
-    return sign, project_pauli_string(state, ops, sign)
+    image = pauli_image(state, pauli_gather(state.n_qubits, ops))
+    sign = 1 if rng.random() < plus_probability(state, image) else -1
+    return sign, project_image(state, image, sign)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -62,6 +62,9 @@ class TestParseConfig:
         defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
         config = parse_config(MINIMAL.replace("trials = 100\n", ""))
         assert (config.trials, config.seed) == (defaults["trials"], defaults["seed"])
+        assert config.decay_rate == defaults["decay_rate"]
+        decay = parse_config(MINIMAL.replace("bit_flip", "decay"))
+        assert decay.decay_rate == defaults["decay_rate"]
 
     def test_colon_separator_and_comments(self):
         config = parse_config(
@@ -97,6 +100,19 @@ class TestParseConfig:
         bad = MINIMAL.replace("fermi:1", "all_qubits:3")
         with pytest.raises(ConfigError, match=r"line 3: bad placement 'all_qubits:3'"):
             parse_config(bad)
+
+    @pytest.mark.parametrize("placement", ["fixed:1,,2", "fixed:", "fixed:,", "fixed:3,"])
+    def test_malformed_fixed_list_is_line_anchored(self, placement):
+        bad = MINIMAL.replace("fermi:1", placement)
+        with pytest.raises(
+            ConfigError,
+            match=rf"line 3: bad placement '{placement}': fixed qubit list has an empty entry",
+        ):
+            parse_config(bad)
+
+    def test_fixed_list_tolerates_spaces(self):
+        config = parse_config(MINIMAL.replace("fermi:1", "fixed: 1, 2"))
+        assert config.placement == Placement.fixed([1, 2])
 
     def test_unnormalized_logical_rejected(self):
         text = MINIMAL + "logical.alpha_re = 0.8\nlogical.beta_re = 0.7\n"
@@ -484,6 +500,15 @@ class TestCliCommands:
         assert captured.out == ""
         assert captured.err == (
             "error: bad placement 'all_qubits:junk': all_qubits takes no argument\n"
+        )
+
+    @pytest.mark.parametrize("placement", ["fixed:1,,2", "fixed:", "fixed:,"])
+    def test_malformed_fixed_list_exits_2(self, placement, capsys):
+        assert main(SWEEP_ARGV + ["--placement", placement]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: bad placement '{placement}': fixed qubit list has an empty entry\n"
         )
 
     def test_unallocatable_trial_budget_exits_2(self, monkeypatch, capsys):

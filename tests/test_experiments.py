@@ -7,7 +7,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import qeclab.codes
+import qeclab.errors
 import qeclab.experiments
+import qeclab.statevec
 from qeclab.codes import LogicalQubit, extract_syndrome, get_code, logical_fidelity, recover
 from qeclab.errors import (
     ALL_QUBITS,
@@ -313,6 +316,38 @@ class TestSweepTheta:
             )
         assert sweep_theta(config).rows == tuple(expected)
         assert len(set(coded)) > 1  # the grid point reaches several branches
+
+    def test_rows_survive_a_rebound_state_vector_name(self, monkeypatch):
+        """An outside-in tracer replaces ``StateVector`` in each module's
+        namespace with a wrapper function; sweeps must run as before."""
+        config = rotation_config(
+            code="shor9", placement=Placement.bose_einstein(2), logical=GENERIC,
+            theta_grid=(0.05, 0.8), trials=40, seed=6,
+        )
+        expected = sweep_theta(config).rows
+        for module in (qeclab.statevec, qeclab.codes, qeclab.errors, qeclab.experiments):
+            def traced(*args, _original=module.StateVector, **kwargs):
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "StateVector", traced)
+        assert sweep_theta(config).rows == expected
+
+    def test_miss_path_gathers_each_level_once(self, monkeypatch):
+        """A trial on an empty cache takes one image P psi per stabilizer:
+        the +1 probability and the projection share it."""
+        images = []
+        original = qeclab.experiments.pauli_image
+
+        def counting(state, gather):
+            images.append(gather)
+            return original(state, gather)
+
+        monkeypatch.setattr(qeclab.experiments, "pauli_image", counting)
+        for code in ("steane7", "shor9"):
+            images.clear()
+            config = rotation_config(code=code, logical=GENERIC)
+            run_trial(config, 0.7, _trial_rng(0, 0, 0, 0))
+            assert len(images) == len(get_code(code).stabilizers)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("code", ["shor9", "steane7"])

@@ -7,8 +7,10 @@ import pytest
 
 from qeclab.statevec import (
     StateVector,
+    _adopt,
     apply_1q,
     apply_pauli_string,
+    apply_product,
     basis_state,
     fidelity,
     measure_pauli_string,
@@ -95,6 +97,92 @@ class TestStateVector:
         state = StateVector(1, amps)
         amps[0] = 5.0
         assert state.amps[0] == 1.0
+
+    def test_adopted_array_is_read_only(self):
+        amps = np.array([0.6, 0.8j, 0.0, 0.0])
+        state = _adopt(2, amps)
+        assert state.amps is amps
+        with pytest.raises(ValueError):
+            amps[0] = 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_adoption_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            _adopt(1, np.array([bad, 0.0], dtype=complex))
+
+    def test_adoption_rejects_wrong_amp_count(self):
+        with pytest.raises(ValueError, match="expected 4 amplitudes"):
+            _adopt(2, np.ones(3, dtype=complex))
+
+    def test_computed_states_are_read_only(self):
+        state = apply_product(basis_state(3, "010"), H, [0, 2])
+        with pytest.raises(ValueError):
+            state.amps[0] = 0.0
+
+
+def dense_on(u: np.ndarray, target: int, n: int) -> np.ndarray:
+    """``u`` on ``target`` as a dense 2**n matrix (qubit 0 leftmost)."""
+    factors = [u if q == target else I2 for q in range(n)]
+    out = factors[0]
+    for factor in factors[1:]:
+        out = np.kron(out, factor)
+    return out
+
+
+def moveaxis_1q(amps: np.ndarray, u: np.ndarray, target: int, n: int) -> np.ndarray:
+    """The reference single-qubit kernel: move ``target`` last, matmul, move back."""
+    moved = np.moveaxis(amps.reshape((2,) * n), target, -1)
+    return np.moveaxis(moved @ u.T, -1, target).reshape(-1)
+
+
+def random_unitary(rng: np.random.Generator) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return q
+
+
+class TestApplyProduct:
+    @pytest.mark.parametrize("targets", [[0], [2], [0, 1, 2, 3], [3, 3], [1, 0, 1, 3, 1]])
+    def test_matches_dense_kronecker_reference(self, targets):
+        rng = np.random.default_rng(5)
+        n, u = 4, random_unitary(rng)
+        state = random_state(n, rng)
+        expected = state.amps
+        for target in targets:
+            expected = dense_on(u, target, n) @ expected
+        np.testing.assert_allclose(apply_product(state, u, targets).amps, expected, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 7, 9, 10])
+    def test_bit_identical_to_sequential_single_qubit_kernel(self, n):
+        """Each target reproduces the moveaxis kernel's rounding bit for bit,
+        so swapping kernels leaves sweep rows unchanged."""
+        rng = np.random.default_rng(n)
+        u = random_unitary(rng)
+        state = random_state(n, rng)
+        targets = list(range(n)) + [n - 1, 0]
+        sequential, expected = state, state.amps
+        for target in targets:
+            sequential = apply_1q(sequential, u, target)
+            expected = moveaxis_1q(expected, u, target, n)
+        product = apply_product(state, u, targets)
+        assert product.amps.tobytes() == sequential.amps.tobytes() == expected.tobytes()
+
+    def test_no_targets_leaves_amplitudes(self):
+        state = random_state(3, np.random.default_rng(2))
+        assert apply_product(state, X, []).amps.tobytes() == state.amps.tobytes()
+
+    def test_rejects_out_of_range_target(self):
+        with pytest.raises(ValueError, match="out of range"):
+            apply_product(basis_state(2, "00"), X, [0, 2])
+
+    def test_rejects_non_unitary(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            apply_product(basis_state(2, "00"), np.array([[1, 0], [0, 2]]), [0, 1])
+
+    def test_input_state_untouched(self):
+        state = random_state(3, np.random.default_rng(4))
+        before = state.amps.tobytes()
+        apply_product(state, H, [0, 1, 2])
+        assert state.amps.tobytes() == before
 
 
 class TestApply1q:
