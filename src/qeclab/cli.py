@@ -16,7 +16,7 @@ separator, ``#`` starts a comment).  Recognized keys:
     theta.list               comma-separated angles, or instead:
     theta.min/.max/.points/.scale     scale is linear | log
     trials                   default 10000
-    seed                     default 0
+    seed                     integer >= 0, default 0
     logical.alpha_re/.alpha_im/.beta_re/.beta_im  default (1, 0)
 
 Unknown keys are rejected with their line number.  Inline flags override

@@ -85,6 +85,10 @@ class Placement:
         if self.n_errors < 0:
             raise ValueError(f"error count must be >= 0, got {self.n_errors}")
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        if self.rule == "fixed" and not self.qubits:
+            raise ValueError(
+                "fixed placement needs at least one qubit; use fermi:0 for no errors"
+            )
 
     @classmethod
     def fixed(cls, qubits) -> "Placement":

@@ -17,13 +17,24 @@ is one ``apply_product`` call, each syndrome level gathers its image P psi
 once for both the +1 probability and the projection, and the leaf
 compares against the grid point's one encoding.  The bare-qubit baseline
 has one branch and runs once per grid point, on trial 0's stream.
-Trials derive their random streams from (seed, grid index, trial index,
-side), so results are bit-identical no matter how they are scheduled.
+
+Trial t of grid point g on side s (0 coded, 1 uncoded) draws from the
+stream of ``default_rng(SeedSequence(entropy=seed, spawn_key=(g, t, s)))``,
+bit for bit, so results do not depend on how trials are scheduled and
+``_trial_rng`` rebuilds any one trial alone.  ``sweep_theta`` derives a
+grid point's streams in one vectorized pass over its keys, in blocks of
+``_STREAM_BLOCK``: numpy mixes the run entropy once, and the spawn-key
+words and output hash of ``SeedSequence`` run on all keys at once.  Each
+trial draws its placement and then its m syndrome uniforms in one
+``rng.random(m)`` call, which reads the same values as m scalar draws.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -91,6 +102,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown rotation axis {self.axis!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         grid = tuple(float(t) for t in self.theta_grid)
         if not grid:
             raise ValueError("theta grid must not be empty")
@@ -148,16 +161,109 @@ def model_for(config: ExperimentConfig, theta: float) -> ErrorModel:
     return ErrorModel(kind, None, config.placement)
 
 
+# numpy's SeedSequence constants: the pool-mixing hash, the
+# generate_state output hash and the mixing function.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_WORD = 1 << 32
+_POOL_SIZE = 4
+# generate_state(4, uint64) draws 8 words: the pool cycled twice.
+_OUTPUT_HASH = np.array(
+    [_INIT_B * pow(_MULT_B, i, _WORD) % _WORD for i in range(2 * _POOL_SIZE + 1)],
+    dtype=np.uint32,
+)[:, None]
+# Streams are derived this many keys at a time, so memory does not grow
+# with the trial count.
+_STREAM_BLOCK = 1024
+
+
+def _stream_seeds(seed: int, keys) -> np.ndarray:
+    """PCG64 seed words of ``SeedSequence(entropy=seed, spawn_key=key)``.
+
+    ``keys`` is an (n, k) array-like of spawn keys whose words are each
+    below 2**32.  Returns the (n, 4) uint64 array that each key's
+    ``generate_state(4, np.uint64)`` gives.  numpy mixes the run entropy
+    into the pool once; the spawn-key words of all keys are then mixed in
+    as (4, n) uint32 lanes, and the output hash runs on all lanes at once.
+    """
+    keys = np.asarray(keys)
+    # A wider word would take several pool words in numpy: another stream.
+    if keys.min() < 0 or keys.max() >= _WORD:
+        raise ValueError("spawn-key words must lie in [0, 2**32)")
+    pool = np.random.SeedSequence(entropy=seed).pool
+    # The pool-mixing hash constant advances once per (word, pool lane):
+    # 16 steps for the first pool-size run-entropy words and their
+    # cross-mix, 4 more for every further run-entropy word.
+    run_words = max(1, -(-operator.index(seed).bit_length() // 32))
+    steps = 16 + _POOL_SIZE * max(0, run_words - _POOL_SIZE)
+    h = _INIT_A * pow(_MULT_A, steps, _WORD) % _WORD
+    hashes = [h]
+    for _ in range(_POOL_SIZE * keys.shape[1]):
+        h = h * _MULT_A % _WORD
+        hashes.append(h)
+    hashes = np.array(hashes, dtype=np.uint32)
+    lane_shape = (keys.shape[1], _POOL_SIZE, 1)
+    mixed = keys.T.astype(np.uint32)[:, None, :] ^ hashes[:-1].reshape(lane_shape)
+    mixed *= hashes[1:].reshape(lane_shape)
+    mixed ^= mixed >> _XSHIFT
+    mixed *= np.uint32(_MIX_MULT_R)
+    lanes = np.repeat(pool[:, None], len(keys), axis=1)
+    for word in mixed:
+        lanes *= np.uint32(_MIX_MULT_L)
+        lanes -= word
+        lanes ^= lanes >> _XSHIFT
+    out = (np.tile(lanes, (2, 1)) ^ _OUTPUT_HASH[:-1]) * _OUTPUT_HASH[1:]
+    out ^= out >> _XSHIFT
+    # As numpy does: consecutive little-endian word pairs form each uint64.
+    return out.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
+
+
+class _SeedWords:
+    """Hands one key's precomputed seed words to ``np.random.PCG64``.
+
+    numpy's ``ISeedSequence`` is the public interface a bit generator
+    seeds itself from; PCG64 asks it for ``generate_state(4, np.uint64)``
+    and nothing else, which are exactly the words ``_stream_seeds`` gives.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+def _trial_streams(seed: int, keys) -> Iterator[np.random.Generator]:
+    """One generator per spawn key, each bit-identical to
+    ``default_rng(SeedSequence(entropy=seed, spawn_key=key))``.
+
+    ``keys`` may be any iterable of key tuples; it is consumed
+    ``_STREAM_BLOCK`` keys at a time.
+    """
+    # Registered here, not at import, so that importing qeclab does not
+    # import numpy.random; registering again is a no-op.
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)
+    keys = iter(keys)
+    while block := list(itertools.islice(keys, _STREAM_BLOCK)):
+        for words in _stream_seeds(seed, block):
+            yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
+
+
 def _trial_rng(seed: int, grid_index: int, trial: int, side: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(grid_index, trial, side))
-    )
+    """The stream of one trial, rebuilt on its own in any order."""
+    return next(_trial_streams(seed, [(grid_index, trial, side)]))
 
 
 class _BranchCache:
     """The coded trial kernel for one grid point, memoizing its branches.
 
-    Only injected states are kept, one per occupancy; a miss deeper in the
+    A trial draws its placement occupancy, then all its syndrome uniforms
+    in one call, and walks the syndrome tree on them.  Only injected
+    states are kept, one per occupancy; a miss deeper in the
     syndrome tree projects the injected state down its path again.  The
     projection is advanced at most once per stabilizer in a trial, and each
     level's image P psi is gathered once, for both its +1 probability and
@@ -186,14 +292,14 @@ class _BranchCache:
         # ``state`` is ``injected`` projected onto bits[:depth]; ``image`` is
         # its image under stabilizer ``depth`` once taken, else None.
         state, depth, image, bits = injected, 0, None, ()
-        for gather in self.gathers:
+        for gather, u in zip(self.gathers, rng.random(len(self.gathers)).tolist()):
             node = (key, bits)
             p_plus = self.p_plus.get(node)
             if p_plus is None:
                 state, depth = self._descend(state, depth, image, bits)
                 image = pauli_image(state, gather)
                 p_plus = self.p_plus[node] = plus_probability(state, image)
-            bits += (0 if rng.random() < p_plus else 1,)
+            bits += (0 if u < p_plus else 1,)
         leaf = (key, bits)
         infid = self.infidelity.get(leaf)
         if infid is None:
@@ -254,16 +360,20 @@ def sweep_theta(config: ExperimentConfig) -> SweepResult:
     )
     rows = []
     for grid_index, theta in enumerate(config.theta_grid):
+        keys = itertools.chain(
+            ((grid_index, trial, _CODED) for trial in range(config.trials)),
+            [(grid_index, 0, _UNCODED)],
+        )
+        streams = _trial_streams(config.seed, keys)
         coded_side = _BranchCache(config, theta)
         coded = np.empty(config.trials)
         supports = np.empty(config.trials)
-        for trial in range(config.trials):
-            coded[trial], supports[trial] = coded_side.trial(
-                _trial_rng(config.seed, grid_index, trial, _CODED)
-            )
+        # ``range`` comes first so that zip leaves the uncoded stream unread.
+        for trial, rng in zip(range(config.trials), streams):
+            coded[trial], supports[trial] = coded_side.trial(rng)
         # The bare qubit's one branch: every trial would repeat trial 0.  The
         # mean of n equal floats need not be the value, so average anyway.
-        bare_rng = _trial_rng(config.seed, grid_index, 0, _UNCODED)
+        bare_rng = next(streams)
         uncoded = np.full(config.trials, run_trial(uncoded_config, theta, bare_rng)[0])
         rows.append(
             SweepRow(

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import qeclab.cli
 from qeclab.cli import (
@@ -15,8 +17,14 @@ from qeclab.cli import (
     parse_config,
     render_csv,
 )
-from qeclab.codes import LogicalQubit
-from qeclab.errors import GeneralErrorParams, Placement
+from qeclab.codes import CODE_NAMES, LogicalQubit, get_code
+from qeclab.errors import (
+    ALL_QUBITS,
+    ERROR_KINDS,
+    ROTATION_AXES,
+    GeneralErrorParams,
+    Placement,
+)
 from qeclab.experiments import ExperimentConfig, SweepResult, SweepRow, fit_power_law
 
 MINIMAL = """\
@@ -65,6 +73,10 @@ class TestParseConfig:
         assert config.decay_rate == defaults["decay_rate"]
         decay = parse_config(MINIMAL.replace("bit_flip", "decay"))
         assert decay.decay_rate == defaults["decay_rate"]
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match=r"seed must be >= 0, got -1"):
+            parse_config(MINIMAL + "seed = -1\n")
 
     def test_colon_separator_and_comments(self):
         config = parse_config(
@@ -202,6 +214,52 @@ class TestParseConfig:
             parse_config(bad)
 
 
+@st.composite
+def valid_configs(draw):
+    """Configs the constructors accept, with only the fields the kind uses
+    set away from their defaults (emit_config writes no others)."""
+    code = draw(st.sampled_from(CODE_NAMES))
+    n_physical = get_code(code).n_physical
+    kind = draw(st.sampled_from(ERROR_KINDS))
+    rule = draw(st.sampled_from(["all_qubits", "fixed", "fermi", "bose_einstein"]))
+    finite = dict(allow_nan=False, allow_infinity=False)
+    unit_pair = st.tuples(st.floats(-2.0, 2.0, **finite), st.floats(-2.0, 2.0, **finite))
+    fields = dict(
+        code=code,
+        error_kind=kind,
+        theta_grid=tuple(sorted(draw(
+            st.lists(st.floats(0.0, 4.0, **finite), min_size=1, max_size=4, unique=True)
+        ))),
+        trials=draw(st.integers(1, 10**6)),
+        seed=draw(st.one_of(st.integers(0, 2**64), st.integers(2**64, 2**200))),
+    )
+    alpha, beta = draw(unit_pair), draw(unit_pair)
+    if kind == "rotation":
+        fields["axis"] = draw(st.sampled_from(ROTATION_AXES))
+    if kind == "decay":
+        fields["decay_rate"] = draw(st.floats(0.0, 1.0, exclude_min=True))
+    try:
+        norm = math.hypot(*alpha, *beta)
+        fields["logical"] = LogicalQubit(
+            complex(*alpha) / norm, complex(*beta) / norm
+        )
+        if kind == "general_unitary":
+            fields["general"] = GeneralErrorParams(complex(*alpha), complex(*beta))
+        if rule == "all_qubits":
+            fields["placement"] = ALL_QUBITS
+        elif rule == "fixed":
+            fields["placement"] = Placement.fixed(draw(
+                st.lists(st.integers(0, n_physical - 1), max_size=3)
+            ))
+        elif rule == "fermi":
+            fields["placement"] = Placement.fermi(draw(st.integers(0, n_physical)))
+        else:
+            fields["placement"] = Placement.bose_einstein(draw(st.integers(0, 3)))
+        return ExperimentConfig(**fields)
+    except (ValueError, ZeroDivisionError):
+        reject()
+
+
 class TestEmitRoundTrip:
     def sample_configs(self):
         yield parse_config(MINIMAL)
@@ -242,6 +300,11 @@ class TestEmitRoundTrip:
         """parse_config(emit_config(cfg)) == cfg, bit for bit."""
         for config in self.sample_configs():
             assert parse_config(emit_config(config)) == config
+
+    @settings(max_examples=300, deadline=None)
+    @given(valid_configs())
+    def test_every_valid_config_round_trips(self, config):
+        assert parse_config(emit_config(config)) == config
 
     def test_random_configs_round_trip(self):
         rng = np.random.default_rng(99)
@@ -510,6 +573,14 @@ class TestCliCommands:
         assert captured.err == (
             f"error: bad placement '{placement}': fixed qubit list has an empty entry\n"
         )
+
+    @pytest.mark.parametrize("command", ["sweep", "inject", "correct"])
+    def test_negative_seed_exits_2(self, command, capsys):
+        argv = [command, "--code", "steane7", "--theta", "0.05", "--seed", "-1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
 
     def test_unallocatable_trial_budget_exits_2(self, monkeypatch, capsys):
         def too_big(config):

@@ -244,6 +244,8 @@ class TestErrorModelValidation:
             Placement("everywhere")
         with pytest.raises(ValueError, match=">= 0"):
             Placement("fermi", n_errors=-1)
+        with pytest.raises(ValueError, match="use fermi:0"):
+            Placement.fixed(())
 
 
 class TestApplyErrorModel:

@@ -26,7 +26,9 @@ from qeclab.experiments import (
     SweepRow,
     _bare_qubit_placement,
     _stacks_errors,
+    _stream_seeds,
     _trial_rng,
+    _trial_streams,
     fit_power_law,
     model_for,
     proliferation_experiment,
@@ -87,6 +89,10 @@ class TestExperimentConfig:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="trials"):
             rotation_config(trials=0)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            rotation_config(seed=-1)
 
     def test_general_unitary_needs_params(self):
         with pytest.raises(ValueError, match="e1/e2"):
@@ -152,6 +158,52 @@ class TestRunTrial:
         config = rotation_config()
         infid, _ = run_trial(config, 0.0, np.random.default_rng(1))
         assert infid == 0.0
+
+
+def reference_rng(seed, key):
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+class TestTrialStreams:
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 9, 0x9E3779B97F4A7C15F39CC060]
+    KEYS = [(g, t, side) for g in (0, 6, 300) for t in range(0, 1000, 37) for side in (0, 1)]
+
+    @staticmethod
+    def assert_same_stream(rng, reference):
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert rng.random(3).tolist() == reference.random(3).tolist()
+        assert rng.integers(0, 2**40, size=3).tolist() == (
+            reference.integers(0, 2**40, size=3).tolist()
+        )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_block_derivation_matches_seed_sequence(self, seed):
+        streams = list(_trial_streams(seed, self.KEYS))
+        assert len(streams) == len(self.KEYS)
+        for key, rng in zip(self.KEYS, streams):
+            self.assert_same_stream(rng, reference_rng(seed, key))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_single_key_matches_seed_sequence(self, seed):
+        for key in self.KEYS[::7]:
+            self.assert_same_stream(_trial_rng(seed, *key), reference_rng(seed, key))
+
+    def test_keys_span_several_blocks(self):
+        count = qeclab.experiments._STREAM_BLOCK + 3
+        keys = [(2, t, 0) for t in range(count)]
+        streams = list(_trial_streams(5, iter(keys)))
+        assert len(streams) == count
+        for t in (0, count - 4, count - 3, count - 1):
+            self.assert_same_stream(streams[t], reference_rng(5, keys[t]))
+
+    @pytest.mark.parametrize("key", [(0, 2**32, 0), (0, 0, 2**70), (-1, 0, 0)])
+    def test_rejects_key_words_outside_uint32(self, key):
+        with pytest.raises(ValueError, match="spawn-key words"):
+            _stream_seeds(0, [key])
+
+    def test_negative_seed_is_left_to_numpy(self):
+        with pytest.raises(ValueError):
+            _trial_rng(-1, 0, 0, 0)
 
 
 class TestSweepTheta:
@@ -233,18 +285,24 @@ class TestSweepTheta:
             assert len(outcomes) == 1
 
     def test_sweep_derives_one_uncoded_stream_per_grid_point(self, monkeypatch):
+        """Per grid point, the sweep derives exactly its ``trials`` coded keys
+        and one uncoded key, in blocks of at most ``_STREAM_BLOCK`` keys."""
         calls = []
 
-        def counting(*key):
-            calls.append(key)
-            return _trial_rng(*key)
+        def counting(seed, keys):
+            calls.append((seed, [tuple(key) for key in keys]))
+            return _stream_seeds(seed, keys)
 
-        monkeypatch.setattr(qeclab.experiments, "_trial_rng", counting)
-        config = rotation_config(theta_grid=(0.02, 0.08, 0.3), trials=12)
+        monkeypatch.setattr(qeclab.experiments, "_stream_seeds", counting)
+        monkeypatch.setattr(qeclab.experiments, "_STREAM_BLOCK", 5)
+        config = rotation_config(theta_grid=(0.02, 0.08, 0.3), trials=12, seed=9)
         sweep_theta(config)
-        assert len(calls) == len(config.theta_grid) * (config.trials + 1)
-        assert [key for key in calls if key[3] == 1] == [
-            (config.seed, g, 0, 1) for g in range(len(config.theta_grid))
+        assert all(seed == config.seed and len(keys) <= 5 for seed, keys in calls)
+        derived = [key for _, keys in calls for key in keys]
+        assert derived == [
+            key
+            for g in range(len(config.theta_grid))
+            for key in [(g, t, 0) for t in range(config.trials)] + [(g, 0, 1)]
         ]
 
     def test_trials_are_schedule_independent(self):
