@@ -56,7 +56,6 @@ from .statevec import (
     apply_pauli_string,
     basis_state,
     fidelity,
-    measure_pauli_string,
     support_size,
 )
 
@@ -92,7 +91,6 @@ __all__ = [
     "fit_power_law",
     "get_code",
     "logical_fidelity",
-    "measure_pauli_string",
     "model_for",
     "pauli_strings_commute",
     "pauli_unitary",

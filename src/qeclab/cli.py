@@ -19,9 +19,11 @@ separator, ``#`` starts a comment).  Recognized keys:
     seed                     integer >= 0, default 0
     logical.alpha_re/.alpha_im/.beta_re/.beta_im  default (1, 0)
 
-Unknown keys are rejected with their line number.  Inline flags override
-file values.  All output is byte-deterministic for a fixed seed; files
-are written atomically (temp file + rename), never partially.
+Unknown keys and placements that do not fit the register are rejected
+with their line number.  Inline flags override file values; a value the
+resulting error kind ignores is a config error.  All output is
+byte-deterministic for a fixed seed; files are written atomically (temp
+file + rename), never partially.
 
 Exit codes: 0 success, 2 config/validation error or a simulation that
 cannot continue (a vanishing measurement branch, a missing recovery-table
@@ -43,6 +45,7 @@ from .errors import (
     ALL_QUBITS,
     ERROR_KINDS,
     ROTATION_AXES,
+    DecayModel,
     GeneralErrorParams,
     Placement,
     apply_error_model,
@@ -53,6 +56,7 @@ from .experiments import (
     SUPPORT_THRESHOLD,
     ExperimentConfig,
     SweepResult,
+    _check_placement,
     model_for,
     proliferation_experiment,
     sensitivity_experiment,
@@ -249,11 +253,10 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("missing required key 'error.placement'")
     placement_line, placement_raw = doc.entries["error.placement"]
     placement = _parse_placement(placement_raw, placement_line)
-    if placement.rule == "fermi" and placement.n_errors > get_code(code).n_physical:
-        raise ConfigError(
-            f"line {placement_line}: fermi placement n={placement.n_errors} "
-            f"exceeds register size N={get_code(code).n_physical}"
-        )
+    try:
+        _check_placement(placement, code, kind)
+    except ValueError as exc:
+        raise ConfigError(f"line {placement_line}: {exc}") from None
 
     axis = "y"
     if kind == "rotation":
@@ -268,6 +271,10 @@ def parse_config(text: str) -> ExperimentConfig:
     decay_rate = ExperimentConfig.decay_rate
     if kind == "decay":
         decay_rate = doc.parse("error.lambda", float, default=decay_rate)
+        try:
+            DecayModel(decay_rate, 0.0)
+        except ValueError as exc:
+            raise ConfigError(f"line {doc.line('error.lambda')}: {exc}") from None
     else:
         doc.reject("error.lambda", "error.lambda only applies to decay errors")
 

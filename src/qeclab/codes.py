@@ -6,7 +6,8 @@ state for either code) rather than synthesizing gate circuits, so the
 constants below are bit-exact and circuit bugs are out of the blast
 radius.  Syndrome extraction is direct projective measurement of each
 stabilizer; the post-measurement state is identical to what ancilla
-circuits would produce without ever growing the register.
+circuits would produce without ever growing the register.  That walk,
+``_syndrome_walk``, serves both ``extract_syndrome`` and the sweep kernel.
 
 Recovery tables are built at construction time by sweeping error patterns
 in order of increasing weight, separately for the X sector (flagged by
@@ -34,7 +35,10 @@ from .statevec import (
     _adopt,
     apply_pauli_string,
     fidelity,
-    measure_pauli_string,
+    pauli_gather,
+    pauli_image,
+    plus_probability,
+    project_image,
 )
 
 CODE_NAMES = ("shor9", "steane7", "uncoded")
@@ -294,10 +298,27 @@ def get_code(name: str) -> CodeSpec:
 # Syndrome extraction and recovery
 # ---------------------------------------------------------------------------
 
+def _syndrome_walk(
+    state: StateVector, gathers, uniforms
+) -> tuple[tuple[int, ...], tuple[float, ...], StateVector]:
+    """Measure the stabilizers with (src, phases) ``gathers`` in order.  Each
+    level takes one image P psi, gives bit 0 iff its uniform is below the
+    Born +1 probability read off it, and projects with that same image.
+    Returns the bits, each level's +1 probability and the final state."""
+    bits, p_pluses = [], []
+    for gather, u in zip(gathers, uniforms):
+        image = pauli_image(state, gather)
+        p_pluses.append(plus_probability(state, image))
+        bits.append(0 if u < p_pluses[-1] else 1)
+        state = project_image(state, image, 1 - 2 * bits[-1])
+    return tuple(bits), tuple(p_pluses), state
+
+
 def extract_syndrome(
     state: StateVector, code: CodeSpec, rng: np.random.Generator
 ) -> SyndromeResult:
-    """Measure every stabilizer in order and return bits plus the projection.
+    """Run the stabilizer walk on m uniforms from one ``rng.random(m)`` call
+    (the values of m scalar draws) and return bits plus the projection.
 
     On an undisturbed codeword all bits come out 0 and the state is
     unchanged; on a disturbed one the measurement collapses whatever
@@ -308,12 +329,9 @@ def extract_syndrome(
             f"state has {state.n_qubits} qubits but {code.name} needs "
             f"{code.n_physical}"
         )
-    bits = []
-    post = state
-    for stabilizer in code.stabilizers:
-        sign, post = measure_pauli_string(post, stabilizer, rng)
-        bits.append(0 if sign == 1 else 1)
-    return SyndromeResult(tuple(bits), post)
+    gathers = [pauli_gather(code.n_physical, s) for s in code.stabilizers]
+    bits, _, post = _syndrome_walk(state, gathers, rng.random(len(gathers)).tolist())
+    return SyndromeResult(bits, post)
 
 
 def recover(result: SyndromeResult, code: CodeSpec) -> StateVector:

@@ -6,17 +6,13 @@ stabilizer, and reports the support right after injection and the
 infidelity 1 - F of the recovered state against the ideal encoding.
 Everything a trial computes is a function of its branch: the occupancy
 and the syndrome bits drawn so far.  ``sweep_theta`` therefore keeps one
-coded-side cache per grid point, holding the injected state and its
-support per occupancy, the +1 probability per (occupancy, syndrome
-prefix), and the floored infidelity per leaf.  A trial still makes every
-random draw the uncached pipeline makes, in the same order and from the
-same stream, and a cache miss recomputes its branch with the same
-arithmetic, so rows are bit-identical to pushing each trial through
-encode, inject, measure and recover on its own.  On a miss, injection
-is one ``apply_product`` call, each syndrome level gathers its image P psi
-once for both the +1 probability and the projection, and the leaf
-compares against the grid point's one encoding.  The bare-qubit baseline
-has one branch and runs once per grid point, on trial 0's stream.
+coded-side memo of the plain trial per grid point (see ``_BranchCache``).
+A trial makes every random draw the plain trial makes, in the same order
+and from the same stream, and its first uncached node runs the plain
+trial's own walk, ``codes._syndrome_walk``, so rows are bit-identical to
+pushing each trial through encode, inject, measure and recover on its
+own.  The bare-qubit baseline has one branch and runs once per grid
+point, on trial 0's stream.
 
 Trial t of grid point g on side s (0 coded, 1 uncoded) draws from the
 stream of ``default_rng(SeedSequence(entropy=seed, spawn_key=(g, t, s)))``,
@@ -39,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codes import LogicalQubit, SyndromeResult, get_code, recover
+from .codes import LogicalQubit, SyndromeResult, _syndrome_walk, get_code, recover
 from .errors import (
     ALL_QUBITS,
     ERROR_KINDS,
@@ -53,16 +49,7 @@ from .errors import (
     resolve_occupancy,
     rotation_unitary,
 )
-from .statevec import (
-    StateVector,
-    apply_product,
-    fidelity,
-    pauli_gather,
-    pauli_image,
-    plus_probability,
-    project_image,
-    support_size,
-)
+from .statevec import StateVector, apply_product, fidelity, pauli_gather, support_size
 
 SUPPORT_THRESHOLD = 1e-12
 # Infidelities this small are rounding residue, not physics; they are
@@ -77,6 +64,22 @@ def _stacks_errors(placement: Placement) -> bool:
     if placement.rule == "fixed":
         return len(set(placement.qubits)) < len(placement.qubits)
     return placement.rule == "bose_einstein" and placement.n_errors >= 2
+
+
+def _check_placement(placement: Placement, code: str, error_kind: str) -> None:
+    """Raise ValueError unless ``placement`` fits the register of ``code``
+    under ``error_kind``: fixed qubits lie in [0, N), fermi places n <= N
+    errors, and a decay placement never stacks errors on one qubit."""
+    n = get_code(code).n_physical
+    outside = [q for q in placement.qubits if not 0 <= q < n]
+    if placement.rule == "fixed" and outside:
+        raise ValueError(f"fixed placement qubit {outside[0]} out of range for {n} qubits")
+    if placement.rule == "fermi" and placement.n_errors > n:
+        raise ValueError(f"fermi placement n={placement.n_errors} exceeds register size N={n}")
+    if error_kind == "decay" and _stacks_errors(placement):
+        raise ValueError(
+            f"decay placement must not stack errors on one qubit of the {code} register"
+        )
 
 
 @dataclass(frozen=True)
@@ -96,10 +99,20 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         get_code(self.code)  # rejects unknown names
-        if self.error_kind not in ERROR_KINDS:
-            raise ValueError(f"unknown error kind {self.error_kind!r}")
+        kind = self.error_kind
+        if kind not in ERROR_KINDS:
+            raise ValueError(f"unknown error kind {kind!r}")
         if self.axis not in ROTATION_AXES:
             raise ValueError(f"unknown rotation axis {self.axis!r}")
+        # Fields the kind ignores keep their defaults: emit_config omits them.
+        if kind != "rotation" and self.axis != "y":
+            raise ValueError(f"axis only applies to rotation errors, not {kind}")
+        if kind != "general_unitary" and self.general is not None:
+            raise ValueError(f"e1/e2 only apply to general_unitary errors, not {kind}")
+        if kind == "decay":
+            DecayModel(self.decay_rate, 0.0)  # rejects a rate outside (0, 1]
+        elif self.decay_rate != ExperimentConfig.decay_rate:
+            raise ValueError(f"decay_rate only applies to decay errors, not {kind}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -111,13 +124,9 @@ class ExperimentConfig:
             raise ValueError("theta grid values must be finite and >= 0")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("theta grid must be strictly increasing")
-        if self.error_kind == "general_unitary" and self.general is None:
+        if kind == "general_unitary" and self.general is None:
             raise ValueError("general_unitary sweeps need e1/e2 parameters")
-        if self.error_kind == "decay" and _stacks_errors(self.placement):
-            raise ValueError(
-                "decay placement must not stack errors on one qubit of the "
-                f"{self.code} register"
-            )
+        _check_placement(self.placement, self.code, kind)
         object.__setattr__(self, "theta_grid", grid)
 
 
@@ -259,27 +268,24 @@ def _trial_rng(seed: int, grid_index: int, trial: int, side: int) -> np.random.G
 
 
 class _BranchCache:
-    """The coded trial kernel for one grid point, memoizing its branches.
+    """The coded trial kernel for one grid point: a memo of the plain trial.
 
-    A trial draws its placement occupancy, then all its syndrome uniforms
-    in one call, and walks the syndrome tree on them.  Only injected
-    states are kept, one per occupancy; a miss deeper in the
-    syndrome tree projects the injected state down its path again.  The
-    projection is advanced at most once per stabilizer in a trial, and each
-    level's image P psi is gathered once, for both its +1 probability and
-    its projection.  Leaves compare against the kernel's own encoding.
+    ``injected`` holds the injected state and its support per occupancy.
+    ``memo`` is keyed (occupancy bytes, syndrome bits): it holds the +1
+    probability at an internal node and the floored infidelity at a leaf.
+    A node is in the memo iff some trial reached it, so from a trial's
+    first uncached node down everything is new: the trial then reruns the
+    syndrome walk from the injected state on its own uniforms and records
+    every node and the leaf it passes.  Hits are lookups only.
     """
 
     def __init__(self, config: ExperimentConfig, theta: float) -> None:
-        self.code = get_code(config.code)
+        code = self.code = get_code(config.code)
         self.model = model_for(config, theta)
-        self.encoded = self.code.encoder(config.logical)
-        self.gathers = tuple(
-            pauli_gather(self.code.n_physical, s) for s in self.code.stabilizers
-        )
+        self.encoded = code.encoder(config.logical)
+        self.gathers = [pauli_gather(code.n_physical, s) for s in code.stabilizers]
         self.injected: dict[bytes, tuple[StateVector, int]] = {}
-        self.p_plus: dict[tuple[bytes, tuple[int, ...]], float] = {}
-        self.infidelity: dict[tuple[bytes, tuple[int, ...]], float] = {}
+        self.memo: dict[tuple[bytes, tuple[int, ...]], float] = {}
 
     def trial(self, rng: np.random.Generator) -> tuple[float, int]:
         occupancy = resolve_occupancy(self.model.placement, self.code.n_physical, rng)
@@ -289,41 +295,26 @@ class _BranchCache:
             state = apply_occupancy(self.encoded, self.model, occupancy)
             entry = self.injected[key] = (state, support_size(state, SUPPORT_THRESHOLD))
         injected, support = entry
-        # ``state`` is ``injected`` projected onto bits[:depth]; ``image`` is
-        # its image under stabilizer ``depth`` once taken, else None.
-        state, depth, image, bits = injected, 0, None, ()
-        for gather, u in zip(self.gathers, rng.random(len(self.gathers)).tolist()):
-            node = (key, bits)
-            p_plus = self.p_plus.get(node)
-            if p_plus is None:
-                state, depth = self._descend(state, depth, image, bits)
-                image = pauli_image(state, gather)
-                p_plus = self.p_plus[node] = plus_probability(state, image)
-            bits += (0 if u < p_plus else 1,)
-        leaf = (key, bits)
-        infid = self.infidelity.get(leaf)
-        if infid is None:
-            state, _ = self._descend(state, depth, image, bits)
-            corrected = recover(SyndromeResult(bits, state), self.code)
-            infid = 1.0 - fidelity(corrected, self.encoded)
-            if infid < NUMERICAL_FLOOR:
-                infid = 0.0
-            self.infidelity[leaf] = infid
-        return infid, support
+        uniforms = rng.random(len(self.gathers)).tolist()
+        bits: tuple[int, ...] = ()
+        value = self.memo.get((key, bits))
+        while value is not None and len(bits) < len(uniforms):
+            bits += (0 if uniforms[len(bits)] < value else 1,)
+            value = self.memo.get((key, bits))
+        if value is None:
+            value = self._record(key, injected, uniforms)
+        return value, support
 
-    def _descend(
-        self,
-        state: StateVector,
-        depth: int,
-        image: np.ndarray | None,
-        bits: tuple[int, ...],
-    ) -> tuple[StateVector, int]:
-        for level in range(depth, len(bits)):
-            if image is None:
-                image = pauli_image(state, self.gathers[level])
-            state = project_image(state, image, 1 - 2 * bits[level])
-            image = None
-        return state, len(bits)
+    def _record(self, key: bytes, injected: StateVector, uniforms: list[float]) -> float:
+        bits, p_pluses, post = _syndrome_walk(injected, self.gathers, uniforms)
+        for depth, p_plus in enumerate(p_pluses):
+            self.memo[(key, bits[:depth])] = p_plus
+        corrected = recover(SyndromeResult(bits, post), self.code)
+        infid = 1.0 - fidelity(corrected, self.encoded)
+        if infid < NUMERICAL_FLOOR:
+            infid = 0.0
+        self.memo[(key, bits)] = infid
+        return infid
 
 
 def run_trial(

@@ -15,11 +15,11 @@ callers can hold disjoint streams.
 
 The public constructor copies and validates its input.  Arrays the
 package has just computed are adopted without the copy (``_adopt``), still
-checked for shape and finiteness.  Measuring a Pauli string is split into
-taking the image P psi once (``pauli_gather``, ``pauli_image``) and
-reading both the +1 probability and the projection off that one image
-(``plus_probability``, ``project_image``), so a caller that needs both
-gathers once.
+checked for shape and finiteness.  Measuring a Pauli string comes in
+steps: take the image P psi once (``pauli_gather``, ``pauli_image``), then
+read the +1 probability and the projection off that one image
+(``plus_probability``, ``project_image``).  ``codes._syndrome_walk`` runs
+them, with the Born draw in between, for every stabilizer measurement.
 """
 
 from __future__ import annotations
@@ -237,21 +237,6 @@ def project_image(state: StateVector, image: np.ndarray, sign: int) -> StateVect
             f"sampled projective branch has vanishing norm {norm:.3e}"
         )
     return _adopt(state.n_qubits, branch / norm)
-
-
-def measure_pauli_string(
-    state: StateVector, ops: str, rng: np.random.Generator
-) -> tuple[int, StateVector]:
-    """Projective measurement of a Pauli string observable.
-
-    Samples the +1/-1 outcome from the Born rule on the projectors
-    (I +/- P)/2 with one ``rng.random()`` draw and returns (sign,
-    renormalized projection).  Measuring the same string again returns
-    the same sign and leaves the state unchanged.
-    """
-    image = pauli_image(state, pauli_gather(state.n_qubits, ops))
-    sign = 1 if rng.random() < plus_probability(state, image) else -1
-    return sign, project_image(state, image, sign)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

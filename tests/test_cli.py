@@ -108,6 +108,32 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"line 3: fermi placement n=9 exceeds register size N=7"):
             parse_config(bad)
 
+    @pytest.mark.parametrize(
+        "placement,message",
+        [
+            ("fixed:2,9", "fixed placement qubit 9 out of range for 7 qubits"),
+            ("fermi:8", "fermi placement n=8 exceeds register size N=7"),
+        ],
+    )
+    def test_placement_outside_the_register_is_line_anchored(self, placement, message):
+        bad = MINIMAL.replace("fermi:1", placement)
+        with pytest.raises(ConfigError, match=rf"^line 3: {message}$"):
+            parse_config(bad)
+
+    def test_decay_stacking_is_anchored_at_the_placement(self):
+        text = "code = steane7\nerror.kind = decay\nerror.placement = fixed:1,1\ntheta = 0.5\n"
+        with pytest.raises(ConfigError, match=r"^line 3: decay placement must not stack"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("rate", ["2", "0", "-0.5", "nan"])
+    def test_decay_rate_outside_unit_interval_is_line_anchored(self, rate):
+        text = (
+            "code = steane7\nerror.kind = decay\nerror.placement = fixed:0\n"
+            f"theta = 0.5\nerror.lambda = {rate}\n"
+        )
+        with pytest.raises(ConfigError, match=r"^line 5: decay rate must lie in \(0, 1\]"):
+            parse_config(text)
+
     def test_all_qubits_argument_is_line_anchored(self):
         bad = MINIMAL.replace("fermi:1", "all_qubits:3")
         with pytest.raises(ConfigError, match=r"line 3: bad placement 'all_qubits:3'"):
@@ -215,9 +241,11 @@ class TestParseConfig:
 
 
 @st.composite
-def valid_configs(draw):
-    """Configs the constructors accept, with only the fields the kind uses
-    set away from their defaults (emit_config writes no others)."""
+def drawn_configs(draw):
+    """Config fields with ``axis``, ``general`` and ``decay_rate`` drawn for
+    every error kind, paired with the same fields with each one the kind
+    ignores put back to its default.  Draws whose canonical fields the
+    constructors refuse are rejected."""
     code = draw(st.sampled_from(CODE_NAMES))
     n_physical = get_code(code).n_physical
     kind = draw(st.sampled_from(ERROR_KINDS))
@@ -232,19 +260,19 @@ def valid_configs(draw):
         ))),
         trials=draw(st.integers(1, 10**6)),
         seed=draw(st.one_of(st.integers(0, 2**64), st.integers(2**64, 2**200))),
+        axis=draw(st.sampled_from(ROTATION_AXES)),
+        decay_rate=draw(st.one_of(
+            st.just(ExperimentConfig.decay_rate), st.floats(0.0, 1.0, exclude_min=True)
+        )),
     )
     alpha, beta = draw(unit_pair), draw(unit_pair)
-    if kind == "rotation":
-        fields["axis"] = draw(st.sampled_from(ROTATION_AXES))
-    if kind == "decay":
-        fields["decay_rate"] = draw(st.floats(0.0, 1.0, exclude_min=True))
     try:
         norm = math.hypot(*alpha, *beta)
         fields["logical"] = LogicalQubit(
             complex(*alpha) / norm, complex(*beta) / norm
         )
-        if kind == "general_unitary":
-            fields["general"] = GeneralErrorParams(complex(*alpha), complex(*beta))
+        general = GeneralErrorParams(complex(*alpha), complex(*beta))
+        fields["general"] = general if kind == "general_unitary" or draw(st.booleans()) else None
         if rule == "all_qubits":
             fields["placement"] = ALL_QUBITS
         elif rule == "fixed":
@@ -255,9 +283,18 @@ def valid_configs(draw):
             fields["placement"] = Placement.fermi(draw(st.integers(0, n_physical)))
         else:
             fields["placement"] = Placement.bose_einstein(draw(st.integers(0, 3)))
-        return ExperimentConfig(**fields)
+        canonical = dict(
+            fields,
+            axis=fields["axis"] if kind == "rotation" else "y",
+            general=fields["general"] if kind == "general_unitary" else None,
+            decay_rate=(
+                fields["decay_rate"] if kind == "decay" else ExperimentConfig.decay_rate
+            ),
+        )
+        ExperimentConfig(**canonical)
     except (ValueError, ZeroDivisionError):
         reject()
+    return fields, canonical
 
 
 class TestEmitRoundTrip:
@@ -302,8 +339,15 @@ class TestEmitRoundTrip:
             assert parse_config(emit_config(config)) == config
 
     @settings(max_examples=300, deadline=None)
-    @given(valid_configs())
-    def test_every_valid_config_round_trips(self, config):
+    @given(drawn_configs())
+    def test_every_valid_config_round_trips(self, drawn):
+        """A field the error kind ignores, set off its default, is refused;
+        every config the constructor accepts round-trips."""
+        fields, canonical = drawn
+        if fields != canonical:
+            with pytest.raises(ValueError, match="only appl"):
+                ExperimentConfig(**fields)
+        config = ExperimentConfig(**canonical)
         assert parse_config(emit_config(config)) == config
 
     def test_random_configs_round_trip(self):
@@ -540,6 +584,46 @@ class TestCliCommands:
         assert main(argv) == 2
         assert "must not stack errors" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--code", "steane7", "--placement", "fixed:9"],
+             "fixed placement qubit 9 out of range for 7 qubits"),
+            (["--code", "steane7", "--placement", "fermi:9"],
+             "fermi placement n=9 exceeds register size N=7"),
+            (["--config", "{fermi2}", "--code", "uncoded"],
+             "fermi placement n=2 exceeds register size N=1"),
+        ],
+    )
+    def test_placement_outside_the_register_exits_2(self, argv, message, tmp_path, capsys):
+        config = tmp_path / "fermi2.cfg"
+        config.write_text(MINIMAL.replace("fermi:1", "fermi:2"))
+        out = tmp_path / "never.csv"
+        argv = [arg.format(fermi2=config) for arg in argv]
+        assert main(["sweep", *argv, "--theta", "0.1", "--trials", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_axis_flag_off_rotation_exits_2(self, capsys):
+        argv = ["sweep", "--code", "steane7", "--error", "bit_flip", "--axis", "x",
+                "--theta", "0.1", "--trials", "3"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: axis only applies to rotation errors, not bit_flip\n"
+
+    def test_error_flag_cannot_drop_the_file_axis(self, tmp_path, capsys):
+        """Overriding a rotation file's kind would leave its axis unused."""
+        config = tmp_path / "rotation.cfg"
+        config.write_text(
+            "code = steane7\nerror.kind = rotation\nerror.axis = x\n"
+            "error.placement = fermi:1\ntheta = 0.1\ntrials = 3\n"
+        )
+        assert main(["sweep", "--config", str(config), "--error", "bit_flip"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: axis only applies to rotation errors, not bit_flip\n"
 
     @pytest.mark.parametrize("command", ["inject", "correct"])
     def test_decay_on_two_distinct_qubits_still_runs(self, command, capsys):

@@ -1,6 +1,7 @@
 """Tests for encoders, stabilizer syndromes, and recovery tables."""
 
 import math
+from functools import reduce
 from itertools import combinations, product
 from types import MappingProxyType
 
@@ -11,6 +12,7 @@ from qeclab.codes import (
     CodeSpec,
     LogicalQubit,
     SyndromeResult,
+    _syndrome_walk,
     extract_syndrome,
     get_code,
     logical_fidelity,
@@ -21,7 +23,7 @@ from qeclab.codes import (
     uncoded,
 )
 from qeclab.errors import GeneralErrorParams, RotationErrorParams, build_general_unitary, rotation_unitary
-from qeclab.statevec import apply_1q, apply_pauli_string, support_size
+from qeclab.statevec import StateVector, apply_1q, apply_pauli_string, pauli_gather, support_size
 
 # The codeword structures, restated independently of the module under test.
 STEANE_ZERO_KETS = {
@@ -241,6 +243,54 @@ class TestExtractSyndrome:
         state = get_code("steane7").encoder(LogicalQubit(1.0, 0.0))
         with pytest.raises(ValueError, match="needs 9"):
             extract_syndrome(state, get_code("shor9"), rng)
+
+
+DENSE_PAULIS = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def dense_pauli(ops: str) -> np.ndarray:
+    """The 2^n x 2^n matrix of a Pauli string; qubit 0 is the leftmost factor."""
+    return reduce(np.kron, [DENSE_PAULIS[op] for op in ops])
+
+
+class TestSyndromeWalk:
+    """``_syndrome_walk`` against dense stabilizer matrices built from
+    Kronecker products, independent of the gather tables it uses."""
+
+    @pytest.mark.parametrize("name", ["steane7", "shor9"])
+    def test_matches_dense_projections(self, name):
+        code = get_code(name)
+        n = code.n_physical
+        dense = [dense_pauli(s) for s in code.stabilizers]
+        gathers = tuple(pauli_gather(n, s) for s in code.stabilizers)
+        rng = np.random.default_rng(2024)
+        rotated = code.encoder(GENERIC_LOGICAL)
+        for qubit in range(n):
+            rotated = apply_1q(rotated, rotation_unitary(RotationErrorParams("y", 0.9)), qubit)
+        states = [rotated]
+        for _ in range(6):
+            amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+            states.append(StateVector(n, amps / np.linalg.norm(amps)))
+        seen_bits = set()
+        for state in states:
+            uniforms = rng.random(len(gathers)).tolist()
+            bits, p_pluses, post = _syndrome_walk(state, gathers, uniforms)
+            psi = state.amps
+            for level, (stabilizer, u) in enumerate(zip(dense, uniforms)):
+                plus = (psi + stabilizer @ psi) / 2
+                p_plus = float(np.vdot(plus, plus).real)
+                assert p_pluses[level] == pytest.approx(p_plus, abs=1e-12)
+                assert bits[level] == (0 if u < p_plus else 1)
+                branch = (psi + (1 - 2 * bits[level]) * (stabilizer @ psi)) / 2
+                psi = branch / np.linalg.norm(branch)
+            np.testing.assert_allclose(post.amps, psi, rtol=0, atol=1e-12)
+            seen_bits.add(bits)
+        assert len(seen_bits) > 3  # the draws reach several syndromes
 
 
 class TestRecover:

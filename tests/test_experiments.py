@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -104,6 +105,45 @@ class TestExperimentConfig:
     def test_decay_rejects_placements_that_stack(self, placement):
         with pytest.raises(ValueError, match="must not stack errors"):
             rotation_config(error_kind="decay", placement=placement)
+
+    @pytest.mark.parametrize(
+        "code,placement,message",
+        [
+            ("steane7", Placement.fixed([9]), "fixed placement qubit 9 out of range for 7 qubits"),
+            ("steane7", Placement.fixed([0, -1]), "fixed placement qubit -1 out of range"),
+            ("steane7", Placement.fermi(8), "fermi placement n=8 exceeds register size N=7"),
+            ("uncoded", Placement.fermi(2), "fermi placement n=2 exceeds register size N=1"),
+        ],
+    )
+    def test_rejects_placements_that_do_not_fit(self, code, placement, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rotation_config(code=code, placement=placement)
+
+    def test_placements_that_fit_are_accepted(self):
+        for placement in (Placement.fixed([6, 0]), Placement.fermi(7), Placement.bose_einstein(9)):
+            rotation_config(placement=placement)
+        rotation_config(code="uncoded", placement=Placement.fermi(1))
+
+    @pytest.mark.parametrize(
+        "kind,fields,message",
+        [
+            ("bit_flip", dict(axis="x"), "axis only applies to rotation errors"),
+            ("decay", dict(axis="z"), "axis only applies to rotation errors"),
+            ("rotation", dict(general=GeneralErrorParams(1, 0)), "only apply to general_unitary"),
+            ("decay", dict(general=GeneralErrorParams(1, 0)), "only apply to general_unitary"),
+            ("bit_flip", dict(decay_rate=0.3), "decay_rate only applies to decay errors"),
+            ("general_unitary", dict(general=GeneralErrorParams(1, 0), decay_rate=0.3),
+             "decay_rate only applies to decay errors"),
+            ("decay", dict(decay_rate=2.0), r"decay rate must lie in \(0, 1\], got 2.0"),
+            ("decay", dict(decay_rate=0.0), r"decay rate must lie in \(0, 1\]"),
+            ("decay", dict(decay_rate=math.nan), r"decay rate must lie in \(0, 1\]"),
+        ],
+    )
+    def test_rejects_fields_the_kind_ignores(self, kind, fields, message):
+        """A config holds only what its error kind runs, so it round-trips
+        through emit_config."""
+        with pytest.raises(ValueError, match=message):
+            rotation_config(error_kind=kind, **fields)
 
     def test_model_for_flavors(self):
         rot = model_for(rotation_config(), 0.3)
@@ -270,12 +310,13 @@ class TestSweepTheta:
         """The sweep computes the baseline once per grid point, which holds
         only while every uncoded stream gives the bare qubit the same
         result."""
+        general = GeneralErrorParams(0.3, complex(0.1, 0.2))
         config = rotation_config(
             code="uncoded",
             error_kind=kind,
             placement=_bare_qubit_placement(placement),
             logical=GENERIC,
-            general=GeneralErrorParams(0.3, complex(0.1, 0.2)),
+            general=general if kind == "general_unitary" else None,
         )
         for seed, grid_index, theta in [(0, 0, 0.05), (3, 2, 0.3), (7, 5, 1.1)]:
             outcomes = {
@@ -394,13 +435,13 @@ class TestSweepTheta:
         """A trial on an empty cache takes one image P psi per stabilizer:
         the +1 probability and the projection share it."""
         images = []
-        original = qeclab.experiments.pauli_image
+        original = qeclab.codes.pauli_image
 
         def counting(state, gather):
             images.append(gather)
             return original(state, gather)
 
-        monkeypatch.setattr(qeclab.experiments, "pauli_image", counting)
+        monkeypatch.setattr(qeclab.codes, "pauli_image", counting)
         for code in ("steane7", "shor9"):
             images.clear()
             config = rotation_config(code=code, logical=GENERIC)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qeclab.codes import _syndrome_walk
 from qeclab.statevec import (
     StateVector,
     _adopt,
@@ -13,7 +14,7 @@ from qeclab.statevec import (
     apply_product,
     basis_state,
     fidelity,
-    measure_pauli_string,
+    pauli_gather,
     support_size,
 )
 
@@ -36,10 +37,18 @@ def random_state(n: int, rng: np.random.Generator) -> StateVector:
     return StateVector(n, amps / np.linalg.norm(amps))
 
 
+def measure(state: StateVector, ops: str, rng: np.random.Generator):
+    """Measure one Pauli string with the package's syndrome walk, drawing
+    one uniform; returns (+1/-1 outcome, renormalized projection)."""
+    gather = pauli_gather(state.n_qubits, ops)
+    (bit,), _, post = _syndrome_walk(state, (gather,), rng.random(1))
+    return 1 - 2 * bit, post
+
+
 def measure_z(state: StateVector, target: int, rng: np.random.Generator):
     """Measure qubit ``target`` in the Z basis; returns (bit, collapsed state)."""
     ops = "".join("Z" if q == target else "I" for q in range(state.n_qubits))
-    sign, post = measure_pauli_string(state, ops, rng)
+    sign, post = measure(state, ops, rng)
     return (1 - sign) // 2, post
 
 
@@ -213,7 +222,7 @@ class TestApply1q:
 
 
 class TestMeasureQubit:
-    """One-qubit Z measurements, the single-qubit case of measure_pauli_string."""
+    """One-qubit Z measurements, the single-qubit case of ``measure``."""
 
     def test_eigenstate_is_deterministic(self):
         rng = np.random.default_rng(0)
@@ -250,37 +259,39 @@ class TestMeasureQubit:
         """A Z on qubit 3 of a 1-qubit register is a string of the wrong length."""
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="does not match 1 qubits"):
-            measure_pauli_string(basis_state(1, "0"), "IIIZ", rng)
+            measure(basis_state(1, "0"), "IIIZ", rng)
 
 
 class TestMeasurePauliString:
+    """Pauli-string measurement as the syndrome walk performs it."""
+
     def test_zz_even_parity(self):
         rng = np.random.default_rng(0)
-        sign, post = measure_pauli_string(basis_state(2, "00"), "ZZ", rng)
+        sign, post = measure(basis_state(2, "00"), "ZZ", rng)
         assert sign == 1
         np.testing.assert_allclose(post.amps, basis_state(2, "00").amps, atol=1e-15)
 
     def test_zz_odd_parity(self):
         rng = np.random.default_rng(0)
-        sign, _ = measure_pauli_string(basis_state(2, "01"), "ZZ", rng)
+        sign, _ = measure(basis_state(2, "01"), "ZZ", rng)
         assert sign == -1
 
     def test_bell_is_xx_stabilized(self):
         rng = np.random.default_rng(0)
         bell = StateVector(2, np.array([SQRT2_INV, 0, 0, SQRT2_INV]))
-        sign, post = measure_pauli_string(bell, "XX", rng)
+        sign, post = measure(bell, "XX", rng)
         assert sign == 1
         np.testing.assert_allclose(post.amps, bell.amps, atol=1e-12)
 
     def test_rejects_all_identity(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="non-identity"):
-            measure_pauli_string(basis_state(2, "00"), "II", rng)
+            measure(basis_state(2, "00"), "II", rng)
 
     def test_rejects_bad_labels(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="I/X/Y/Z"):
-            measure_pauli_string(basis_state(2, "00"), "QQ", rng)
+            measure(basis_state(2, "00"), "QQ", rng)
 
     def test_projective_idempotence(self):
         """Measuring the same string twice repeats the sign, state unchanged."""
@@ -290,8 +301,8 @@ class TestMeasurePauliString:
             ops = "".join(rng.choice(list("IXYZ")) for _ in range(4))
             if set(ops) == {"I"}:
                 ops = "X" + ops[1:]
-            sign1, post1 = measure_pauli_string(state, ops, rng)
-            sign2, post2 = measure_pauli_string(post1, ops, rng)
+            sign1, post1 = measure(state, ops, rng)
+            sign2, post2 = measure(post1, ops, rng)
             assert sign1 == sign2
             np.testing.assert_allclose(post2.amps, post1.amps, atol=1e-10)
 
@@ -413,6 +424,6 @@ class TestInvariants:
         state = StateVector(2, np.array([c, 0, 0, s]))  # c|00> + s|11>
         state = apply_1q(state, ry(0.4), 1)  # does not touch qubit 0's marginal
         p_one = s**2
-        ones = sum(measure_pauli_string(state, "ZI", rng)[0] == -1 for _ in range(trials))
+        ones = sum(measure(state, "ZI", rng)[0] == -1 for _ in range(trials))
         sigma = math.sqrt(trials * p_one * (1 - p_one))
         assert abs(ones - trials * p_one) < 3 * sigma
