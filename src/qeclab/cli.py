@@ -28,12 +28,17 @@ file + rename), never partially.
 Exit codes: 0 success, 2 config/validation error or a simulation that
 cannot continue (a vanishing measurement branch, a missing recovery-table
 entry, a trial budget too large to allocate), 3 I/O error.
+
+``main(argv)`` is re-entrant, so tests and notebooks can call it
+in-process any number of times.  Every call in a process shares one
+argument parser, built on the first call (not at import).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -360,18 +365,23 @@ def format_float(value: float) -> str:
     return np.format_float_positional(value, unique=True, trim="-")
 
 
-def _format_amplitude(z: complex) -> str:
-    if abs(z.imag) <= _PRINT_THRESHOLD:
-        return f"{z.real:.10f}"
-    return f"{z.real:.10f}{z.imag:+.10f}i"
+def _format_amplitude(re: float, im: float) -> str:
+    if abs(im) <= _PRINT_THRESHOLD:
+        return f"{re:.10f}"
+    return f"{re:.10f}{im:+.10f}i"
 
 
 def _state_lines(state: StateVector) -> list[str]:
+    # np.hypot rounds as abs() of a complex scalar does; np.abs on a complex
+    # array can differ in the last bit and move a ket across the threshold.
+    amps = state.amps
+    kept = np.flatnonzero(np.hypot(amps.real, amps.imag) > _PRINT_THRESHOLD)
     width = state.n_qubits
     return [
-        f"|{index:0{width}b}> {_format_amplitude(amp)}"
-        for index, amp in enumerate(state.amps)
-        if abs(amp) > _PRINT_THRESHOLD
+        f"|{index:0{width}b}> {_format_amplitude(re, im)}"
+        for index, re, im in zip(
+            kept.tolist(), amps.real[kept].tolist(), amps.imag[kept].tolist()
+        )
     ]
 
 
@@ -402,19 +412,24 @@ def _write_atomic(path: str, text: str) -> None:
     # mode 0o666 under the umask is what open(path, "w") would give.
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with open(fd, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        # Name ``path``, not the random temp file, so that the message is
+        # the same from run to run.
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _deliver(text: str, out_path: str | None) -> None:
@@ -508,13 +523,11 @@ def _cmd_correct(args: argparse.Namespace) -> None:
     config = _resolve_experiment(args)
     code = get_code(config.code)
     rng = np.random.default_rng(config.seed)
-    state = apply_error_model(
-        code.encoder(config.logical), model_for(config, config.theta_grid[0]), rng
-    )
+    encoded = code.encoder(config.logical)
+    state = apply_error_model(encoded, model_for(config, config.theta_grid[0]), rng)
     syndrome = extract_syndrome(state, code, rng)
     corrected = recover(syndrome, code)
-    reference = code.encoder(config.logical)
-    fid = fidelity(corrected, reference)
+    fid = fidelity(corrected, encoded)
     lines = [
         "syndrome = " + "".join(map(str, syndrome.bits)),
         f"fidelity = {format_float(fid)}",
@@ -577,7 +590,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output file path (default: stdout)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on first use, not at import; parse_args leaves the parser as it was.
     parser = argparse.ArgumentParser(
         prog="qeclab",
         description="Quantum error-correction lab: codes, analog errors, sweeps.",

@@ -1,6 +1,8 @@
 """Tests for config parsing, CSV emission, and the CLI commands."""
 
+import argparse
 import dataclasses
+import importlib.util
 import math
 
 import numpy as np
@@ -439,6 +441,22 @@ class TestWriteCsv:
         assert main(SWEEP_ARGV + ["--out", str(missing)]) == 3
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("relative", ["nowhere/out.csv", "a_directory"])
+    def test_failed_write_names_the_out_path(self, relative, tmp_path, capsys):
+        """The message names --out, not the random temp file, so it repeats."""
+        (tmp_path / "a_directory").mkdir()
+        target = tmp_path / relative
+        errors = []
+        for _ in range(2):
+            assert main(["stats", "--be", "3", "1", "--out", str(target)]) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: [Errno ")
+        assert errors[0].endswith(f": {str(target)!r}\n")
+        assert ".tmp" not in errors[0]
+        assert [p.name for p in tmp_path.iterdir()] == ["a_directory"]
+        assert list((tmp_path / "a_directory").iterdir()) == []
+
     def test_sweep_out_matches_render(self, tmp_path, capsys):
         """The --out file holds exactly the bytes that stdout would carry."""
         out = tmp_path / "sweep.csv"
@@ -686,3 +704,170 @@ class TestCliCommands:
         assert capsys.readouterr().err == (
             "error: recovery table for shor9 is missing syndrome\n"
         )
+
+
+def _run_cli(argv, capsys):
+    """One in-process command: (exit or SystemExit code, stdout, stderr)."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestSharedParser:
+    def test_import_builds_no_parser(self, monkeypatch):
+        built = []
+
+        class CountingParser(argparse.ArgumentParser):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(argparse, "ArgumentParser", CountingParser)
+        spec = importlib.util.spec_from_file_location(
+            "qeclab._fresh_cli", qeclab.cli.__file__
+        )
+        fresh = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(fresh)
+        assert built == []
+        assert fresh._build_parser.cache_info().currsize == 0
+
+    def test_main_calls_share_one_parser(self, monkeypatch, capsys):
+        built = []
+        shared = qeclab.cli._build_parser
+
+        def recording():
+            built.append(shared())
+            return built[-1]
+
+        monkeypatch.setattr(qeclab.cli, "_build_parser", recording)
+        assert main(["stats", "--be", "3", "1"]) == 0
+        assert main(["encode", "--code", "steane7"]) == 0
+        assert len(built) == 2 and built[0] is built[1]
+
+    def test_shared_parser_is_invisible(self, monkeypatch, tmp_path, capsys):
+        """A command sequence gives the same bytes as with a fresh parser per call."""
+        config = tmp_path / "cfg.txt"
+        config.write_text(MINIMAL)
+        out = tmp_path / "correct.txt"
+        sequence = [
+            ["sensitivity", "--theta", "0.1"],
+            ["sensitivity"],
+            ["sensitivity", "--theta", "0.05"],
+            ["correct", "--config", str(config), "--code", "shor9", "--error", "rotation",
+             "--placement", "fixed:4", "--axis", "x", "--theta", "0.3", "--trials", "7",
+             "--seed", "5", "--logical", "0.6,0,0.48,0.64", "--out", str(out)],
+            ["encode"],
+            ["correct", "--theta", "not-a-number"],
+            ["encode", "--code", "steane7"],
+            ["--help"],
+            ["sweep", "--code", "steane7", "--placement", "fermi:1", "--theta", "0.2",
+             "--trials", "4"],
+            ["stats", "--be", "3", "1"],
+        ]
+
+        def run_sequence():
+            results = []
+            for argv in sequence:
+                results.append(_run_cli(argv, capsys))
+                if out.exists():
+                    results.append(out.read_text())
+                    out.unlink()
+            return results
+
+        shared = run_sequence()
+        monkeypatch.setattr(qeclab.cli, "_build_parser", qeclab.cli._build_parser.__wrapped__)
+        fresh = run_sequence()
+        assert shared == fresh
+        # sensitivity without --theta uses the 0.05 default, not the 0.1 before it
+        assert shared[1] == shared[2] != shared[0]
+        # the correct command wrote its file; encode with no flags kept none of them
+        assert shared[3][0] == 0 and shared[4].startswith("syndrome = ")
+        assert shared[5] == (2, "", "error: no code selected: pass --code or --config\n")
+        assert shared[6][0] == ("SystemExit", 2) and shared[7][0] == 0
+        assert shared[8][0] == ("SystemExit", 0)
+        assert shared[9][0] == 0 and shared[10] == (0, "1/3\n", "")
+
+
+def _reference_state_lines(state):
+    """The per-amplitude loop that _state_lines replaced, kept as its oracle."""
+    width = state.n_qubits
+    lines = []
+    for index, amp in enumerate(state.amps):
+        if abs(amp) > 1e-12:
+            if abs(amp.imag) <= 1e-12:
+                text = f"{amp.real:.10f}"
+            else:
+                text = f"{amp.real:.10f}{amp.imag:+.10f}i"
+            lines.append(f"|{index:0{width}b}> {text}")
+    return lines
+
+
+_EDGE = 1e-12
+_EDGE_PARTS = st.sampled_from([
+    _EDGE, -_EDGE, np.nextafter(_EDGE, 1.0), np.nextafter(_EDGE, 0.0),
+    -np.nextafter(_EDGE, 1.0), 0.0, -0.0,
+])
+_PARTS = st.one_of(
+    _EDGE_PARTS,
+    st.floats(-1.0, 1.0, allow_nan=False),
+    st.floats(-2e-12, 2e-12, allow_nan=False),
+)
+
+
+@st.composite
+def _edge_amplitude(draw):
+    """An amplitude with modulus at, just above or just below 1e-12, or a part there."""
+    form = draw(st.sampled_from(["parts", "circle", "imag_edge"]))
+    if form == "circle":
+        # modulus 1e-12 up to rounding, which lands on either side
+        phi = draw(st.floats(0.0, 2 * math.pi))
+        scale = draw(st.sampled_from([1.0, 1.0 + 2**-52, 1.0 - 2**-53]))
+        return complex(_EDGE * scale * math.cos(phi), _EDGE * scale * math.sin(phi))
+    if form == "imag_edge":
+        return complex(draw(_PARTS), draw(st.sampled_from([_EDGE, -_EDGE])))
+    return complex(draw(_PARTS), draw(_PARTS))
+
+
+@st.composite
+def _states(draw):
+    n_qubits = draw(st.integers(1, 10))
+    dim = 1 << n_qubits
+    background = draw(st.sampled_from(["zeros", "normal", "tiny"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if background == "zeros":
+        amps = np.zeros(dim, dtype=np.complex128)
+    else:
+        scale = 1.0 if background == "normal" else _EDGE
+        amps = scale * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, dim - 1), _edge_amplitude()), max_size=min(dim, 24)
+    ))
+    for index, amp in edges:
+        amps[index] = amp
+    if draw(st.booleans()):
+        amps = amps.real + draw(st.sampled_from([0.0, -0.0])) * 1j
+    return qeclab.cli.StateVector(n_qubits, amps)
+
+
+class TestStateLines:
+    @settings(max_examples=300, deadline=None)
+    @given(_states())
+    def test_matches_the_per_amplitude_loop(self, state):
+        assert qeclab.cli._state_lines(state) == _reference_state_lines(state)
+
+    def test_threshold_is_strict_and_imag_sign_is_printed(self):
+        amps = np.zeros(4, dtype=np.complex128)
+        amps[0] = 1e-12
+        amps[1] = complex(0.5, 1e-12)
+        amps[2] = complex(-0.0, -0.25)
+        amps[3] = complex(0.125, np.nextafter(1e-12, 1.0))
+        lines = qeclab.cli._state_lines(qeclab.cli.StateVector(2, amps))
+        assert lines == [
+            "|01> 0.5000000000",
+            "|10> -0.0000000000-0.2500000000i",
+            "|11> 0.1250000000+0.0000000000i",
+        ]
+        assert lines == _reference_state_lines(qeclab.cli.StateVector(2, amps))
