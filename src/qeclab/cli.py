@@ -19,9 +19,11 @@ separator, ``#`` starts a comment).  Recognized keys:
     seed                     integer >= 0, default 0
     logical.alpha_re/.alpha_im/.beta_re/.beta_im  default (1, 0)
 
-Unknown keys and placements that do not fit the register are rejected
-with their line number.  Inline flags override file values; a value the
-resulting error kind ignores is a config error.  All output is
+The rules of the contract live in ``ExperimentConfig``; this module only
+translates keys.  Unknown keys, and any value a file sets that the
+contract refuses, are reported with their line number.  Inline flags
+override file values; a value the resulting error kind ignores is a
+config error.  All output is
 byte-deterministic for a fixed seed; files are written atomically (temp
 file + rename), never partially.
 
@@ -50,7 +52,6 @@ from .errors import (
     ALL_QUBITS,
     ERROR_KINDS,
     ROTATION_AXES,
-    DecayModel,
     GeneralErrorParams,
     Placement,
     apply_error_model,
@@ -58,16 +59,17 @@ from .errors import (
     fermi_pattern_prob,
 )
 from .experiments import (
+    KIND_FIELDS,
     SUPPORT_THRESHOLD,
+    ConfigError,
     ExperimentConfig,
     SweepResult,
-    _check_placement,
     model_for,
     proliferation_experiment,
     sensitivity_experiment,
     sweep_theta,
 )
-from .statevec import StateVector, fidelity, support_size
+from .statevec import StateVector, fidelity, support_mask, support_size
 
 EXIT_OK, EXIT_CONFIG, EXIT_IO = 0, 2, 3
 
@@ -75,40 +77,27 @@ CSV_HEADER = "theta,mean_infid_coded,std_coded,mean_infid_uncoded,std_uncoded,me
 
 SENSITIVITY_P_GRID = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 
-_PRINT_THRESHOLD = 1e-12
-
-
-class ConfigError(ValueError):
-    """A config document or flag combination that cannot be accepted."""
-
-
 # ---------------------------------------------------------------------------
 # Config parsing and emission
 # ---------------------------------------------------------------------------
 
-_SIMPLE_KEYS = {
-    "code",
-    "error.kind",
-    "error.placement",
-    "error.axis",
-    "error.lambda",
-    "error.e1_re",
-    "error.e1_im",
-    "error.e2_re",
-    "error.e2_im",
-    "theta",
-    "theta.list",
-    "theta.min",
-    "theta.max",
-    "theta.points",
-    "theta.scale",
-    "trials",
-    "seed",
-    "logical.alpha_re",
-    "logical.alpha_im",
-    "logical.beta_re",
-    "logical.beta_im",
+# The keys that set each ExperimentConfig field.  A refused field is
+# reported at the last line among its keys.
+_FIELD_KEYS = {
+    "code": ("code",),
+    "error_kind": ("error.kind",),
+    "placement": ("error.placement",),
+    "axis": ("error.axis",),
+    "decay_rate": ("error.lambda",),
+    "general": ("error.e1_re", "error.e1_im", "error.e2_re", "error.e2_im"),
+    "theta_grid": (
+        "theta", "theta.list", "theta.min", "theta.max", "theta.points", "theta.scale"
+    ),
+    "trials": ("trials",),
+    "seed": ("seed",),
+    "logical": ("logical.alpha_re", "logical.alpha_im", "logical.beta_re", "logical.beta_im"),
 }
+_KEYS = {key for keys in _FIELD_KEYS.values() for key in keys}
 
 
 def _scan(text: str) -> dict[str, tuple[int, str]]:
@@ -124,7 +113,7 @@ def _scan(text: str) -> dict[str, tuple[int, str]]:
         else:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = key.strip(), value.strip().strip("\"'")
-        if key not in _SIMPLE_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -142,8 +131,9 @@ class _Doc:
     def __contains__(self, key: str) -> bool:
         return key in self.entries
 
-    def line(self, key: str) -> int:
-        return self.entries[key][0]
+    def line(self, *keys: str) -> int | None:
+        """The last line among ``keys`` present, or None if none is."""
+        return max((self.entries[k][0] for k in keys if k in self), default=None)
 
     def parse(self, key: str, kind, default=_MISSING):
         if key not in self.entries:
@@ -225,99 +215,58 @@ def _theta_grid_from_doc(doc: _Doc) -> tuple[float, ...]:
     return tuple(float(t) for t in grid)
 
 
-def _logical_from_doc(doc: _Doc) -> LogicalQubit:
-    keys = ("logical.alpha_re", "logical.alpha_im", "logical.beta_re", "logical.beta_im")
-    if not any(k in doc for k in keys):
-        return LogicalQubit(1.0, 0.0)
-    values = [doc.parse(k, float, default=0.0) for k in keys]
-    anchor = max(doc.line(k) for k in keys if k in doc)
+def _complex_pair(doc: _Doc, keys: tuple[str, ...], build, fallback_line=None):
+    """``build(a, b)`` of the complex pair spelled by four float keys, absent
+    ones read as 0; a refusal names the last key present, else ``fallback_line``."""
+    a_re, a_im, b_re, b_im = (doc.parse(k, float, default=0.0) for k in keys)
     try:
-        return LogicalQubit(complex(values[0], values[1]), complex(values[2], values[3]))
+        return build(complex(a_re, a_im), complex(b_re, b_im))
     except ValueError as exc:
-        raise ConfigError(f"line {anchor}: {exc}") from None
+        raise ConfigError(f"line {doc.line(*keys) or fallback_line}: {exc}") from None
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse a flat config document into a validated ExperimentConfig."""
+    """Translate a flat config document into an ExperimentConfig.
+
+    Only the grammar is checked here; the rules are ExperimentConfig's, and
+    a value it refuses is reported at the line of the key that set it.
+    """
     doc = _Doc(_scan(text))
-
     code = doc.parse("code", str)
-    if code not in CODE_NAMES:
-        raise ConfigError(
-            f"line {doc.line('code')}: unknown code {code!r}; "
-            f"expected one of {', '.join(CODE_NAMES)}"
-        )
     kind = doc.parse("error.kind", str)
-    if kind not in ERROR_KINDS:
-        raise ConfigError(
-            f"line {doc.line('error.kind')}: unknown error kind {kind!r}; "
-            f"expected one of {', '.join(ERROR_KINDS)}"
-        )
-
     if "error.placement" not in doc:
         raise ConfigError("missing required key 'error.placement'")
     placement_line, placement_raw = doc.entries["error.placement"]
     placement = _parse_placement(placement_raw, placement_line)
-    try:
-        _check_placement(placement, code, kind)
-    except ValueError as exc:
-        raise ConfigError(f"line {placement_line}: {exc}") from None
-
-    axis = "y"
-    if kind == "rotation":
-        axis = doc.parse("error.axis", str, "y")
-        if axis not in ROTATION_AXES:
-            raise ConfigError(
-                f"line {doc.line('error.axis')}: unknown axis {axis!r}"
-            )
-    else:
-        doc.reject("error.axis", "error.axis only applies to rotation errors")
-
-    decay_rate = ExperimentConfig.decay_rate
-    if kind == "decay":
-        decay_rate = doc.parse("error.lambda", float, default=decay_rate)
-        try:
-            DecayModel(decay_rate, 0.0)
-        except ValueError as exc:
-            raise ConfigError(f"line {doc.line('error.lambda')}: {exc}") from None
-    else:
-        doc.reject("error.lambda", "error.lambda only applies to decay errors")
-
-    general = None
-    general_keys = ("error.e1_re", "error.e1_im", "error.e2_re", "error.e2_im")
-    if kind == "general_unitary":
-        values = [doc.parse(k, float, default=0.0) for k in general_keys]
-        anchor = max(
-            (doc.line(k) for k in general_keys if k in doc),
-            default=doc.line("error.kind"),
-        )
-        try:
-            general = GeneralErrorParams(
-                complex(values[0], values[1]), complex(values[2], values[3])
-            )
-        except ValueError as exc:
-            raise ConfigError(f"line {anchor}: {exc}") from None
-    else:
-        for key in general_keys:
-            doc.reject(key, f"{key} only applies to general_unitary errors")
-
+    for name, (reader, _) in KIND_FIELDS.items():
+        if kind != reader:
+            for key in _FIELD_KEYS[name]:
+                doc.reject(key, f"{key} only applies to {reader} errors")
+    general_keys, logical_keys = _FIELD_KEYS["general"], _FIELD_KEYS["logical"]
     try:
         return ExperimentConfig(
             code=code,
             error_kind=kind,
             placement=placement,
+            axis=doc.parse("error.axis", str, ExperimentConfig.axis),
+            decay_rate=doc.parse("error.lambda", float, ExperimentConfig.decay_rate),
+            general=(
+                _complex_pair(doc, general_keys, GeneralErrorParams, doc.line("error.kind"))
+                if kind == KIND_FIELDS["general"][0] else None
+            ),
             theta_grid=_theta_grid_from_doc(doc),
-            trials=doc.parse("trials", int, default=ExperimentConfig.trials),
-            seed=doc.parse("seed", int, default=ExperimentConfig.seed),
-            logical=_logical_from_doc(doc),
-            axis=axis,
-            general=general,
-            decay_rate=decay_rate,
+            trials=doc.parse("trials", int, ExperimentConfig.trials),
+            seed=doc.parse("seed", int, ExperimentConfig.seed),
+            logical=(
+                _complex_pair(doc, logical_keys, LogicalQubit)
+                if doc.line(*logical_keys) else ExperimentConfig.logical
+            ),
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    except ConfigError as exc:
+        line = doc.line(*_FIELD_KEYS.get(exc.field, ()))
+        if line is None:
+            raise
+        raise ConfigError(f"line {line}: {exc}", exc.field) from None
 
 
 def emit_config(config: ExperimentConfig) -> str:
@@ -366,16 +315,15 @@ def format_float(value: float) -> str:
 
 
 def _format_amplitude(re: float, im: float) -> str:
-    if abs(im) <= _PRINT_THRESHOLD:
+    if abs(im) <= SUPPORT_THRESHOLD:
         return f"{re:.10f}"
     return f"{re:.10f}{im:+.10f}i"
 
 
 def _state_lines(state: StateVector) -> list[str]:
-    # np.hypot rounds as abs() of a complex scalar does; np.abs on a complex
-    # array can differ in the last bit and move a ket across the threshold.
+    # The printed kets are the ones support_size counts.
     amps = state.amps
-    kept = np.flatnonzero(np.hypot(amps.real, amps.imag) > _PRINT_THRESHOLD)
+    kept = np.flatnonzero(support_mask(state, SUPPORT_THRESHOLD))
     width = state.n_qubits
     return [
         f"|{index:0{width}b}> {_format_amplitude(re, im)}"
@@ -458,42 +406,34 @@ def _parse_logical_flag(value: str) -> LogicalQubit:
         beta = complex(numbers[2], numbers[3])
     else:
         beta = complex(math.sqrt(max(0.0, 1.0 - abs(alpha) ** 2)), 0.0)
-    try:
-        return LogicalQubit(alpha, beta)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return LogicalQubit(alpha, beta)
 
 
 def _resolve_experiment(args: argparse.Namespace) -> ExperimentConfig:
-    fields: dict = {"error_kind": "rotation"}
-    if getattr(args, "config", None):
-        file_config = parse_config(_read_text(args.config))
-        fields = {
-            f.name: getattr(file_config, f.name)
-            for f in dataclasses.fields(ExperimentConfig)
-        }
-    if getattr(args, "code", None):
-        fields["code"] = args.code
-    if "code" not in fields:
+    # The file is read and validated first, so its faults are reported first.
+    config = parse_config(_read_text(args.config)) if args.config else None
+    if config is None and not args.code:
         raise ConfigError("no code selected: pass --code or --config")
-    if getattr(args, "error", None):
-        fields["error_kind"] = args.error
-    if getattr(args, "placement", None):
-        fields["placement"] = _parse_placement(args.placement)
-    if getattr(args, "axis", None):
-        fields["axis"] = args.axis
-    if getattr(args, "theta", None) is not None:
-        fields["theta_grid"] = (args.theta,)
-    if getattr(args, "trials", None) is not None:
-        fields["trials"] = args.trials
-    if getattr(args, "seed", None) is not None:
-        fields["seed"] = args.seed
-    if getattr(args, "logical", None):
-        fields["logical"] = _parse_logical_flag(args.logical)
-    try:
-        return ExperimentConfig(**fields)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    flags: dict = {}
+    if args.code:
+        flags["code"] = args.code
+    if args.error:
+        flags["error_kind"] = args.error
+    if args.placement:
+        flags["placement"] = _parse_placement(args.placement)
+    if args.axis:
+        flags["axis"] = args.axis
+    if args.theta is not None:
+        flags["theta_grid"] = (args.theta,)
+    if args.trials is not None:
+        flags["trials"] = args.trials
+    if args.seed is not None:
+        flags["seed"] = args.seed
+    if args.logical:
+        flags["logical"] = _parse_logical_flag(args.logical)
+    if config is None:
+        return ExperimentConfig(**{"error_kind": "rotation", **flags})
+    return dataclasses.replace(config, **flags) if flags else config
 
 
 def _read_text(path: str) -> str:

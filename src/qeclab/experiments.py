@@ -82,9 +82,40 @@ def _check_placement(placement: Placement, code: str, error_kind: str) -> None:
         )
 
 
+class ConfigError(ValueError):
+    """A config the contract refuses; ``field`` names the ExperimentConfig
+    field whose value was refused, or is None when no one field is."""
+
+    def __init__(self, message: str, field: str | None = None) -> None:
+        super().__init__(message)
+        self.field = field
+
+
+def _tagged(field: str, check, *args) -> None:
+    """Run ``check(*args)``, reporting its ValueError as a refusal of ``field``."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc), field) from None
+
+
+# Each kind-specific field, the one error kind that reads it, and how a
+# refusal names it.  Under any other kind the field keeps its default,
+# which emit_config then omits.
+KIND_FIELDS = {
+    "axis": ("rotation", "axis only applies"),
+    "general": ("general_unitary", "e1/e2 only apply"),
+    "decay_rate": ("decay", "decay_rate only applies"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep: a code, an error channel, a theta grid, and a trial budget."""
+    """One sweep: a code, an error channel, a theta grid, and a trial budget.
+
+    The constructor holds every rule of the config contract and refuses a
+    value with a ConfigError that names its field.
+    """
 
     code: str
     error_kind: str
@@ -98,35 +129,33 @@ class ExperimentConfig:
     decay_rate: float = 0.5
 
     def __post_init__(self) -> None:
-        get_code(self.code)  # rejects unknown names
+        _tagged("code", get_code, self.code)
         kind = self.error_kind
         if kind not in ERROR_KINDS:
-            raise ValueError(f"unknown error kind {kind!r}")
+            raise ConfigError(
+                f"unknown error kind {kind!r}; expected one of {', '.join(ERROR_KINDS)}",
+                "error_kind",
+            )
         if self.axis not in ROTATION_AXES:
-            raise ValueError(f"unknown rotation axis {self.axis!r}")
-        # Fields the kind ignores keep their defaults: emit_config omits them.
-        if kind != "rotation" and self.axis != "y":
-            raise ValueError(f"axis only applies to rotation errors, not {kind}")
-        if kind != "general_unitary" and self.general is not None:
-            raise ValueError(f"e1/e2 only apply to general_unitary errors, not {kind}")
-        if kind == "decay":
-            DecayModel(self.decay_rate, 0.0)  # rejects a rate outside (0, 1]
-        elif self.decay_rate != ExperimentConfig.decay_rate:
-            raise ValueError(f"decay_rate only applies to decay errors, not {kind}")
+            raise ConfigError(f"unknown rotation axis {self.axis!r}", "axis")
+        for name, (reader, label) in KIND_FIELDS.items():
+            if kind != reader and getattr(self, name) != getattr(ExperimentConfig, name):
+                raise ConfigError(f"{label} to {reader} errors, not {kind}", name)
+        if kind == KIND_FIELDS["general"][0] and self.general is None:
+            raise ConfigError("general_unitary sweeps need e1/e2 parameters", "general")
+        _tagged("decay_rate", DecayModel, self.decay_rate, 0.0)  # rate in (0, 1]
         if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+            raise ConfigError(f"trials must be >= 1, got {self.trials}", "trials")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}", "seed")
         grid = tuple(float(t) for t in self.theta_grid)
         if not grid:
-            raise ValueError("theta grid must not be empty")
+            raise ConfigError("theta grid must not be empty", "theta_grid")
         if any(not math.isfinite(t) or t < 0.0 for t in grid):
-            raise ValueError("theta grid values must be finite and >= 0")
+            raise ConfigError("theta grid values must be finite and >= 0", "theta_grid")
         if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("theta grid must be strictly increasing")
-        if kind == "general_unitary" and self.general is None:
-            raise ValueError("general_unitary sweeps need e1/e2 parameters")
-        _check_placement(self.placement, self.code, kind)
+            raise ConfigError("theta grid must be strictly increasing", "theta_grid")
+        _tagged("placement", _check_placement, self.placement, self.code, kind)
         object.__setattr__(self, "theta_grid", grid)
 
 

@@ -248,6 +248,17 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return min(float(np.abs(np.vdot(a.amps, b.amps)) ** 2), 1.0)
 
 
+def support_mask(state: StateVector, threshold: float) -> np.ndarray:
+    """Which basis indices have |amplitude| strictly above threshold.
+
+    The modulus is ``np.hypot`` of the parts, which rounds as ``abs()`` of a
+    complex scalar does; ``np.abs`` of a complex array can differ in the
+    last bit and move an amplitude across the threshold.
+    """
+    amps = state.amps
+    return np.hypot(amps.real, amps.imag) > threshold
+
+
 def support_size(state: StateVector, threshold: float) -> int:
     """Number of basis indices with |amplitude| strictly above threshold."""
-    return int(np.count_nonzero(np.abs(state.amps) > threshold))
+    return int(np.count_nonzero(support_mask(state, threshold)))

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import importlib.util
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import qeclab.cli
+import qeclab.experiments
 from qeclab.cli import (
     ConfigError,
     emit_config,
@@ -115,6 +117,7 @@ class TestParseConfig:
         [
             ("fixed:2,9", "fixed placement qubit 9 out of range for 7 qubits"),
             ("fermi:8", "fermi placement n=8 exceeds register size N=7"),
+            ("fixed:-1", "fixed placement qubit -1 out of range for 7 qubits"),
         ],
     )
     def test_placement_outside_the_register_is_line_anchored(self, placement, message):
@@ -127,7 +130,7 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"^line 3: decay placement must not stack"):
             parse_config(text)
 
-    @pytest.mark.parametrize("rate", ["2", "0", "-0.5", "nan"])
+    @pytest.mark.parametrize("rate", ["2", "0", "-0.5", "nan", "1.5"])
     def test_decay_rate_outside_unit_interval_is_line_anchored(self, rate):
         text = (
             "code = steane7\nerror.kind = decay\nerror.placement = fixed:0\n"
@@ -240,6 +243,74 @@ class TestParseConfig:
         bad = MINIMAL.replace("trials = 100", "trials = many")
         with pytest.raises(ConfigError, match=r"line 5: trials must be a int"):
             parse_config(bad)
+
+    @pytest.mark.parametrize(
+        "text,field,message",
+        [
+            (MINIMAL.replace("steane7", "shor8"), "code",
+             "line 1: unknown code 'shor8'; expected one of shor9, steane7, uncoded"),
+            (MINIMAL.replace("bit_flip", "melting"), "error_kind",
+             "line 2: unknown error kind 'melting'; expected one of bit_flip, phase_flip, "
+             "bit_and_phase_flip, general_unitary, rotation, decay"),
+            (MINIMAL.replace("bit_flip", "rotation") + "error.axis = w\n", "axis",
+             "line 6: unknown rotation axis 'w'"),
+            (MINIMAL.replace("trials = 100", "trials = 0"), "trials",
+             "line 5: trials must be >= 1, got 0"),
+            (MINIMAL + "seed = -1\n", "seed", "line 6: seed must be >= 0, got -1"),
+            (MINIMAL.replace("theta = 0", "theta = -0.1"), "theta_grid",
+             "line 4: theta grid values must be finite and >= 0"),
+            (MINIMAL.replace("theta = 0", "theta = nan"), "theta_grid",
+             "line 4: theta grid values must be finite and >= 0"),
+            (MINIMAL.replace("theta = 0", "theta.list = 0.2,0.1"), "theta_grid",
+             "line 4: theta grid must be strictly increasing"),
+            (MINIMAL.replace("theta = 0", "theta.min = 0.2\ntheta.max = 0.1\n"
+                             "theta.points = 2\ntheta.scale = linear"), "theta_grid",
+             "line 7: theta grid must be strictly increasing"),
+        ],
+        ids=["code", "kind", "axis", "trials", "seed", "negative_theta", "nan_theta",
+             "unsorted_list", "decreasing_range"],
+    )
+    def test_contract_refusal_names_the_line_of_its_key(self, text, field, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as refused:
+            parse_config(text)
+        assert refused.value.field == field
+
+    def test_an_empty_theta_grid_cannot_be_written(self):
+        """The range form refuses zero points before any grid is built."""
+        text = MINIMAL.replace(
+            "theta = 0", "theta.min = 0\ntheta.max = 1\ntheta.points = 0\ntheta.scale = linear"
+        )
+        with pytest.raises(ConfigError, match=r"^line 6: theta.points must be >= 1$"):
+            parse_config(text)
+
+    @pytest.mark.parametrize(
+        "keys,line",
+        [("", 2), ("error.e1_re = 0\n", 4), ("error.e1_re = 0\nerror.e2_im = 0.0\n", 5)],
+        ids=["no_key_at_the_kind", "one_key", "last_key"],
+    )
+    def test_zero_e1_e2_pair_names_its_last_key(self, keys, line):
+        text = "code = shor9\nerror.kind = general_unitary\nerror.placement = fixed:3\n"
+        with pytest.raises(
+            ConfigError, match=rf"^line {line}: e1 and e2 must be finite and not both zero$"
+        ):
+            parse_config(text + keys + "theta = 0\n")
+
+    @pytest.mark.parametrize(
+        "key,value,reader",
+        [("error.axis", "y", "rotation"), ("error.lambda", "0.5", "decay"),
+         ("error.e2_im", "0", "general_unitary")],
+    )
+    def test_key_the_kind_does_not_read_is_refused_even_at_its_default(
+        self, key, value, reader
+    ):
+        with pytest.raises(
+            ConfigError, match=rf"^line 6: {re.escape(key)} only applies to {reader} errors$"
+        ):
+            parse_config(MINIMAL + f"{key} = {value}\n")
+
+    def test_config_error_is_the_contract_refusal(self):
+        assert ConfigError is qeclab.experiments.ConfigError
+        assert issubclass(ConfigError, ValueError)
 
 
 @st.composite
@@ -643,6 +714,37 @@ class TestCliCommands:
         assert captured.out == ""
         assert captured.err == "error: axis only applies to rotation errors, not bit_flip\n"
 
+    @pytest.mark.parametrize(
+        "file_lines,flags,message",
+        [
+            ("error.kind = decay\nerror.lambda = 0.25\n", ["--error", "bit_flip"],
+             "decay_rate only applies to decay errors, not bit_flip"),
+            ("error.kind = rotation\n", ["--error", "decay", "--placement", "fixed:2,2"],
+             "decay placement must not stack errors on one qubit of the steane7 register"),
+            ("error.kind = bit_flip\n", ["--error", "general_unitary"],
+             "general_unitary sweeps need e1/e2 parameters"),
+        ],
+        ids=["kind_drops_lambda", "decay_stacks", "general_without_pair"],
+    )
+    def test_a_value_the_flags_set_is_refused_without_a_line(
+        self, file_lines, flags, message, tmp_path, capsys
+    ):
+        config = tmp_path / "valid.cfg"
+        config.write_text(
+            "code = steane7\n" + file_lines + "error.placement = fermi:1\ntheta = 0.1\n"
+        )
+        assert main(["sweep", "--config", str(config), "--trials", "3", *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_file_faults_are_reported_before_flag_faults(self, tmp_path, capsys):
+        """The file is read first: its refusal wins, even where a flag would
+        replace the refused value."""
+        config = tmp_path / "bad.cfg"
+        config.write_text(MINIMAL + "seed = -1\n")
+        argv = ["sweep", "--config", str(config), "--seed", "3", "--placement", "fixed:,"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: line 6: seed must be >= 0, got -1\n")
+
     @pytest.mark.parametrize("command", ["inject", "correct"])
     def test_decay_on_two_distinct_qubits_still_runs(self, command, capsys):
         argv = [command, "--code", "steane7", "--error", "decay", "--placement",
@@ -857,6 +959,19 @@ class TestStateLines:
     @given(_states())
     def test_matches_the_per_amplitude_loop(self, state):
         assert qeclab.cli._state_lines(state) == _reference_state_lines(state)
+
+    def test_support_size_counts_the_printed_kets(self, capsys):
+        # |amp| is 1e-12 as abs() rounds it, one ulp above as np.abs does.
+        amps = np.array([1.0, complex(-8.41620980565793e-13, 5.400686299642604e-13)])
+        state = qeclab.cli.StateVector(1, amps)
+        assert qeclab.cli._state_lines(state) == ["|0> 1.0000000000"]
+        assert qeclab.cli.support_size(state, qeclab.cli.SUPPORT_THRESHOLD) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(_states())
+    def test_support_size_matches_the_printed_kets(self, state):
+        printed = qeclab.cli._state_lines(state)
+        assert qeclab.cli.support_size(state, qeclab.cli.SUPPORT_THRESHOLD) == len(printed)
 
     def test_threshold_is_strict_and_imag_sign_is_printed(self):
         amps = np.zeros(4, dtype=np.complex128)

@@ -185,6 +185,62 @@ class TestCodeSpecInvariants:
         assert uncoded().n_physical == 1
 
 
+def _weight_le_one_paulis(n: int) -> list[str]:
+    return ["I" * n] + [single_pauli(n, q, letter) for q in range(n) for letter in "XYZ"]
+
+
+def _sector_syndrome(cells, detectors) -> tuple[int, ...]:
+    """Parities of one CSS sector: each detector's overlap with ``cells``."""
+    return tuple(len(cells & det) % 2 for det in detectors)
+
+
+class TestKnillLaflamme:
+    @pytest.mark.parametrize("name", ["steane7", "shor9"])
+    def test_weight_one_errors_satisfy_the_conditions(self, name):
+        """<i_L|E_a^dag E_b|j_L> = C_ab delta_ij for every pair of weight <= 1
+        Paulis (Hermitian, so E_a^dag = E_a)."""
+        code = get_code(name)
+        words = [code.encoder(LogicalQubit(1.0, 0.0)), code.encoder(LogicalQubit(0.0, 1.0))]
+        paulis = _weight_le_one_paulis(code.n_physical)
+        images = np.array(
+            [[apply_pauli_string(w, p).amps for w in words] for p in paulis]
+        )  # (pauli, logical, amplitude)
+        # gram[a, i, b, j] = <E_a i_L | E_b j_L>
+        gram = np.einsum("aik,bjk->aibj", images.conj(), images)
+        assert len(paulis) ** 2 == {"steane7": 484, "shor9": 784}[name]
+        np.testing.assert_allclose(gram[:, 0, :, 1], 0.0, atol=1e-12)
+        np.testing.assert_allclose(gram[:, 1, :, 0], 0.0, atol=1e-12)
+        np.testing.assert_allclose(gram[:, 0, :, 0], gram[:, 1, :, 1], rtol=0, atol=1e-12)
+
+
+class TestRecoveryTableWeight:
+    @pytest.mark.parametrize("name", ["steane7", "shor9"])
+    def test_each_entry_has_minimum_weight_in_its_css_sector(self, name):
+        """The X part of an entry has the least weight of any X pattern with
+        its Z-type syndrome, and likewise the Z part with the X-type one."""
+        code = get_code(name)
+        n = code.n_physical
+        z_checks = [frozenset(i for i, c in enumerate(s) if c == "Z")
+                    for s in code.stabilizers if set(s) <= {"I", "Z"}]
+        x_checks = [frozenset(i for i, c in enumerate(s) if c == "X")
+                    for s in code.stabilizers if set(s) <= {"I", "X"}]
+        least = [{}, {}]  # per sector: syndrome -> least weight
+        for bits in product((0, 1), repeat=n):
+            cells = frozenset(q for q in range(n) if bits[q])
+            for sector, checks in enumerate((z_checks, x_checks)):
+                syndrome = _sector_syndrome(cells, checks)
+                least[sector][syndrome] = min(least[sector].get(syndrome, n), len(cells))
+        for key, entry in code.recovery_table.items():
+            x_part = frozenset(q for q, c in enumerate(entry) if c in "XY")
+            z_part = frozenset(q for q, c in enumerate(entry) if c in "ZY")
+            syn_z = tuple(int(b) for b in key[:len(z_checks)])
+            syn_x = tuple(int(b) for b in key[len(z_checks):])
+            assert _sector_syndrome(x_part, z_checks) == syn_z
+            assert _sector_syndrome(z_part, x_checks) == syn_x
+            assert len(x_part) == least[0][syn_z]
+            assert len(z_part) == least[1][syn_x]
+
+
 class TestExtractSyndrome:
     def test_clean_codeword_gives_zero_syndrome(self):
         rng = np.random.default_rng(0)

@@ -119,6 +119,28 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=re.escape(message)):
             rotation_config(code=code, placement=placement)
 
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            (dict(code="shor8"), "code"),
+            (dict(error_kind="cosmic"), "error_kind"),
+            (dict(axis="w"), "axis"),
+            (dict(error_kind="bit_flip", axis="x"), "axis"),
+            (dict(general=GeneralErrorParams(1.0, 0.0)), "general"),
+            (dict(error_kind="general_unitary"), "general"),
+            (dict(decay_rate=0.25), "decay_rate"),
+            (dict(error_kind="decay", decay_rate=0.0), "decay_rate"),
+            (dict(trials=0), "trials"),
+            (dict(seed=-1), "seed"),
+            (dict(theta_grid=()), "theta_grid"),
+            (dict(placement=Placement.fermi(8)), "placement"),
+        ],
+    )
+    def test_refusal_names_its_field(self, overrides, field):
+        with pytest.raises(qeclab.experiments.ConfigError) as refused:
+            rotation_config(**overrides)
+        assert refused.value.field == field
+
     def test_placements_that_fit_are_accepted(self):
         for placement in (Placement.fixed([6, 0]), Placement.fermi(7), Placement.bose_einstein(9)):
             rotation_config(placement=placement)
