@@ -199,19 +199,15 @@ def _theta_grid_from_doc(doc: _Doc) -> tuple[float, ...]:
     points = doc.parse("theta.points", int)
     scale = doc.parse("theta.scale", str, "log")
     if scale not in ("linear", "log"):
-        raise ConfigError(
-            f"line {doc.line('theta.scale')}: theta.scale must be linear or log"
-        )
+        raise ConfigError(f"line {doc.line('theta.scale')}: theta.scale must be linear or log")
     if points < 1:
         raise ConfigError(f"line {doc.line('theta.points')}: theta.points must be >= 1")
-    if scale == "log":
-        if lo <= 0:
-            raise ConfigError(
-                f"line {doc.line('theta.min')}: log-scaled grids need theta.min > 0"
-            )
-        grid = np.geomspace(lo, hi, points)
-    else:
-        grid = np.linspace(lo, hi, points)
+    for key, bound in (("theta.min", lo), ("theta.max", hi)):
+        if scale == "log" and bound <= 0:
+            raise ConfigError(f"line {doc.line(key)}: log-scaled grids need {key} > 0")
+    # A non-finite grid is ExperimentConfig's to refuse, without numpy's warnings.
+    with np.errstate(all="ignore"):
+        grid = (np.geomspace if scale == "log" else np.linspace)(lo, hi, points)
     return tuple(float(t) for t in grid)
 
 

@@ -303,15 +303,16 @@ def _syndrome_walk(
 ) -> tuple[tuple[int, ...], tuple[float, ...], StateVector]:
     """Measure the stabilizers with (src, phases) ``gathers`` in order.  Each
     level takes one image P psi, gives bit 0 iff its uniform is below the
-    Born +1 probability read off it, and projects with that same image.
+    Born +1 probability read off it, and projects in place into that image.
     Returns the bits, each level's +1 probability and the final state."""
     bits, p_pluses = [], []
+    amps = state.amps
     for gather, u in zip(gathers, uniforms):
-        image = pauli_image(state, gather)
-        p_pluses.append(plus_probability(state, image))
+        image = pauli_image(amps, gather)
+        p_pluses.append(plus_probability(amps, image))
         bits.append(0 if u < p_pluses[-1] else 1)
-        state = project_image(state, image, 1 - 2 * bits[-1])
-    return tuple(bits), tuple(p_pluses), state
+        amps = project_image(amps, image, 1 - 2 * bits[-1])
+    return tuple(bits), tuple(p_pluses), _adopt(state.n_qubits, amps)
 
 
 def extract_syndrome(

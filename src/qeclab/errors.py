@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .statevec import StateVector, _adopt, apply_product
+from .statevec import StateVector, _adopt, _product
 
 FLIP_KINDS = ("bit_flip", "phase_flip", "bit_and_phase_flip")
 ERROR_KINDS = FLIP_KINDS + ("general_unitary", "rotation", "decay")
@@ -286,10 +286,8 @@ def _operator_for(model: ErrorModel) -> np.ndarray:
     return rotation_unitary(model.params)
 
 
-def apply_occupancy(
-    state: StateVector, model: ErrorModel, occupancy: np.ndarray
-) -> StateVector:
-    """Apply the channel to each occupied qubit of a resolved placement.
+def _injector(model: ErrorModel):
+    """The channel as ``inject(state, occupancy)``, its operator validated once.
 
     Unitary kinds are applied once per unit of occupancy, so two bosonic
     bit flips landing on the same qubit cancel.  The decay kind instead
@@ -298,10 +296,16 @@ def apply_occupancy(
     pure-state simulation (the unconditioned channel would need density
     matrices); occupancy above 1 is rejected for it.
     """
-    if model.kind == "decay":
+    if model.kind != "decay":
+        product = _product(_operator_for(model))
+        return lambda state, occupancy: product(
+            state, np.repeat(np.arange(occupancy.size), occupancy).tolist()
+        )
+    scale = math.sqrt(1.0 - decoherence_prob(model.params))
+
+    def decay(state: StateVector, occupancy: np.ndarray) -> StateVector:
         if occupancy.max(initial=0) > 1:
             raise ValueError("decay placement must not stack errors on one qubit")
-        scale = math.sqrt(1.0 - decoherence_prob(model.params))
         amps = state.amps.copy()
         index = np.arange(amps.size, dtype=np.uint64)
         for q in np.flatnonzero(occupancy):
@@ -311,8 +315,8 @@ def apply_occupancy(
         if norm < _STATE_NORM_FLOOR:
             raise ValueError("decay annihilated the state (norm underflow)")
         return _adopt(state.n_qubits, amps / norm)
-    targets = np.repeat(np.arange(occupancy.size), occupancy).tolist()
-    return apply_product(state, _operator_for(model), targets)
+
+    return decay
 
 
 def apply_error_model(
@@ -320,4 +324,4 @@ def apply_error_model(
 ) -> StateVector:
     """Sample a placement and apply the channel to each occupied qubit."""
     occupancy = resolve_occupancy(model.placement, state.n_qubits, rng)
-    return apply_occupancy(state, model, occupancy)
+    return _injector(model)(state, occupancy)

@@ -45,7 +45,7 @@ from .errors import (
     Placement,
     RotationErrorParams,
     ROTATION_AXES,
-    apply_occupancy,
+    _injector,
     resolve_occupancy,
     rotation_unitary,
 )
@@ -311,6 +311,7 @@ class _BranchCache:
     def __init__(self, config: ExperimentConfig, theta: float) -> None:
         code = self.code = get_code(config.code)
         self.model = model_for(config, theta)
+        self.inject = _injector(self.model)
         self.encoded = code.encoder(config.logical)
         self.gathers = [pauli_gather(code.n_physical, s) for s in code.stabilizers]
         self.injected: dict[bytes, tuple[StateVector, int]] = {}
@@ -321,7 +322,7 @@ class _BranchCache:
         key = occupancy.tobytes()
         entry = self.injected.get(key)
         if entry is None:
-            state = apply_occupancy(self.encoded, self.model, occupancy)
+            state = self.inject(self.encoded, occupancy)
             entry = self.injected[key] = (state, support_size(state, SUPPORT_THRESHOLD))
         injected, support = entry
         uniforms = rng.random(len(self.gathers)).tolist()

@@ -8,22 +8,23 @@ at index 2.  Capacity is capped at 14 qubits (16384 amplitudes): every
 experiment in this lab needs at most 9, and the cap keeps mistakes loud
 instead of slow.
 
-All operations are pure.  A ``StateVector`` is immutable once built;
+Public operations are pure.  A ``StateVector`` is immutable once built;
 operations return fresh values and never touch their inputs.  Anything
 randomized takes an explicit ``numpy.random.Generator`` so concurrent
 callers can hold disjoint streams.
 
 The public constructor copies and validates its input.  Arrays the
 package has just computed are adopted without the copy (``_adopt``), still
-checked for shape and finiteness.  Measuring a Pauli string comes in
-steps: take the image P psi once (``pauli_gather``, ``pauli_image``), then
-read the +1 probability and the projection off that one image
-(``plus_probability``, ``project_image``).  ``codes._syndrome_walk`` runs
-them, with the Born draw in between, for every stabilizer measurement.
+checked for shape and finiteness; ``_product`` validates an operator once
+for every state it is applied to.  A Pauli measurement works on bare arrays:
+the image P psi in a fresh buffer (``pauli_image``), the +1 probability read
+off it (``plus_probability``), the projection made in place in it
+(``project_image``).  ``codes._syndrome_walk`` adopts only its last buffer.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -124,30 +125,36 @@ def _require_target(state: StateVector, target: int) -> None:
         )
 
 
-def apply_product(
-    state: StateVector, u: np.ndarray, targets: Iterable[int]
-) -> StateVector:
-    """Apply the single-qubit unitary ``u`` to each of ``targets`` in turn.
+def _product(u: np.ndarray):
+    """Validate ``u`` once; return ``apply(state, targets)``, applying it per target.
 
-    A repeated target gets ``u`` once per occurrence.  ``u`` is validated
-    once; each target is one matmul over a (2**t, rest, 2) view,
-    new[..., i] = sum_j u[i, j] * old[..., j].  The last qubit takes the
-    flat (N/2, 2) form instead, because there the view (rest = 1) goes
-    through numpy's vector-matrix path, which rounds differently.  Both
-    forms round exactly as a per-target moveaxis-and-matmul does, so the
-    bits of every result are independent of how targets are batched.
+    A repeated target gets ``u`` once per occurrence.  Each target is one
+    matmul over a (2**t, rest, 2) view, new[..., i] = sum_j u[i, j] *
+    old[..., j].  The last qubit takes the flat (N/2, 2) form instead,
+    because there the view (rest = 1) goes through numpy's vector-matrix
+    path, which rounds differently.  Both forms round exactly as a
+    per-target moveaxis-and-matmul does, so the bits of every result are
+    independent of how targets are batched.
     """
     u_t = _require_unitary2(u).T
-    n = state.n_qubits
-    amps = state.amps
-    for target in targets:
-        _require_target(state, target)
-        if target == n - 1:
-            amps = (amps.reshape(-1, 2) @ u_t).reshape(-1)
-        else:
-            view = amps.reshape(1 << target, 2, -1).swapaxes(1, 2)
-            amps = (view @ u_t).swapaxes(1, 2).reshape(-1)
-    return _adopt(n, amps)
+
+    def apply(state: StateVector, targets: Iterable[int]) -> StateVector:
+        amps = state.amps
+        for target in targets:
+            _require_target(state, target)
+            if target == state.n_qubits - 1:
+                amps = (amps.reshape(-1, 2) @ u_t).reshape(-1)
+            else:
+                view = amps.reshape(1 << target, 2, -1).swapaxes(1, 2)
+                amps = (view @ u_t).swapaxes(1, 2).reshape(-1)
+        return _adopt(state.n_qubits, amps)
+
+    return apply
+
+
+def apply_product(state: StateVector, u: np.ndarray, targets: Iterable[int]) -> StateVector:
+    """Apply the single-qubit unitary ``u`` to each of ``targets`` in turn."""
+    return _product(u)(state, targets)
 
 
 def apply_1q(state: StateVector, u: np.ndarray, target: int) -> StateVector:
@@ -194,10 +201,12 @@ def _check_pauli_string(n_qubits: int, ops: str) -> None:
         raise ValueError(f"Pauli string must be over I/X/Y/Z, got {ops!r}")
 
 
-def pauli_image(state: StateVector, gather: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Amplitudes of P psi for a (src, phases) gather of the Pauli string P."""
+def pauli_image(amps: np.ndarray, gather: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """P psi, in a fresh buffer, for a (src, phases) gather of the Pauli string P."""
     src, phases = gather
-    return phases * state.amps[src]
+    image = amps[src]
+    image *= phases
+    return image
 
 
 def apply_pauli_string(state: StateVector, ops: str) -> StateVector:
@@ -205,7 +214,7 @@ def apply_pauli_string(state: StateVector, ops: str) -> StateVector:
     _check_pauli_string(state.n_qubits, ops)
     if set(ops) == {"I"}:
         return state
-    return _adopt(state.n_qubits, pauli_image(state, _pauli_action(state.n_qubits, ops)))
+    return _adopt(state.n_qubits, pauli_image(state.amps, _pauli_action(state.n_qubits, ops)))
 
 
 def pauli_gather(n_qubits: int, ops: str) -> tuple[np.ndarray, np.ndarray]:
@@ -216,27 +225,27 @@ def pauli_gather(n_qubits: int, ops: str) -> tuple[np.ndarray, np.ndarray]:
     return _pauli_action(n_qubits, ops)
 
 
-def plus_probability(state: StateVector, image: np.ndarray) -> float:
-    """Born +1 probability from the image P psi: the squared norm of
+def plus_probability(amps: np.ndarray, image: np.ndarray) -> float:
+    """Born +1 probability from psi and its image P psi: the squared norm of
     (I + P)/2 psi, computed as (1 + <P>)/2 and clipped into [0, 1] against
     rounding."""
-    expectation = float(np.real(np.vdot(state.amps, image)))
+    expectation = float(np.real(np.vdot(amps, image)))
     return min(max((1.0 + expectation) / 2.0, 0.0), 1.0)
 
 
-def project_image(state: StateVector, image: np.ndarray, sign: int) -> StateVector:
-    """Renormalized projection (I + sign * P)/2 psi, given the image P psi.
-
-    Raises RuntimeError when the branch has vanishing norm, i.e. when the
-    outcome ``sign`` has (numerically) zero probability.
-    """
-    branch = (state.amps + sign * image) / 2.0
-    norm = float(np.linalg.norm(branch))
-    if norm < _BRANCH_NORM_FLOOR:
-        raise RuntimeError(
-            f"sampled projective branch has vanishing norm {norm:.3e}"
-        )
-    return _adopt(state.n_qubits, branch / norm)
+def project_image(amps: np.ndarray, image: np.ndarray, sign: int) -> np.ndarray:
+    """Renormalized projection (I + sign * P)/2 psi, made in place in ``image``
+    (P psi, which the caller gives up).  The exact halving is skipped, which
+    leaves the bits of the result unchanged.  Raises RuntimeError when the
+    outcome ``sign`` has (numerically) zero probability."""
+    (np.add if sign > 0 else np.subtract)(amps, image, out=image)
+    re, im = image.real, image.imag
+    norm = math.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm's sum
+    if norm < 2.0 * _BRANCH_NORM_FLOOR:
+        raise RuntimeError(f"sampled projective branch has vanishing norm {norm / 2.0:.3e}")
+    parts = image.view(np.float64)
+    parts *= 1.0 / norm  # as numpy's complex-by-real division scales
+    return image
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

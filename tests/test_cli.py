@@ -5,6 +5,7 @@ import dataclasses
 import importlib.util
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +275,34 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as refused:
             parse_config(text)
         assert refused.value.field == field
+
+    @pytest.mark.parametrize(
+        "bounds,message",
+        [
+            ("theta.min = 0.01\ntheta.max = -0.1\ntheta.points = 3\ntheta.scale = log",
+             "line 5: log-scaled grids need theta.max > 0"),
+            ("theta.min = 0\ntheta.max = inf\ntheta.points = 3\ntheta.scale = linear",
+             "line 7: theta grid values must be finite and >= 0"),
+            ("theta.min = 0.01\ntheta.max = 0\ntheta.points = 3\ntheta.scale = log",
+             "line 5: log-scaled grids need theta.max > 0"),
+        ],
+        ids=["log_negative_max", "linear_infinite_max", "log_zero_max"],
+    )
+    def test_theta_range_refusal_is_one_error_line(self, bounds, message, tmp_path, capsys):
+        """A range numpy cannot grid cleanly still fails with one anchored
+        ``error:`` line: no numpy warning, no unanchored numpy message."""
+        path = tmp_path / "range.cfg"
+        path.write_text(
+            "code = steane7\nerror.kind = rotation\nerror.placement = all_qubits\n"
+            + bounds + "\n"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["sweep", "--config", str(path)]) == 2
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_an_empty_theta_grid_cannot_be_written(self):
         """The range form refuses zero points before any grid is built."""

@@ -348,6 +348,48 @@ class TestSyndromeWalk:
             seen_bits.add(bits)
         assert len(seen_bits) > 3  # the draws reach several syndromes
 
+    @pytest.mark.parametrize("name", ["steane7", "shor9"])
+    def test_bits_match_the_textbook_arithmetic(self, name):
+        """The walk's in-place buffers round exactly as the textbook steps:
+        the gather ``phases * amps[src]``, the branch ``(psi + s P psi) / 2``
+        and its division by ``np.linalg.norm``."""
+        code = get_code(name)
+        n = code.n_physical
+        gathers = tuple(pauli_gather(n, s) for s in code.stabilizers)
+        rng = np.random.default_rng(4242)
+        states = []
+        for axis, theta in (("x", 0.3), ("y", 0.9), ("z", 1.7)):
+            state = code.encoder(GENERIC_LOGICAL)
+            for qubit in range(n):
+                state = apply_1q(state, rotation_unitary(RotationErrorParams(axis, theta)), qubit)
+            states.append(state)
+        for _ in range(8):
+            amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+            states.append(StateVector(n, amps / np.linalg.norm(amps)))
+        for state in states:
+            for _ in range(4):
+                uniforms = rng.random(len(gathers)).tolist()
+                bits, p_pluses, post = _syndrome_walk(state, gathers, uniforms)
+                ref_bits, ref_p_pluses, psi = [], [], state.amps
+                for (src, phases), u in zip(gathers, uniforms):
+                    image = phases * psi[src]
+                    expectation = float(np.real(np.vdot(psi, image)))
+                    ref_p_pluses.append(min(max((1.0 + expectation) / 2.0, 0.0), 1.0))
+                    ref_bits.append(0 if u < ref_p_pluses[-1] else 1)
+                    branch = (psi + (1 - 2 * ref_bits[-1]) * image) / 2
+                    psi = branch / np.linalg.norm(branch)
+                assert bits == tuple(ref_bits)
+                assert p_pluses == tuple(ref_p_pluses)
+                assert np.array_equal(post.amps, psi)
+
+    def test_vanishing_branch_raises(self):
+        """On an undisturbed codeword every p_plus is 1, and a uniform of
+        1.0 (not below it) picks the empty -1 branch at the first level."""
+        code = get_code("steane7")
+        gathers = [pauli_gather(7, s) for s in code.stabilizers]
+        with pytest.raises(RuntimeError, match=r"vanishing norm 0\.000e\+00"):
+            _syndrome_walk(code.encoder(GENERIC_LOGICAL), gathers, [1.0] * 6)
+
 
 class TestRecover:
     @pytest.mark.parametrize("name", ["shor9", "steane7"])

@@ -470,6 +470,25 @@ class TestSweepTheta:
             run_trial(config, 0.7, _trial_rng(0, 0, 0, 0))
             assert len(images) == len(get_code(code).stabilizers)
 
+    def test_channel_operator_is_validated_once_per_kernel(self, monkeypatch):
+        """Each grid point builds two kernels, the coded one and the bare
+        qubit's; each validates its unitary once, however many placements
+        miss the cache."""
+        checks = []
+        original = qeclab.statevec._require_unitary2
+
+        def counting(u):
+            checks.append(u)
+            return original(u)
+
+        monkeypatch.setattr(qeclab.statevec, "_require_unitary2", counting)
+        config = rotation_config(
+            code="shor9", placement=Placement.bose_einstein(2), logical=GENERIC,
+            theta_grid=(0.05, 0.2, 0.8), trials=50,
+        )
+        sweep_theta(config)
+        assert len(checks) == 2 * len(config.theta_grid)
+
     @pytest.mark.slow
     @pytest.mark.parametrize("code", ["shor9", "steane7"])
     def test_coded_beats_uncoded_at_small_angles(self, code):
