@@ -5,26 +5,29 @@ A trial samples a placement occupancy, then one Born outcome per
 stabilizer, and reports the support right after injection and the
 infidelity 1 - F of the recovered state against the ideal encoding.
 Everything a trial computes is a function of its branch: the occupancy
-and the syndrome bits drawn so far.  ``sweep_theta`` therefore keeps one
-coded-side memo of the plain trial per grid point (see ``_BranchCache``).
-A trial makes every random draw the plain trial makes, in the same order
-and from the same stream, and its first uncached node runs the plain
-trial's own walk, ``codes._syndrome_walk``, so rows are bit-identical to
-pushing each trial through encode, inject, measure and recover on its
-own.  The bare-qubit baseline has one branch and runs once per grid
-point, on trial 0's stream.
+and the syndrome bits drawn so far.  ``sweep_theta`` therefore keeps, for
+the coded side of each grid point, one node trie of the plain trial per
+occupancy (see ``_BranchCache``).  A trial makes every random draw the
+plain trial makes, in the same order and from the same stream, and its
+first missing node runs the plain trial's own walk,
+``codes._syndrome_walk``, so rows are bit-identical to pushing each trial
+through encode, inject, measure and recover on its own.  The encoding and
+the stabilizer gathers of a side do not depend on theta, so each side
+builds them once per sweep (``_Side``) and every grid point's kernel
+takes them in.  The bare-qubit baseline has one branch and runs once per
+grid point, on trial 0's stream.
 
 Trial t of grid point g on side s (0 coded, 1 uncoded) draws from the
 stream of ``default_rng(SeedSequence(entropy=seed, spawn_key=(g, t, s)))``,
 bit for bit, so results do not depend on how trials are scheduled and
-``_trial_rng`` rebuilds any one trial alone.  ``sweep_theta`` derives a
-grid point's streams in one vectorized pass over its keys, in blocks of
-``_STREAM_BLOCK``: numpy mixes the run entropy once, and the spawn-key
-words and output hash of ``SeedSequence`` run on all keys at once.  Each
-trial draws its placement and then its m syndrome uniforms in one
-``rng.random(m)`` call, which reads the same values as m scalar draws.
+``_trial_rng`` rebuilds any one trial alone.  ``sweep_theta`` derives all
+of a sweep's streams in one vectorized pass over its keys, grid point by
+grid point, in blocks of ``_STREAM_BLOCK``: numpy mixes the run entropy
+once, and the spawn-key words and output hash of ``SeedSequence`` run on
+all keys at once.  Each trial draws its placement and then its m syndrome
+uniforms in one ``rng.random(m)`` call, which reads the same values as m
+scalar draws.
 """
-
 from __future__ import annotations
 
 import itertools
@@ -296,54 +299,75 @@ def _trial_rng(seed: int, grid_index: int, trial: int, side: int) -> np.random.G
     return next(_trial_streams(seed, [(grid_index, trial, side)]))
 
 
-class _BranchCache:
-    """The coded trial kernel for one grid point: a memo of the plain trial.
+class _Side:
+    """The theta-independent half of one side's kernel: its config, code,
+    encoded logical state and stabilizer gathers, built once per sweep."""
 
-    ``injected`` holds the injected state and its support per occupancy.
-    ``memo`` is keyed (occupancy bytes, syndrome bits): it holds the +1
-    probability at an internal node and the floored infidelity at a leaf.
-    A node is in the memo iff some trial reached it, so from a trial's
-    first uncached node down everything is new: the trial then reruns the
-    syndrome walk from the injected state on its own uniforms and records
-    every node and the leaf it passes.  Hits are lookups only.
-    """
-
-    def __init__(self, config: ExperimentConfig, theta: float) -> None:
+    def __init__(self, config: ExperimentConfig) -> None:
+        self.config = config
         code = self.code = get_code(config.code)
-        self.model = model_for(config, theta)
-        self.inject = _injector(self.model)
         self.encoded = code.encoder(config.logical)
         self.gathers = [pauli_gather(code.n_physical, s) for s in code.stabilizers]
-        self.injected: dict[bytes, tuple[StateVector, int]] = {}
-        self.memo: dict[tuple[bytes, tuple[int, ...]], float] = {}
 
-    def trial(self, rng: np.random.Generator) -> tuple[float, int]:
-        occupancy = resolve_occupancy(self.model.placement, self.code.n_physical, rng)
+
+class _BranchCache:
+    """The trial kernel of one side at one grid point: a memo of the plain trial.
+
+    ``injected`` maps occupancy bytes to [injected state, support, trie
+    root].  A trie node is [value, child0, child1]: the +1 probability of
+    its level at an internal node, the floored infidelity at a leaf, and
+    below it the node of syndrome bit 0 and of bit 1, or None until some
+    trial reached it.  So from a trial's first missing node down
+    everything is new: the trial then reruns the syndrome walk from the
+    injected state on its own uniforms and adds every node and the leaf it
+    passes.  Hits are lookups only.  ``all_qubits`` and ``fixed``
+    placements draw nothing, so their one occupancy is injected here.
+    """
+
+    def __init__(self, side: _Side, theta: float) -> None:
+        self.side = side
+        self.model = model_for(side.config, theta)
+        self.inject = _injector(self.model)
+        self.injected: dict[bytes, list] = {}
+        self.hoisted = None
+        if self.model.placement.rule in ("all_qubits", "fixed"):
+            self.hoisted = self._entry(self._occupancy(None))
+
+    def _occupancy(self, rng: np.random.Generator | None) -> np.ndarray:
+        return resolve_occupancy(self.model.placement, self.side.code.n_physical, rng)
+
+    def _entry(self, occupancy: np.ndarray) -> list:
         key = occupancy.tobytes()
         entry = self.injected.get(key)
         if entry is None:
-            state = self.inject(self.encoded, occupancy)
-            entry = self.injected[key] = (state, support_size(state, SUPPORT_THRESHOLD))
-        injected, support = entry
-        uniforms = rng.random(len(self.gathers)).tolist()
-        bits: tuple[int, ...] = ()
-        value = self.memo.get((key, bits))
-        while value is not None and len(bits) < len(uniforms):
-            bits += (0 if uniforms[len(bits)] < value else 1,)
-            value = self.memo.get((key, bits))
-        if value is None:
-            value = self._record(key, injected, uniforms)
-        return value, support
+            state = self.inject(self.side.encoded, occupancy)
+            entry = self.injected[key] = [state, support_size(state, SUPPORT_THRESHOLD), None]
+        return entry
 
-    def _record(self, key: bytes, injected: StateVector, uniforms: list[float]) -> float:
-        bits, p_pluses, post = _syndrome_walk(injected, self.gathers, uniforms)
-        for depth, p_plus in enumerate(p_pluses):
-            self.memo[(key, bits[:depth])] = p_plus
-        corrected = recover(SyndromeResult(bits, post), self.code)
-        infid = 1.0 - fidelity(corrected, self.encoded)
+    def trial(self, rng: np.random.Generator) -> tuple[float, int]:
+        entry = self.hoisted or self._entry(self._occupancy(rng))
+        uniforms = rng.random(len(self.side.gathers)).tolist()
+        node = entry[2]
+        for u in uniforms:
+            if node is None:
+                break
+            node = node[1] if u < node[0] else node[2]
+        return (node[0] if node else self._record(entry, uniforms)), entry[1]
+
+    def _record(self, entry: list, uniforms: list[float]) -> float:
+        side = self.side
+        bits, p_pluses, post = _syndrome_walk(entry[0], side.gathers, uniforms)
+        corrected = recover(SyndromeResult(bits, post), side.code)
+        infid = 1.0 - fidelity(corrected, side.encoded)
         if infid < NUMERICAL_FLOOR:
             infid = 0.0
-        self.memo[(key, bits)] = infid
+        # The entry's slot 2 holds the root as a node's slots 1 and 2 hold
+        # its children; nodes on the cached prefix already hold their value.
+        parent, slot = entry, 2
+        for value, bit in zip((*p_pluses, infid), (*bits, 0)):
+            if parent[slot] is None:
+                parent[slot] = [value, None, None]
+            parent, slot = parent[slot], 1 + bit
         return infid
 
 
@@ -356,7 +380,7 @@ def run_trial(
     before any measurement collapses the proliferated components.  This is
     one trial of ``sweep_theta``'s kernel on an empty cache.
     """
-    return _BranchCache(config, theta).trial(rng)
+    return _BranchCache(_Side(config), theta).trial(rng)
 
 
 def _bare_qubit_placement(placement: Placement) -> Placement:
@@ -376,26 +400,29 @@ def sweep_theta(config: ExperimentConfig) -> SweepResult:
     ``all_qubits`` placement the comparison is per-physical-qubit fair:
     the baseline sees the error exactly once.
     """
-    uncoded_config = replace(
-        config, code="uncoded", placement=_bare_qubit_placement(config.placement)
+    bare_side = _Side(
+        replace(config, code="uncoded", placement=_bare_qubit_placement(config.placement))
+    )
+    coded_side = _Side(config)
+    # One stream pass for the whole sweep: per grid point its coded trials,
+    # then the bare qubit's one stream.
+    per_point = [(t, _CODED) for t in range(config.trials)] + [(0, _UNCODED)]
+    streams = _trial_streams(
+        config.seed,
+        ((g, t, s) for g in range(len(config.theta_grid)) for t, s in per_point),
     )
     rows = []
-    for grid_index, theta in enumerate(config.theta_grid):
-        keys = itertools.chain(
-            ((grid_index, trial, _CODED) for trial in range(config.trials)),
-            [(grid_index, 0, _UNCODED)],
-        )
-        streams = _trial_streams(config.seed, keys)
-        coded_side = _BranchCache(config, theta)
+    for theta in config.theta_grid:
+        kernel = _BranchCache(coded_side, theta)
         coded = np.empty(config.trials)
         supports = np.empty(config.trials)
         # ``range`` comes first so that zip leaves the uncoded stream unread.
         for trial, rng in zip(range(config.trials), streams):
-            coded[trial], supports[trial] = coded_side.trial(rng)
+            coded[trial], supports[trial] = kernel.trial(rng)
         # The bare qubit's one branch: every trial would repeat trial 0.  The
         # mean of n equal floats need not be the value, so average anyway.
-        bare_rng = next(streams)
-        uncoded = np.full(config.trials, run_trial(uncoded_config, theta, bare_rng)[0])
+        bare = _BranchCache(bare_side, theta).trial(next(streams))[0]
+        uncoded = np.full(config.trials, bare)
         rows.append(
             SweepRow(
                 theta=theta,

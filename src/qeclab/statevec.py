@@ -74,7 +74,7 @@ def _check_amps(n_qubits: int, amps: np.ndarray) -> None:
             f"expected {1 << n_qubits} amplitudes for "
             f"{n_qubits} qubits, got shape {amps.shape}"
         )
-    if not np.all(np.isfinite(amps.view(np.float64))):
+    if not np.isfinite(amps.view(np.float64)).all():
         raise ValueError("amplitudes must be finite")
 
 

@@ -25,6 +25,8 @@ from qeclab.experiments import (
     SUPPORT_THRESHOLD,
     ExperimentConfig,
     SweepRow,
+    _BranchCache,
+    _Side,
     _bare_qubit_placement,
     _stacks_errors,
     _stream_seeds,
@@ -64,6 +66,30 @@ def uncached_trial(config, theta, rng):
     corrected = recover(extract_syndrome(state, code, rng), code)
     infid = 1.0 - logical_fidelity(corrected, code, config.logical)
     return (0.0 if infid < NUMERICAL_FLOOR else infid), support
+
+
+def uncached_rows(config):
+    """The sweep's rows, each trial run through ``uncached_trial`` on its
+    own stream (the bare qubit on every uncoded stream, not just trial 0's)."""
+    bare_config = dataclasses.replace(
+        config, code="uncoded", placement=_bare_qubit_placement(config.placement)
+    )
+    rows = []
+    for grid_index, theta in enumerate(config.theta_grid):
+        coded, supports = zip(*(
+            uncached_trial(config, theta, _trial_rng(config.seed, grid_index, t, 0))
+            for t in range(config.trials)
+        ))
+        bare = [
+            uncached_trial(bare_config, theta, _trial_rng(config.seed, grid_index, t, 1))[0]
+            for t in range(config.trials)
+        ]
+        coded, bare = np.array(coded), np.array(bare)
+        rows.append(
+            SweepRow(theta, float(coded.mean()), float(coded.std()),
+                     float(bare.mean()), float(bare.std()), float(np.mean(supports)))
+        )
+    return tuple(rows)
 
 
 class TestExperimentConfig:
@@ -488,6 +514,96 @@ class TestSweepTheta:
         )
         sweep_theta(config)
         assert len(checks) == 2 * len(config.theta_grid)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(logical=GENERIC),
+            dict(code="shor9", logical=GENERIC),
+            dict(placement=Placement.fixed([0, 0, 3]), logical=GENERIC),
+            dict(code="shor9", placement=Placement.bose_einstein(3), logical=GENERIC),
+            dict(code="shor9", error_kind="decay", decay_rate=0.8,
+                 placement=Placement.fixed([1]), logical=GENERIC),
+            dict(axis="x"),
+        ],
+        ids=["steane7-all", "shor9-all", "steane7-fixed003", "shor9-bose3",
+             "shor9-decay-fixed1", "steane7-x-zero"],
+    )
+    def test_hoisted_and_trie_paths_match_uncached_pipeline(self, overrides):
+        """Hoisted occupancies, per-sweep sides and streams and the node trie
+        leave every row bit-identical to the full pipeline per trial."""
+        config = rotation_config(theta_grid=(0.3, 1.1), trials=60, seed=2, **overrides)
+        assert sweep_theta(config).rows == uncached_rows(config)
+
+    def test_sweep_derives_its_streams_in_one_pass(self, monkeypatch):
+        """The criterion-4 grid at 20 trials has 147 keys, one block."""
+        calls = []
+
+        def counting(seed, keys):
+            calls.append(len(keys))
+            return _stream_seeds(seed, keys)
+
+        monkeypatch.setattr(qeclab.experiments, "_stream_seeds", counting)
+        config = rotation_config(theta_grid=tuple(np.geomspace(1e-3, 1e-1, 7)), trials=20)
+        sweep_theta(config)
+        assert calls == [7 * 21]
+        sweep_theta(dataclasses.replace(config, seed=1))
+        assert calls == [7 * 21] * 2
+
+    @pytest.mark.parametrize("placement", [ALL_QUBITS, Placement.fixed([0, 0, 3])])
+    def test_deterministic_occupancy_is_injected_once_per_grid_point(
+        self, monkeypatch, placement
+    ):
+        """Each kernel resolves an occupancy that draws nothing once, in its
+        constructor, and the coded one injects it once, whatever the trial
+        count."""
+        resolved, coded_injections = [], []
+        original_resolve, original_injector = (
+            qeclab.experiments.resolve_occupancy, qeclab.experiments._injector
+        )
+
+        def counting_resolve(placement, n_qubits, rng):
+            resolved.append(n_qubits)
+            return original_resolve(placement, n_qubits, rng)
+
+        def counting_injector(model):
+            inject = original_injector(model)
+
+            def counting(state, occupancy):
+                if state.n_qubits > 1:
+                    coded_injections.append(occupancy.tolist())
+                return inject(state, occupancy)
+
+            return counting
+
+        monkeypatch.setattr(qeclab.experiments, "resolve_occupancy", counting_resolve)
+        monkeypatch.setattr(qeclab.experiments, "_injector", counting_injector)
+        for trials in (1, 20):
+            resolved.clear()
+            coded_injections.clear()
+            sweep_theta(rotation_config(placement=placement, theta_grid=(0.05, 0.3), trials=trials))
+            assert resolved == [7, 1] * 2
+            assert len(coded_injections) == 2
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(), dict(code="shor9", placement=Placement.bose_einstein(2), logical=GENERIC)],
+        ids=["steane7-all", "shor9-bose2"],
+    )
+    def test_a_cached_branch_runs_no_walk(self, monkeypatch, overrides):
+        walks = []
+        original = qeclab.experiments._syndrome_walk
+
+        def counting(*args):
+            walks.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(qeclab.experiments, "_syndrome_walk", counting)
+        kernel = _BranchCache(_Side(rotation_config(**overrides)), 1.1)
+        first = kernel.trial(_trial_rng(0, 0, 0, 0))
+        assert len(walks) == 1
+        assert kernel.trial(_trial_rng(0, 0, 0, 0)) == first
+        assert len(walks) == 1
 
     @pytest.mark.slow
     @pytest.mark.parametrize("code", ["shor9", "steane7"])
