@@ -22,10 +22,12 @@ separator, ``#`` starts a comment).  Recognized keys:
 The rules of the contract live in ``ExperimentConfig``; this module only
 translates keys.  Unknown keys, and any value a file sets that the
 contract refuses, are reported with their line number.  Inline flags
-override file values; a value the resulting error kind ignores is a
-config error.  All output is
-byte-deterministic for a fixed seed; files are written atomically (temp
-file + rename), never partially.
+override file values: a flag overrides the field its dest names
+(``--error`` sets ``error_kind``, ``--theta`` a one-angle ``theta_grid``),
+and an empty flag value is refused, never ignored.  A value the resulting
+error kind ignores is a config error.  All output is byte-deterministic
+for a fixed seed; files are written atomically (temp file + rename),
+never partially.
 
 Exit codes: 0 success, 2 config/validation error or a simulation that
 cannot continue (a vanishing measurement branch, a missing recovery-table
@@ -64,6 +66,7 @@ from .experiments import (
     ConfigError,
     ExperimentConfig,
     SweepResult,
+    SweepRow,
     model_for,
     proliferation_experiment,
     sensitivity_experiment,
@@ -73,7 +76,7 @@ from .statevec import StateVector, fidelity, support_mask, support_size
 
 EXIT_OK, EXIT_CONFIG, EXIT_IO = 0, 2, 3
 
-CSV_HEADER = "theta,mean_infid_coded,std_coded,mean_infid_uncoded,std_uncoded,mean_support"
+CSV_HEADER = ",".join(field.name for field in dataclasses.fields(SweepRow))
 
 SENSITIVITY_P_GRID = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 
@@ -81,15 +84,15 @@ SENSITIVITY_P_GRID = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0
 # Config parsing and emission
 # ---------------------------------------------------------------------------
 
-# The keys that set each ExperimentConfig field.  A refused field is
-# reported at the last line among its keys.
+# The keys that set each ExperimentConfig field, in the order emit_config
+# writes them.  A refused field is reported at the last line among its keys.
 _FIELD_KEYS = {
     "code": ("code",),
     "error_kind": ("error.kind",),
-    "placement": ("error.placement",),
     "axis": ("error.axis",),
     "decay_rate": ("error.lambda",),
     "general": ("error.e1_re", "error.e1_im", "error.e2_re", "error.e2_im"),
+    "placement": ("error.placement",),
     "theta_grid": (
         "theta", "theta.list", "theta.min", "theta.max", "theta.points", "theta.scale"
     ),
@@ -267,35 +270,22 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def emit_config(config: ExperimentConfig) -> str:
     """Render a config as the canonical flat document; parse round-trips it."""
-    lines = [f"code = {config.code}", f"error.kind = {config.error_kind}"]
-    if config.error_kind == "rotation":
-        lines.append(f"error.axis = {config.axis}")
-    if config.error_kind == "decay":
-        lines.append(f"error.lambda = {config.decay_rate!r}")
-    if config.error_kind == "general_unitary" and config.general is not None:
-        lines.append(f"error.e1_re = {config.general.e1.real!r}")
-        lines.append(f"error.e1_im = {config.general.e1.imag!r}")
-        lines.append(f"error.e2_re = {config.general.e2.real!r}")
-        lines.append(f"error.e2_im = {config.general.e2.imag!r}")
-    placement = config.placement
-    if placement.rule == "all_qubits":
-        lines.append("error.placement = all_qubits")
-    elif placement.rule == "fixed":
-        lines.append(
-            "error.placement = fixed:" + ",".join(str(q) for q in placement.qubits)
-        )
-    else:
-        lines.append(f"error.placement = {placement.rule}:{placement.n_errors}")
-    if len(config.theta_grid) == 1:
-        lines.append(f"theta = {config.theta_grid[0]!r}")
-    else:
-        lines.append("theta.list = " + ",".join(repr(t) for t in config.theta_grid))
-    lines.append(f"trials = {config.trials}")
-    lines.append(f"seed = {config.seed}")
-    lines.append(f"logical.alpha_re = {config.logical.alpha.real!r}")
-    lines.append(f"logical.alpha_im = {config.logical.alpha.imag!r}")
-    lines.append(f"logical.beta_re = {config.logical.beta.real!r}")
-    lines.append(f"logical.beta_im = {config.logical.beta.imag!r}")
+    lines = []
+    for name, keys in _FIELD_KEYS.items():
+        if name in KIND_FIELDS and KIND_FIELDS[name][0] != config.error_kind:
+            continue
+        value = getattr(config, name)
+        if name == "theta_grid":  # theta for one angle, theta.list for several
+            keys = (keys[len(value) > 1],)
+            value = ",".join(map(str, value))
+        elif name == "placement":
+            arg = ",".join(map(str, value.qubits)) if value.rule == "fixed" else value.n_errors
+            value = value.rule if value.rule == "all_qubits" else f"{value.rule}:{arg}"
+        # A four-key field is a complex pair, written re, im, re, im.
+        parts = [value] if len(keys) == 1 else [
+            part for z in vars(value).values() for part in (z.real, z.imag)
+        ]
+        lines.extend(f"{key} = {part}" for key, part in zip(keys, parts))
     return "\n".join(lines) + "\n"
 
 
@@ -332,20 +322,7 @@ def _state_lines(state: StateVector) -> list[str]:
 def render_csv(result: SweepResult, comments: tuple[str, ...] = ()) -> str:
     lines = [f"# {c}" for c in comments]
     lines.append(CSV_HEADER)
-    for row in result.rows:
-        lines.append(
-            ",".join(
-                format_float(v)
-                for v in (
-                    row.theta,
-                    row.mean_infid_coded,
-                    row.std_coded,
-                    row.mean_infid_uncoded,
-                    row.std_uncoded,
-                    row.mean_support,
-                )
-            )
-        )
+    lines.extend(",".join(map(format_float, vars(row).values())) for row in result.rows)
     lines.append(f"# slope_coded={format_float(result.slope_coded)}")
     lines.append(f"# slope_uncoded={format_float(result.slope_uncoded)}")
     return "\n".join(lines) + "\n"
@@ -377,7 +354,7 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _deliver(text: str, out_path: str | None) -> None:
-    if out_path:
+    if out_path is not None:
         _write_atomic(out_path, text)
     else:
         sys.stdout.write(text)
@@ -405,28 +382,25 @@ def _parse_logical_flag(value: str) -> LogicalQubit:
     return LogicalQubit(alpha, beta)
 
 
+# Flag values that need converting into their field's value.
+_FLAG_VALUES = {
+    "placement": _parse_placement,
+    "theta_grid": lambda theta: (theta,),
+    "logical": _parse_logical_flag,
+}
+
+
 def _resolve_experiment(args: argparse.Namespace) -> ExperimentConfig:
     # The file is read and validated first, so its faults are reported first.
-    config = parse_config(_read_text(args.config)) if args.config else None
-    if config is None and not args.code:
+    config = parse_config(_read_text(args.config)) if args.config is not None else None
+    if config is None and args.code is None:
         raise ConfigError("no code selected: pass --code or --config")
-    flags: dict = {}
-    if args.code:
-        flags["code"] = args.code
-    if args.error:
-        flags["error_kind"] = args.error
-    if args.placement:
-        flags["placement"] = _parse_placement(args.placement)
-    if args.axis:
-        flags["axis"] = args.axis
-    if args.theta is not None:
-        flags["theta_grid"] = (args.theta,)
-    if args.trials is not None:
-        flags["trials"] = args.trials
-    if args.seed is not None:
-        flags["seed"] = args.seed
-    if args.logical:
-        flags["logical"] = _parse_logical_flag(args.logical)
+    # Each flag's dest is the field it overrides.
+    flags = {
+        name: _FLAG_VALUES[name](value) if name in _FLAG_VALUES else value
+        for name in _FIELD_KEYS
+        if (value := getattr(args, name, None)) is not None
+    }
     if config is None:
         return ExperimentConfig(**{"error_kind": "rotation", **flags})
     return dataclasses.replace(config, **flags) if flags else config
@@ -486,25 +460,19 @@ def _cmd_proliferate(args: argparse.Namespace) -> None:
 
 
 def _cmd_sensitivity(args: argparse.Namespace) -> None:
-    theta = args.theta if args.theta is not None else 0.05
     lines = ["p,relative_damage"]
     for p in SENSITIVITY_P_GRID:
-        damage = sensitivity_experiment(args.qubits, p, theta)
+        damage = sensitivity_experiment(args.qubits, p, args.theta)
         lines.append(f"{format_float(p)},{format_float(damage)}")
     _deliver("\n".join(lines) + "\n", args.out)
 
 
 def _cmd_stats(args: argparse.Namespace) -> None:
-    if args.be is None and args.fermi is None:
+    requests = ((bose_einstein_pattern_prob, args.be), (fermi_pattern_prob, args.fermi))
+    text = "".join(f"{prob(*counts)}\n" for prob, counts in requests if counts is not None)
+    if not text:
         raise ConfigError("stats needs --be N n and/or --fermi N n")
-    lines = []
-    if args.be is not None:
-        n_cells, n_errors = args.be
-        lines.append(str(bose_einstein_pattern_prob(n_cells, n_errors)))
-    if args.fermi is not None:
-        n_cells, n_errors = args.fermi
-        lines.append(str(fermi_pattern_prob(n_cells, n_errors)))
-    _deliver("\n".join(lines) + "\n", args.out)
+    _deliver(text, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -514,16 +482,18 @@ def _cmd_stats(args: argparse.Namespace) -> None:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="config file path")
     parser.add_argument("--code", choices=CODE_NAMES, help="code name override")
-    parser.add_argument("--error", choices=ERROR_KINDS, help="error kind override")
+    parser.add_argument(
+        "--error", dest="error_kind", choices=ERROR_KINDS, help="error kind override"
+    )
     parser.add_argument("--placement", help="placement override, e.g. fermi:1")
     parser.add_argument("--axis", choices=ROTATION_AXES, help="rotation axis override")
-    parser.add_argument("--theta", type=float, help="single angle override (radians)")
+    parser.add_argument(
+        "--theta", dest="theta_grid", metavar="THETA", type=float,
+        help="single angle override (radians)",
+    )
     parser.add_argument("--trials", type=int, help="Monte Carlo trials per grid point")
     parser.add_argument("--seed", type=int, help="random seed (default 0)")
-    parser.add_argument(
-        "--logical", help="logical amplitudes a_re,a_im[,b_re,b_im]"
-    )
-    parser.add_argument("--out", help="output file path (default: stdout)")
+    parser.add_argument("--logical", help="logical amplitudes a_re,a_im[,b_re,b_im]")
 
 
 @functools.cache
@@ -548,8 +518,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, help=help_text)
         if name == "sensitivity":
             sub.add_argument("--qubits", type=int, default=5, help="register size")
-            sub.add_argument("--theta", type=float, help="rotation angle (default 0.05)")
-            sub.add_argument("--out", help="output file path (default: stdout)")
+            sub.add_argument(
+                "--theta", type=float, default=0.05, help="rotation angle (default 0.05)"
+            )
         elif name == "stats":
             sub.add_argument(
                 "--be", nargs=2, type=int, metavar=("N", "n"),
@@ -559,9 +530,9 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--fermi", nargs=2, type=int, metavar=("N", "n"),
                 help="Fermi pattern probability for N cells, n errors",
             )
-            sub.add_argument("--out", help="output file path (default: stdout)")
         else:
             _add_common(sub)
+        sub.add_argument("--out", help="output file path (default: stdout)")
         sub.set_defaults(func=func)
     return parser
 

@@ -435,6 +435,51 @@ class TestEmitRoundTrip:
             logical=LogicalQubit(complex(0, s), complex(-s, 0)),
         )
 
+    # emit_config's text for each sample config, recorded before emission was
+    # driven by the key table; it pins the key order of every CSV header.
+    EMITTED = (
+        "code = steane7\nerror.kind = bit_flip\nerror.placement = fermi:1\ntheta = 0.0\n"
+        "trials = 100\nseed = 0\nlogical.alpha_re = 1.0\nlogical.alpha_im = 0.0\n"
+        "logical.beta_re = 0.0\nlogical.beta_im = 0.0\n",
+        "code = shor9\nerror.kind = rotation\nerror.axis = z\nerror.placement = fixed:0,4,8\n"
+        "theta.list = 0.001,0.01,0.1\ntrials = 77\nseed = 123456789\n"
+        "logical.alpha_re = 0.8\nlogical.alpha_im = 0.0\nlogical.beta_re = 0.6\n"
+        "logical.beta_im = 0.0\n",
+        "code = uncoded\nerror.kind = decay\nerror.lambda = 0.125\nerror.placement = fixed:0\n"
+        "theta.list = 0.0,0.5,2.75\ntrials = 10000\nseed = 0\nlogical.alpha_re = 1.0\n"
+        "logical.alpha_im = 0.0\nlogical.beta_re = 0.0\nlogical.beta_im = 0.0\n",
+        "code = steane7\nerror.kind = general_unitary\nerror.e1_re = 0.3\nerror.e1_im = -1.2\n"
+        "error.e2_re = 2.0\nerror.e2_im = 0.25\nerror.placement = bose_einstein:2\n"
+        "theta = 0.0\ntrials = 10000\nseed = 0\nlogical.alpha_re = 1.0\n"
+        "logical.alpha_im = 0.0\nlogical.beta_re = 0.0\nlogical.beta_im = 0.0\n",
+        "code = steane7\nerror.kind = rotation\nerror.axis = y\nerror.placement = fermi:3\n"
+        "theta.list = 0.001,0.0021544346900318843,0.004641588833612777,0.01,"
+        "0.021544346900318832,0.046415888336127774,0.1\ntrials = 10000\nseed = 0\n"
+        "logical.alpha_re = 0.0\nlogical.alpha_im = 0.7071067811865475\n"
+        "logical.beta_re = -0.7071067811865475\nlogical.beta_im = 0.0\n",
+    )
+
+    def test_emitted_text_is_pinned(self):
+        assert tuple(map(emit_config, self.sample_configs())) == self.EMITTED
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"error_kind": "decay", "decay_rate": np.float64(0.25)},
+            {
+                "error_kind": "general_unitary",
+                "general": GeneralErrorParams(np.complex128(0.3 + 1j), 1.0),
+            },
+        ],
+        ids=["decay_rate", "general"],
+    )
+    def test_numpy_scalars_are_written_as_numbers(self, fields):
+        """A library config built from numpy scalars emits a readable config."""
+        config = ExperimentConfig(code="steane7", **fields)
+        text = emit_config(config)
+        assert "np." not in text
+        assert parse_config(text) == config
+
     def test_parse_of_emit_is_identity(self):
         """parse_config(emit_config(cfg)) == cfg, bit for bit."""
         for config in self.sample_configs():
@@ -690,6 +735,38 @@ class TestCliCommands:
 
     def test_missing_config_file_exits_3(self, capsys):
         assert main(["sweep", "--config", "/definitely/not/here.txt"]) == 3
+
+    @pytest.mark.parametrize(
+        "flags,code,message",
+        [
+            (["--placement", ""], 2, "error: unknown placement ''\n"),
+            (["--logical", ""], 2, "error: --logical takes a_re,a_im or a_re,a_im,b_re,b_im\n"),
+            (["--config", ""], 3, "error: [Errno 2] No such file or directory: ''\n"),
+            (["--out", ""], 3, "error: [Errno 2] No such file or directory: ''\n"),
+        ],
+        ids=["placement", "logical", "config", "out"],
+    )
+    def test_an_empty_flag_value_is_refused(
+        self, flags, code, message, tmp_path, monkeypatch, capsys
+    ):
+        """An empty value is a bad value, not an absent flag."""
+        monkeypatch.chdir(tmp_path)
+        assert main(SWEEP_ARGV + flags) == code
+        assert capsys.readouterr() == ("", message)
+        assert list(tmp_path.iterdir()) == []  # no temp file left behind
+
+    def test_sweep_help_shows_the_flag_spellings(self, monkeypatch, capsys):
+        """--theta and --error keep their help spelling under their field dests."""
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert "\n  --theta THETA         single angle override (radians)\n" in out
+        assert (
+            "\n  --error {bit_flip,phase_flip,bit_and_phase_flip,general_unitary,rotation,"
+            "decay}\n                        error kind override\n"
+        ) in out
 
     @pytest.mark.parametrize("placement", ["fixed:0,1", "bose_einstein:2"])
     def test_decay_sweep_that_stacks_errors_exits_2_up_front(
