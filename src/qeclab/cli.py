@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import math
 import os
@@ -72,7 +73,7 @@ from .experiments import (
     sensitivity_experiment,
     sweep_theta,
 )
-from .statevec import StateVector, fidelity, support_mask, support_size
+from .statevec import StateVector, _norm_sq, fidelity, support_mask, support_size
 
 EXIT_OK, EXIT_CONFIG, EXIT_IO = 0, 2, 3
 
@@ -378,7 +379,7 @@ def _parse_logical_flag(value: str) -> LogicalQubit:
     if len(numbers) == 4:
         beta = complex(numbers[2], numbers[3])
     else:
-        beta = complex(math.sqrt(max(0.0, 1.0 - abs(alpha) ** 2)), 0.0)
+        beta = complex(math.sqrt(max(0.0, 1.0 - _norm_sq(alpha, 0.0))), 0.0)
     return LogicalQubit(alpha, beta)
 
 
@@ -402,8 +403,15 @@ def _resolve_experiment(args: argparse.Namespace) -> ExperimentConfig:
         if (value := getattr(args, name, None)) is not None
     }
     if config is None:
-        return ExperimentConfig(**{"error_kind": "rotation", **flags})
-    return dataclasses.replace(config, **flags) if flags else config
+        config = ExperimentConfig(**{"error_kind": "rotation", **flags})
+    elif flags:
+        config = dataclasses.replace(config, **flags)
+    # Refuse an --out in a missing or unwritable directory before any work.
+    directory = os.path.dirname(args.out or "") or "."
+    if args.out is not None and not os.access(directory, os.W_OK | os.X_OK):
+        code = errno.EACCES if os.path.isdir(directory) else errno.ENOENT
+        raise OSError(code, os.strerror(code), args.out)
+    return config
 
 
 def _read_text(path: str) -> str:

@@ -33,6 +33,7 @@ import numpy as np
 from .statevec import (
     StateVector,
     _adopt,
+    _norm_sq,
     apply_pauli_string,
     fidelity,
     pauli_gather,
@@ -56,7 +57,7 @@ class LogicalQubit:
 
     def __post_init__(self) -> None:
         alpha, beta = complex(self.alpha), complex(self.beta)
-        norm_sq = abs(alpha) ** 2 + abs(beta) ** 2
+        norm_sq = _norm_sq(alpha, beta)
         if not math.isfinite(norm_sq) or abs(norm_sq - 1.0) > _NORM_INPUT_TOL:
             raise ValueError(
                 f"logical amplitudes must be normalized, |a|^2+|b|^2 = {norm_sq!r}"
@@ -156,16 +157,15 @@ def _build_recovery_table(n: int, stabilizers: tuple[str, ...]) -> Mapping[str, 
     return MappingProxyType(table)
 
 
-def _frozen(amps: np.ndarray) -> np.ndarray:
-    amps.flags.writeable = False
-    return amps
+def _code(name: str, stabilizers: tuple[str, ...], v0: np.ndarray, v1: np.ndarray) -> CodeSpec:
+    """The CodeSpec of ``stabilizers`` and the codewords, which it freezes."""
+    n = v0.size.bit_length() - 1
+    v0.flags.writeable = v1.flags.writeable = False
 
-
-def _linear_encoder(v0: np.ndarray, v1: np.ndarray, n: int):
     def encode(logical: LogicalQubit) -> StateVector:
         return _adopt(n, logical.alpha * v0 + logical.beta * v1)
 
-    return encode
+    return CodeSpec(name, n, stabilizers, _build_recovery_table(n, stabilizers), encode)
 
 
 # ---------------------------------------------------------------------------
@@ -194,19 +194,12 @@ def _shor_codeword(sign: int) -> np.ndarray:
             for b2 in (0, 1):
                 index = (0o700 * b0 | 0o070 * b1 | 0o007 * b2)
                 amps[index] = (sign ** (b0 + b1 + b2)) * scale
-    return _frozen(amps)
+    return amps
 
 
 def shor_code() -> CodeSpec:
     """The [[9,1,3]] block-repetition code."""
-    v0, v1 = _shor_codeword(+1), _shor_codeword(-1)
-    return CodeSpec(
-        name="shor9",
-        n_physical=9,
-        stabilizers=_SHOR_STABILIZERS,
-        recovery_table=_build_recovery_table(9, _SHOR_STABILIZERS),
-        encoder=_linear_encoder(v0, v1, 9),
-    )
+    return _code("shor9", _SHOR_STABILIZERS, _shor_codeword(+1), _shor_codeword(-1))
 
 
 # Parity checks of the [7,4,3] Hamming code; column j (0-indexed) read
@@ -251,33 +244,22 @@ def _steane_codeword(kets: tuple[str, ...]) -> np.ndarray:
     scale = 1.0 / math.sqrt(8.0)
     for ket in kets:
         amps[int(ket, 2)] = scale
-    return _frozen(amps)
+    return amps
 
 
 def steane_code() -> CodeSpec:
     """The [[7,1,3]] CSS code over the Hamming parity checks."""
-    v0 = _steane_codeword(_STEANE_ZERO_KETS)
-    v1 = _steane_codeword(_STEANE_ONE_KETS)
-    return CodeSpec(
-        name="steane7",
-        n_physical=7,
-        stabilizers=_STEANE_STABILIZERS,
-        recovery_table=_build_recovery_table(7, _STEANE_STABILIZERS),
-        encoder=_linear_encoder(v0, v1, 7),
+    return _code(
+        "steane7",
+        _STEANE_STABILIZERS,
+        _steane_codeword(_STEANE_ZERO_KETS),
+        _steane_codeword(_STEANE_ONE_KETS),
     )
 
 
 def uncoded() -> CodeSpec:
     """Bare single qubit: identity encoder, empty syndrome, identity recovery."""
-    ket0 = _frozen(np.array([1.0, 0.0], dtype=np.complex128))
-    ket1 = _frozen(np.array([0.0, 1.0], dtype=np.complex128))
-    return CodeSpec(
-        name="uncoded",
-        n_physical=1,
-        stabilizers=(),
-        recovery_table=MappingProxyType({"": "I"}),
-        encoder=_linear_encoder(ket0, ket1, 1),
-    )
+    return _code("uncoded", (), *np.eye(2, dtype=np.complex128))
 
 
 _CODE_BUILDERS = {"shor9": shor_code, "steane7": steane_code, "uncoded": uncoded}

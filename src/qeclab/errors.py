@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .statevec import StateVector, _adopt, _product
+from .statevec import StateVector, _adopt, _norm_sq, _product
 
 FLIP_KINDS = ("bit_flip", "phase_flip", "bit_and_phase_flip")
 ERROR_KINDS = FLIP_KINDS + ("general_unitary", "rotation", "decay")
@@ -38,7 +38,7 @@ class GeneralErrorParams:
     e2: complex
 
     def __post_init__(self) -> None:
-        weight = abs(self.e1) ** 2 + abs(self.e2) ** 2
+        weight = _norm_sq(self.e1, self.e2)
         if not (math.isfinite(weight) and weight > 0.0):
             raise ValueError("e1 and e2 must be finite and not both zero")
 
@@ -85,6 +85,10 @@ class Placement:
         if self.n_errors < 0:
             raise ValueError(f"error count must be >= 0, got {self.n_errors}")
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        if self.qubits and self.rule != "fixed":
+            raise ValueError(f"{self.rule} placement takes no qubit list")
+        if self.n_errors and self.rule in ("fixed", "all_qubits"):
+            raise ValueError(f"{self.rule} placement takes no error count")
         if self.rule == "fixed" and not self.qubits:
             raise ValueError(
                 "fixed placement needs at least one qubit; use fermi:0 for no errors"

@@ -6,7 +6,7 @@ stabilizer, and reports the support right after injection and the
 infidelity 1 - F of the recovered state against the ideal encoding.
 Everything a trial computes is a function of its branch: the occupancy
 and the syndrome bits drawn so far.  ``sweep_theta`` therefore keeps, for
-the coded side of each grid point, one node trie of the plain trial per
+each side of each grid point, one node trie of the plain trial per
 occupancy (see ``_BranchCache``).  A trial makes every random draw the
 plain trial makes, in the same order and from the same stream, and its
 first missing node runs the plain trial's own walk,
@@ -14,19 +14,20 @@ first missing node runs the plain trial's own walk,
 through encode, inject, measure and recover on its own.  The encoding and
 the stabilizer gathers of a side do not depend on theta, so each side
 builds them once per sweep (``_Side``) and every grid point's kernel
-takes them in.  The bare-qubit baseline has one branch and runs once per
-grid point, on trial 0's stream.
+takes them in.  The uncoded baseline is that kernel on the bare qubit, a
+code with no stabilizer, under a placement that draws nothing: it has one
+leaf, computed once per grid point and reported exactly, with std 0.
 
-Trial t of grid point g on side s (0 coded, 1 uncoded) draws from the
-stream of ``default_rng(SeedSequence(entropy=seed, spawn_key=(g, t, s)))``,
-bit for bit, so results do not depend on how trials are scheduled and
-``_trial_rng`` rebuilds any one trial alone.  ``sweep_theta`` derives all
-of a sweep's streams in one vectorized pass over its keys, grid point by
-grid point, in blocks of ``_STREAM_BLOCK``: numpy mixes the run entropy
-once, and the spawn-key words and output hash of ``SeedSequence`` run on
-all keys at once.  Each trial draws its placement and then its m syndrome
-uniforms in one ``rng.random(m)`` call, which reads the same values as m
-scalar draws.
+Trial t of grid point g draws from the stream of
+``default_rng(SeedSequence(entropy=seed, spawn_key=(g, t, 0)))``, bit for
+bit, so results do not depend on how trials are scheduled and
+``_trial_rng`` rebuilds any one trial alone (side 1 names streams that no
+sweep derives).  ``sweep_theta`` derives all of a sweep's streams in one
+vectorized pass, grid point by grid point, in blocks of
+``_STREAM_BLOCK``: numpy mixes the run entropy once, and the spawn-key
+words and output hash of ``SeedSequence`` run on all keys at once.  Each
+trial draws its placement and then its m syndrome uniforms in one
+``rng.random(m)`` call, which reads the same values as m scalar draws.
 """
 from __future__ import annotations
 
@@ -59,8 +60,6 @@ SUPPORT_THRESHOLD = 1e-12
 # floored to zero in trials and excluded from power-law fits.
 NUMERICAL_FLOOR = 1e-13
 
-_CODED, _UNCODED = 0, 1
-
 
 def _stacks_errors(placement: Placement) -> bool:
     """Whether ``placement`` can land two errors on one qubit."""
@@ -75,7 +74,7 @@ def _check_placement(placement: Placement, code: str, error_kind: str) -> None:
     errors, and a decay placement never stacks errors on one qubit."""
     n = get_code(code).n_physical
     outside = [q for q in placement.qubits if not 0 <= q < n]
-    if placement.rule == "fixed" and outside:
+    if outside:
         raise ValueError(f"fixed placement qubit {outside[0]} out of range for {n} qubits")
     if placement.rule == "fermi" and placement.n_errors > n:
         raise ValueError(f"fermi placement n={placement.n_errors} exceeds register size N={n}")
@@ -320,8 +319,8 @@ class _BranchCache:
     trial reached it.  So from a trial's first missing node down
     everything is new: the trial then reruns the syndrome walk from the
     injected state on its own uniforms and adds every node and the leaf it
-    passes.  Hits are lookups only.  ``all_qubits`` and ``fixed``
-    placements draw nothing, so their one occupancy is injected here.
+    passes.  Hits are lookups only.  A placement with no error count
+    draws nothing, so its one occupancy is injected here.
     """
 
     def __init__(self, side: _Side, theta: float) -> None:
@@ -329,14 +328,10 @@ class _BranchCache:
         self.model = model_for(side.config, theta)
         self.inject = _injector(self.model)
         self.injected: dict[bytes, list] = {}
-        self.hoisted = None
-        if self.model.placement.rule in ("all_qubits", "fixed"):
-            self.hoisted = self._entry(self._occupancy(None))
+        self.hoisted = None if self.model.placement.n_errors else self._entry(None)
 
-    def _occupancy(self, rng: np.random.Generator | None) -> np.ndarray:
-        return resolve_occupancy(self.model.placement, self.side.code.n_physical, rng)
-
-    def _entry(self, occupancy: np.ndarray) -> list:
+    def _entry(self, rng: np.random.Generator | None) -> list:
+        occupancy = resolve_occupancy(self.model.placement, self.side.code.n_physical, rng)
         key = occupancy.tobytes()
         entry = self.injected.get(key)
         if entry is None:
@@ -345,7 +340,7 @@ class _BranchCache:
         return entry
 
     def trial(self, rng: np.random.Generator) -> tuple[float, int]:
-        entry = self.hoisted or self._entry(self._occupancy(rng))
+        entry = self.hoisted or self._entry(rng)
         uniforms = rng.random(len(self.side.gathers)).tolist()
         node = entry[2]
         for u in uniforms:
@@ -384,13 +379,11 @@ def run_trial(
 
 
 def _bare_qubit_placement(placement: Placement) -> Placement:
-    """Project a placement onto one qubit: fixed errors all land on qubit 0,
-    fermi keeps at most one error, and every other rule is unchanged."""
-    if placement.rule == "fixed":
-        return Placement.fixed((0,) * len(placement.qubits))
-    if placement.rule == "fermi":
-        return Placement.fermi(min(placement.n_errors, 1))
-    return placement
+    """Project a placement onto one qubit: every error it places lands on
+    qubit 0 (fermi keeps at most one), so the projection draws nothing."""
+    n = {"all_qubits": 1, "fixed": len(placement.qubits), "fermi": min(placement.n_errors, 1)}
+    n = n.get(placement.rule, placement.n_errors)
+    return Placement.fixed((0,) * n) if n else Placement.fermi(0)
 
 
 def sweep_theta(config: ExperimentConfig) -> SweepResult:
@@ -404,32 +397,27 @@ def sweep_theta(config: ExperimentConfig) -> SweepResult:
         replace(config, code="uncoded", placement=_bare_qubit_placement(config.placement))
     )
     coded_side = _Side(config)
-    # One stream pass for the whole sweep: per grid point its coded trials,
-    # then the bare qubit's one stream.
-    per_point = [(t, _CODED) for t in range(config.trials)] + [(0, _UNCODED)]
+    # One stream pass for the whole sweep, grid point by grid point.
     streams = _trial_streams(
         config.seed,
-        ((g, t, s) for g in range(len(config.theta_grid)) for t, s in per_point),
+        ((g, t, 0) for g in range(len(config.theta_grid)) for t in range(config.trials)),
     )
     rows = []
     for theta in config.theta_grid:
         kernel = _BranchCache(coded_side, theta)
         coded = np.empty(config.trials)
         supports = np.empty(config.trials)
-        # ``range`` comes first so that zip leaves the uncoded stream unread.
-        for trial, rng in zip(range(config.trials), streams):
+        for trial, rng in enumerate(itertools.islice(streams, config.trials)):
             coded[trial], supports[trial] = kernel.trial(rng)
-        # The bare qubit's one branch: every trial would repeat trial 0.  The
-        # mean of n equal floats need not be the value, so average anyway.
-        bare = _BranchCache(bare_side, theta).trial(next(streams))[0]
-        uncoded = np.full(config.trials, bare)
+        # The bare qubit draws and measures nothing: one leaf, on no uniforms.
+        bare = _BranchCache(bare_side, theta)
         rows.append(
             SweepRow(
                 theta=theta,
                 mean_infid_coded=float(coded.mean()),
                 std_coded=float(coded.std()),
-                mean_infid_uncoded=float(uncoded.mean()),
-                std_uncoded=float(uncoded.std()),
+                mean_infid_uncoded=bare._record(bare.hoisted, []),
+                std_uncoded=0.0,
                 mean_support=float(supports.mean()),
             )
         )

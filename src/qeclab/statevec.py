@@ -93,6 +93,14 @@ def _adopt(n_qubits: int, amps: np.ndarray) -> StateVector:
     return state
 
 
+def _norm_sq(a: complex, b: complex) -> float:
+    """``abs(a) ** 2 + abs(b) ** 2``, or inf where that raises OverflowError."""
+    try:
+        return abs(a) ** 2 + abs(b) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def basis_state(n_qubits: int, bits: str) -> StateVector:
     """Computational basis state |bits>, qubit 0 being the leftmost bit."""
     if len(bits) != n_qubits:

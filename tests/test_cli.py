@@ -730,8 +730,47 @@ class TestCliCommands:
         ) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_unwritable_out_is_refused_before_the_sweep_runs(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The write's own error, naming --out, comes before any trial."""
+        calls = []
+        monkeypatch.setattr(qeclab.cli, "sweep_theta", lambda config: calls.append(config))
+        target = str(tmp_path / "no" / "x.csv")
+        assert main(SWEEP_ARGV + ["--trials", "40000", "--out", target]) == 3
+        message = f"error: [Errno 2] No such file or directory: {target!r}\n"
+        assert capsys.readouterr() == ("", message)
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_logical_flag_exits_2(self, capsys):
         assert main(["encode", "--code", "steane7", "--logical", "1"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv,text,message",
+        [
+            (["encode", "--code", "steane7", "--logical", "1e200,0"], None,
+             "logical amplitudes must be normalized, |a|^2+|b|^2 = inf"),
+            (["encode", "--code", "steane7", "--logical", "1e308,0,1e308,0"], None,
+             "logical amplitudes must be normalized, |a|^2+|b|^2 = inf"),
+            (["sweep"], MINIMAL + "logical.alpha_re = 1e200\n",
+             "line 6: logical amplitudes must be normalized, |a|^2+|b|^2 = inf"),
+            (["sweep"], "code = shor9\nerror.kind = general_unitary\nerror.placement = fixed:3\n"
+             "error.e1_re = 1e308\ntheta = 0\n",
+             "line 4: e1 and e2 must be finite and not both zero"),
+        ],
+        ids=["logical_pair", "logical_four", "config_logical", "config_general"],
+    )
+    def test_an_amplitude_too_large_to_square_exits_2(
+        self, argv, text, message, tmp_path, capsys
+    ):
+        """abs(z) ** 2 overflows above about 1.34e154; the refusal is one error line."""
+        if text is not None:
+            config = tmp_path / "big.cfg"
+            config.write_text(text)
+            argv = [*argv, "--config", str(config)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_missing_config_file_exits_3(self, capsys):
         assert main(["sweep", "--config", "/definitely/not/here.txt"]) == 3

@@ -247,6 +247,22 @@ class TestErrorModelValidation:
         with pytest.raises(ValueError, match="use fermi:0"):
             Placement.fixed(())
 
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            (dict(rule="all_qubits", n_errors=3), "all_qubits placement takes no error count"),
+            (dict(rule="all_qubits", qubits=(1, 2)), "all_qubits placement takes no qubit list"),
+            (dict(rule="fermi", qubits=(1,), n_errors=1), "fermi placement takes no qubit list"),
+            (dict(rule="fixed", qubits=(1,), n_errors=1), "fixed placement takes no error count"),
+        ],
+        ids=["all_qubits-count", "all_qubits-qubits", "fermi-qubits", "fixed-count"],
+    )
+    def test_placement_refuses_fields_its_rule_ignores(self, fields, message):
+        """Each rule takes only the fields it reads, so every placement
+        round-trips through its spelling."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Placement(**fields)
+
 
 class TestApplyErrorModel:
     def test_zero_rotation_everywhere_is_noop(self):

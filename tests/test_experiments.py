@@ -70,7 +70,8 @@ def uncached_trial(config, theta, rng):
 
 def uncached_rows(config):
     """The sweep's rows, each trial run through ``uncached_trial`` on its
-    own stream (the bare qubit on every uncoded stream, not just trial 0's)."""
+    own stream.  The bare qubit runs on every uncoded stream, not just
+    trial 0's, must give one value on all of them, and reports it exactly."""
     bare_config = dataclasses.replace(
         config, code="uncoded", placement=_bare_qubit_placement(config.placement)
     )
@@ -80,14 +81,14 @@ def uncached_rows(config):
             uncached_trial(config, theta, _trial_rng(config.seed, grid_index, t, 0))
             for t in range(config.trials)
         ))
-        bare = [
+        (bare,) = {
             uncached_trial(bare_config, theta, _trial_rng(config.seed, grid_index, t, 1))[0]
             for t in range(config.trials)
-        ]
-        coded, bare = np.array(coded), np.array(bare)
+        }
+        coded = np.array(coded)
         rows.append(
             SweepRow(theta, float(coded.mean()), float(coded.std()),
-                     float(bare.mean()), float(bare.std()), float(np.mean(supports)))
+                     bare, 0.0, float(np.mean(supports)))
         )
     return tuple(rows)
 
@@ -326,6 +327,8 @@ class TestSweepTheta:
             (Placement.fermi(2), 0.15),
             (Placement.fixed([0, 0]), 0.3),
             (Placement.bose_einstein(2), 0.3),
+            (Placement.fixed([0, 0, 0, 0]), 0.6),
+            (Placement.bose_einstein(4), 0.6),
         ],
     )
     def test_uncoded_baseline_projects_placement(self, placement, angle):
@@ -375,7 +378,8 @@ class TestSweepTheta:
 
     def test_sweep_derives_one_uncoded_stream_per_grid_point(self, monkeypatch):
         """Per grid point, the sweep derives exactly its ``trials`` coded keys
-        and one uncoded key, in blocks of at most ``_STREAM_BLOCK`` keys."""
+        and no uncoded key (the baseline draws nothing), in blocks of at most
+        ``_STREAM_BLOCK`` keys."""
         calls = []
 
         def counting(seed, keys):
@@ -389,9 +393,7 @@ class TestSweepTheta:
         assert all(seed == config.seed and len(keys) <= 5 for seed, keys in calls)
         derived = [key for _, keys in calls for key in keys]
         assert derived == [
-            key
-            for g in range(len(config.theta_grid))
-            for key in [(g, t, 0) for t in range(config.trials)] + [(g, 0, 1)]
+            (g, t, 0) for g in range(len(config.theta_grid)) for t in range(config.trials)
         ]
 
     def test_trials_are_schedule_independent(self):
@@ -452,14 +454,15 @@ class TestSweepTheta:
                 uncached_trial(config, theta, _trial_rng(config.seed, grid_index, t, 0))
                 for t in range(config.trials)
             ))
-            bare = [
+            # The bare qubit gives one value on every stream; the row reports it.
+            (bare,) = {
                 uncached_trial(bare_config, theta, _trial_rng(config.seed, grid_index, t, 1))[0]
                 for t in range(config.trials)
-            ]
-            coded, bare = np.array(coded), np.array(bare)
+            }
+            coded = np.array(coded)
             expected.append(
                 SweepRow(theta, float(coded.mean()), float(coded.std()),
-                         float(bare.mean()), float(bare.std()), float(np.mean(supports)))
+                         bare, 0.0, float(np.mean(supports)))
             )
         assert sweep_theta(config).rows == tuple(expected)
         assert len(set(coded)) > 1  # the grid point reaches several branches
@@ -536,7 +539,7 @@ class TestSweepTheta:
         assert sweep_theta(config).rows == uncached_rows(config)
 
     def test_sweep_derives_its_streams_in_one_pass(self, monkeypatch):
-        """The criterion-4 grid at 20 trials has 147 keys, one block."""
+        """The criterion-4 grid at 20 trials has 140 keys, one block."""
         calls = []
 
         def counting(seed, keys):
@@ -546,11 +549,14 @@ class TestSweepTheta:
         monkeypatch.setattr(qeclab.experiments, "_stream_seeds", counting)
         config = rotation_config(theta_grid=tuple(np.geomspace(1e-3, 1e-1, 7)), trials=20)
         sweep_theta(config)
-        assert calls == [7 * 21]
+        assert calls == [7 * 20]
         sweep_theta(dataclasses.replace(config, seed=1))
-        assert calls == [7 * 21] * 2
+        assert calls == [7 * 20] * 2
 
-    @pytest.mark.parametrize("placement", [ALL_QUBITS, Placement.fixed([0, 0, 3])])
+    @pytest.mark.parametrize(
+        "placement",
+        [ALL_QUBITS, Placement.fixed([0, 0, 3]), Placement.fermi(0), Placement.bose_einstein(0)],
+    )
     def test_deterministic_occupancy_is_injected_once_per_grid_point(
         self, monkeypatch, placement
     ):
