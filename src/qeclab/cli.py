@@ -329,13 +329,33 @@ def render_csv(result: SweepResult, comments: tuple[str, ...] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _open_temp(path: str) -> tuple[str, int]:
     # A unique sibling temp file, so concurrent writers never share one;
     # mode 0o666 under the umask is what open(path, "w") would give.
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    return tmp, os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+
+
+def _probe_out(path: str) -> None:
+    """Refuse an --out target before any work by trying what ``_write_atomic``
+    does first: create its sibling temp file, then remove it.  A directory,
+    or a path that names no file, would only fail at the final rename."""
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        if os.path.isdir(path):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not os.path.basename(path):
+            raise OSError(errno.ENOENT, os.strerror(errno.ENOENT))
+        tmp, fd = _open_temp(path)
+        os.close(fd)
+        os.unlink(tmp)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+
+
+def _write_atomic(path: str, text: str) -> None:
+    try:
+        tmp, fd = _open_temp(path)
         try:
             with open(fd, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
@@ -406,11 +426,8 @@ def _resolve_experiment(args: argparse.Namespace) -> ExperimentConfig:
         config = ExperimentConfig(**{"error_kind": "rotation", **flags})
     elif flags:
         config = dataclasses.replace(config, **flags)
-    # Refuse an --out in a missing or unwritable directory before any work.
-    directory = os.path.dirname(args.out or "") or "."
-    if args.out is not None and not os.access(directory, os.W_OK | os.X_OK):
-        code = errno.EACCES if os.path.isdir(directory) else errno.ENOENT
-        raise OSError(code, os.strerror(code), args.out)
+    if args.out is not None:
+        _probe_out(args.out)
     return config
 
 

@@ -1,13 +1,16 @@
 """Encoders, stabilizer syndromes, and recovery for the Shor 9-qubit and
 Steane 7-qubit codes, plus an uncoded single-qubit baseline.
 
-Encoders write the codeword amplitudes directly (8 kets per logical basis
-state for either code) rather than synthesizing gate circuits, so the
-constants below are bit-exact and circuit bugs are out of the blast
-radius.  Syndrome extraction is direct projective measurement of each
-stabilizer; the post-measurement state is identical to what ancilla
-circuits would produce without ever growing the register.  That walk,
-``_syndrome_walk``, serves both ``extract_syndrome`` and the sweep kernel.
+Each code is written down once, as its stabilizers and its logical Z and
+X; the rest is derived when the code is built.  The codewords project
+|0...0> onto the code space instead of running gate circuits, and their
+amplitudes are set exactly (1/sqrt 8 on 8 kets per logical basis state
+for either code), so they are bit-exact and circuit bugs are out of the
+blast radius.  Syndrome extraction is direct projective measurement of
+each stabilizer through the gathers its ``CodeSpec`` holds; the
+post-measurement state is identical to what ancilla circuits would
+produce without ever growing the register.  That walk, ``_syndrome_walk``,
+serves both ``extract_syndrome`` and the sweep kernel.
 
 Recovery tables are built at construction time by sweeping error patterns
 in order of increasing weight, separately for the X sector (flagged by
@@ -22,7 +25,7 @@ matching a particular Pauli.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
@@ -34,6 +37,7 @@ from .statevec import (
     StateVector,
     _adopt,
     _norm_sq,
+    _pauli_action,
     apply_pauli_string,
     fidelity,
     pauli_gather,
@@ -41,8 +45,6 @@ from .statevec import (
     plus_probability,
     project_image,
 )
-
-CODE_NAMES = ("shor9", "steane7", "uncoded")
 
 _NORM_INPUT_TOL = 1e-8
 _NORM_EXACT_TOL = 1e-12
@@ -81,13 +83,19 @@ class SyndromeResult:
 
 @dataclass(frozen=True)
 class CodeSpec:
-    """A code: physical size, stabilizer list, total recovery table, encoder."""
+    """A code: physical size, stabilizer list, total recovery table, encoder,
+    and the (src, phases) gather of each stabilizer, built with the spec."""
 
     name: str
     n_physical: int
     stabilizers: tuple[str, ...]
     recovery_table: Mapping[str, str]
     encoder: Callable[[LogicalQubit], StateVector]
+    gathers: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        gathers = tuple(pauli_gather(self.n_physical, s) for s in self.stabilizers)
+        object.__setattr__(self, "gathers", gathers)
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +112,6 @@ def pauli_strings_commute(a: str, b: str) -> bool:
 
 def _support(pauli: str) -> frozenset[int]:
     return frozenset(i for i, op in enumerate(pauli) if op != "I")
-
-
-def _single_letter_string(n: int, support, letter: str) -> str:
-    cells = set(support)
-    return "".join(letter if i in cells else "I" for i in range(n))
 
 
 def _min_weight_patterns(
@@ -157,9 +160,23 @@ def _build_recovery_table(n: int, stabilizers: tuple[str, ...]) -> Mapping[str, 
     return MappingProxyType(table)
 
 
-def _code(name: str, stabilizers: tuple[str, ...], v0: np.ndarray, v1: np.ndarray) -> CodeSpec:
-    """The CodeSpec of ``stabilizers`` and the codewords, which it freezes."""
-    n = v0.size.bit_length() - 1
+def _code(name: str, stabilizers: tuple[str, ...], logical_z: str, logical_x: str) -> CodeSpec:
+    """The CodeSpec of a CSS code.  |0_L> is |0...0> projected onto the +1
+    eigenspace of ``logical_z`` and of every stabilizer; a CSS codeword is
+    uniform over its support, so it is exactly 1/sqrt(support size) there.
+    |1_L> is ``logical_x`` |0_L>.  The projections take statevec's private
+    gathers, not the module names that tracers and tests patch."""
+    n = len(logical_z)
+    projected = np.zeros(1 << n)
+    projected[0] = 1.0
+    for ops in (logical_z, *stabilizers):  # each (I + P) is exact on integers
+        src, phases = _pauli_action(n, ops)
+        projected = projected + phases * projected[src]
+    support = projected != 0
+    v0 = np.zeros(1 << n, dtype=np.complex128)
+    v0[support] = 1.0 / math.sqrt(np.count_nonzero(support))
+    src, phases = _pauli_action(n, logical_x)
+    v1 = phases * v0[src] + 0.0  # + 0.0 turns the -0.0 of a -1 phase into 0.0
     v0.flags.writeable = v1.flags.writeable = False
 
     def encode(logical: LogicalQubit) -> StateVector:
@@ -172,97 +189,36 @@ def _code(name: str, stabilizers: tuple[str, ...], v0: np.ndarray, v1: np.ndarra
 # The codes
 # ---------------------------------------------------------------------------
 
-_SHOR_STABILIZERS = (
-    "ZZIIIIIII",
-    "IZZIIIIII",
-    "IIIZZIIII",
-    "IIIIZZIII",
-    "IIIIIIZZI",
-    "IIIIIIIZZ",
-    "XXXXXXIII",
-    "IIIXXXXXX",
-)
-
-
-def _shor_codeword(sign: int) -> np.ndarray:
-    # (|000> + sign|111>)^3 / (2 sqrt 2); the ket index packs the three
-    # blocks with qubit 0 as the most significant bit.
-    amps = np.zeros(512, dtype=np.complex128)
-    scale = 1.0 / (2.0 * math.sqrt(2.0))
-    for b0 in (0, 1):
-        for b1 in (0, 1):
-            for b2 in (0, 1):
-                index = (0o700 * b0 | 0o070 * b1 | 0o007 * b2)
-                amps[index] = (sign ** (b0 + b1 + b2)) * scale
-    return amps
-
-
 def shor_code() -> CodeSpec:
     """The [[9,1,3]] block-repetition code."""
-    return _code("shor9", _SHOR_STABILIZERS, _shor_codeword(+1), _shor_codeword(-1))
-
-
-# Parity checks of the [7,4,3] Hamming code; column j (0-indexed) read
-# top-to-bottom is the binary expansion of j + 1.
-_HAMMING_ROWS = ("0001111", "0110011", "1010101")
-
-
-def _row_support(row: str) -> frozenset[int]:
-    return frozenset(i for i, ch in enumerate(row) if ch == "1")
-
-
-_STEANE_STABILIZERS = tuple(
-    _single_letter_string(7, _row_support(row), "Z") for row in _HAMMING_ROWS
-) + tuple(
-    _single_letter_string(7, _row_support(row), "X") for row in _HAMMING_ROWS
-)
-
-_STEANE_ZERO_KETS = (
-    "0000000",
-    "0001111",
-    "0110011",
-    "0111100",
-    "1010101",
-    "1011010",
-    "1100110",
-    "1101001",
-)
-_STEANE_ONE_KETS = (
-    "1111111",
-    "1110000",
-    "1001100",
-    "1000011",
-    "0101010",
-    "0100101",
-    "0011001",
-    "0010110",
-)
-
-
-def _steane_codeword(kets: tuple[str, ...]) -> np.ndarray:
-    amps = np.zeros(128, dtype=np.complex128)
-    scale = 1.0 / math.sqrt(8.0)
-    for ket in kets:
-        amps[int(ket, 2)] = scale
-    return amps
+    return _code(
+        "shor9",
+        ("ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII", "IIIIIIZZI", "IIIIIIIZZ",
+         "XXXXXXIII", "IIIXXXXXX"),
+        "XXXXXXXXX",
+        "ZZZZZZZZZ",
+    )
 
 
 def steane_code() -> CodeSpec:
     """The [[7,1,3]] CSS code over the Hamming parity checks."""
+    # Parity checks of the [7,4,3] Hamming code, as Z and then as X; column
+    # j (0-indexed) read top-to-bottom is the binary expansion of j + 1.
     return _code(
         "steane7",
-        _STEANE_STABILIZERS,
-        _steane_codeword(_STEANE_ZERO_KETS),
-        _steane_codeword(_STEANE_ONE_KETS),
+        ("IIIZZZZ", "IZZIIZZ", "ZIZIZIZ", "IIIXXXX", "IXXIIXX", "XIXIXIX"),
+        "ZZZZZZZ",
+        "XXXXXXX",
     )
 
 
 def uncoded() -> CodeSpec:
     """Bare single qubit: identity encoder, empty syndrome, identity recovery."""
-    return _code("uncoded", (), *np.eye(2, dtype=np.complex128))
+    return _code("uncoded", (), "Z", "X")
 
 
 _CODE_BUILDERS = {"shor9": shor_code, "steane7": steane_code, "uncoded": uncoded}
+CODE_NAMES = tuple(_CODE_BUILDERS)
 
 
 @lru_cache(maxsize=None)
@@ -312,8 +268,8 @@ def extract_syndrome(
             f"state has {state.n_qubits} qubits but {code.name} needs "
             f"{code.n_physical}"
         )
-    gathers = [pauli_gather(code.n_physical, s) for s in code.stabilizers]
-    bits, _, post = _syndrome_walk(state, gathers, rng.random(len(gathers)).tolist())
+    uniforms = rng.random(len(code.gathers)).tolist()
+    bits, _, post = _syndrome_walk(state, code.gathers, uniforms)
     return SyndromeResult(bits, post)
 
 

@@ -199,23 +199,30 @@ def decoherence_prob(m: DecayModel) -> float:
 # Occupancy statistics
 # ---------------------------------------------------------------------------
 
-def bose_einstein_pattern_prob(n_cells: int, n_errors: int) -> Fraction:
-    """Probability of each multiset pattern: 1 / C(N + n - 1, n), exact."""
+def _check_counts(n_cells: int, n_errors: int, statistics: str) -> None:
+    """The occupancy-count rules: known statistics, N >= 1 cells, n >= 0
+    errors, and under fermi statistics at most one error per cell."""
+    if statistics not in ("bose_einstein", "fermi"):
+        raise ValueError(f"unknown statistics {statistics!r}")
     if n_cells < 1:
         raise ValueError(f"need at least one cell, got {n_cells}")
+    if statistics == "fermi" and not 0 <= n_errors <= n_cells:
+        raise ValueError(
+            f"fermi placement needs 0 <= n <= N, got n={n_errors}, N={n_cells}"
+        )
     if n_errors < 0:
         raise ValueError(f"error count must be >= 0, got {n_errors}")
+
+
+def bose_einstein_pattern_prob(n_cells: int, n_errors: int) -> Fraction:
+    """Probability of each multiset pattern: 1 / C(N + n - 1, n), exact."""
+    _check_counts(n_cells, n_errors, "bose_einstein")
     return Fraction(1, math.comb(n_cells + n_errors - 1, n_errors))
 
 
 def fermi_pattern_prob(n_cells: int, n_errors: int) -> Fraction:
     """Probability of each subset pattern: 1 / C(N, n), exact."""
-    if n_cells < 1:
-        raise ValueError(f"need at least one cell, got {n_cells}")
-    if not 0 <= n_errors <= n_cells:
-        raise ValueError(
-            f"fermi placement needs 0 <= n <= N, got n={n_errors}, N={n_cells}"
-        )
+    _check_counts(n_cells, n_errors, "fermi")
     return Fraction(1, math.comb(n_cells, n_errors))
 
 
@@ -237,25 +244,16 @@ def sample_placement(
     hold more than one error); ``fermi`` is uniform over all n-subsets.
     The occupancies always sum to n.
     """
-    if n_cells < 1:
-        raise ValueError(f"need at least one cell, got {n_cells}")
-    if n_errors < 0:
-        raise ValueError(f"error count must be >= 0, got {n_errors}")
+    _check_counts(n_cells, n_errors, statistics)
     occupancy = np.zeros(n_cells, dtype=np.int64)
     if statistics == "bose_einstein":
         # Stars and bars: a uniform n-subset of N+n-1 slot indices marks the
         # star positions; star j in slot p sits in cell p - j.
         for j, pos in enumerate(_uniform_subset(n_cells + n_errors - 1, n_errors, rng)):
             occupancy[pos - j] += 1
-    elif statistics == "fermi":
-        if n_errors > n_cells:
-            raise ValueError(
-                f"fermi placement needs n <= N, got n={n_errors}, N={n_cells}"
-            )
+    else:
         for cell in _uniform_subset(n_cells, n_errors, rng):
             occupancy[cell] = 1
-    else:
-        raise ValueError(f"unknown statistics {statistics!r}")
     return occupancy
 
 

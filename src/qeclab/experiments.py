@@ -11,12 +11,13 @@ occupancy (see ``_BranchCache``).  A trial makes every random draw the
 plain trial makes, in the same order and from the same stream, and its
 first missing node runs the plain trial's own walk,
 ``codes._syndrome_walk``, so rows are bit-identical to pushing each trial
-through encode, inject, measure and recover on its own.  The encoding and
-the stabilizer gathers of a side do not depend on theta, so each side
-builds them once per sweep (``_Side``) and every grid point's kernel
-takes them in.  The uncoded baseline is that kernel on the bare qubit, a
-code with no stabilizer, under a placement that draws nothing: it has one
-leaf, computed once per grid point and reported exactly, with std 0.
+through encode, inject, measure and recover on its own.  Each
+``CodeSpec`` holds its stabilizer gathers, and a side's encoding does not
+depend on theta, so ``sweep_theta`` encodes each side once and every grid
+point's kernel takes that encoding in.  The uncoded baseline is that
+kernel on the bare qubit, a code with no stabilizer, under a placement
+that draws nothing: it has one leaf, computed once per grid point and
+reported exactly, with std 0.
 
 Trial t of grid point g draws from the stream of
 ``default_rng(SeedSequence(entropy=seed, spawn_key=(g, t, 0)))``, bit for
@@ -53,7 +54,7 @@ from .errors import (
     resolve_occupancy,
     rotation_unitary,
 )
-from .statevec import StateVector, apply_product, fidelity, pauli_gather, support_size
+from .statevec import StateVector, apply_product, fidelity, support_size
 
 SUPPORT_THRESHOLD = 1e-12
 # Infidelities this small are rounding residue, not physics; they are
@@ -298,17 +299,6 @@ def _trial_rng(seed: int, grid_index: int, trial: int, side: int) -> np.random.G
     return next(_trial_streams(seed, [(grid_index, trial, side)]))
 
 
-class _Side:
-    """The theta-independent half of one side's kernel: its config, code,
-    encoded logical state and stabilizer gathers, built once per sweep."""
-
-    def __init__(self, config: ExperimentConfig) -> None:
-        self.config = config
-        code = self.code = get_code(config.code)
-        self.encoded = code.encoder(config.logical)
-        self.gathers = [pauli_gather(code.n_physical, s) for s in code.stabilizers]
-
-
 class _BranchCache:
     """The trial kernel of one side at one grid point: a memo of the plain trial.
 
@@ -323,25 +313,26 @@ class _BranchCache:
     draws nothing, so its one occupancy is injected here.
     """
 
-    def __init__(self, side: _Side, theta: float) -> None:
-        self.side = side
-        self.model = model_for(side.config, theta)
+    def __init__(self, config: ExperimentConfig, encoded: StateVector, theta: float) -> None:
+        self.code = get_code(config.code)
+        self.encoded = encoded
+        self.model = model_for(config, theta)
         self.inject = _injector(self.model)
         self.injected: dict[bytes, list] = {}
         self.hoisted = None if self.model.placement.n_errors else self._entry(None)
 
     def _entry(self, rng: np.random.Generator | None) -> list:
-        occupancy = resolve_occupancy(self.model.placement, self.side.code.n_physical, rng)
+        occupancy = resolve_occupancy(self.model.placement, self.code.n_physical, rng)
         key = occupancy.tobytes()
         entry = self.injected.get(key)
         if entry is None:
-            state = self.inject(self.side.encoded, occupancy)
+            state = self.inject(self.encoded, occupancy)
             entry = self.injected[key] = [state, support_size(state, SUPPORT_THRESHOLD), None]
         return entry
 
     def trial(self, rng: np.random.Generator) -> tuple[float, int]:
         entry = self.hoisted or self._entry(rng)
-        uniforms = rng.random(len(self.side.gathers)).tolist()
+        uniforms = rng.random(len(self.code.gathers)).tolist()
         node = entry[2]
         for u in uniforms:
             if node is None:
@@ -350,10 +341,9 @@ class _BranchCache:
         return (node[0] if node else self._record(entry, uniforms)), entry[1]
 
     def _record(self, entry: list, uniforms: list[float]) -> float:
-        side = self.side
-        bits, p_pluses, post = _syndrome_walk(entry[0], side.gathers, uniforms)
-        corrected = recover(SyndromeResult(bits, post), side.code)
-        infid = 1.0 - fidelity(corrected, side.encoded)
+        bits, p_pluses, post = _syndrome_walk(entry[0], self.code.gathers, uniforms)
+        corrected = recover(SyndromeResult(bits, post), self.code)
+        infid = 1.0 - fidelity(corrected, self.encoded)
         if infid < NUMERICAL_FLOOR:
             infid = 0.0
         # The entry's slot 2 holds the root as a node's slots 1 and 2 hold
@@ -375,7 +365,8 @@ def run_trial(
     before any measurement collapses the proliferated components.  This is
     one trial of ``sweep_theta``'s kernel on an empty cache.
     """
-    return _BranchCache(_Side(config), theta).trial(rng)
+    encoded = get_code(config.code).encoder(config.logical)
+    return _BranchCache(config, encoded, theta).trial(rng)
 
 
 def _bare_qubit_placement(placement: Placement) -> Placement:
@@ -393,10 +384,10 @@ def sweep_theta(config: ExperimentConfig) -> SweepResult:
     ``all_qubits`` placement the comparison is per-physical-qubit fair:
     the baseline sees the error exactly once.
     """
-    bare_side = _Side(
-        replace(config, code="uncoded", placement=_bare_qubit_placement(config.placement))
-    )
-    coded_side = _Side(config)
+    placement = _bare_qubit_placement(config.placement)
+    bare_config = replace(config, code="uncoded", placement=placement)
+    coded_encoded = get_code(config.code).encoder(config.logical)
+    bare_encoded = get_code("uncoded").encoder(config.logical)
     # One stream pass for the whole sweep, grid point by grid point.
     streams = _trial_streams(
         config.seed,
@@ -404,13 +395,13 @@ def sweep_theta(config: ExperimentConfig) -> SweepResult:
     )
     rows = []
     for theta in config.theta_grid:
-        kernel = _BranchCache(coded_side, theta)
+        kernel = _BranchCache(config, coded_encoded, theta)
         coded = np.empty(config.trials)
         supports = np.empty(config.trials)
         for trial, rng in enumerate(itertools.islice(streams, config.trials)):
             coded[trial], supports[trial] = kernel.trial(rng)
         # The bare qubit draws and measures nothing: one leaf, on no uniforms.
-        bare = _BranchCache(bare_side, theta)
+        bare = _BranchCache(bare_config, bare_encoded, theta)
         rows.append(
             SweepRow(
                 theta=theta,

@@ -2,8 +2,10 @@
 
 import argparse
 import dataclasses
+import errno
 import importlib.util
 import math
+import os
 import re
 import warnings
 
@@ -739,6 +741,32 @@ class TestCliCommands:
         target = str(tmp_path / "no" / "x.csv")
         assert main(SWEEP_ARGV + ["--trials", "40000", "--out", target]) == 3
         message = f"error: [Errno 2] No such file or directory: {target!r}\n"
+        assert capsys.readouterr() == ("", message)
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("case", ["a_directory", "read_only"])
+    def test_an_out_that_access_would_pass_is_refused_before_the_sweep_runs(
+        self, case, tmp_path, monkeypatch, capsys
+    ):
+        """The --out check tries the write's first step, so it also refuses
+        targets that a permission check lets through: an existing directory,
+        or a directory that refuses new files (as root, /proc does)."""
+        calls = []
+        monkeypatch.setattr(qeclab.cli, "sweep_theta", lambda config: calls.append(config))
+        target, code = tmp_path, errno.EISDIR
+        if case == "read_only":
+            target, code = tmp_path / "x.csv", errno.EROFS
+
+            def refuse(*args, **kwargs):
+                raise OSError(errno.EROFS, os.strerror(errno.EROFS))
+
+            monkeypatch.setattr(qeclab.cli.os, "open", refuse)
+        # A bad config is still refused first.
+        assert main(SWEEP_ARGV + ["--trials", "0", "--out", str(target)]) == 2
+        capsys.readouterr()
+        assert main(SWEEP_ARGV + ["--trials", "40000", "--out", str(target)]) == 3
+        message = f"error: [Errno {code}] {os.strerror(code)}: {str(target)!r}\n"
         assert capsys.readouterr() == ("", message)
         assert calls == []
         assert list(tmp_path.iterdir()) == []

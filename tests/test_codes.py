@@ -8,6 +8,7 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
+import qeclab.codes
 from qeclab.codes import (
     CodeSpec,
     LogicalQubit,
@@ -35,7 +36,35 @@ STEANE_ONE_KETS = {
     "0101010", "0100101", "0011001", "0010110",
 }
 
+# Each code's hand-written codewords as (ket, sign) pairs, amplitude
+# sign / sqrt(8) (1 for the bare qubit), and its logical Z and X.
+SHOR_KETS = [
+    ("".join(blocks), (-1) ** blocks.count("111"))
+    for blocks in product(("000", "111"), repeat=3)
+]
+CODEWORD_KETS = {
+    "shor9": ([(ket, 1) for ket, _ in SHOR_KETS], SHOR_KETS),
+    "steane7": (
+        [(ket, 1) for ket in sorted(STEANE_ZERO_KETS)],
+        [(ket, 1) for ket in sorted(STEANE_ONE_KETS)],
+    ),
+    "uncoded": ([("0", 1)], [("1", 1)]),
+}
+LOGICAL_OPERATORS = {
+    "shor9": ("XXXXXXXXX", "ZZZZZZZZZ"),
+    "steane7": ("ZZZZZZZ", "XXXXXXX"),
+    "uncoded": ("Z", "X"),
+}
+
 GENERIC_LOGICAL = LogicalQubit(0.6, complex(0.48, 0.64))  # exact unit norm
+
+
+def ket_codeword(n: int, kets) -> np.ndarray:
+    """sign / sqrt(len(kets)) on each (ket, sign), +0.0 everywhere else."""
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    for ket, sign in kets:
+        amps[int(ket, 2)] = sign / math.sqrt(len(kets))
+    return amps
 
 
 def single_pauli(n: int, qubit: int, letter: str) -> str:
@@ -127,6 +156,37 @@ class TestSteaneEncoder:
         assert STEANE_ONE_KETS == {
             "".join("1" if c == "0" else "0" for c in ket) for ket in STEANE_ZERO_KETS
         }
+
+
+class TestDerivedCodewords:
+    """The codewords are derived from each code's stabilizers and logical
+    operators; they must equal the hand-written ket lists bit for bit."""
+
+    @pytest.mark.parametrize("name", ["shor9", "steane7", "uncoded"])
+    def test_codewords_match_the_ket_lists_bit_for_bit(self, name):
+        code = get_code(name)
+        v0, v1 = (ket_codeword(code.n_physical, kets) for kets in CODEWORD_KETS[name])
+        # A negative real alpha keeps the sign of v1's zeros visible.
+        for logical in (
+            LogicalQubit(1.0, 0.0), LogicalQubit(0.0, 1.0),
+            LogicalQubit(-0.6, 0.8), GENERIC_LOGICAL,
+        ):
+            expected = logical.alpha * v0 + logical.beta * v1
+            assert code.encoder(logical).amps.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", ["shor9", "steane7", "uncoded"])
+    def test_logical_operators_act_on_the_codewords(self, name):
+        code = get_code(name)
+        logical_z, logical_x = LOGICAL_OPERATORS[name]
+        for stabilizer in code.stabilizers:
+            assert pauli_strings_commute(logical_z, stabilizer)
+            assert pauli_strings_commute(logical_x, stabilizer)
+        assert not pauli_strings_commute(logical_z, logical_x)
+        zero = code.encoder(LogicalQubit(1.0, 0.0))
+        one = code.encoder(LogicalQubit(0.0, 1.0))
+        assert np.array_equal(apply_pauli_string(zero, logical_z).amps, zero.amps)
+        assert np.array_equal(apply_pauli_string(one, logical_z).amps, -one.amps)
+        assert np.array_equal(apply_pauli_string(zero, logical_x).amps, one.amps)
 
 
 class TestCodeSpecInvariants:
@@ -293,6 +353,27 @@ class TestExtractSyndrome:
         np.testing.assert_allclose(
             second.post_state.amps, first.post_state.amps, atol=1e-10
         )
+
+    def test_uses_the_gathers_built_with_the_code(self, monkeypatch):
+        code = get_code("shor9")
+        calls = []
+        original = qeclab.codes.pauli_gather
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(qeclab.codes, "pauli_gather", counting)
+        extract_syndrome(code.encoder(GENERIC_LOGICAL), code, np.random.default_rng(0))
+        assert calls == []
+
+    def test_a_hand_built_spec_gathers_each_stabilizer(self):
+        code = get_code("steane7")
+        spec = CodeSpec("copy", 7, code.stabilizers, code.recovery_table, code.encoder)
+        assert len(spec.gathers) == len(code.stabilizers)
+        for (src, phases), stabilizer in zip(spec.gathers, code.stabilizers):
+            want_src, want_phases = pauli_gather(7, stabilizer)
+            assert np.array_equal(src, want_src) and np.array_equal(phases, want_phases)
 
     def test_rejects_dimension_mismatch(self):
         rng = np.random.default_rng(0)

@@ -26,7 +26,6 @@ from qeclab.experiments import (
     ExperimentConfig,
     SweepRow,
     _BranchCache,
-    _Side,
     _bare_qubit_placement,
     _stacks_errors,
     _stream_seeds,
@@ -605,7 +604,8 @@ class TestSweepTheta:
             return original(*args)
 
         monkeypatch.setattr(qeclab.experiments, "_syndrome_walk", counting)
-        kernel = _BranchCache(_Side(rotation_config(**overrides)), 1.1)
+        config = rotation_config(**overrides)
+        kernel = _BranchCache(config, get_code(config.code).encoder(config.logical), 1.1)
         first = kernel.trial(_trial_rng(0, 0, 0, 0))
         assert len(walks) == 1
         assert kernel.trial(_trial_rng(0, 0, 0, 0)) == first
