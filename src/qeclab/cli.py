@@ -30,8 +30,9 @@ for a fixed seed; files are written atomically (temp file + rename),
 never partially.
 
 Exit codes: 0 success, 2 config/validation error or a simulation that
-cannot continue (a vanishing measurement branch, a missing recovery-table
-entry, a trial budget too large to allocate), 3 I/O error.
+cannot continue (a vanishing measurement branch in ``correct``, a missing
+recovery-table entry, a trial budget too large to allocate for a placement
+that draws), 3 I/O error.
 
 ``main(argv)`` is re-entrant, so tests and notebooks can call it
 in-process any number of times.  Every call in a process shares one

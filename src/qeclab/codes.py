@@ -10,7 +10,7 @@ blast radius.  Syndrome extraction is direct projective measurement of
 each stabilizer through the gathers its ``CodeSpec`` holds; the
 post-measurement state is identical to what ancilla circuits would
 produce without ever growing the register.  That walk, ``_syndrome_walk``,
-serves both ``extract_syndrome`` and the sweep kernel.
+serves ``extract_syndrome``, which ``qeclab correct`` runs.
 
 Recovery tables are built at construction time by sweeping error patterns
 in order of increasing weight, separately for the X sector (flagged by

@@ -1,46 +1,39 @@
 """Monte Carlo harness: residual infidelity vs. error strength, component
 proliferation, and amplitude-sensitivity measurements.
 
-A trial samples a placement occupancy, then one Born outcome per
-stabilizer, and reports the support right after injection and the
-infidelity 1 - F of the recovered state against the ideal encoding.
-Everything a trial computes is a function of its branch: the occupancy
-and the syndrome bits drawn so far.  ``sweep_theta`` therefore keeps, for
-each side of each grid point, one node trie of the plain trial per
-occupancy (see ``_BranchCache``).  A trial makes every random draw the
-plain trial makes, in the same order and from the same stream, and its
-first missing node runs the plain trial's own walk,
-``codes._syndrome_walk``, so rows are bit-identical to pushing each trial
-through encode, inject, measure and recover on its own.  Each
-``CodeSpec`` holds its stabilizer gathers, and a side's encoding does not
-depend on theta, so ``sweep_theta`` encodes each side once and every grid
-point's kernel takes that encoding in.  The uncoded baseline is that
-kernel on the bare qubit, a code with no stabilizer, under a placement
-that draws nothing: it has one leaf, computed once per grid point and
-reported exactly, with std 0.
+A trial samples a placement occupancy, injects the error into the
+encoded state, and reports the support right after injection and the
+infidelity 1 - F that recovery leaves, as its exact expectation over
+syndrome outcomes.  For a code with one logical qubit, measuring the
+stabilizers projects onto a syndrome space s spanned by R_s|0_L> and
+R_s|1_L>, where R_s is the table's correction, and recovery applies R_s;
+so each outcome's weight and the infidelity it leaves are read off the
+overlaps <R_s v_L|psi> (``_moments``), through one sparse gather of bras
+per code (``_syndrome_bras``).  A trial thus depends on its occupancy
+alone, and ``sweep_theta`` computes each occupancy once per grid point
+(``_kernel``), with its variance over syndrome outcomes: a row's
+``std_coded`` is the population std of one trial's infidelity, by the law
+of total variance.  A placement with no error count draws nothing; its
+row is its one entry, whatever the seed and trial count.  Each side is
+encoded once per sweep.  The uncoded baseline is the kernel on the bare
+qubit, a code with no stabilizer, under a placement that draws nothing:
+one entry per grid point, reported with std 0.
 
-Trial t of grid point g draws from the stream of
-``default_rng(SeedSequence(entropy=seed, spawn_key=(g, t, 0)))``, bit for
-bit, so results do not depend on how trials are scheduled and
-``_trial_rng`` rebuilds any one trial alone (side 1 names streams that no
-sweep derives).  ``sweep_theta`` derives all of a sweep's streams in one
-vectorized pass, grid point by grid point, in blocks of
-``_STREAM_BLOCK``: numpy mixes the run entropy once, and the spawn-key
-words and output hash of ``SeedSequence`` run on all keys at once.  Each
-trial draws its placement and then its m syndrome uniforms in one
-``rng.random(m)`` call, which reads the same values as m scalar draws.
+Trial t of grid point g of a placement that draws takes its occupancy
+from ``default_rng(SeedSequence(entropy=seed, spawn_key=(g, t, 0)))``
+(``_trial_rng``), so results do not depend on how trials are scheduled
+and any one trial can be rebuilt alone; side 1 names streams that no
+sweep derives.
 """
 from __future__ import annotations
 
-import itertools
 import math
-import operator
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .codes import LogicalQubit, SyndromeResult, _syndrome_walk, get_code, recover
+from .codes import LogicalQubit, get_code
 from .errors import (
     ALL_QUBITS,
     ERROR_KINDS,
@@ -54,7 +47,7 @@ from .errors import (
     resolve_occupancy,
     rotation_unitary,
 )
-from .statevec import StateVector, apply_product, fidelity, support_size
+from .statevec import StateVector, _pauli_action, apply_product, support_size
 
 SUPPORT_THRESHOLD = 1e-12
 # Infidelities this small are rounding residue, not physics; they are
@@ -202,171 +195,100 @@ def model_for(config: ExperimentConfig, theta: float) -> ErrorModel:
     return ErrorModel(kind, None, config.placement)
 
 
-# numpy's SeedSequence constants: the pool-mixing hash, the
-# generate_state output hash and the mixing function.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-_WORD = 1 << 32
-_POOL_SIZE = 4
-# generate_state(4, uint64) draws 8 words: the pool cycled twice.
-_OUTPUT_HASH = np.array(
-    [_INIT_B * pow(_MULT_B, i, _WORD) % _WORD for i in range(2 * _POOL_SIZE + 1)],
-    dtype=np.uint32,
-)[:, None]
-# Streams are derived this many keys at a time, so memory does not grow
-# with the trial count.
-_STREAM_BLOCK = 1024
-
-
-def _stream_seeds(seed: int, keys) -> np.ndarray:
-    """PCG64 seed words of ``SeedSequence(entropy=seed, spawn_key=key)``.
-
-    ``keys`` is an (n, k) array-like of spawn keys whose words are each
-    below 2**32.  Returns the (n, 4) uint64 array that each key's
-    ``generate_state(4, np.uint64)`` gives.  numpy mixes the run entropy
-    into the pool once; the spawn-key words of all keys are then mixed in
-    as (4, n) uint32 lanes, and the output hash runs on all lanes at once.
-    """
-    keys = np.asarray(keys)
-    # A wider word would take several pool words in numpy: another stream.
-    if keys.min() < 0 or keys.max() >= _WORD:
-        raise ValueError("spawn-key words must lie in [0, 2**32)")
-    pool = np.random.SeedSequence(entropy=seed).pool
-    # The pool-mixing hash constant advances once per (word, pool lane):
-    # 16 steps for the first pool-size run-entropy words and their
-    # cross-mix, 4 more for every further run-entropy word.
-    run_words = max(1, -(-operator.index(seed).bit_length() // 32))
-    steps = 16 + _POOL_SIZE * max(0, run_words - _POOL_SIZE)
-    h = _INIT_A * pow(_MULT_A, steps, _WORD) % _WORD
-    hashes = [h]
-    for _ in range(_POOL_SIZE * keys.shape[1]):
-        h = h * _MULT_A % _WORD
-        hashes.append(h)
-    hashes = np.array(hashes, dtype=np.uint32)
-    lane_shape = (keys.shape[1], _POOL_SIZE, 1)
-    mixed = keys.T.astype(np.uint32)[:, None, :] ^ hashes[:-1].reshape(lane_shape)
-    mixed *= hashes[1:].reshape(lane_shape)
-    mixed ^= mixed >> _XSHIFT
-    mixed *= np.uint32(_MIX_MULT_R)
-    lanes = np.repeat(pool[:, None], len(keys), axis=1)
-    for word in mixed:
-        lanes *= np.uint32(_MIX_MULT_L)
-        lanes -= word
-        lanes ^= lanes >> _XSHIFT
-    out = (np.tile(lanes, (2, 1)) ^ _OUTPUT_HASH[:-1]) * _OUTPUT_HASH[1:]
-    out ^= out >> _XSHIFT
-    # As numpy does: consecutive little-endian word pairs form each uint64.
-    return out.T.astype("<u4", order="C").view("<u8").astype(np.uint64, copy=False)
-
-
-class _SeedWords:
-    """Hands one key's precomputed seed words to ``np.random.PCG64``.
-
-    numpy's ``ISeedSequence`` is the public interface a bit generator
-    seeds itself from; PCG64 asks it for ``generate_state(4, np.uint64)``
-    and nothing else, which are exactly the words ``_stream_seeds`` gives.
-    """
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray) -> None:
-        self.words = words
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        return self.words
-
-
-def _trial_streams(seed: int, keys) -> Iterator[np.random.Generator]:
-    """One generator per spawn key, each bit-identical to
-    ``default_rng(SeedSequence(entropy=seed, spawn_key=key))``.
-
-    ``keys`` may be any iterable of key tuples; it is consumed
-    ``_STREAM_BLOCK`` keys at a time.
-    """
-    # Registered here, not at import, so that importing qeclab does not
-    # import numpy.random; registering again is a no-op.
-    np.random.bit_generator.ISeedSequence.register(_SeedWords)
-    keys = iter(keys)
-    while block := list(itertools.islice(keys, _STREAM_BLOCK)):
-        for words in _stream_seeds(seed, block):
-            yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
-
-
 def _trial_rng(seed: int, grid_index: int, trial: int, side: int) -> np.random.Generator:
     """The stream of one trial, rebuilt on its own in any order."""
-    return next(_trial_streams(seed, [(grid_index, trial, side)]))
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(grid_index, trial, side))
+    )
 
 
-class _BranchCache:
-    """The trial kernel of one side at one grid point: a memo of the plain trial.
+@lru_cache(maxsize=None)
+def _syndrome_bras(code_name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The bras <R_s v_L| of a code, R_s the table's correction for syndrome
+    s and v_L the code basis, as a sparse gather built on first use: the
+    support of each R_s v_L and its conjugated amplitudes there, both of
+    shape (2^m, 2, support size)."""
+    code = get_code(code_name)
+    basis = [code.encoder(LogicalQubit(*ab)).amps for ab in ((1.0, 0.0), (0.0, 1.0))]
+    index, bras = [], []
+    for correction in code.recovery_table.values():
+        # Uncached: each is used once, and shor9's 256 would fill the shared
+        # gather cache with 512-amplitude arrays.
+        src, phases = _pauli_action.__wrapped__(code.n_physical, correction)
+        for v in basis:
+            image = phases * v[src]
+            support = np.flatnonzero(image)
+            index.append(support)
+            bras.append(image[support].conj())
+    shape = (len(code.recovery_table), 2, -1)
+    index, bras = np.reshape(index, shape), np.reshape(bras, shape)
+    index.flags.writeable = bras.flags.writeable = False
+    return index, bras
 
-    ``injected`` maps occupancy bytes to [injected state, support, trie
-    root].  A trie node is [value, child0, child1]: the +1 probability of
-    its level at an internal node, the floored infidelity at a leaf, and
-    below it the node of syndrome bit 0 and of bit 1, or None until some
-    trial reached it.  So from a trial's first missing node down
-    everything is new: the trial then reruns the syndrome walk from the
-    injected state on its own uniforms and adds every node and the leaf it
-    passes.  Hits are lookups only.  A placement with no error count
-    draws nothing, so its one occupancy is injected here.
+
+def _moments(amps: np.ndarray, bras, logical: LogicalQubit) -> tuple[float, float]:
+    """Exact mean and variance over syndrome outcomes of the floored
+    infidelity that recovery leaves on the state with amplitudes ``amps``.
+
+    Syndrome space s is spanned by R_s|0_L> and R_s|1_L>.  With
+    a_L = <R_s v_L|psi>, the outcome has weight p_s = |a_0|^2 + |a_1|^2 and
+    leaves infidelity |b_s|^2 / p_s, where b_s = alpha a_1 - beta a_0 is the
+    overlap with R_s applied to the orthogonal complement of ``logical``.
+    Outcomes of weight 0 are never measured and are skipped.  The variance
+    is summed around the mean: a difference of raw moments would leave
+    ~1e-8 of rounding where every outcome leaves the same infidelity.
     """
+    index, conj = bras
+    a0, a1 = np.einsum("slk,slk->ls", conj, amps[index])
+    weight = a0.real**2 + a0.imag**2 + a1.real**2 + a1.imag**2
+    b = logical.alpha * a1 - logical.beta * a0
+    reached = weight > 0.0
+    weight = weight[reached]
+    leaf = (b.real**2 + b.imag**2)[reached] / weight
+    leaf[leaf < NUMERICAL_FLOOR] = 0.0
+    mean = min(float(weight @ leaf), 1.0)  # clipped against rounding, as fidelity is
+    leaf -= mean
+    return mean, float(weight @ (leaf * leaf))
 
-    def __init__(self, config: ExperimentConfig, encoded: StateVector, theta: float) -> None:
-        self.code = get_code(config.code)
-        self.encoded = encoded
-        self.model = model_for(config, theta)
-        self.inject = _injector(self.model)
-        self.injected: dict[bytes, list] = {}
-        self.hoisted = None if self.model.placement.n_errors else self._entry(None)
 
-    def _entry(self, rng: np.random.Generator | None) -> list:
-        occupancy = resolve_occupancy(self.model.placement, self.code.n_physical, rng)
+def _kernel(config: ExperimentConfig, encoded: StateVector, theta: float):
+    """The trial kernel of one side at one grid point, as ``trial(rng)``.
+
+    A trial draws its occupancy from ``rng`` (a placement with no error
+    count draws nothing, and takes None) and returns (mean, variance,
+    support): the ``_moments`` of the injected state and its support right
+    after injection.  Each occupancy is injected and summed once.
+    """
+    bras = _syndrome_bras(config.code)
+    model = model_for(config, theta)
+    inject = _injector(model)
+    entries: dict[bytes, tuple[float, float, int]] = {}
+
+    def trial(rng: np.random.Generator | None) -> tuple[float, float, int]:
+        occupancy = resolve_occupancy(model.placement, encoded.n_qubits, rng)
         key = occupancy.tobytes()
-        entry = self.injected.get(key)
+        entry = entries.get(key)
         if entry is None:
-            state = self.inject(self.encoded, occupancy)
-            entry = self.injected[key] = [state, support_size(state, SUPPORT_THRESHOLD), None]
+            state = inject(encoded, occupancy)
+            support = support_size(state, SUPPORT_THRESHOLD)
+            entry = entries[key] = (*_moments(state.amps, bras, config.logical), support)
         return entry
 
-    def trial(self, rng: np.random.Generator) -> tuple[float, int]:
-        entry = self.hoisted or self._entry(rng)
-        uniforms = rng.random(len(self.code.gathers)).tolist()
-        node = entry[2]
-        for u in uniforms:
-            if node is None:
-                break
-            node = node[1] if u < node[0] else node[2]
-        return (node[0] if node else self._record(entry, uniforms)), entry[1]
-
-    def _record(self, entry: list, uniforms: list[float]) -> float:
-        bits, p_pluses, post = _syndrome_walk(entry[0], self.code.gathers, uniforms)
-        corrected = recover(SyndromeResult(bits, post), self.code)
-        infid = 1.0 - fidelity(corrected, self.encoded)
-        if infid < NUMERICAL_FLOOR:
-            infid = 0.0
-        # The entry's slot 2 holds the root as a node's slots 1 and 2 hold
-        # its children; nodes on the cached prefix already hold their value.
-        parent, slot = entry, 2
-        for value, bit in zip((*p_pluses, infid), (*bits, 0)):
-            if parent[slot] is None:
-                parent[slot] = [value, None, None]
-            parent, slot = parent[slot], 1 + bit
-        return infid
+    return trial
 
 
 def run_trial(
     config: ExperimentConfig, theta: float, rng: np.random.Generator
 ) -> tuple[float, int]:
-    """Encode, inject, measure syndrome, recover; return (infidelity, support).
-
-    Support is counted right after error injection at the 1e-12 threshold,
-    before any measurement collapses the proliferated components.  This is
-    one trial of ``sweep_theta``'s kernel on an empty cache.
+    """Encode, draw the placement from ``rng``, inject; return (infidelity,
+    support): the expectation over syndrome outcomes of the floored 1 - F
+    after recovery, and the support right after injection at the 1e-12
+    threshold, before any measurement collapses the proliferated
+    components.  One trial of ``sweep_theta``'s kernel on an empty memo.
     """
     encoded = get_code(config.code).encoder(config.logical)
-    return _BranchCache(config, encoded, theta).trial(rng)
+    mean, _, support = _kernel(config, encoded, theta)(rng)
+    return mean, support
 
 
 def _bare_qubit_placement(placement: Placement) -> Placement:
@@ -388,30 +310,23 @@ def sweep_theta(config: ExperimentConfig) -> SweepResult:
     bare_config = replace(config, code="uncoded", placement=placement)
     coded_encoded = get_code(config.code).encoder(config.logical)
     bare_encoded = get_code("uncoded").encoder(config.logical)
-    # One stream pass for the whole sweep, grid point by grid point.
-    streams = _trial_streams(
-        config.seed,
-        ((g, t, 0) for g in range(len(config.theta_grid)) for t in range(config.trials)),
-    )
+    sampled = config.placement.n_errors > 0
+    # Allocated up front, so a trial budget too large to hold fails at once.
+    moments = np.empty((3, config.trials)) if sampled else None
     rows = []
-    for theta in config.theta_grid:
-        kernel = _BranchCache(config, coded_encoded, theta)
-        coded = np.empty(config.trials)
-        supports = np.empty(config.trials)
-        for trial, rng in enumerate(itertools.islice(streams, config.trials)):
-            coded[trial], supports[trial] = kernel.trial(rng)
-        # The bare qubit draws and measures nothing: one leaf, on no uniforms.
-        bare = _BranchCache(bare_config, bare_encoded, theta)
-        rows.append(
-            SweepRow(
-                theta=theta,
-                mean_infid_coded=float(coded.mean()),
-                std_coded=float(coded.std()),
-                mean_infid_uncoded=bare._record(bare.hoisted, []),
-                std_uncoded=0.0,
-                mean_support=float(supports.mean()),
-            )
-        )
+    for grid_index, theta in enumerate(config.theta_grid):
+        trial = _kernel(config, coded_encoded, theta)
+        if sampled:
+            for t in range(config.trials):
+                moments[:, t] = trial(_trial_rng(config.seed, grid_index, t, 0))
+            mean, variance, support = moments.mean(axis=1).tolist()
+            # The law of total variance: within occupancies, then across them.
+            variance += float(moments[0].var())
+        else:
+            mean, variance, support = trial(None)
+        # The bare qubit's projected placement draws nothing: one entry.
+        bare, _, _ = _kernel(bare_config, bare_encoded, theta)(None)
+        rows.append(SweepRow(theta, mean, math.sqrt(variance), bare, 0.0, float(support)))
     return SweepResult(
         rows=tuple(rows),
         slope_coded=_slope([(r.theta, r.mean_infid_coded) for r in rows]),

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo harness and its deterministic contracts."""
 
 import dataclasses
+import functools
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -12,12 +13,20 @@ import qeclab.codes
 import qeclab.errors
 import qeclab.experiments
 import qeclab.statevec
-from qeclab.codes import LogicalQubit, extract_syndrome, get_code, logical_fidelity, recover
+from qeclab.codes import (
+    LogicalQubit,
+    _code,
+    extract_syndrome,
+    get_code,
+    logical_fidelity,
+    recover,
+)
 from qeclab.errors import (
     ALL_QUBITS,
     FLIP_KINDS,
     GeneralErrorParams,
     Placement,
+    _injector,
     apply_error_model,
 )
 from qeclab.experiments import (
@@ -25,12 +34,11 @@ from qeclab.experiments import (
     SUPPORT_THRESHOLD,
     ExperimentConfig,
     SweepRow,
-    _BranchCache,
     _bare_qubit_placement,
+    _moments,
     _stacks_errors,
-    _stream_seeds,
+    _syndrome_bras,
     _trial_rng,
-    _trial_streams,
     fit_power_law,
     model_for,
     proliferation_experiment,
@@ -57,39 +65,111 @@ def rotation_config(**overrides) -> ExperimentConfig:
 GENERIC = LogicalQubit(0.6, complex(0.48, 0.64))
 
 
-def uncached_trial(config, theta, rng):
-    """One trial pushed through every pipeline stage, nothing reused."""
-    code = get_code(config.code)
-    state = apply_error_model(code.encoder(config.logical), model_for(config, theta), rng)
-    support = support_size(state, SUPPORT_THRESHOLD)
-    corrected = recover(extract_syndrome(state, code, rng), code)
-    infid = 1.0 - logical_fidelity(corrected, code, config.logical)
-    return (0.0 if infid < NUMERICAL_FLOOR else infid), support
+DENSE_PAULIS = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+@functools.lru_cache(maxsize=2)
+def dense_stabilizers(name):
+    """Each stabilizer of ``name`` as a dense matrix, a Kronecker product
+    with qubit 0 the leftmost factor."""
+    return tuple(
+        functools.reduce(np.kron, [DENSE_PAULIS[op] for op in stabilizer])
+        for stabilizer in get_code(name).stabilizers
+    )
+
+
+def apply_letters(ops, amps):
+    """The Pauli string ``ops`` applied letter by letter to the qubit axes
+    of ``amps``."""
+    tensor = amps.reshape((2,) * len(ops))
+    for qubit, op in enumerate(ops):
+        tensor = np.moveaxis(np.tensordot(DENSE_PAULIS[op], tensor, axes=(1, qubit)), 0, qubit)
+    return tensor.reshape(-1)
+
+
+def dense_outcomes(amps, name, logical):
+    """Weight and floored infidelity of every syndrome outcome of ``amps``:
+    each outcome projected by dense (I +- S)/2 factors, corrected by its
+    table entry letter by letter and compared with the encoding by 1 - F.
+    Shares nothing with the kernel's bra table."""
+    code = get_code(name)
+    encoded = code.encoder(logical).amps
+    branches = {"": amps}
+    for stabilizer in dense_stabilizers(name):
+        branches = {
+            bits + bit: (psi + sign * (stabilizer @ psi)) / 2
+            for bits, psi in branches.items()
+            for bit, sign in (("0", 1), ("1", -1))
+        }
+    weights, leaves = [], []
+    for bits, psi in branches.items():
+        weight = float(np.vdot(psi, psi).real)
+        if weight == 0.0:
+            continue
+        corrected = apply_letters(code.recovery_table[bits], psi)
+        leaf = 1.0 - abs(np.vdot(encoded, corrected)) ** 2 / weight
+        weights.append(weight)
+        leaves.append(0.0 if leaf < NUMERICAL_FLOOR else leaf)
+    return np.array(weights), np.array(leaves)
+
+
+def dense_moments(amps, name, logical):
+    weights, leaves = dense_outcomes(amps, name, logical)
+    mean = weights @ leaves
+    return mean, weights @ (leaves - mean) ** 2
 
 
 def uncached_rows(config):
-    """The sweep's rows, each trial run through ``uncached_trial`` on its
-    own stream.  The bare qubit runs on every uncoded stream, not just
-    trial 0's, must give one value on all of them, and reports it exactly."""
+    """The sweep's rows from the dense oracle.  Each trial draws its
+    placement from its own stream as ``apply_error_model`` does; a row's
+    std is the population std of one trial's infidelity over placements
+    and syndrome outcomes together.  The bare qubit runs on every uncoded
+    stream, not just trial 0's, and must give one value on all of them."""
     bare_config = dataclasses.replace(
         config, code="uncoded", placement=_bare_qubit_placement(config.placement)
     )
+    outcomes = {}
+
+    def trial(config, theta, rng):
+        code = get_code(config.code)
+        state = apply_error_model(code.encoder(config.logical), model_for(config, theta), rng)
+        key = (config.code, state.amps.tobytes())
+        if key not in outcomes:
+            outcomes[key] = dense_outcomes(state.amps, config.code, config.logical)
+        return outcomes[key], support_size(state, SUPPORT_THRESHOLD)
+
     rows = []
     for grid_index, theta in enumerate(config.theta_grid):
         coded, supports = zip(*(
-            uncached_trial(config, theta, _trial_rng(config.seed, grid_index, t, 0))
+            trial(config, theta, _trial_rng(config.seed, grid_index, t, 0))
             for t in range(config.trials)
         ))
-        (bare,) = {
-            uncached_trial(bare_config, theta, _trial_rng(config.seed, grid_index, t, 1))[0]
+        mean = np.mean([weights @ leaves for weights, leaves in coded])
+        variance = np.mean([weights @ (leaves - mean) ** 2 for weights, leaves in coded])
+        bare_outcomes = [
+            trial(bare_config, theta, _trial_rng(config.seed, grid_index, t, 1))[0]
             for t in range(config.trials)
-        }
-        coded = np.array(coded)
-        rows.append(
-            SweepRow(theta, float(coded.mean()), float(coded.std()),
-                     bare, 0.0, float(np.mean(supports)))
-        )
+        ]
+        (bare,) = {float(weights @ leaves) for weights, leaves in bare_outcomes}
+        rows.append(SweepRow(theta, mean, math.sqrt(variance), bare, 0.0, np.mean(supports)))
     return tuple(rows)
+
+
+def assert_rows_match(rows, expected):
+    """Theta and support exactly, the infidelity columns to rounding."""
+    assert [(r.theta, r.mean_support, r.std_uncoded) for r in rows] == [
+        (r.theta, r.mean_support, r.std_uncoded) for r in expected
+    ]
+    np.testing.assert_allclose(
+        [(r.mean_infid_coded, r.std_coded, r.mean_infid_uncoded) for r in rows],
+        [(r.mean_infid_coded, r.std_coded, r.mean_infid_uncoded) for r in expected],
+        rtol=1e-9, atol=1e-14,
+    )
 
 
 class TestExperimentConfig:
@@ -265,29 +345,9 @@ class TestTrialStreams:
         )
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_block_derivation_matches_seed_sequence(self, seed):
-        streams = list(_trial_streams(seed, self.KEYS))
-        assert len(streams) == len(self.KEYS)
-        for key, rng in zip(self.KEYS, streams):
-            self.assert_same_stream(rng, reference_rng(seed, key))
-
-    @pytest.mark.parametrize("seed", SEEDS)
     def test_single_key_matches_seed_sequence(self, seed):
-        for key in self.KEYS[::7]:
+        for key in self.KEYS:
             self.assert_same_stream(_trial_rng(seed, *key), reference_rng(seed, key))
-
-    def test_keys_span_several_blocks(self):
-        count = qeclab.experiments._STREAM_BLOCK + 3
-        keys = [(2, t, 0) for t in range(count)]
-        streams = list(_trial_streams(5, iter(keys)))
-        assert len(streams) == count
-        for t in (0, count - 4, count - 3, count - 1):
-            self.assert_same_stream(streams[t], reference_rng(5, keys[t]))
-
-    @pytest.mark.parametrize("key", [(0, 2**32, 0), (0, 0, 2**70), (-1, 0, 0)])
-    def test_rejects_key_words_outside_uint32(self, key):
-        with pytest.raises(ValueError, match="spawn-key words"):
-            _stream_seeds(0, [key])
 
     def test_negative_seed_is_left_to_numpy(self):
         with pytest.raises(ValueError):
@@ -376,23 +436,23 @@ class TestSweepTheta:
             assert len(outcomes) == 1
 
     def test_sweep_derives_one_uncoded_stream_per_grid_point(self, monkeypatch):
-        """Per grid point, the sweep derives exactly its ``trials`` coded keys
-        and no uncoded key (the baseline draws nothing), in blocks of at most
-        ``_STREAM_BLOCK`` keys."""
-        calls = []
+        """A placement that draws derives exactly its ``trials`` coded keys
+        per grid point, in order, and no uncoded key (the baseline draws
+        nothing)."""
+        keys = []
 
-        def counting(seed, keys):
-            calls.append((seed, [tuple(key) for key in keys]))
-            return _stream_seeds(seed, keys)
+        def counting(seed, *key):
+            keys.append((seed, key))
+            return _trial_rng(seed, *key)
 
-        monkeypatch.setattr(qeclab.experiments, "_stream_seeds", counting)
-        monkeypatch.setattr(qeclab.experiments, "_STREAM_BLOCK", 5)
-        config = rotation_config(theta_grid=(0.02, 0.08, 0.3), trials=12, seed=9)
+        monkeypatch.setattr(qeclab.experiments, "_trial_rng", counting)
+        config = rotation_config(
+            placement=Placement.fermi(2), theta_grid=(0.02, 0.08, 0.3), trials=12, seed=9
+        )
         sweep_theta(config)
-        assert all(seed == config.seed and len(keys) <= 5 for seed, keys in calls)
-        derived = [key for _, keys in calls for key in keys]
-        assert derived == [
-            (g, t, 0) for g in range(len(config.theta_grid)) for t in range(config.trials)
+        assert keys == [
+            (config.seed, (g, t, 0))
+            for g in range(len(config.theta_grid)) for t in range(config.trials)
         ]
 
     def test_trials_are_schedule_independent(self):
@@ -441,30 +501,12 @@ class TestSweepTheta:
         ids=["shor9-bose2", "steane7-fermi2", "shor9-decay", "steane7-general"],
     )
     def test_cached_kernel_matches_uncached_pipeline(self, overrides):
-        """Every trial of the sweep equals the full pipeline run on its own
-        stream, so each row's statistics come out bit-identical."""
+        """The per-occupancy memo and the bra table give the rows of the
+        dense oracle, which recomputes every trial from its own stream."""
         config = rotation_config(theta_grid=(0.3, 1.1), trials=60, seed=2, **overrides)
-        bare_config = dataclasses.replace(
-            config, code="uncoded", placement=_bare_qubit_placement(config.placement)
-        )
-        expected = []
-        for grid_index, theta in enumerate(config.theta_grid):
-            coded, supports = zip(*(
-                uncached_trial(config, theta, _trial_rng(config.seed, grid_index, t, 0))
-                for t in range(config.trials)
-            ))
-            # The bare qubit gives one value on every stream; the row reports it.
-            (bare,) = {
-                uncached_trial(bare_config, theta, _trial_rng(config.seed, grid_index, t, 1))[0]
-                for t in range(config.trials)
-            }
-            coded = np.array(coded)
-            expected.append(
-                SweepRow(theta, float(coded.mean()), float(coded.std()),
-                         bare, 0.0, float(np.mean(supports)))
-            )
-        assert sweep_theta(config).rows == tuple(expected)
-        assert len(set(coded)) > 1  # the grid point reaches several branches
+        rows = sweep_theta(config).rows
+        assert_rows_match(rows, uncached_rows(config))
+        assert all(0.0 < row.mean_infid_coded < 1.0 and row.std_coded > 0.0 for row in rows)
 
     def test_rows_survive_a_rebound_state_vector_name(self, monkeypatch):
         """An outside-in tracer replaces ``StateVector`` in each module's
@@ -482,8 +524,8 @@ class TestSweepTheta:
         assert sweep_theta(config).rows == expected
 
     def test_miss_path_gathers_each_level_once(self, monkeypatch):
-        """A trial on an empty cache takes one image P psi per stabilizer:
-        the +1 probability and the projection share it."""
+        """``extract_syndrome`` takes one image P psi per stabilizer: the +1
+        probability and the projection share it."""
         images = []
         original = qeclab.codes.pauli_image
 
@@ -494,8 +536,8 @@ class TestSweepTheta:
         monkeypatch.setattr(qeclab.codes, "pauli_image", counting)
         for code in ("steane7", "shor9"):
             images.clear()
-            config = rotation_config(code=code, logical=GENERIC)
-            run_trial(config, 0.7, _trial_rng(0, 0, 0, 0))
+            state = get_code(code).encoder(GENERIC)
+            extract_syndrome(state, get_code(code), np.random.default_rng(0))
             assert len(images) == len(get_code(code).stabilizers)
 
     def test_channel_operator_is_validated_once_per_kernel(self, monkeypatch):
@@ -532,25 +574,27 @@ class TestSweepTheta:
              "shor9-decay-fixed1", "steane7-x-zero"],
     )
     def test_hoisted_and_trie_paths_match_uncached_pipeline(self, overrides):
-        """Hoisted occupancies, per-sweep sides and streams and the node trie
-        leave every row bit-identical to the full pipeline per trial."""
+        """Entries computed once when the kernel is built (placements that
+        draw nothing) and entries computed on a trial's first visit give
+        the rows of the dense oracle."""
         config = rotation_config(theta_grid=(0.3, 1.1), trials=60, seed=2, **overrides)
-        assert sweep_theta(config).rows == uncached_rows(config)
+        assert_rows_match(sweep_theta(config).rows, uncached_rows(config))
 
     def test_sweep_derives_its_streams_in_one_pass(self, monkeypatch):
-        """The criterion-4 grid at 20 trials has 140 keys, one block."""
-        calls = []
+        """A placement that draws derives each trial's stream once per sweep;
+        the criterion-4 grid, which draws nothing, derives none."""
+        keys = []
 
-        def counting(seed, keys):
-            calls.append(len(keys))
-            return _stream_seeds(seed, keys)
+        def counting(seed, *key):
+            keys.append(key)
+            return _trial_rng(seed, *key)
 
-        monkeypatch.setattr(qeclab.experiments, "_stream_seeds", counting)
+        monkeypatch.setattr(qeclab.experiments, "_trial_rng", counting)
         config = rotation_config(theta_grid=tuple(np.geomspace(1e-3, 1e-1, 7)), trials=20)
         sweep_theta(config)
-        assert calls == [7 * 20]
-        sweep_theta(dataclasses.replace(config, seed=1))
-        assert calls == [7 * 20] * 2
+        assert keys == []
+        sweep_theta(dataclasses.replace(config, placement=Placement.bose_einstein(2)))
+        assert len(keys) == len(set(keys)) == 7 * 20
 
     @pytest.mark.parametrize(
         "placement",
@@ -596,20 +640,27 @@ class TestSweepTheta:
         ids=["steane7-all", "shor9-bose2"],
     )
     def test_a_cached_branch_runs_no_walk(self, monkeypatch, overrides):
-        walks = []
-        original = qeclab.experiments._syndrome_walk
+        """A sweep measures nothing: it makes no syndrome walk, takes no
+        stabilizer image, and runs no recovery or fidelity."""
+        calls = []
+        for module, name in [
+            (qeclab.codes, "_syndrome_walk"),
+            (qeclab.codes, "pauli_image"),
+            (qeclab.codes, "recover"),
+            (qeclab.codes, "fidelity"),
+            (qeclab.statevec, "fidelity"),
+        ]:
+            def counting(*args, _name=name, _original=getattr(module, name)):
+                calls.append(_name)
+                return _original(*args)
 
-        def counting(*args):
-            walks.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(qeclab.experiments, "_syndrome_walk", counting)
-        config = rotation_config(**overrides)
-        kernel = _BranchCache(config, get_code(config.code).encoder(config.logical), 1.1)
-        first = kernel.trial(_trial_rng(0, 0, 0, 0))
-        assert len(walks) == 1
-        assert kernel.trial(_trial_rng(0, 0, 0, 0)) == first
-        assert len(walks) == 1
+            monkeypatch.setattr(module, name, counting)
+            # Also any name the experiments module binds for it.
+            monkeypatch.setattr(qeclab.experiments, name, counting, raising=False)
+        config = rotation_config(theta_grid=(0.05, 1.1), **overrides)
+        rows = sweep_theta(config).rows
+        assert rows[-1].mean_infid_coded > 0.0
+        assert calls == []
 
     @pytest.mark.slow
     @pytest.mark.parametrize("code", ["shor9", "steane7"])
@@ -618,6 +669,125 @@ class TestSweepTheta:
         config = rotation_config(code=code, theta_grid=(0.05,), trials=10_000)
         row = sweep_theta(config).rows[0]
         assert row.mean_infid_coded < row.mean_infid_uncoded
+
+
+class TestMoments:
+    """``_moments`` against the dense oracle, and against sampled shots."""
+
+    KINDS = [
+        ("rotation", dict(axis="x")),
+        ("rotation", dict(axis="y")),
+        ("rotation", dict(axis="z")),
+        ("general_unitary", dict(general=GeneralErrorParams(0.3, complex(0.1, 0.2)))),
+        *[(kind, {}) for kind in FLIP_KINDS],
+        ("decay", dict(decay_rate=0.8)),
+    ]
+
+    KIND_IDS = ["-".join([kind, *fields.get("axis", "")]) for kind, fields in KINDS]
+
+    @pytest.mark.parametrize("code", ["steane7", "shor9"])
+    @pytest.mark.parametrize("kind,fields", KINDS, ids=KIND_IDS)
+    def test_match_dense_projectors(self, code, kind, fields):
+        n = get_code(code).n_physical
+        all_qubits, pair, stacked = np.ones(n, int), np.zeros(n, int), np.zeros(n, int)
+        pair[[1, 4]] = 1
+        stacked[3] = 2  # an occupancy only bose_einstein:2 draws
+        occupancies = [all_qubits, pair] + ([stacked] if kind != "decay" else [])
+        for logical in (GENERIC, LogicalQubit(1.0, 0.0)):
+            config = rotation_config(code=code, error_kind=kind, logical=logical, **fields)
+            encoded = get_code(code).encoder(logical)
+            for theta in (0.3, 1.1):
+                inject = _injector(model_for(config, theta))
+                for occupancy in occupancies:
+                    state = inject(encoded, occupancy)
+                    got = _moments(state.amps, _syndrome_bras(code), logical)
+                    want = dense_moments(state.amps, code, logical)
+                    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-15)
+
+    def test_monte_carlo_shots_agree_with_the_mean(self):
+        """20,000 measured and recovered shots of one injected state."""
+        code = get_code("steane7")
+        config = rotation_config(logical=GENERIC)
+        state = _injector(model_for(config, 0.5))(code.encoder(GENERIC), np.ones(7, int))
+        mean, variance = _moments(state.amps, _syndrome_bras("steane7"), GENERIC)
+        rng = np.random.default_rng(16)
+        shots, syndromes = np.empty(20_000), set()
+        for shot in range(shots.size):
+            result = extract_syndrome(state, code, rng)
+            syndromes.add(result.bits)
+            shots[shot] = 1.0 - logical_fidelity(recover(result, code), code, GENERIC)
+        shots[shots < NUMERICAL_FLOOR] = 0.0
+        assert len(syndromes) == 8
+        assert abs(shots.mean() - mean) <= 5 * math.sqrt(variance / shots.size)
+        assert shots.var() == pytest.approx(variance, rel=0.1)
+
+
+CRITERION_4_GRID = tuple(np.geomspace(1e-3, 1e-1, 7))
+
+REPETITION_CODES = {
+    "bitflip3": (("ZZI", "IZZ"), "ZZZ", "XXX"),
+    "phaseflip3": (("XXI", "IXX"), "XXX", "ZZZ"),
+}
+
+
+@pytest.fixture
+def repetition_codes(monkeypatch):
+    """The note's three-qubit bit-flip and phase-flip codes, registered for
+    one test only."""
+    for name, literals in REPETITION_CODES.items():
+        builder = functools.partial(_code, name, *literals)
+        monkeypatch.setitem(qeclab.codes._CODE_BUILDERS, name, builder)
+    yield
+    get_code.cache_clear()
+    _syndrome_bras.cache_clear()
+
+
+class TestExactAnchors:
+    """Closed forms, end to end through ``sweep_theta``."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_criterion_4_slope_is_exact_on_every_seed(self, seed):
+        config = rotation_config(theta_grid=CRITERION_4_GRID, trials=10_000, seed=seed)
+        result = sweep_theta(config)
+        assert result.slope_coded == pytest.approx(3.99695, abs=1e-4)
+        assert sweep_theta(dataclasses.replace(config, trials=1, seed=0)) == result
+
+    @pytest.mark.parametrize("code,ratio", [("steane7", 63 / 16), ("shor9", 27 / 16)])
+    def test_coded_infidelity_is_its_quartic_term(self, code, ratio):
+        row = sweep_theta(rotation_config(code=code, theta_grid=(1e-3,))).rows[0]
+        assert row.mean_infid_coded / 1e-3**4 == pytest.approx(ratio, rel=1e-4)
+
+    PLUS = LogicalQubit(2**-0.5, 2**-0.5)
+    ZERO = LogicalQubit(1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "code,axis,logical,form,bare_moves",
+        [
+            ("bitflip3", "z", PLUS, "logical", True),
+            ("bitflip3", "x", ZERO, "corrected", True),
+            ("bitflip3", "y", ZERO, "corrected", True),
+            ("phaseflip3", "x", PLUS, "logical", False),
+            ("phaseflip3", "z", ZERO, "corrected", False),
+            ("phaseflip3", "y", ZERO, "corrected", True),
+        ],
+    )
+    def test_repetition_codes(self, repetition_codes, code, axis, logical, form, bare_moves):
+        """A code built for one flip turns the other axis's rotation of every
+        qubit into a logical rotation by 3 theta, sin^2(3 theta/2), about 9x
+        the bare qubit's sin^2(theta/2); a rotation it corrects leaves the
+        s^6 + 3 c^2 s^4 of two or three flips, c = cos(theta/2) and
+        s = sin(theta/2).  The bare qubit does not move where the logical
+        state is an eigenstate of its rotation."""
+        config = rotation_config(
+            code=code, axis=axis, logical=logical, theta_grid=(0.05, 0.3, 1.1, 2.5)
+        )
+        for row in sweep_theta(config).rows:
+            c, s = math.cos(row.theta / 2), math.sin(row.theta / 2)
+            logical_rotation = math.sin(1.5 * row.theta) ** 2
+            exact = s**6 + 3 * c**2 * s**4 if form == "corrected" else logical_rotation
+            assert row.mean_infid_coded == pytest.approx(exact, rel=0, abs=4e-15)
+            bare = s**2 if bare_moves else 0.0
+            assert row.mean_infid_uncoded == pytest.approx(bare, rel=0, abs=4e-15)
 
 
 class TestProliferation:
