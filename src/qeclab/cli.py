@@ -30,9 +30,8 @@ for a fixed seed; files are written atomically (temp file + rename),
 never partially.
 
 Exit codes: 0 success, 2 config/validation error or a simulation that
-cannot continue (a vanishing measurement branch in ``correct``, a missing
-recovery-table entry, a trial budget too large to allocate for a placement
-that draws), 3 I/O error.
+cannot continue (a missing recovery-table entry, a trial budget too large
+to allocate for a placement that draws), 3 I/O error.
 
 ``main(argv)`` is re-entrant, so tests and notebooks can call it
 in-process any number of times.  Every call in a process shares one
@@ -570,8 +569,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    # ValueError covers ConfigError; the others are a vanishing measurement
-    # branch, a missing recovery-table entry and an unallocatable budget.
+    # ValueError covers ConfigError; LookupError is a missing recovery-table
+    # entry, MemoryError an unallocatable budget, and RuntimeError any other
+    # simulation that cannot continue.
     except (ValueError, RuntimeError, LookupError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

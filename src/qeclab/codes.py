@@ -6,11 +6,16 @@ X; the rest is derived when the code is built.  The codewords project
 |0...0> onto the code space instead of running gate circuits, and their
 amplitudes are set exactly (1/sqrt 8 on 8 kets per logical basis state
 for either code), so they are bit-exact and circuit bugs are out of the
-blast radius.  Syndrome extraction is direct projective measurement of
-each stabilizer through the gathers its ``CodeSpec`` holds; the
-post-measurement state is identical to what ancilla circuits would
-produce without ever growing the register.  That walk, ``_syndrome_walk``,
-serves ``extract_syndrome``, which ``qeclab correct`` runs.
+blast radius.
+
+A code has one logical qubit, so measuring its stabilizers projects onto
+a syndrome space s spanned by R_s|0_L> and R_s|1_L>, where R_s is the
+recovery table's correction.  Each ``CodeSpec`` owns one table of the
+bras <R_s v_L|, built on first use; every syndrome outcome, its weight
+and its projected state are read off the overlaps <R_s v_L|psi>
+(``_overlaps``).  ``extract_syndrome`` samples an outcome from them, and
+the sweep kernel sums over all of them.  The post-measurement state is
+what ancilla circuits would produce without ever growing the register.
 
 Recovery tables are built at construction time by sweeping error patterns
 in order of increasing weight, separately for the X sector (flagged by
@@ -25,11 +30,11 @@ matching a particular Pauli.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import combinations
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -40,10 +45,6 @@ from .statevec import (
     _pauli_action,
     apply_pauli_string,
     fidelity,
-    pauli_gather,
-    pauli_image,
-    plus_probability,
-    project_image,
 )
 
 _NORM_INPUT_TOL = 1e-8
@@ -81,21 +82,48 @@ class SyndromeResult:
     post_state: StateVector
 
 
+class _SyndromeTable(NamedTuple):
+    """The bras <R_s v_L| of a code as a sparse gather: the support of each
+    R_s v_L (``index``) and its conjugated amplitudes there (``bras``), both
+    of shape (2^m, 2, support size), rows in recovery-table order.
+    ``rows[s]`` is the row of the syndrome whose bits, stabilizer 0 first,
+    spell s in binary."""
+
+    rows: np.ndarray
+    index: np.ndarray
+    bras: np.ndarray
+
+
 @dataclass(frozen=True)
 class CodeSpec:
-    """A code: physical size, stabilizer list, total recovery table, encoder,
-    and the (src, phases) gather of each stabilizer, built with the spec."""
+    """A code: physical size, stabilizer list, total recovery table and
+    encoder, plus its syndrome table, built on first use."""
 
     name: str
     n_physical: int
     stabilizers: tuple[str, ...]
     recovery_table: Mapping[str, str]
     encoder: Callable[[LogicalQubit], StateVector]
-    gathers: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        gathers = tuple(pauli_gather(self.n_physical, s) for s in self.stabilizers)
-        object.__setattr__(self, "gathers", gathers)
+    @cached_property
+    def _syndromes(self) -> _SyndromeTable:
+        """The code's one syndrome table, built on first use and kept."""
+        basis = [self.encoder(LogicalQubit(*ab)).amps for ab in ((1.0, 0.0), (0.0, 1.0))]
+        index, bras = [], []
+        for correction in self.recovery_table.values():
+            # Uncached: each is used once, and shor9's 256 would fill the shared
+            # gather cache with 512-amplitude arrays.
+            src, phases = _pauli_action.__wrapped__(self.n_physical, correction)
+            for v in basis:
+                image = phases * v[src]
+                support = np.flatnonzero(image)
+                index.append(support)
+                bras.append(image[support].conj())
+        rows = np.argsort([int("0" + key, 2) for key in self.recovery_table])
+        shape = (len(self.recovery_table), 2, -1)
+        index, bras = np.reshape(index, shape), np.reshape(bras, shape)
+        rows.flags.writeable = index.flags.writeable = bras.flags.writeable = False
+        return _SyndromeTable(rows, index, bras)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +193,15 @@ def _code(name: str, stabilizers: tuple[str, ...], logical_z: str, logical_x: st
     eigenspace of ``logical_z`` and of every stabilizer; a CSS codeword is
     uniform over its support, so it is exactly 1/sqrt(support size) there.
     |1_L> is ``logical_x`` |0_L>.  The projections take statevec's private
-    gathers, not the module names that tracers and tests patch."""
+    gathers, not the module names that tracers and tests patch.  The code
+    must leave exactly one logical qubit, so that its syndrome table spans
+    the register."""
     n = len(logical_z)
+    if len(stabilizers) != n - 1:
+        raise ValueError(
+            f"{name}: {n} qubits need {n - 1} stabilizers to leave one logical "
+            f"qubit, got {len(stabilizers)}"
+        )
     projected = np.zeros(1 << n)
     projected[0] = 1.0
     for ops in (logical_z, *stabilizers):  # each (I + P) is exact on integers
@@ -236,41 +271,52 @@ def get_code(name: str) -> CodeSpec:
 # Syndrome extraction and recovery
 # ---------------------------------------------------------------------------
 
-def _syndrome_walk(
-    state: StateVector, gathers, uniforms
-) -> tuple[tuple[int, ...], tuple[float, ...], StateVector]:
-    """Measure the stabilizers with (src, phases) ``gathers`` in order.  Each
-    level takes one image P psi, gives bit 0 iff its uniform is below the
-    Born +1 probability read off it, and projects in place into that image.
-    Returns the bits, each level's +1 probability and the final state."""
-    bits, p_pluses = [], []
-    amps = state.amps
-    for gather, u in zip(gathers, uniforms):
-        image = pauli_image(amps, gather)
-        p_pluses.append(plus_probability(amps, image))
-        bits.append(0 if u < p_pluses[-1] else 1)
-        amps = project_image(amps, image, 1 - 2 * bits[-1])
-    return tuple(bits), tuple(p_pluses), _adopt(state.n_qubits, amps)
+def _overlaps(amps: np.ndarray, table: _SyndromeTable):
+    """The overlaps a_0, a_1 of ``amps`` with the bras of every row of
+    ``table`` (a_L = <R_s v_L|psi>), and each row's weight
+    p_s = |a_0|^2 + |a_1|^2, the probability of measuring s: a sum of
+    squares, with no cancellation however rare the outcome."""
+    a0, a1 = np.einsum("slk,slk->ls", table.bras, amps[table.index])
+    return a0, a1, a0.real**2 + a0.imag**2 + a1.real**2 + a1.imag**2
 
 
 def extract_syndrome(
     state: StateVector, code: CodeSpec, rng: np.random.Generator
 ) -> SyndromeResult:
-    """Run the stabilizer walk on m uniforms from one ``rng.random(m)`` call
-    (the values of m scalar draws) and return bits plus the projection.
+    """Measure the stabilizers in order on m uniforms from one
+    ``rng.random(m)`` call and return bits plus the projected state.
 
-    On an undisturbed codeword all bits come out 0 and the state is
-    unchanged; on a disturbed one the measurement collapses whatever
-    continuous error was present into a definite Pauli coset.
+    Bit k is 0 iff its uniform is below P(bit k = 0 | earlier bits), a
+    ratio of sums of the syndrome weights, so an outcome of weight 0 is
+    never measured.  The projected state is (a_0 R_s v_0 + a_1 R_s v_1)
+    / sqrt(p_s).  On an undisturbed codeword all bits come out 0 and the
+    state is unchanged; on a disturbed one the measurement collapses
+    whatever continuous error was present into a definite Pauli coset.
     """
     if state.n_qubits != code.n_physical:
         raise ValueError(
             f"state has {state.n_qubits} qubits but {code.name} needs "
             f"{code.n_physical}"
         )
-    uniforms = rng.random(len(code.gathers)).tolist()
-    bits, _, post = _syndrome_walk(state, code.gathers, uniforms)
-    return SyndromeResult(bits, post)
+    table = code._syndromes
+    a0, a1, weight = _overlaps(state.amps, table)
+    weights = weight[table.rows].tolist()  # binary order: each bit halves the range
+    bits, syndrome = [], 0
+    for u in rng.random(len(code.stabilizers)).tolist():
+        half = len(weights) // 2
+        low = math.fsum(weights[:half])
+        bits.append(0 if u < low / (low + math.fsum(weights[half:])) else 1)
+        weights = weights[half:] if bits[-1] else weights[:half]
+        syndrome = 2 * syndrome + bits[-1]
+    row = table.rows[syndrome]
+    norm = math.sqrt(weight[row])
+    amps = np.zeros_like(state.amps)
+    for a, support, bra in zip((a0[row], a1[row]), table.index[row], table.bras[row]):
+        amps[support] += (a / norm) * bra.conj()
+    # The code basis is unit only up to rounding (8 fl(1/sqrt 8)^2 < 1), so
+    # the result is renormalized as computed.
+    amps /= np.linalg.norm(amps)
+    return SyndromeResult(tuple(bits), _adopt(state.n_qubits, amps))
 
 
 def recover(result: SyndromeResult, code: CodeSpec) -> StateVector:

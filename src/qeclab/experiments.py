@@ -8,10 +8,10 @@ syndrome outcomes.  For a code with one logical qubit, measuring the
 stabilizers projects onto a syndrome space s spanned by R_s|0_L> and
 R_s|1_L>, where R_s is the table's correction, and recovery applies R_s;
 so each outcome's weight and the infidelity it leaves are read off the
-overlaps <R_s v_L|psi> (``_moments``), through one sparse gather of bras
-per code (``_syndrome_bras``).  A trial thus depends on its occupancy
-alone, and ``sweep_theta`` computes each occupancy once per grid point
-(``_kernel``), with its variance over syndrome outcomes: a row's
+overlaps <R_s v_L|psi> (``_moments``) with the code's syndrome table, the
+one ``extract_syndrome`` samples from.  A trial thus depends on its
+occupancy alone, and ``sweep_theta`` computes each occupancy once per
+grid point (``_kernel``), with its variance over syndrome outcomes: a row's
 ``std_coded`` is the population std of one trial's infidelity, by the law
 of total variance.  A placement with no error count draws nothing; its
 row is its one entry, whatever the seed and trial count.  Each side is
@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
-from .codes import LogicalQubit, get_code
+from .codes import LogicalQubit, _overlaps, get_code
 from .errors import (
     ALL_QUBITS,
     ERROR_KINDS,
@@ -47,7 +46,7 @@ from .errors import (
     resolve_occupancy,
     rotation_unitary,
 )
-from .statevec import StateVector, _pauli_action, apply_product, support_size
+from .statevec import StateVector, apply_product, support_size
 
 SUPPORT_THRESHOLD = 1e-12
 # Infidelities this small are rounding residue, not physics; they are
@@ -202,31 +201,7 @@ def _trial_rng(seed: int, grid_index: int, trial: int, side: int) -> np.random.G
     )
 
 
-@lru_cache(maxsize=None)
-def _syndrome_bras(code_name: str) -> tuple[np.ndarray, np.ndarray]:
-    """The bras <R_s v_L| of a code, R_s the table's correction for syndrome
-    s and v_L the code basis, as a sparse gather built on first use: the
-    support of each R_s v_L and its conjugated amplitudes there, both of
-    shape (2^m, 2, support size)."""
-    code = get_code(code_name)
-    basis = [code.encoder(LogicalQubit(*ab)).amps for ab in ((1.0, 0.0), (0.0, 1.0))]
-    index, bras = [], []
-    for correction in code.recovery_table.values():
-        # Uncached: each is used once, and shor9's 256 would fill the shared
-        # gather cache with 512-amplitude arrays.
-        src, phases = _pauli_action.__wrapped__(code.n_physical, correction)
-        for v in basis:
-            image = phases * v[src]
-            support = np.flatnonzero(image)
-            index.append(support)
-            bras.append(image[support].conj())
-    shape = (len(code.recovery_table), 2, -1)
-    index, bras = np.reshape(index, shape), np.reshape(bras, shape)
-    index.flags.writeable = bras.flags.writeable = False
-    return index, bras
-
-
-def _moments(amps: np.ndarray, bras, logical: LogicalQubit) -> tuple[float, float]:
+def _moments(amps: np.ndarray, table, logical: LogicalQubit) -> tuple[float, float]:
     """Exact mean and variance over syndrome outcomes of the floored
     infidelity that recovery leaves on the state with amplitudes ``amps``.
 
@@ -238,9 +213,7 @@ def _moments(amps: np.ndarray, bras, logical: LogicalQubit) -> tuple[float, floa
     is summed around the mean: a difference of raw moments would leave
     ~1e-8 of rounding where every outcome leaves the same infidelity.
     """
-    index, conj = bras
-    a0, a1 = np.einsum("slk,slk->ls", conj, amps[index])
-    weight = a0.real**2 + a0.imag**2 + a1.real**2 + a1.imag**2
+    a0, a1, weight = _overlaps(amps, table)
     b = logical.alpha * a1 - logical.beta * a0
     reached = weight > 0.0
     weight = weight[reached]
@@ -259,7 +232,7 @@ def _kernel(config: ExperimentConfig, encoded: StateVector, theta: float):
     support): the ``_moments`` of the injected state and its support right
     after injection.  Each occupancy is injected and summed once.
     """
-    bras = _syndrome_bras(config.code)
+    table = get_code(config.code)._syndromes
     model = model_for(config, theta)
     inject = _injector(model)
     entries: dict[bytes, tuple[float, float, int]] = {}
@@ -271,7 +244,7 @@ def _kernel(config: ExperimentConfig, encoded: StateVector, theta: float):
         if entry is None:
             state = inject(encoded, occupancy)
             support = support_size(state, SUPPORT_THRESHOLD)
-            entry = entries[key] = (*_moments(state.amps, bras, config.logical), support)
+            entry = entries[key] = (*_moments(state.amps, table, config.logical), support)
         return entry
 
     return trial

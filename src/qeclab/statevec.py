@@ -16,10 +16,9 @@ callers can hold disjoint streams.
 The public constructor copies and validates its input.  Arrays the
 package has just computed are adopted without the copy (``_adopt``), still
 checked for shape and finiteness; ``_product`` validates an operator once
-for every state it is applied to.  A Pauli measurement works on bare arrays:
-the image P psi in a fresh buffer (``pauli_image``), the +1 probability read
-off it (``plus_probability``), the projection made in place in it
-(``project_image``).  ``codes._syndrome_walk`` adopts only its last buffer.
+for every state it is applied to.  A Pauli string acts as a gather
+(``_pauli_action``).  Stabilizer measurement is not a register operation
+here: ``codes`` reads every syndrome outcome off the code's overlaps.
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ MAX_QUBITS = 14
 # Malformed unitary *inputs* are rejected at 1e-8, looser than the 1e-10
 # drift that accumulated rounding may leave on invariants.
 UNITARY_INPUT_TOL = 1e-8
-
-_BRANCH_NORM_FLOOR = 1e-14
 
 _PAULI_LABELS = frozenset("IXYZ")
 
@@ -200,60 +197,20 @@ def _pauli_action(n_qubits: int, ops: str) -> tuple[np.ndarray, np.ndarray]:
     return src, phases
 
 
-def _check_pauli_string(n_qubits: int, ops: str) -> None:
-    if len(ops) != n_qubits:
+def apply_pauli_string(state: StateVector, ops: str) -> StateVector:
+    """Apply a tensor product of Paulis, e.g. ``"ZZIIIIIII"``."""
+    if len(ops) != state.n_qubits:
         raise ValueError(
-            f"Pauli string length {len(ops)} does not match {n_qubits} qubits"
+            f"Pauli string length {len(ops)} does not match {state.n_qubits} qubits"
         )
     if set(ops) - _PAULI_LABELS:
         raise ValueError(f"Pauli string must be over I/X/Y/Z, got {ops!r}")
-
-
-def pauli_image(amps: np.ndarray, gather: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """P psi, in a fresh buffer, for a (src, phases) gather of the Pauli string P."""
-    src, phases = gather
-    image = amps[src]
-    image *= phases
-    return image
-
-
-def apply_pauli_string(state: StateVector, ops: str) -> StateVector:
-    """Apply a tensor product of Paulis, e.g. ``"ZZIIIIIII"``."""
-    _check_pauli_string(state.n_qubits, ops)
     if set(ops) == {"I"}:
         return state
-    return _adopt(state.n_qubits, pauli_image(state.amps, _pauli_action(state.n_qubits, ops)))
-
-
-def pauli_gather(n_qubits: int, ops: str) -> tuple[np.ndarray, np.ndarray]:
-    """Validated (src, phases) gather of a measurable Pauli string."""
-    _check_pauli_string(n_qubits, ops)
-    if set(ops) == {"I"}:
-        raise ValueError("Pauli string must contain at least one non-identity")
-    return _pauli_action(n_qubits, ops)
-
-
-def plus_probability(amps: np.ndarray, image: np.ndarray) -> float:
-    """Born +1 probability from psi and its image P psi: the squared norm of
-    (I + P)/2 psi, computed as (1 + <P>)/2 and clipped into [0, 1] against
-    rounding."""
-    expectation = float(np.real(np.vdot(amps, image)))
-    return min(max((1.0 + expectation) / 2.0, 0.0), 1.0)
-
-
-def project_image(amps: np.ndarray, image: np.ndarray, sign: int) -> np.ndarray:
-    """Renormalized projection (I + sign * P)/2 psi, made in place in ``image``
-    (P psi, which the caller gives up).  The exact halving is skipped, which
-    leaves the bits of the result unchanged.  Raises RuntimeError when the
-    outcome ``sign`` has (numerically) zero probability."""
-    (np.add if sign > 0 else np.subtract)(amps, image, out=image)
-    re, im = image.real, image.imag
-    norm = math.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm's sum
-    if norm < 2.0 * _BRANCH_NORM_FLOOR:
-        raise RuntimeError(f"sampled projective branch has vanishing norm {norm / 2.0:.3e}")
-    parts = image.view(np.float64)
-    parts *= 1.0 / norm  # as numpy's complex-by-real division scales
-    return image
+    src, phases = _pauli_action(state.n_qubits, ops)
+    image = state.amps[src]
+    image *= phases
+    return _adopt(state.n_qubits, image)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -8,12 +8,12 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
-import qeclab.codes
 from qeclab.codes import (
     CodeSpec,
     LogicalQubit,
     SyndromeResult,
-    _syndrome_walk,
+    _code,
+    _overlaps,
     extract_syndrome,
     get_code,
     logical_fidelity,
@@ -24,7 +24,7 @@ from qeclab.codes import (
     uncoded,
 )
 from qeclab.errors import GeneralErrorParams, RotationErrorParams, build_general_unitary, rotation_unitary
-from qeclab.statevec import StateVector, apply_1q, apply_pauli_string, pauli_gather, support_size
+from qeclab.statevec import StateVector, apply_1q, apply_pauli_string, support_size
 
 # The codeword structures, restated independently of the module under test.
 STEANE_ZERO_KETS = {
@@ -244,6 +244,12 @@ class TestCodeSpecInvariants:
         assert steane_code().n_physical == 7
         assert uncoded().n_physical == 1
 
+    def test_refuses_stabilizers_that_leave_more_than_one_logical_qubit(self):
+        """One stabilizer on three qubits leaves two logical qubits, whose
+        2^m x 2 syndrome table would not span the register."""
+        with pytest.raises(ValueError, match="3 qubits need 2 stabilizers.*got 1"):
+            _code("bad", ("ZZI",), "ZZZ", "XXX")
+
 
 def _weight_le_one_paulis(n: int) -> list[str]:
     return ["I" * n] + [single_pauli(n, q, letter) for q in range(n) for letter in "XYZ"]
@@ -354,26 +360,49 @@ class TestExtractSyndrome:
             second.post_state.amps, first.post_state.amps, atol=1e-10
         )
 
-    def test_uses_the_gathers_built_with_the_code(self, monkeypatch):
-        code = get_code("shor9")
-        calls = []
-        original = qeclab.codes.pauli_gather
+    def test_uses_the_gathers_built_with_the_code(self):
+        """The syndrome table is built once per spec, on first use: its two
+        basis codewords are encoded once, however many measurements follow."""
+        code = get_code("steane7")
+        encoded = []
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+        def encoder(logical):
+            encoded.append(logical)
+            return code.encoder(logical)
 
-        monkeypatch.setattr(qeclab.codes, "pauli_gather", counting)
-        extract_syndrome(code.encoder(GENERIC_LOGICAL), code, np.random.default_rng(0))
-        assert calls == []
+        spec = CodeSpec("copy", 7, code.stabilizers, code.recovery_table, encoder)
+        assert encoded == []
+        state = code.encoder(GENERIC_LOGICAL)
+        for seed in range(3):
+            extract_syndrome(state, spec, np.random.default_rng(seed))
+        assert encoded == [LogicalQubit(1.0, 0.0), LogicalQubit(0.0, 1.0)]
 
-    def test_a_hand_built_spec_gathers_each_stabilizer(self):
+    def test_a_hand_built_spec_builds_its_own_table(self):
         code = get_code("steane7")
         spec = CodeSpec("copy", 7, code.stabilizers, code.recovery_table, code.encoder)
-        assert len(spec.gathers) == len(code.stabilizers)
-        for (src, phases), stabilizer in zip(spec.gathers, code.stabilizers):
-            want_src, want_phases = pauli_gather(7, stabilizer)
-            assert np.array_equal(src, want_src) and np.array_equal(phases, want_phases)
+        table = spec._syndromes
+        assert table is not code._syndromes
+        for got, want in zip(table, code._syndromes):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ["steane7", "shor9"])
+    def test_rare_outcome_weight_is_free_of_cancellation(self, name):
+        """A y rotation by 1e-6 on qubit 0 puts weight sin^2(theta/2) on
+        Y_0's syndrome.  A (1 - <P>)/2 per stabilizer loses about 1e-4 of it
+        to cancellation; the overlaps' sum of squares keeps it to rounding."""
+        code = get_code(name)
+        theta = 1e-6
+        y0 = single_pauli(code.n_physical, 0, "Y")
+        state = apply_1q(
+            code.encoder(GENERIC_LOGICAL), rotation_unitary(RotationErrorParams("y", theta)), 0
+        )
+        syndrome = sum(
+            (not pauli_strings_commute(y0, s)) << (len(code.stabilizers) - 1 - k)
+            for k, s in enumerate(code.stabilizers)
+        )
+        _, _, weight = _overlaps(state.amps, code._syndromes)
+        want = math.sin(theta / 2) ** 2
+        assert weight[code._syndromes.rows[syndrome]] == pytest.approx(want, rel=1e-12)
 
     def test_rejects_dimension_mismatch(self):
         rng = np.random.default_rng(0)
@@ -396,15 +425,15 @@ def dense_pauli(ops: str) -> np.ndarray:
 
 
 class TestSyndromeWalk:
-    """``_syndrome_walk`` against dense stabilizer matrices built from
-    Kronecker products, independent of the gather tables it uses."""
+    """``extract_syndrome``'s draw, one stabilizer after another, against
+    dense projectors (I +/- S)/2 built from Kronecker products, independent
+    of the syndrome table it reads."""
 
     @pytest.mark.parametrize("name", ["steane7", "shor9"])
     def test_matches_dense_projections(self, name):
         code = get_code(name)
         n = code.n_physical
         dense = [dense_pauli(s) for s in code.stabilizers]
-        gathers = tuple(pauli_gather(n, s) for s in code.stabilizers)
         rng = np.random.default_rng(2024)
         rotated = code.encoder(GENERIC_LOGICAL)
         for qubit in range(n):
@@ -414,62 +443,34 @@ class TestSyndromeWalk:
             amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
             states.append(StateVector(n, amps / np.linalg.norm(amps)))
         seen_bits = set()
-        for state in states:
-            uniforms = rng.random(len(gathers)).tolist()
-            bits, p_pluses, post = _syndrome_walk(state, gathers, uniforms)
+        for seed, state in enumerate(states):
+            result = extract_syndrome(state, code, np.random.default_rng(seed))
+            uniforms = np.random.default_rng(seed).random(len(dense))  # the twin stream
             psi = state.amps
             for level, (stabilizer, u) in enumerate(zip(dense, uniforms)):
                 plus = (psi + stabilizer @ psi) / 2
                 p_plus = float(np.vdot(plus, plus).real)
-                assert p_pluses[level] == pytest.approx(p_plus, abs=1e-12)
-                assert bits[level] == (0 if u < p_plus else 1)
-                branch = (psi + (1 - 2 * bits[level]) * (stabilizer @ psi)) / 2
+                assert result.bits[level] == (0 if u < p_plus else 1)
+                branch = (psi + (1 - 2 * result.bits[level]) * (stabilizer @ psi)) / 2
                 psi = branch / np.linalg.norm(branch)
-            np.testing.assert_allclose(post.amps, psi, rtol=0, atol=1e-12)
-            seen_bits.add(bits)
+            np.testing.assert_allclose(result.post_state.amps, psi, rtol=0, atol=1e-12)
+            seen_bits.add(result.bits)
         assert len(seen_bits) > 3  # the draws reach several syndromes
 
     @pytest.mark.parametrize("name", ["steane7", "shor9"])
-    def test_bits_match_the_textbook_arithmetic(self, name):
-        """The walk's in-place buffers round exactly as the textbook steps:
-        the gather ``phases * amps[src]``, the branch ``(psi + s P psi) / 2``
-        and its division by ``np.linalg.norm``."""
-        code = get_code(name)
-        n = code.n_physical
-        gathers = tuple(pauli_gather(n, s) for s in code.stabilizers)
-        rng = np.random.default_rng(4242)
-        states = []
-        for axis, theta in (("x", 0.3), ("y", 0.9), ("z", 1.7)):
-            state = code.encoder(GENERIC_LOGICAL)
-            for qubit in range(n):
-                state = apply_1q(state, rotation_unitary(RotationErrorParams(axis, theta)), qubit)
-            states.append(state)
-        for _ in range(8):
-            amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-            states.append(StateVector(n, amps / np.linalg.norm(amps)))
-        for state in states:
-            for _ in range(4):
-                uniforms = rng.random(len(gathers)).tolist()
-                bits, p_pluses, post = _syndrome_walk(state, gathers, uniforms)
-                ref_bits, ref_p_pluses, psi = [], [], state.amps
-                for (src, phases), u in zip(gathers, uniforms):
-                    image = phases * psi[src]
-                    expectation = float(np.real(np.vdot(psi, image)))
-                    ref_p_pluses.append(min(max((1.0 + expectation) / 2.0, 0.0), 1.0))
-                    ref_bits.append(0 if u < ref_p_pluses[-1] else 1)
-                    branch = (psi + (1 - 2 * ref_bits[-1]) * image) / 2
-                    psi = branch / np.linalg.norm(branch)
-                assert bits == tuple(ref_bits)
-                assert p_pluses == tuple(ref_p_pluses)
-                assert np.array_equal(post.amps, psi)
+    def test_a_zero_weight_outcome_is_never_drawn(self, name):
+        """On an undisturbed codeword every other syndrome has weight 0, so
+        uniforms just below 1.0 still give the all-zero syndrome."""
 
-    def test_vanishing_branch_raises(self):
-        """On an undisturbed codeword every p_plus is 1, and a uniform of
-        1.0 (not below it) picks the empty -1 branch at the first level."""
-        code = get_code("steane7")
-        gathers = [pauli_gather(7, s) for s in code.stabilizers]
-        with pytest.raises(RuntimeError, match=r"vanishing norm 0\.000e\+00"):
-            _syndrome_walk(code.encoder(GENERIC_LOGICAL), gathers, [1.0] * 6)
+        class AlmostOne:
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        code = get_code(name)
+        state = code.encoder(GENERIC_LOGICAL)
+        result = extract_syndrome(state, code, AlmostOne())
+        assert result.bits == (0,) * len(code.stabilizers)
+        np.testing.assert_allclose(result.post_state.amps, state.amps, rtol=0, atol=1e-15)
 
 
 class TestRecover:

@@ -37,7 +37,6 @@ from qeclab.experiments import (
     _bare_qubit_placement,
     _moments,
     _stacks_errors,
-    _syndrome_bras,
     _trial_rng,
     fit_power_law,
     model_for,
@@ -523,23 +522,6 @@ class TestSweepTheta:
             monkeypatch.setattr(module, "StateVector", traced)
         assert sweep_theta(config).rows == expected
 
-    def test_miss_path_gathers_each_level_once(self, monkeypatch):
-        """``extract_syndrome`` takes one image P psi per stabilizer: the +1
-        probability and the projection share it."""
-        images = []
-        original = qeclab.codes.pauli_image
-
-        def counting(state, gather):
-            images.append(gather)
-            return original(state, gather)
-
-        monkeypatch.setattr(qeclab.codes, "pauli_image", counting)
-        for code in ("steane7", "shor9"):
-            images.clear()
-            state = get_code(code).encoder(GENERIC)
-            extract_syndrome(state, get_code(code), np.random.default_rng(0))
-            assert len(images) == len(get_code(code).stabilizers)
-
     def test_channel_operator_is_validated_once_per_kernel(self, monkeypatch):
         """Each grid point builds two kernels, the coded one and the bare
         qubit's; each validates its unitary once, however many placements
@@ -640,12 +622,11 @@ class TestSweepTheta:
         ids=["steane7-all", "shor9-bose2"],
     )
     def test_a_cached_branch_runs_no_walk(self, monkeypatch, overrides):
-        """A sweep measures nothing: it makes no syndrome walk, takes no
-        stabilizer image, and runs no recovery or fidelity."""
+        """A sweep measures nothing: it samples no syndrome, and runs no
+        recovery or fidelity."""
         calls = []
         for module, name in [
-            (qeclab.codes, "_syndrome_walk"),
-            (qeclab.codes, "pauli_image"),
+            (qeclab.codes, "extract_syndrome"),
             (qeclab.codes, "recover"),
             (qeclab.codes, "fidelity"),
             (qeclab.statevec, "fidelity"),
@@ -700,7 +681,7 @@ class TestMoments:
                 inject = _injector(model_for(config, theta))
                 for occupancy in occupancies:
                     state = inject(encoded, occupancy)
-                    got = _moments(state.amps, _syndrome_bras(code), logical)
+                    got = _moments(state.amps, get_code(code)._syndromes, logical)
                     want = dense_moments(state.amps, code, logical)
                     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-15)
 
@@ -709,7 +690,7 @@ class TestMoments:
         code = get_code("steane7")
         config = rotation_config(logical=GENERIC)
         state = _injector(model_for(config, 0.5))(code.encoder(GENERIC), np.ones(7, int))
-        mean, variance = _moments(state.amps, _syndrome_bras("steane7"), GENERIC)
+        mean, variance = _moments(state.amps, code._syndromes, GENERIC)
         rng = np.random.default_rng(16)
         shots, syndromes = np.empty(20_000), set()
         for shot in range(shots.size):
@@ -739,7 +720,6 @@ def repetition_codes(monkeypatch):
         monkeypatch.setitem(qeclab.codes._CODE_BUILDERS, name, builder)
     yield
     get_code.cache_clear()
-    _syndrome_bras.cache_clear()
 
 
 class TestExactAnchors:

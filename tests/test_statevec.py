@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qeclab.codes import _syndrome_walk
+from qeclab.codes import _code, extract_syndrome
 from qeclab.statevec import (
     StateVector,
     _adopt,
@@ -14,7 +14,6 @@ from qeclab.statevec import (
     apply_product,
     basis_state,
     fidelity,
-    pauli_gather,
     support_size,
 )
 
@@ -37,19 +36,36 @@ def random_state(n: int, rng: np.random.Generator) -> StateVector:
     return StateVector(n, amps / np.linalg.norm(amps))
 
 
+# [[2,1]] codes, one per measured string: each measures its one
+# stabilizer, and its logical operators act on the other degree of freedom.
+PAIR_CODES = {
+    "ZZ": _code("zz", ("ZZ",), "ZI", "XX"),
+    "XX": _code("xx", ("XX",), "ZZ", "XI"),
+    "ZI": _code("z0", ("ZI",), "IZ", "IX"),
+    "IZ": _code("z1", ("IZ",), "ZI", "XI"),
+}
+
+
 def measure(state: StateVector, ops: str, rng: np.random.Generator):
-    """Measure one Pauli string with the package's syndrome walk, drawing
-    one uniform; returns (+1/-1 outcome, renormalized projection)."""
-    gather = pauli_gather(state.n_qubits, ops)
-    (bit,), _, post = _syndrome_walk(state, (gather,), rng.random(1))
-    return 1 - 2 * bit, post
+    """Measure one two-qubit Pauli string as the syndrome of its [[2,1]]
+    code, drawing one uniform; returns (+1/-1 outcome, projected state)."""
+    result = extract_syndrome(state, PAIR_CODES[ops], rng)
+    return 1 - 2 * result.bits[0], result.post_state
 
 
 def measure_z(state: StateVector, target: int, rng: np.random.Generator):
-    """Measure qubit ``target`` in the Z basis; returns (bit, collapsed state)."""
-    ops = "".join("Z" if q == target else "I" for q in range(state.n_qubits))
-    sign, post = measure(state, ops, rng)
+    """Measure qubit ``target`` of a pair in the Z basis; returns (bit,
+    collapsed state)."""
+    sign, post = measure(state, "ZI" if target == 0 else "IZ", rng)
     return (1 - sign) // 2, post
+
+
+def dense_probability(state: StateVector, ops: str, sign: int) -> float:
+    """Born probability of outcome ``sign``: |(I + sign P)/2 psi|^2, P the
+    Kronecker product of ``ops``."""
+    mats = {"I": I2, "X": X, "Z": Z}
+    projected = (state.amps + sign * np.kron(mats[ops[0]], mats[ops[1]]) @ state.amps) / 2
+    return float(np.vdot(projected, projected).real)
 
 
 def random_unitary(rng: np.random.Generator) -> np.ndarray:
@@ -222,21 +238,24 @@ class TestApply1q:
 
 
 class TestMeasureQubit:
-    """One-qubit Z measurements, the single-qubit case of ``measure``."""
+    """One-qubit Z measurements of a pair, the single-qubit case of ``measure``."""
 
     def test_eigenstate_is_deterministic(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            bit, post = measure_z(basis_state(1, "0"), 0, rng)
+            bit, post = measure_z(basis_state(2, "00"), 0, rng)
             assert bit == 0
-            np.testing.assert_allclose(post.amps, [1, 0], atol=1e-15)
+            np.testing.assert_allclose(post.amps, [1, 0, 0, 0], atol=1e-15)
 
     def test_born_rule_frequency(self):
-        """(|0>+|1>)/sqrt(2) measures 0 with frequency 0.5 +/- 0.02 at 1e4 trials."""
+        """(|0>+|1>)/sqrt(2) on qubit 0 measures 0 with its dense weight 0.5,
+        within 0.02 at 1e4 trials."""
         rng = np.random.default_rng(123)
-        plus = StateVector(1, np.array([SQRT2_INV, SQRT2_INV]))
+        plus = StateVector(2, np.array([SQRT2_INV, 0, SQRT2_INV, 0]))
+        p_zero = dense_probability(plus, "ZI", +1)
+        assert p_zero == pytest.approx(0.5, abs=1e-15)
         zeros = sum(1 - measure_z(plus, 0, rng)[0] for _ in range(10_000))
-        assert abs(zeros / 10_000 - 0.5) < 0.02
+        assert abs(zeros / 10_000 - p_zero) < 0.02
 
     def test_bell_correlation(self):
         """Measuring both halves of a Bell pair always gives identical bits."""
@@ -249,21 +268,15 @@ class TestMeasureQubit:
 
     def test_repeated_measurement_is_stable(self):
         rng = np.random.default_rng(21)
-        state = random_state(3, rng)
+        state = random_state(2, rng)
         bit, post = measure_z(state, 1, rng)
         for _ in range(5):
             again, post = measure_z(post, 1, rng)
             assert again == bit
 
-    def test_rejects_out_of_range(self):
-        """A Z on qubit 3 of a 1-qubit register is a string of the wrong length."""
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="does not match 1 qubits"):
-            measure(basis_state(1, "0"), "IIIZ", rng)
-
 
 class TestMeasurePauliString:
-    """Pauli-string measurement as the syndrome walk performs it."""
+    """Pauli-string measurement as ``extract_syndrome`` performs it."""
 
     def test_zz_even_parity(self):
         rng = np.random.default_rng(0)
@@ -283,24 +296,12 @@ class TestMeasurePauliString:
         assert sign == 1
         np.testing.assert_allclose(post.amps, bell.amps, atol=1e-12)
 
-    def test_rejects_all_identity(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="non-identity"):
-            measure(basis_state(2, "00"), "II", rng)
-
-    def test_rejects_bad_labels(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="I/X/Y/Z"):
-            measure(basis_state(2, "00"), "QQ", rng)
-
     def test_projective_idempotence(self):
         """Measuring the same string twice repeats the sign, state unchanged."""
         rng = np.random.default_rng(99)
         for _ in range(25):
-            state = random_state(4, rng)
-            ops = "".join(rng.choice(list("IXYZ")) for _ in range(4))
-            if set(ops) == {"I"}:
-                ops = "X" + ops[1:]
+            state = random_state(2, rng)
+            ops = str(rng.choice(list(PAIR_CODES)))
             sign1, post1 = measure(state, ops, rng)
             sign2, post2 = measure(post1, ops, rng)
             assert sign1 == sign2
@@ -326,6 +327,14 @@ class TestApplyPauliString:
     def test_identity_string_is_noop(self):
         state = basis_state(2, "01")
         assert apply_pauli_string(state, "II") is state
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="does not match 1 qubits"):
+            apply_pauli_string(basis_state(1, "0"), "IIIZ")
+
+    def test_rejects_bad_labels(self):
+        with pytest.raises(ValueError, match="I/X/Y/Z"):
+            apply_pauli_string(basis_state(2, "00"), "QQ")
 
 
 class TestFidelity:
@@ -416,7 +425,7 @@ class TestInvariants:
 
     def test_born_rule_marginals_at_scale(self):
         """1e5 measurements of one qubit of an entangled pair stay within
-        3 sigma of the |amplitude|^2 marginal."""
+        3 sigma of the |amplitude|^2 marginal, which the dense weight equals."""
         trials = 100_000
         rng = np.random.default_rng(1234)
         theta = 1.1
@@ -424,6 +433,7 @@ class TestInvariants:
         state = StateVector(2, np.array([c, 0, 0, s]))  # c|00> + s|11>
         state = apply_1q(state, ry(0.4), 1)  # does not touch qubit 0's marginal
         p_one = s**2
+        assert dense_probability(state, "ZI", -1) == pytest.approx(p_one, abs=1e-15)
         ones = sum(measure(state, "ZI", rng)[0] == -1 for _ in range(trials))
         sigma = math.sqrt(trials * p_one * (1 - p_one))
         assert abs(ones - trials * p_one) < 3 * sigma
