@@ -17,9 +17,6 @@ from .codes import (
     logical_fidelity,
     pauli_strings_commute,
     recover,
-    shor_code,
-    steane_code,
-    uncoded,
 )
 from .errors import (
     ALL_QUBITS,
@@ -100,9 +97,6 @@ __all__ = [
     "run_trial",
     "sample_placement",
     "sensitivity_experiment",
-    "shor_code",
-    "steane_code",
     "support_size",
     "sweep_theta",
-    "uncoded",
 ]

@@ -30,8 +30,8 @@ for a fixed seed; files are written atomically (temp file + rename),
 never partially.
 
 Exit codes: 0 success, 2 config/validation error or a simulation that
-cannot continue (a missing recovery-table entry, a trial budget too large
-to allocate for a placement that draws), 3 I/O error.
+cannot continue (a trial budget too large to allocate for a placement
+that draws), 3 I/O error.
 
 ``main(argv)`` is re-entrant, so tests and notebooks can call it
 in-process any number of times.  Every call in a process shares one
@@ -63,6 +63,7 @@ from .errors import (
 )
 from .experiments import (
     KIND_FIELDS,
+    NUMERICAL_FLOOR,
     SUPPORT_THRESHOLD,
     ConfigError,
     ExperimentConfig,
@@ -462,11 +463,18 @@ def _cmd_correct(args: argparse.Namespace) -> None:
     state = apply_error_model(encoded, model_for(config, config.theta_grid[0]), rng)
     syndrome = extract_syndrome(state, code, rng)
     corrected = recover(syndrome, code)
-    fid = fidelity(corrected, encoded)
+    # The recovered state lies in the code space, so its infidelity is its
+    # weight on the orthogonal complement of the logical state: no 1 - F
+    # cancellation.  Floored as a sweep's outcome is.
+    alpha, beta = config.logical.alpha, config.logical.beta
+    complement = code.encoder(LogicalQubit(-beta.conjugate(), alpha.conjugate()))
+    infidelity = fidelity(corrected, complement)
+    if infidelity < NUMERICAL_FLOOR:
+        infidelity = 0.0
     lines = [
         "syndrome = " + "".join(map(str, syndrome.bits)),
-        f"fidelity = {format_float(fid)}",
-        f"infidelity = {format_float(1.0 - fid)}",
+        f"fidelity = {format_float(1.0 - infidelity)}",
+        f"infidelity = {format_float(infidelity)}",
     ]
     _deliver("\n".join(lines) + "\n", args.out)
 
@@ -569,9 +577,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    # ValueError covers ConfigError; LookupError is a missing recovery-table
-    # entry, MemoryError an unallocatable budget, and RuntimeError any other
-    # simulation that cannot continue.
+    # ValueError covers ConfigError, MemoryError an unallocatable budget, and
+    # RuntimeError or LookupError any other simulation that cannot continue.
     except (ValueError, RuntimeError, LookupError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

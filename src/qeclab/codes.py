@@ -1,8 +1,9 @@
 """Encoders, stabilizer syndromes, and recovery for the Shor 9-qubit and
 Steane 7-qubit codes, plus an uncoded single-qubit baseline.
 
-Each code is written down once, as its stabilizers and its logical Z and
-X; the rest is derived when the code is built.  The codewords project
+A code is its definition: its stabilizers and its logical Z and X,
+written down once in ``_CODE_DEFINITIONS``.  ``CodeSpec`` checks a
+definition and derives the rest when it is built.  The codewords project
 |0...0> onto the code space instead of running gate circuits, and their
 amplitudes are set exactly (1/sqrt 8 on 8 kets per logical basis state
 for either code), so they are bit-exact and circuit bugs are out of the
@@ -30,16 +31,18 @@ matching a particular Pauli.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .statevec import (
+    MAX_QUBITS,
     StateVector,
+    _PAULI_LABELS,
     _adopt,
     _norm_sq,
     _pauli_action,
@@ -96,25 +99,80 @@ class _SyndromeTable(NamedTuple):
 
 @dataclass(frozen=True)
 class CodeSpec:
-    """A code: physical size, stabilizer list, total recovery table and
-    encoder, plus its syndrome table, built on first use."""
+    """A code with one logical qubit, defined by its stabilizers (Z-type
+    first, then X-type) and its logical Z and X, each a string of n letters
+    over IXYZ.  The constructor refuses a definition that is not one, and
+    derives the rest: the qubit count n, the read-only codewords
+    (|0_L>, |1_L>), the total recovery table, and, on first use, the
+    syndrome table.
+
+    |0_L> is |0...0> projected onto the +1 eigenspace of ``logical_z`` and
+    of every stabilizer.  A stabilizer state's amplitudes share one modulus,
+    so it is set to exactly 1/sqrt(support size) there, times the phase
+    the projection left.  |1_L> is ``logical_x`` |0_L>.
+    """
 
     name: str
-    n_physical: int
     stabilizers: tuple[str, ...]
-    recovery_table: Mapping[str, str]
-    encoder: Callable[[LogicalQubit], StateVector]
+    logical_z: str
+    logical_x: str
+    n_physical: int = field(init=False, repr=False, compare=False)
+    codewords: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    recovery_table: Mapping[str, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        name, stabilizers, n = self.name, self.stabilizers, len(self.logical_z)
+        for ops in (*stabilizers, self.logical_z, self.logical_x):
+            if len(ops) != n or set(ops) - _PAULI_LABELS:
+                raise ValueError(f"{name}: {ops!r} is not {n} letters over IXYZ")
+        if not 1 <= n <= MAX_QUBITS:
+            raise ValueError(f"{name}: a code needs 1 to {MAX_QUBITS} qubits, got {n}")
+        for label, logical in (("logical Z", self.logical_z), ("logical X", self.logical_x)):
+            for stabilizer in stabilizers:
+                if not pauli_strings_commute(logical, stabilizer):
+                    raise ValueError(
+                        f"{name}: {label} {logical} anticommutes with stabilizer {stabilizer}"
+                    )
+        if pauli_strings_commute(self.logical_z, self.logical_x):
+            raise ValueError(
+                f"{name}: logical Z {self.logical_z} commutes with logical X {self.logical_x}"
+            )
+        # One logical qubit, so that the syndrome table spans the register.
+        if len(stabilizers) != n - 1:
+            raise ValueError(
+                f"{name}: {n} qubits need {n - 1} stabilizers to leave one logical "
+                f"qubit, got {len(stabilizers)}"
+            )
+        projected = np.zeros(1 << n)
+        projected[0] = 1.0
+        for ops in (self.logical_z, *stabilizers):  # each (I + P) is exact on integers
+            src, phases = _pauli_action(n, ops)
+            projected = projected + phases * projected[src]
+        support = projected != 0
+        if not support.any():
+            raise ValueError(f"{name}: |{'0' * n}> has no component in the code space")
+        v0 = np.zeros(1 << n, dtype=np.complex128)
+        phase = projected[support] / np.abs(projected[support])
+        v0[support] = phase * (1.0 / math.sqrt(np.count_nonzero(support)))
+        src, phases = _pauli_action(n, self.logical_x)
+        v1 = phases * v0[src] + 0.0  # + 0.0 turns the -0.0 of a -1 phase into 0.0
+        v0.flags.writeable = v1.flags.writeable = False
+        object.__setattr__(self, "n_physical", n)
+        object.__setattr__(self, "codewords", (v0, v1))
+        object.__setattr__(self, "recovery_table", _build_recovery_table(n, stabilizers))
+
+    def encoder(self, logical: LogicalQubit) -> StateVector:
+        """alpha |0_L> + beta |1_L>."""
+        v0, v1 = self.codewords
+        return _adopt(self.n_physical, logical.alpha * v0 + logical.beta * v1)
 
     @cached_property
     def _syndromes(self) -> _SyndromeTable:
         """The code's one syndrome table, built on first use and kept."""
-        basis = [self.encoder(LogicalQubit(*ab)).amps for ab in ((1.0, 0.0), (0.0, 1.0))]
         index, bras = [], []
         for correction in self.recovery_table.values():
-            # Uncached: each is used once, and shor9's 256 would fill the shared
-            # gather cache with 512-amplitude arrays.
-            src, phases = _pauli_action.__wrapped__(self.n_physical, correction)
-            for v in basis:
+            src, phases = _pauli_action(self.n_physical, correction)
+            for v in self.codewords:
                 image = phases * v[src]
                 support = np.flatnonzero(image)
                 index.append(support)
@@ -155,14 +213,14 @@ def _min_weight_patterns(
             found.setdefault(syndrome, subset)
         if len(found) == want:
             return found
-    raise RuntimeError("stabilizers do not span their syndrome space")
+    raise ValueError("stabilizers are not independent: they do not span their syndrome space")
 
 
 def _build_recovery_table(n: int, stabilizers: tuple[str, ...]) -> Mapping[str, str]:
     z_type = [s for s in stabilizers if set(s) <= {"I", "Z"}]
     x_type = [s for s in stabilizers if set(s) <= {"I", "X"}]
     if list(stabilizers) != z_type + x_type:
-        raise ValueError("stabilizers must be ordered Z-type first, then X-type")
+        raise ValueError("stabilizers must be CSS: Z-type (I/Z) ones first, then X-type (I/X)")
     for a, b in combinations(stabilizers, 2):
         if not pauli_strings_commute(a, b):
             raise ValueError(f"stabilizers {a} and {b} do not commute")
@@ -173,98 +231,44 @@ def _build_recovery_table(n: int, stabilizers: tuple[str, ...]) -> Mapping[str, 
     for syn_z, x_cells in x_patterns.items():
         for syn_x, z_cells in z_patterns.items():
             key = "".join(map(str, syn_z + syn_x))
-            xs, zs = set(x_cells), set(z_cells)
-            letters = []
-            for q in range(n):
-                if q in xs and q in zs:
-                    letters.append("Y")
-                elif q in xs:
-                    letters.append("X")
-                elif q in zs:
-                    letters.append("Z")
-                else:
-                    letters.append("I")
-            table[key] = "".join(letters)
+            # X on the X cells, Z on the Z cells, Y on both.
+            table[key] = "".join("IZXY"[2 * (q in x_cells) + (q in z_cells)] for q in range(n))
     return MappingProxyType(table)
-
-
-def _code(name: str, stabilizers: tuple[str, ...], logical_z: str, logical_x: str) -> CodeSpec:
-    """The CodeSpec of a CSS code.  |0_L> is |0...0> projected onto the +1
-    eigenspace of ``logical_z`` and of every stabilizer; a CSS codeword is
-    uniform over its support, so it is exactly 1/sqrt(support size) there.
-    |1_L> is ``logical_x`` |0_L>.  The projections take statevec's private
-    gathers, not the module names that tracers and tests patch.  The code
-    must leave exactly one logical qubit, so that its syndrome table spans
-    the register."""
-    n = len(logical_z)
-    if len(stabilizers) != n - 1:
-        raise ValueError(
-            f"{name}: {n} qubits need {n - 1} stabilizers to leave one logical "
-            f"qubit, got {len(stabilizers)}"
-        )
-    projected = np.zeros(1 << n)
-    projected[0] = 1.0
-    for ops in (logical_z, *stabilizers):  # each (I + P) is exact on integers
-        src, phases = _pauli_action(n, ops)
-        projected = projected + phases * projected[src]
-    support = projected != 0
-    v0 = np.zeros(1 << n, dtype=np.complex128)
-    v0[support] = 1.0 / math.sqrt(np.count_nonzero(support))
-    src, phases = _pauli_action(n, logical_x)
-    v1 = phases * v0[src] + 0.0  # + 0.0 turns the -0.0 of a -1 phase into 0.0
-    v0.flags.writeable = v1.flags.writeable = False
-
-    def encode(logical: LogicalQubit) -> StateVector:
-        return _adopt(n, logical.alpha * v0 + logical.beta * v1)
-
-    return CodeSpec(name, n, stabilizers, _build_recovery_table(n, stabilizers), encode)
 
 
 # ---------------------------------------------------------------------------
 # The codes
 # ---------------------------------------------------------------------------
 
-def shor_code() -> CodeSpec:
-    """The [[9,1,3]] block-repetition code."""
-    return _code(
-        "shor9",
+# Each code's definition: its stabilizers, logical Z and logical X.
+_CODE_DEFINITIONS = {
+    # The [[9,1,3]] block-repetition code.
+    "shor9": (
         ("ZZIIIIIII", "IZZIIIIII", "IIIZZIIII", "IIIIZZIII", "IIIIIIZZI", "IIIIIIIZZ",
          "XXXXXXIII", "IIIXXXXXX"),
         "XXXXXXXXX",
         "ZZZZZZZZZ",
-    )
-
-
-def steane_code() -> CodeSpec:
-    """The [[7,1,3]] CSS code over the Hamming parity checks."""
-    # Parity checks of the [7,4,3] Hamming code, as Z and then as X; column
-    # j (0-indexed) read top-to-bottom is the binary expansion of j + 1.
-    return _code(
-        "steane7",
+    ),
+    # The [[7,1,3]] CSS code over the parity checks of the [7,4,3] Hamming
+    # code, as Z and then as X; column j (0-indexed) read top-to-bottom is
+    # the binary expansion of j + 1.
+    "steane7": (
         ("IIIZZZZ", "IZZIIZZ", "ZIZIZIZ", "IIIXXXX", "IXXIIXX", "XIXIXIX"),
         "ZZZZZZZ",
         "XXXXXXX",
-    )
-
-
-def uncoded() -> CodeSpec:
-    """Bare single qubit: identity encoder, empty syndrome, identity recovery."""
-    return _code("uncoded", (), "Z", "X")
-
-
-_CODE_BUILDERS = {"shor9": shor_code, "steane7": steane_code, "uncoded": uncoded}
-CODE_NAMES = tuple(_CODE_BUILDERS)
+    ),
+    # The bare qubit: no stabilizer, so its recovery table is {"": "I"}.
+    "uncoded": ((), "Z", "X"),
+}
+CODE_NAMES = tuple(_CODE_DEFINITIONS)
 
 
 @lru_cache(maxsize=None)
 def get_code(name: str) -> CodeSpec:
     """Shared immutable CodeSpec for one of the stable names."""
-    try:
-        return _CODE_BUILDERS[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown code {name!r}; expected one of {', '.join(CODE_NAMES)}"
-        ) from None
+    if name not in _CODE_DEFINITIONS:
+        raise ValueError(f"unknown code {name!r}; expected one of {', '.join(CODE_NAMES)}")
+    return CodeSpec(name, *_CODE_DEFINITIONS[name])
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +330,10 @@ def recover(result: SyndromeResult, code: CodeSpec) -> StateVector:
             f"syndrome has {len(result.bits)} bits but {code.name} has "
             f"{len(code.stabilizers)} stabilizers"
         )
-    key = "".join(map(str, result.bits))
-    try:
-        correction = code.recovery_table[key]
-    except KeyError:
-        raise LookupError(
-            f"recovery table for {code.name} is missing syndrome {key!r}; "
-            "the table construction is broken"
-        ) from None
-    return apply_pauli_string(result.post_state, correction)
+    digits = [str(bit) for bit in result.bits]
+    if set(digits) - {"0", "1"}:
+        raise ValueError(f"syndrome bits must be 0 or 1, got {result.bits!r}")
+    return apply_pauli_string(result.post_state, code.recovery_table["".join(digits)])
 
 
 def logical_fidelity(

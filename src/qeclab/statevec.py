@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -167,7 +166,6 @@ def apply_1q(state: StateVector, u: np.ndarray, target: int) -> StateVector:
     return apply_product(state, u, (target,))
 
 
-@lru_cache(maxsize=256)
 def _pauli_action(n_qubits: int, ops: str) -> tuple[np.ndarray, np.ndarray]:
     """Source indices and phases realizing a Pauli string as a gather.
 
@@ -191,10 +189,7 @@ def _pauli_action(n_qubits: int, ops: str) -> tuple[np.ndarray, np.ndarray]:
     src = idx ^ np.uint64(xmask)
     parity = np.bitwise_count(src & np.uint64(zmask)) & 1
     phases = np.where(parity, -1.0 + 0j, 1.0 + 0j) * (1j**y_count)
-    src = src.astype(np.intp)
-    src.flags.writeable = False
-    phases.flags.writeable = False
-    return src, phases
+    return src.astype(np.intp), phases
 
 
 def apply_pauli_string(state: StateVector, ops: str) -> StateVector:

@@ -24,15 +24,19 @@ from qeclab.cli import (
     parse_config,
     render_csv,
 )
-from qeclab.codes import CODE_NAMES, LogicalQubit, get_code
+from qeclab.codes import CODE_NAMES, LogicalQubit, extract_syndrome, get_code, recover
 from qeclab.errors import (
     ALL_QUBITS,
     ERROR_KINDS,
     ROTATION_AXES,
     GeneralErrorParams,
     Placement,
+    RotationErrorParams,
+    apply_error_model,
+    rotation_unitary,
 )
-from qeclab.experiments import ExperimentConfig, SweepResult, SweepRow, fit_power_law
+from qeclab.experiments import ExperimentConfig, SweepResult, SweepRow, fit_power_law, model_for
+from qeclab.statevec import apply_product, fidelity
 
 MINIMAL = """\
 code = steane7
@@ -675,6 +679,51 @@ class TestCliCommands:
         assert lines[0].startswith("syndrome = ")
         infidelity = float(lines[2].split("=", 1)[1])
         assert infidelity < 1e-9
+
+    def test_correct_prints_an_exact_correction_exactly(self, capsys):
+        """1 - F of a corrected steane7 state reads 4.4e-16 by rounding; its
+        weight on the logical complement is 1.5e-32, floored to 0."""
+        argv = ["correct", "--code", "steane7", "--error", "rotation", "--axis", "x",
+                "--placement", "fixed:0", "--theta", "1.0", "--logical", "0.6,0,0.48,0.64"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == ["fidelity = 1", "infidelity = 0"]
+
+    @pytest.mark.parametrize("code,seed", [("steane7", 0), ("steane7", 5), ("shor9", 1)])
+    def test_correct_infidelity_is_one_minus_fidelity(self, code, seed, capsys):
+        """Where a residue survives, the printed infidelity, read off the
+        logical complement, is 1 - F of the recovered state."""
+        logical = LogicalQubit(0.6, complex(0.48, 0.64))
+        config = ExperimentConfig(code=code, error_kind="rotation", theta_grid=(0.8,),
+                                  seed=seed, logical=logical)
+        spec = get_code(code)
+        rng = np.random.default_rng(seed)
+        encoded = spec.encoder(logical)
+        state = apply_error_model(encoded, model_for(config, 0.8), rng)
+        recovered = recover(extract_syndrome(state, spec, rng), spec)
+        want = 1.0 - fidelity(recovered, encoded)
+        assert want > 1e-12
+        argv = ["correct", "--code", code, "--theta", "0.8", "--seed", str(seed),
+                "--logical", "0.6,0,0.48,0.64"]
+        assert main(argv) == 0
+        printed = float(capsys.readouterr().out.splitlines()[2].split("=", 1)[1])
+        assert printed == pytest.approx(want, rel=0, abs=1e-15)
+
+    def test_correct_reads_a_small_residue_without_cancellation(self, capsys):
+        """y by 0.01 on every steane7 qubit leaves 3.1e-13 on the trivial
+        syndrome: |b|^2 / p, with a_L = <v_L|psi> and b = alpha a_1 - beta a_0.
+        1 - F misses it by 3e-16, 1e-3 of it."""
+        logical = LogicalQubit(0.6, complex(0.48, 0.64))
+        code = get_code("steane7")
+        rotation = rotation_unitary(RotationErrorParams("y", 0.01))
+        state = apply_product(code.encoder(logical), rotation, range(7)).amps
+        zero, one = (code.encoder(LogicalQubit(*ab)).amps for ab in ((1.0, 0.0), (0.0, 1.0)))
+        a0, a1 = np.vdot(zero, state), np.vdot(one, state)
+        want = abs(logical.alpha * a1 - logical.beta * a0) ** 2 / (abs(a0) ** 2 + abs(a1) ** 2)
+        argv = ["correct", "--code", "steane7", "--theta", "0.01", "--logical", "0.6,0,0.48,0.64"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "syndrome = 000000"
+        assert float(lines[2].split("=", 1)[1]) == pytest.approx(want, rel=1e-9, abs=0)
 
     def test_sensitivity_table(self, capsys):
         assert main(["sensitivity", "--qubits", "3", "--theta", "0.2"]) == 0

@@ -3,28 +3,26 @@
 import math
 from functools import reduce
 from itertools import combinations, product
-from types import MappingProxyType
 
 import numpy as np
 import pytest
 
+import qeclab.codes
 from qeclab.codes import (
+    CODE_NAMES,
     CodeSpec,
     LogicalQubit,
     SyndromeResult,
-    _code,
+    _CODE_DEFINITIONS,
     _overlaps,
     extract_syndrome,
     get_code,
     logical_fidelity,
     pauli_strings_commute,
     recover,
-    shor_code,
-    steane_code,
-    uncoded,
 )
 from qeclab.errors import GeneralErrorParams, RotationErrorParams, build_general_unitary, rotation_unitary
-from qeclab.statevec import StateVector, apply_1q, apply_pauli_string, support_size
+from qeclab.statevec import StateVector, _pauli_action, apply_1q, apply_pauli_string, support_size
 
 # The codeword structures, restated independently of the module under test.
 STEANE_ZERO_KETS = {
@@ -178,6 +176,7 @@ class TestDerivedCodewords:
     def test_logical_operators_act_on_the_codewords(self, name):
         code = get_code(name)
         logical_z, logical_x = LOGICAL_OPERATORS[name]
+        assert (code.logical_z, code.logical_x) == (logical_z, logical_x)
         for stabilizer in code.stabilizers:
             assert pauli_strings_commute(logical_z, stabilizer)
             assert pauli_strings_commute(logical_x, stabilizer)
@@ -239,16 +238,48 @@ class TestCodeSpecInvariants:
         with pytest.raises(ValueError, match="unknown code"):
             get_code("shor8")
 
-    def test_builders_match_registry(self):
-        assert shor_code().stabilizers == get_code("shor9").stabilizers
-        assert steane_code().n_physical == 7
-        assert uncoded().n_physical == 1
+    def test_registry_specs_are_their_definitions(self):
+        assert CODE_NAMES == tuple(_CODE_DEFINITIONS) == ("shor9", "steane7", "uncoded")
+        for name, definition in _CODE_DEFINITIONS.items():
+            code = get_code(name)
+            assert code == CodeSpec(name, *definition)
+            assert (code.stabilizers, code.logical_z, code.logical_x) == definition
 
     def test_refuses_stabilizers_that_leave_more_than_one_logical_qubit(self):
         """One stabilizer on three qubits leaves two logical qubits, whose
         2^m x 2 syndrome table would not span the register."""
         with pytest.raises(ValueError, match="3 qubits need 2 stabilizers.*got 1"):
-            _code("bad", ("ZZI",), "ZZZ", "XXX")
+            CodeSpec("bad", ("ZZI",), "ZZZ", "XXX")
+
+    @pytest.mark.parametrize(
+        "definition,match",
+        [
+            ((("ZZI", "IZ"), "ZZZ", "XXX"), "'IZ' is not 3 letters over IXYZ"),
+            ((("ZZI", "IZA"), "ZZZ", "XXX"), "'IZA' is not 3 letters over IXYZ"),
+            ((("ZZI", "IZZ"), "ZZZ", "XXx"), "'XXx' is not 3 letters over IXYZ"),
+            (((), "", ""), "needs 1 to 14 qubits, got 0"),
+            ((("ZZI", "IZZ"), "XXX", "XXX"), "logical Z XXX commutes with logical X XXX"),
+            ((("ZZI", "IZZ"), "XII", "ZZZ"), "logical Z XII anticommutes with stabilizer ZZI"),
+            ((("ZZI", "IZZ"), "ZZZ", "XXI"), "logical X XXI anticommutes with stabilizer IZZ"),
+            ((("ZZI", "ZZI"), "ZZZ", "XXX"), "not independent"),
+            ((("XX",), "YY", "XI"), "no component in the code space"),
+            ((("YYI", "IYY"), "ZZZ", "XXX"), "must be CSS"),
+        ],
+    )
+    def test_refuses_what_is_not_a_code(self, definition, match):
+        with pytest.raises(ValueError, match=match):
+            CodeSpec("bad", *definition)
+
+    @pytest.mark.parametrize("definition", [((), "Y", "X"), ((), "Y", "Z"), (("ZZ",), "YY", "YX")])
+    def test_a_logical_z_with_y_keeps_its_phases(self, definition):
+        """A stabilizer state's amplitudes share one modulus but not one
+        phase: |0_L> of Z = Y is (|0> + i|1>)/sqrt 2."""
+        code = CodeSpec("y", *definition)
+        zero, one = (code.encoder(LogicalQubit(*ab)) for ab in ((1.0, 0.0), (0.0, 1.0)))
+        for ops in (code.logical_z, *code.stabilizers):
+            np.testing.assert_allclose(apply_pauli_string(zero, ops).amps, zero.amps, atol=1e-15)
+        np.testing.assert_allclose(apply_pauli_string(one, code.logical_z).amps, -one.amps, atol=1e-15)
+        assert abs(np.vdot(zero.amps, one.amps)) < 1e-15
 
 
 def _weight_le_one_paulis(n: int) -> list[str]:
@@ -360,26 +391,26 @@ class TestExtractSyndrome:
             second.post_state.amps, first.post_state.amps, atol=1e-10
         )
 
-    def test_uses_the_gathers_built_with_the_code(self):
-        """The syndrome table is built once per spec, on first use: its two
-        basis codewords are encoded once, however many measurements follow."""
+    def test_a_second_spec_builds_its_table_once(self, monkeypatch):
+        """The syndrome table is built once per spec, on first use: one
+        gather per correction, however many measurements follow."""
         code = get_code("steane7")
-        encoded = []
+        spec = CodeSpec("copy", code.stabilizers, code.logical_z, code.logical_x)
+        gathers = []
 
-        def encoder(logical):
-            encoded.append(logical)
-            return code.encoder(logical)
+        def counted(n, ops):
+            gathers.append(ops)
+            return _pauli_action(n, ops)
 
-        spec = CodeSpec("copy", 7, code.stabilizers, code.recovery_table, encoder)
-        assert encoded == []
+        monkeypatch.setattr(qeclab.codes, "_pauli_action", counted)
         state = code.encoder(GENERIC_LOGICAL)
         for seed in range(3):
             extract_syndrome(state, spec, np.random.default_rng(seed))
-        assert encoded == [LogicalQubit(1.0, 0.0), LogicalQubit(0.0, 1.0)]
+        assert gathers == list(code.recovery_table.values())
 
     def test_a_hand_built_spec_builds_its_own_table(self):
         code = get_code("steane7")
-        spec = CodeSpec("copy", 7, code.stabilizers, code.recovery_table, code.encoder)
+        spec = CodeSpec("copy", code.stabilizers, code.logical_z, code.logical_x)
         table = spec._syndromes
         assert table is not code._syndromes
         for got, want in zip(table, code._syndromes):
@@ -509,18 +540,12 @@ class TestRecover:
         corrected = recover(result, code)
         np.testing.assert_allclose(corrected.amps, result.post_state.amps, atol=1e-12)
 
-    def test_missing_table_entry_is_loud(self):
+    def test_rejects_bits_outside_zero_and_one(self):
         code = get_code("steane7")
-        broken = CodeSpec(
-            name="broken",
-            n_physical=7,
-            stabilizers=code.stabilizers,
-            recovery_table=MappingProxyType({}),
-            encoder=code.encoder,
-        )
-        result = SyndromeResult((0,) * 6, code.encoder(LogicalQubit(1.0, 0.0)))
-        with pytest.raises(LookupError, match="missing syndrome"):
-            recover(result, broken)
+        state = code.encoder(LogicalQubit(1.0, 0.0))
+        for bits in ((2, 0, 0, 0, 0, 0), (True, 0, 0, 0, 0, 0), (0.0,) * 6):
+            with pytest.raises(ValueError, match="syndrome bits must be 0 or 1"):
+                recover(SyndromeResult(bits, state), code)
 
     def test_rejects_syndrome_length_mismatch(self):
         code = get_code("steane7")

@@ -15,7 +15,6 @@ import qeclab.experiments
 import qeclab.statevec
 from qeclab.codes import (
     LogicalQubit,
-    _code,
     extract_syndrome,
     get_code,
     logical_fidelity,
@@ -715,9 +714,8 @@ REPETITION_CODES = {
 def repetition_codes(monkeypatch):
     """The note's three-qubit bit-flip and phase-flip codes, registered for
     one test only."""
-    for name, literals in REPETITION_CODES.items():
-        builder = functools.partial(_code, name, *literals)
-        monkeypatch.setitem(qeclab.codes._CODE_BUILDERS, name, builder)
+    for name, definition in REPETITION_CODES.items():
+        monkeypatch.setitem(qeclab.codes._CODE_DEFINITIONS, name, definition)
     yield
     get_code.cache_clear()
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qeclab.codes import _code, extract_syndrome
+from qeclab.codes import CodeSpec, extract_syndrome
 from qeclab.statevec import (
     StateVector,
     _adopt,
@@ -39,10 +39,10 @@ def random_state(n: int, rng: np.random.Generator) -> StateVector:
 # [[2,1]] codes, one per measured string: each measures its one
 # stabilizer, and its logical operators act on the other degree of freedom.
 PAIR_CODES = {
-    "ZZ": _code("zz", ("ZZ",), "ZI", "XX"),
-    "XX": _code("xx", ("XX",), "ZZ", "XI"),
-    "ZI": _code("z0", ("ZI",), "IZ", "IX"),
-    "IZ": _code("z1", ("IZ",), "ZI", "XI"),
+    "ZZ": CodeSpec("zz", ("ZZ",), "ZI", "XX"),
+    "XX": CodeSpec("xx", ("XX",), "ZZ", "XI"),
+    "ZI": CodeSpec("z0", ("ZI",), "IZ", "IX"),
+    "IZ": CodeSpec("z1", ("IZ",), "ZI", "XI"),
 }
 
 
