@@ -29,13 +29,18 @@ error kind ignores is a config error.  All output is byte-deterministic
 for a fixed seed; files are written atomically (temp file + rename),
 never partially.
 
-Exit codes: 0 success, 2 config/validation error or a simulation that
-cannot continue (a trial budget too large to allocate for a placement
-that draws), 3 I/O error.
+Each command registers only the flags it reads, as ``_COMMANDS`` lists
+them; any other flag is refused.  A command returns its text, and ``main``
+writes it once, to stdout or atomically to --out.
 
-``main(argv)`` is re-entrant, so tests and notebooks can call it
-in-process any number of times.  Every call in a process shares one
-argument parser, built on the first call (not at import).
+Exit codes: 0 success, 2 a refused flag, a config/validation error or a
+simulation that cannot continue (a trial budget too large to allocate for
+a placement that draws), 3 I/O error.
+
+``main(argv)`` returns its exit code for every argv, --help included, and
+is re-entrant, so tests and notebooks can call it in-process any number of
+times.  Every call in a process shares one argument parser, built on the
+first call (not at import).
 """
 
 from __future__ import annotations
@@ -375,13 +380,6 @@ def _write_atomic(path: str, text: str) -> None:
         raise OSError(exc.errno, exc.strerror, path) from None
 
 
-def _deliver(text: str, out_path: str | None) -> None:
-    if out_path is not None:
-        _write_atomic(out_path, text)
-    else:
-        sys.stdout.write(text)
-
-
 # ---------------------------------------------------------------------------
 # Command implementations
 # ---------------------------------------------------------------------------
@@ -437,14 +435,12 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _cmd_encode(args: argparse.Namespace) -> None:
-    config = _resolve_experiment(args)
+def _cmd_encode(config: ExperimentConfig) -> str:
     state = get_code(config.code).encoder(config.logical)
-    _deliver("\n".join(_state_lines(state)) + "\n", args.out)
+    return "\n".join(_state_lines(state)) + "\n"
 
 
-def _cmd_inject(args: argparse.Namespace) -> None:
-    config = _resolve_experiment(args)
+def _cmd_inject(config: ExperimentConfig) -> str:
     code = get_code(config.code)
     rng = np.random.default_rng(config.seed)
     state = apply_error_model(
@@ -452,11 +448,10 @@ def _cmd_inject(args: argparse.Namespace) -> None:
     )
     lines = [f"support = {support_size(state, SUPPORT_THRESHOLD)}"]
     lines.extend(_state_lines(state))
-    _deliver("\n".join(lines) + "\n", args.out)
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_correct(args: argparse.Namespace) -> None:
-    config = _resolve_experiment(args)
+def _cmd_correct(config: ExperimentConfig) -> str:
     code = get_code(config.code)
     rng = np.random.default_rng(config.seed)
     encoded = code.encoder(config.logical)
@@ -476,57 +471,76 @@ def _cmd_correct(args: argparse.Namespace) -> None:
         f"fidelity = {format_float(1.0 - infidelity)}",
         f"infidelity = {format_float(infidelity)}",
     ]
-    _deliver("\n".join(lines) + "\n", args.out)
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_sweep(args: argparse.Namespace) -> None:
-    config = _resolve_experiment(args)
-    result = sweep_theta(config)
-    comments = tuple(emit_config(config).splitlines())
-    _deliver(render_csv(result, comments), args.out)
+def _cmd_sweep(config: ExperimentConfig) -> str:
+    return render_csv(sweep_theta(config), tuple(emit_config(config).splitlines()))
 
 
-def _cmd_proliferate(args: argparse.Namespace) -> None:
-    config = _resolve_experiment(args)
+def _cmd_proliferate(config: ExperimentConfig) -> str:
     before, after = proliferation_experiment(config.code, config.theta_grid[0])
-    _deliver(f"support_before,support_after\n{before},{after}\n", args.out)
+    return f"support_before,support_after\n{before},{after}\n"
 
 
-def _cmd_sensitivity(args: argparse.Namespace) -> None:
+def _cmd_sensitivity(args: argparse.Namespace) -> str:
     lines = ["p,relative_damage"]
     for p in SENSITIVITY_P_GRID:
         damage = sensitivity_experiment(args.qubits, p, args.theta)
         lines.append(f"{format_float(p)},{format_float(damage)}")
-    _deliver("\n".join(lines) + "\n", args.out)
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_stats(args: argparse.Namespace) -> None:
+def _cmd_stats(args: argparse.Namespace) -> str:
     requests = ((bose_einstein_pattern_prob, args.be), (fermi_pattern_prob, args.fermi))
     text = "".join(f"{prob(*counts)}\n" for prob, counts in requests if counts is not None)
     if not text:
         raise ConfigError("stats needs --be N n and/or --fermi N n")
-    _deliver(text, args.out)
+    return text
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="config file path")
-    parser.add_argument("--code", choices=CODE_NAMES, help="code name override")
-    parser.add_argument(
-        "--error", dest="error_kind", choices=ERROR_KINDS, help="error kind override"
-    )
-    parser.add_argument("--placement", help="placement override, e.g. fermi:1")
-    parser.add_argument("--axis", choices=ROTATION_AXES, help="rotation axis override")
-    parser.add_argument(
-        "--theta", dest="theta_grid", metavar="THETA", type=float,
-        help="single angle override (radians)",
-    )
-    parser.add_argument("--trials", type=int, help="Monte Carlo trials per grid point")
-    parser.add_argument("--seed", type=int, help="random seed (default 0)")
-    parser.add_argument("--logical", help="logical amplitudes a_re,a_im[,b_re,b_im]")
+# Every flag by its dest: its spelling and its argparse options.  A config
+# flag's dest is the ExperimentConfig field it overrides.
+_FLAGS = {
+    "config": ("--config", dict(help="config file path")),
+    "code": ("--code", dict(choices=CODE_NAMES, help="code name override")),
+    "error_kind": ("--error", dict(choices=ERROR_KINDS, help="error kind override")),
+    "placement": ("--placement", dict(help="placement override, e.g. fermi:1")),
+    "axis": ("--axis", dict(choices=ROTATION_AXES, help="rotation axis override")),
+    "theta_grid": ("--theta", dict(
+        metavar="THETA", type=float, help="single angle override (radians)")),
+    "trials": ("--trials", dict(type=int, help="Monte Carlo trials per grid point")),
+    "seed": ("--seed", dict(type=int, help="random seed (default 0)")),
+    "logical": ("--logical", dict(help="logical amplitudes a_re,a_im[,b_re,b_im]")),
+    "qubits": ("--qubits", dict(type=int, default=5, help="register size")),
+    "theta": ("--theta", dict(type=float, default=0.05, help="rotation angle (default 0.05)")),
+    "be": ("--be", dict(nargs=2, type=int, metavar=("N", "n"),
+                        help="Bose-Einstein pattern probability for N cells, n errors")),
+    "fermi": ("--fermi", dict(nargs=2, type=int, metavar=("N", "n"),
+                              help="Fermi pattern probability for N cells, n errors")),
+    "out": ("--out", dict(help="output file path (default: stdout)")),
+}
+_SWEEP_FLAGS = ("config", "code", "error_kind", "placement", "axis", "theta_grid", "trials",
+                "seed", "logical")
+_SHOT_FLAGS = tuple(dest for dest in _SWEEP_FLAGS if dest != "trials")
+
+# Each command: its function, its help and the dests it reads, plus --out.  A
+# command that reads --config gets the resolved ExperimentConfig, any other its args.
+_COMMANDS = {
+    "encode": (_cmd_encode, "print a codeword's nonzero kets and amplitudes",
+               ("config", "code", "logical")),
+    "inject": (_cmd_inject, "encode, apply the error model, print the state", _SHOT_FLAGS),
+    "correct": (_cmd_correct, "encode, inject, measure syndrome, recover", _SHOT_FLAGS),
+    "sweep": (_cmd_sweep, "Monte Carlo infidelity sweep over a theta grid", _SWEEP_FLAGS),
+    "proliferate": (_cmd_proliferate, "component counts before/after rotation",
+                    ("config", "code", "theta_grid")),
+    "sensitivity": (_cmd_sensitivity, "relative damage across a p grid", ("qubits", "theta")),
+    "stats": (_cmd_stats, "exact occupancy-pattern probabilities", ("be", "fermi")),
+}
 
 
 @functools.cache
@@ -537,48 +551,32 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Quantum error-correction lab: codes, analog errors, sweeps.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    specs = [
-        ("encode", _cmd_encode, "print a codeword's nonzero kets and amplitudes"),
-        ("inject", _cmd_inject, "encode, apply the error model, print the state"),
-        ("correct", _cmd_correct, "encode, inject, measure syndrome, recover"),
-        ("sweep", _cmd_sweep, "Monte Carlo infidelity sweep over a theta grid"),
-        ("proliferate", _cmd_proliferate, "component counts before/after rotation"),
-        ("sensitivity", _cmd_sensitivity, "relative damage across a p grid"),
-        ("stats", _cmd_stats, "exact occupancy-pattern probabilities"),
-    ]
-    for name, func, help_text in specs:
+    for name, (func, help_text, dests) in _COMMANDS.items():
         sub = subparsers.add_parser(name, help=help_text)
-        if name == "sensitivity":
-            sub.add_argument("--qubits", type=int, default=5, help="register size")
-            sub.add_argument(
-                "--theta", type=float, default=0.05, help="rotation angle (default 0.05)"
-            )
-        elif name == "stats":
-            sub.add_argument(
-                "--be", nargs=2, type=int, metavar=("N", "n"),
-                help="Bose-Einstein pattern probability for N cells, n errors",
-            )
-            sub.add_argument(
-                "--fermi", nargs=2, type=int, metavar=("N", "n"),
-                help="Fermi pattern probability for N cells, n errors",
-            )
-        else:
-            _add_common(sub)
-        sub.add_argument("--out", help="output file path (default: stdout)")
+        for dest in (*dests, "out"):
+            flag, options = _FLAGS[dest]
+            sub.add_argument(flag, dest=dest, **options)
         sub.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        args.func(args)
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # a refused argv or --help: argparse has printed
+        return exc.code
+    try:
+        text = args.func(_resolve_experiment(args) if "config" in args else args)
+        if args.out is not None:
+            _write_atomic(args.out, text)
+        else:
+            sys.stdout.write(text)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    # ValueError covers ConfigError, MemoryError an unallocatable budget, and
-    # RuntimeError or LookupError any other simulation that cannot continue.
+    # ValueError covers ConfigError, MemoryError an unallocatable budget.  No
+    # code here raises RuntimeError or LookupError; they stay as a backstop, so
+    # an unforeseen fault still prints one error line and exits 2, no traceback.
     except (ValueError, RuntimeError, LookupError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -874,9 +874,7 @@ class TestCliCommands:
     def test_sweep_help_shows_the_flag_spellings(self, monkeypatch, capsys):
         """--theta and --error keep their help spelling under their field dests."""
         monkeypatch.setenv("COLUMNS", "80")
-        with pytest.raises(SystemExit) as exit_info:
-            main(["sweep", "--help"])
-        assert exit_info.value.code == 0
+        assert main(["sweep", "--help"]) == 0
         out = capsys.readouterr().out
         assert "\n  --theta THETA         single angle override (radians)\n" in out
         assert (
@@ -1031,13 +1029,70 @@ class TestCliCommands:
 
 
 def _run_cli(argv, capsys):
-    """One in-process command: (exit or SystemExit code, stdout, stderr)."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = ("SystemExit", exc.code)
+    """One in-process command: (exit code, stdout, stderr)."""
+    code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+CONFIG_FLAGS = ["--config", "--code", "--error", "--placement", "--axis", "--theta",
+                "--trials", "--seed", "--logical"]
+SHOT_FLAGS = [flag for flag in CONFIG_FLAGS if flag != "--trials"]
+
+# The flags each command reads, in help order; every command also takes --out.
+COMMAND_FLAGS = {
+    "encode": ["--config", "--code", "--logical"],
+    "inject": SHOT_FLAGS,
+    "correct": SHOT_FLAGS,
+    "sweep": CONFIG_FLAGS,
+    "proliferate": ["--config", "--code", "--theta"],
+    "sensitivity": ["--qubits", "--theta"],
+    "stats": ["--be", "--fermi"],
+}
+
+# Flags a command used to register but never read.
+REMOVED_FLAGS = [
+    *(("encode", flag, value) for flag, value in (
+        ("--error", "rotation"), ("--placement", "fixed:0"), ("--axis", "x"),
+        ("--theta", "0.1"), ("--trials", "3"), ("--seed", "1"),
+    )),
+    *(("proliferate", flag, value) for flag, value in (
+        ("--error", "decay"), ("--placement", "fixed:0"), ("--axis", "x"),
+        ("--trials", "3"), ("--seed", "1"), ("--logical", "0,1"),
+    )),
+    ("inject", "--trials", "3"),
+    ("correct", "--trials", "3"),
+]
+
+
+class TestCommandFlags:
+    def test_each_command_registers_the_flags_it_reads(self):
+        parser = qeclab.cli._build_parser()
+        (commands,) = [
+            action.choices for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        registered = {
+            name: [flag for action in sub._actions for flag in action.option_strings]
+            for name, sub in commands.items()
+        }
+        assert registered == {
+            name: ["-h", "--help", *flags, "--out"] for name, flags in COMMAND_FLAGS.items()
+        }
+
+    @pytest.mark.parametrize(
+        "command,flag,value", REMOVED_FLAGS, ids=[f"{c}{f}" for c, f, _ in REMOVED_FLAGS]
+    )
+    def test_a_flag_the_command_does_not_read_exits_2(
+        self, command, flag, value, tmp_path, capsys
+    ):
+        out = tmp_path / "never.txt"
+        argv = [command, "--code", "steane7", flag, value, "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: unrecognized arguments: {flag} {value}\n" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSharedParser:
@@ -1081,8 +1136,8 @@ class TestSharedParser:
             ["sensitivity"],
             ["sensitivity", "--theta", "0.05"],
             ["correct", "--config", str(config), "--code", "shor9", "--error", "rotation",
-             "--placement", "fixed:4", "--axis", "x", "--theta", "0.3", "--trials", "7",
-             "--seed", "5", "--logical", "0.6,0,0.48,0.64", "--out", str(out)],
+             "--placement", "fixed:4", "--axis", "x", "--theta", "0.3", "--seed", "5",
+             "--logical", "0.6,0,0.48,0.64", "--out", str(out)],
             ["encode"],
             ["correct", "--theta", "not-a-number"],
             ["encode", "--code", "steane7"],
@@ -1110,8 +1165,8 @@ class TestSharedParser:
         # the correct command wrote its file; encode with no flags kept none of them
         assert shared[3][0] == 0 and shared[4].startswith("syndrome = ")
         assert shared[5] == (2, "", "error: no code selected: pass --code or --config\n")
-        assert shared[6][0] == ("SystemExit", 2) and shared[7][0] == 0
-        assert shared[8][0] == ("SystemExit", 0)
+        assert shared[6][0] == 2 and shared[7][0] == 0
+        assert shared[8][0] == 0
         assert shared[9][0] == 0 and shared[10] == (0, "1/3\n", "")
 
 
