@@ -30,8 +30,10 @@ for a fixed seed; files are written atomically (temp file + rename),
 never partially.
 
 Each command registers only the flags it reads, as ``_COMMANDS`` lists
-them; any other flag is refused.  A command returns its text, and ``main``
-writes it once, to stdout or atomically to --out.
+them; any other flag is refused under that command's usage line.
+``inject``, ``correct`` and ``proliferate`` run one angle and refuse a
+theta grid of several.  A command returns its text, and ``main`` writes it
+once, to stdout or atomically to --out.
 
 Exit codes: 0 success, 2 a refused flag, a config/validation error or a
 simulation that cannot continue (a trial budget too large to allocate for
@@ -425,6 +427,12 @@ def _resolve_experiment(args: argparse.Namespace) -> ExperimentConfig:
         config = ExperimentConfig(**{"error_kind": "rotation", **flags})
     elif flags:
         config = dataclasses.replace(config, **flags)
+    if args.command in _ONE_ANGLE and len(config.theta_grid) > 1:
+        raise ConfigError(
+            f"{args.command} runs one angle, but the theta grid has "
+            f"{len(config.theta_grid)}; give one theta",
+            "theta_grid",
+        )
     if args.out is not None:
         _probe_out(args.out)
     return config
@@ -524,6 +532,9 @@ _FLAGS = {
                               help="Fermi pattern probability for N cells, n errors")),
     "out": ("--out", dict(help="output file path (default: stdout)")),
 }
+# The commands that run the first angle of the theta grid, and refuse a grid
+# of several.
+_ONE_ANGLE = ("inject", "correct", "proliferate")
 _SWEEP_FLAGS = ("config", "code", "error_kind", "placement", "axis", "theta_grid", "trials",
                 "seed", "logical")
 _SHOT_FLAGS = tuple(dest for dest in _SWEEP_FLAGS if dest != "trials")
@@ -556,13 +567,15 @@ def _build_parser() -> argparse.ArgumentParser:
         for dest in (*dests, "out"):
             flag, options = _FLAGS[dest]
             sub.add_argument(flag, dest=dest, **options)
-        sub.set_defaults(func=func)
+        sub.set_defaults(func=func, parser=sub)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args, unread = _build_parser().parse_known_args(argv)
+        if unread:  # refused under the usage line of the command that ran
+            args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     except SystemExit as exc:  # a refused argv or --help: argparse has printed
         return exc.code
     try:

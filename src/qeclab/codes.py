@@ -275,13 +275,25 @@ def get_code(name: str) -> CodeSpec:
 # Syndrome extraction and recovery
 # ---------------------------------------------------------------------------
 
-def _overlaps(amps: np.ndarray, table: _SyndromeTable):
-    """The overlaps a_0, a_1 of ``amps`` with the bras of every row of
-    ``table`` (a_L = <R_s v_L|psi>), and each row's weight
-    p_s = |a_0|^2 + |a_1|^2, the probability of measuring s: a sum of
-    squares, with no cancellation however rare the outcome."""
-    a0, a1 = np.einsum("slk,slk->ls", table.bras, amps[table.index])
-    return a0, a1, a0.real**2 + a0.imag**2 + a1.real**2 + a1.imag**2
+# A cap on the bytes of one gather of ``_overlaps``: a larger block is
+# read in slices of rows, which round as the whole block would.
+_GATHER_BYTES = 1 << 19
+
+
+def _overlaps(block: np.ndarray, table: _SyndromeTable):
+    """The overlaps a_0, a_1 of each row of the (k, 2**n) ``block`` with
+    the bras of every row s of ``table`` (a_L = <R_s v_L|psi>), and the
+    weight p_s = |a_0|^2 + |a_1|^2, the probability of measuring s: a sum of
+    squares, with no cancellation however rare the outcome.  Each is a
+    (k, 2**m) array."""
+    rows = max(1, _GATHER_BYTES // (table.index.size * block.itemsize))
+    overlaps = np.empty((len(block), len(table.index), 2), dtype=block.dtype)
+    for lo in range(0, len(block), rows):
+        gather = block[lo:lo + rows].take(table.index, axis=1)
+        np.einsum("slj,kslj->ksl", table.bras, gather, out=overlaps[lo:lo + rows])
+    parts = overlaps.view(np.float64) ** 2  # the parts of a_0, then of a_1
+    weight = parts[..., 0] + parts[..., 1] + parts[..., 2] + parts[..., 3]
+    return overlaps[..., 0], overlaps[..., 1], weight
 
 
 def extract_syndrome(
@@ -303,7 +315,7 @@ def extract_syndrome(
             f"{code.n_physical}"
         )
     table = code._syndromes
-    a0, a1, weight = _overlaps(state.amps, table)
+    a0, a1, weight = (x[0] for x in _overlaps(state.amps[None], table))
     weights = weight[table.rows].tolist()  # binary order: each bit halves the range
     bits, syndrome = [], 0
     for u in rng.random(len(code.stabilizers)).tolist():

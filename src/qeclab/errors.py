@@ -289,34 +289,67 @@ def _operator_for(model: ErrorModel) -> np.ndarray:
 
 
 def _injector(model: ErrorModel):
-    """The channel as ``inject(state, occupancy)``, its operator validated once.
+    """The channel as ``inject(state, occupancies)``, its operator validated once.
+
+    ``occupancies`` is a (k, N) array of errors per qubit, and the result
+    is the (k, 2**N) block of ``state`` injected under each row.  The block
+    is injected one layer at a time: qubits in ascending order, a qubit's
+    repeats back to back, each layer on the rows it touches, so every row
+    sees the sequence of operations it would see alone.
 
     Unitary kinds are applied once per unit of occupancy, so two bosonic
     bit flips landing on the same qubit cancel.  The decay kind instead
     scales the |1> amplitude of each occupied qubit by sqrt(1 - p_t) and
-    renormalizes — a post-selected surrogate that keeps decay inside
-    pure-state simulation (the unconditioned channel would need density
-    matrices); occupancy above 1 is rejected for it.
+    renormalizes each row — a post-selected surrogate that keeps decay
+    inside pure-state simulation (the unconditioned channel would need
+    density matrices); occupancy above 1 is rejected for it.
     """
+    def layers(state: StateVector, occupancies: np.ndarray):
+        """The block of ``state`` repeated once per row, and its layers as
+        (targets, the rows they touch or None for every row)."""
+        if len(occupancies) == 1:
+            counts = occupancies[0].tolist()
+            targets = [q for q, count in enumerate(counts) for _ in range(count)]
+            return state.amps[None], [(targets, None)]
+        steps = []
+        for q, most in enumerate(occupancies.max(axis=0).tolist()):
+            for r in range(most):
+                rows = occupancies[:, q] > r
+                steps.append(([q], None if rows.all() else rows))
+        return np.repeat(state.amps[None], len(occupancies), axis=0), steps
+
     if model.kind != "decay":
         product = _product(_operator_for(model))
-        return lambda state, occupancy: product(
-            state, np.repeat(np.arange(occupancy.size), occupancy).tolist()
-        )
+
+        def unitary(state: StateVector, occupancies: np.ndarray) -> np.ndarray:
+            block, steps = layers(state, occupancies)
+            for targets, rows in steps:
+                block = product(block, targets, rows)
+            return block
+
+        return unitary
     scale = math.sqrt(1.0 - decoherence_prob(model.params))
 
-    def decay(state: StateVector, occupancy: np.ndarray) -> StateVector:
-        if occupancy.max(initial=0) > 1:
+    def decay(state: StateVector, occupancies: np.ndarray) -> np.ndarray:
+        if occupancies.max(initial=0) > 1:
             raise ValueError("decay placement must not stack errors on one qubit")
-        amps = state.amps.copy()
-        index = np.arange(amps.size, dtype=np.uint64)
-        for q in np.flatnonzero(occupancy):
-            bit = np.uint64(1 << (state.n_qubits - 1 - int(q)))
-            amps[(index & bit) != 0] *= scale
-        norm = float(np.linalg.norm(amps))
-        if norm < _STATE_NORM_FLOOR:
-            raise ValueError("decay annihilated the state (norm underflow)")
-        return _adopt(state.n_qubits, amps / norm)
+        block, steps = layers(state, occupancies)
+        if not block.flags.writeable:
+            block = block.copy()
+        for targets, rows in steps:
+            for q in targets:
+                # The amplitudes whose qubit q reads 1, as a view of each row.
+                ones = block.reshape(len(block), 1 << q, 2, -1)[:, :, 1]
+                if rows is None:
+                    ones *= scale
+                else:
+                    ones[rows] *= scale
+        for amps in block:
+            norm = float(np.linalg.norm(amps))
+            if norm < _STATE_NORM_FLOOR:
+                raise ValueError("decay annihilated the state (norm underflow)")
+            amps /= norm
+        return block
 
     return decay
 
@@ -326,4 +359,4 @@ def apply_error_model(
 ) -> StateVector:
     """Sample a placement and apply the channel to each occupied qubit."""
     occupancy = resolve_occupancy(model.placement, state.n_qubits, rng)
-    return _injector(model)(state, occupancy)
+    return _adopt(state.n_qubits, _injector(model)(state, occupancy[None]).reshape(-1))

@@ -10,14 +10,18 @@ R_s|1_L>, where R_s is the table's correction, and recovery applies R_s;
 so each outcome's weight and the infidelity it leaves are read off the
 overlaps <R_s v_L|psi> (``_moments``) with the code's syndrome table, the
 one ``extract_syndrome`` samples from.  A trial thus depends on its
-occupancy alone, and ``sweep_theta`` computes each occupancy once per
-grid point (``_kernel``), with its variance over syndrome outcomes: a row's
+occupancy alone.  At each grid point ``sweep_theta`` draws every trial's
+occupancy, then evaluates the distinct ones as one block (``_kernel``):
+the block is injected one qubit layer at a time, each layer one matrix
+product over the rows it touches, and its overlaps are read by one einsum
+per slice of rows.  A block's rows round exactly as each row alone does.
+Each entry carries its variance over syndrome outcomes: a row's
 ``std_coded`` is the population std of one trial's infidelity, by the law
 of total variance.  A placement with no error count draws nothing; its
-row is its one entry, whatever the seed and trial count.  Each side is
-encoded once per sweep.  The uncoded baseline is the kernel on the bare
-qubit, a code with no stabilizer, under a placement that draws nothing:
-one entry per grid point, reported with std 0.
+row is its one entry, a block of one row, whatever the seed and trial
+count.  Each side is encoded once per sweep.  The uncoded baseline is the
+kernel on the bare qubit, a code with no stabilizer, under a placement
+that draws nothing: one entry per grid point, reported with std 0.
 
 Trial t of grid point g of a placement that draws takes its occupancy
 from ``default_rng(SeedSequence(entropy=seed, spawn_key=(g, t, 0)))``
@@ -46,12 +50,15 @@ from .errors import (
     resolve_occupancy,
     rotation_unitary,
 )
-from .statevec import StateVector, apply_product, support_size
+from .statevec import StateVector, _support_mask, apply_product, support_size
 
 SUPPORT_THRESHOLD = 1e-12
 # Infidelities this small are rounding residue, not physics; they are
 # floored to zero in trials and excluded from power-law fits.
 NUMERICAL_FLOOR = 1e-13
+# A cap on the bytes of one block of injected rows: a grid point with
+# thousands of distinct occupancies is evaluated a slice of rows at a time.
+_BLOCK_BYTES = 1 << 20
 
 
 def _stacks_errors(placement: Placement) -> bool:
@@ -201,53 +208,60 @@ def _trial_rng(seed: int, grid_index: int, trial: int, side: int) -> np.random.G
     )
 
 
-def _moments(amps: np.ndarray, table, logical: LogicalQubit) -> tuple[float, float]:
+def _moments(block: np.ndarray, table, logical: LogicalQubit) -> tuple[list, list]:
     """Exact mean and variance over syndrome outcomes of the floored
-    infidelity that recovery leaves on the state with amplitudes ``amps``.
+    infidelity that recovery leaves on each row of the amplitude ``block``.
 
     Syndrome space s is spanned by R_s|0_L> and R_s|1_L>.  With
     a_L = <R_s v_L|psi>, the outcome has weight p_s = |a_0|^2 + |a_1|^2 and
     leaves infidelity |b_s|^2 / p_s, where b_s = alpha a_1 - beta a_0 is the
     overlap with R_s applied to the orthogonal complement of ``logical``.
-    Outcomes of weight 0 are never measured and are skipped.  The variance
-    is summed around the mean: a difference of raw moments would leave
-    ~1e-8 of rounding where every outcome leaves the same infidelity.
+    Outcomes of weight 0 are never measured and are skipped: each row's
+    sums are dots over its reached outcomes alone, which round as they do
+    for the row on its own.  The variance is summed around the mean: a
+    difference of raw moments would leave ~1e-8 of rounding where every
+    outcome leaves the same infidelity.
     """
-    a0, a1, weight = _overlaps(amps, table)
+    a0, a1, weight = _overlaps(block, table)
     b = logical.alpha * a1 - logical.beta * a0
     reached = weight > 0.0
-    weight = weight[reached]
-    leaf = (b.real**2 + b.imag**2)[reached] / weight
+    # Where each row's reached outcomes end; a single row's are all there are.
+    ends = reached.sum(axis=1).cumsum().tolist() if len(block) > 1 else [None]
+    reached = reached.ravel()
+    weight = weight.ravel()[reached]  # every row's reached outcomes, row after row
+    leaf = (b.real**2 + b.imag**2).ravel()[reached] / weight
     leaf[leaf < NUMERICAL_FLOOR] = 0.0
-    mean = min(float(weight @ leaf), 1.0)  # clipped against rounding, as fidelity is
-    leaf -= mean
-    return mean, float(weight @ (leaf * leaf))
+    means, variances, lo = [], [], 0
+    for hi in ends:
+        row_weight, row_leaf = weight[lo:hi], leaf[lo:hi]
+        mean = min(float(row_weight @ row_leaf), 1.0)  # clipped against rounding, as fidelity is
+        row_leaf -= mean
+        means.append(mean)
+        variances.append(float(row_weight @ (row_leaf * row_leaf)))
+        lo = hi
+    return means, variances
 
 
-def _kernel(config: ExperimentConfig, encoded: StateVector, theta: float):
-    """The trial kernel of one side at one grid point, as ``trial(rng)``.
-
-    A trial draws its occupancy from ``rng`` (a placement with no error
-    count draws nothing, and takes None) and returns (mean, variance,
-    support): the ``_moments`` of the injected state and its support right
-    after injection.  Each occupancy is injected and summed once.
+def _kernel(
+    config: ExperimentConfig, encoded: StateVector, theta: float, occupancies: np.ndarray
+) -> tuple[list, list, list]:
+    """The trial entries of one side at one grid point, one per row of the
+    (k, N) ``occupancies``: the ``_moments`` means and variances of the
+    injected states, and their supports right after injection.  Rows are
+    injected and summed in blocks of at most ``_BLOCK_BYTES`` of
+    amplitudes; a block rounds as its rows alone do.
     """
+    inject = _injector(model_for(config, theta))
     table = get_code(config.code)._syndromes
-    model = model_for(config, theta)
-    inject = _injector(model)
-    entries: dict[bytes, tuple[float, float, int]] = {}
-
-    def trial(rng: np.random.Generator | None) -> tuple[float, float, int]:
-        occupancy = resolve_occupancy(model.placement, encoded.n_qubits, rng)
-        key = occupancy.tobytes()
-        entry = entries.get(key)
-        if entry is None:
-            state = inject(encoded, occupancy)
-            support = support_size(state, SUPPORT_THRESHOLD)
-            entry = entries[key] = (*_moments(state.amps, table, config.logical), support)
-        return entry
-
-    return trial
+    step = max(1, _BLOCK_BYTES // encoded.amps.nbytes)
+    means, variances, supports = [], [], []
+    for lo in range(0, len(occupancies), step):
+        block = inject(encoded, occupancies[lo:lo + step])
+        block_means, block_variances = _moments(block, table, config.logical)
+        means += block_means
+        variances += block_variances
+        supports += _support_mask(block, SUPPORT_THRESHOLD).sum(axis=1).tolist()
+    return means, variances, supports
 
 
 def run_trial(
@@ -257,10 +271,11 @@ def run_trial(
     support): the expectation over syndrome outcomes of the floored 1 - F
     after recovery, and the support right after injection at the 1e-12
     threshold, before any measurement collapses the proliferated
-    components.  One trial of ``sweep_theta``'s kernel on an empty memo.
+    components.  ``sweep_theta``'s kernel on a block of one row.
     """
     encoded = get_code(config.code).encoder(config.logical)
-    mean, _, support = _kernel(config, encoded, theta)(rng)
+    occupancy = resolve_occupancy(config.placement, encoded.n_qubits, rng)
+    (mean,), _, (support,) = _kernel(config, encoded, theta, occupancy[None])
     return mean, support
 
 
@@ -283,22 +298,33 @@ def sweep_theta(config: ExperimentConfig) -> SweepResult:
     bare_config = replace(config, code="uncoded", placement=placement)
     coded_encoded = get_code(config.code).encoder(config.logical)
     bare_encoded = get_code("uncoded").encoder(config.logical)
+    n = coded_encoded.n_qubits
     sampled = config.placement.n_errors > 0
     # Allocated up front, so a trial budget too large to hold fails at once.
-    moments = np.empty((3, config.trials)) if sampled else None
+    if sampled:
+        inverse = np.empty(config.trials, dtype=np.intp)
+        moments = np.empty((3, config.trials))
     rows = []
     for grid_index, theta in enumerate(config.theta_grid):
-        trial = _kernel(config, coded_encoded, theta)
         if sampled:
+            # Each trial's occupancy, as the index of the distinct one it is.
+            distinct: dict[bytes, int] = {}
             for t in range(config.trials):
-                moments[:, t] = trial(_trial_rng(config.seed, grid_index, t, 0))
+                rng = _trial_rng(config.seed, grid_index, t, 0)
+                key = resolve_occupancy(config.placement, n, rng).tobytes()
+                inverse[t] = distinct.setdefault(key, len(distinct))
+            occupancies = np.frombuffer(b"".join(distinct), dtype=np.int64).reshape(-1, n)
+            entries = np.array(_kernel(config, coded_encoded, theta, occupancies))
+            np.take(entries, inverse, axis=1, out=moments)
             mean, variance, support = moments.mean(axis=1).tolist()
             # The law of total variance: within occupancies, then across them.
             variance += float(moments[0].var())
         else:
-            mean, variance, support = trial(None)
+            occupancy = resolve_occupancy(config.placement, n, None)[None]
+            (mean,), (variance,), (support,) = _kernel(config, coded_encoded, theta, occupancy)
         # The bare qubit's projected placement draws nothing: one entry.
-        bare, _, _ = _kernel(bare_config, bare_encoded, theta)(None)
+        occupancy = resolve_occupancy(placement, 1, None)[None]
+        (bare,), _, _ = _kernel(bare_config, bare_encoded, theta, occupancy)
         rows.append(SweepRow(theta, mean, math.sqrt(variance), bare, 0.0, float(support)))
     return SweepResult(
         rows=tuple(rows),

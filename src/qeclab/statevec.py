@@ -16,7 +16,7 @@ callers can hold disjoint streams.
 The public constructor copies and validates its input.  Arrays the
 package has just computed are adopted without the copy (``_adopt``), still
 checked for shape and finiteness; ``_product`` validates an operator once
-for every state it is applied to.  A Pauli string acts as a gather
+and applies it to a block of states, one matrix product per target.  A Pauli string acts as a gather
 (``_pauli_action``).  Stabilizer measurement is not a register operation
 here: ``codes`` reads every syndrome outcome off the code's overlaps.
 """
@@ -36,6 +36,7 @@ MAX_QUBITS = 14
 UNITARY_INPUT_TOL = 1e-8
 
 _PAULI_LABELS = frozenset("IXYZ")
+_EYE2 = np.eye(2)
 
 
 @dataclass(frozen=True)
@@ -116,49 +117,54 @@ def _require_unitary2(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
-    defect = np.max(np.abs(u @ u.conj().T - np.eye(2)))
+    defect = np.abs(u @ u.conj().T - _EYE2).max()
     if defect > UNITARY_INPUT_TOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
     return u
 
 
-def _require_target(state: StateVector, target: int) -> None:
-    if not 0 <= target < state.n_qubits:
-        raise ValueError(
-            f"target qubit {target} out of range for {state.n_qubits} qubits"
-        )
-
-
 def _product(u: np.ndarray):
-    """Validate ``u`` once; return ``apply(state, targets)``, applying it per target.
+    """Validate ``u`` once; return ``apply(block, targets, rows=None)``,
+    applying it per target.
 
-    A repeated target gets ``u`` once per occurrence.  Each target is one
-    matmul over a (2**t, rest, 2) view, new[..., i] = sum_j u[i, j] *
-    old[..., j].  The last qubit takes the flat (N/2, 2) form instead,
-    because there the view (rest = 1) goes through numpy's vector-matrix
-    path, which rounds differently.  Both forms round exactly as a
-    per-target moveaxis-and-matmul does, so the bits of every result are
-    independent of how targets are batched.
+    ``block`` is a (k, 2**n) array of k registers' amplitudes, and each of
+    its rows gets ``u`` on each of ``targets`` in turn; a repeated target
+    gets it once per occurrence.  ``rows``, a boolean mask over the rows,
+    limits the product to those rows, which are updated in place.  Each
+    target is one (M, 2) @ u.T product, new[..., i] = sum_j u[i, j] *
+    old[..., j], over a contiguous transpose of the rows that holds each
+    amplitude pair side by side.  A row rounds as it does alone, except in
+    a 1-qubit block of k > 1 rows: a lone 1-qubit row is a (1, 2) product,
+    which numpy takes down its vector-matrix path and rounds differently.
+    Sweeps never batch that case, since a 1-qubit register has one
+    occupancy pattern.
     """
     u_t = _require_unitary2(u).T
 
-    def apply(state: StateVector, targets: Iterable[int]) -> StateVector:
-        amps = state.amps
+    def apply(block: np.ndarray, targets: Iterable[int], rows=None) -> np.ndarray:
+        k, size = block.shape
+        n_qubits = size.bit_length() - 1
         for target in targets:
-            _require_target(state, target)
-            if target == state.n_qubits - 1:
-                amps = (amps.reshape(-1, 2) @ u_t).reshape(-1)
+            if not 0 <= target < n_qubits:
+                raise ValueError(
+                    f"target qubit {target} out of range for {n_qubits} qubits"
+                )
+            # (k, 2**target, rest, 2): qubit ``target`` indexes the last axis.
+            pairs = block.reshape(k, 1 << target, 2, -1).swapaxes(2, 3)
+            if rows is None:
+                new = (pairs.reshape(-1, 2) @ u_t).reshape(pairs.shape)
+                block = new.swapaxes(2, 3).reshape(k, size)
             else:
-                view = amps.reshape(1 << target, 2, -1).swapaxes(1, 2)
-                amps = (view @ u_t).swapaxes(1, 2).reshape(-1)
-        return _adopt(state.n_qubits, amps)
+                chosen = pairs[rows]
+                pairs[rows] = (chosen.reshape(-1, 2) @ u_t).reshape(chosen.shape)
+        return block
 
     return apply
 
 
 def apply_product(state: StateVector, u: np.ndarray, targets: Iterable[int]) -> StateVector:
     """Apply the single-qubit unitary ``u`` to each of ``targets`` in turn."""
-    return _product(u)(state, targets)
+    return _adopt(state.n_qubits, _product(u)(state.amps[None], targets).reshape(-1))
 
 
 def apply_1q(state: StateVector, u: np.ndarray, target: int) -> StateVector:
@@ -224,7 +230,11 @@ def support_mask(state: StateVector, threshold: float) -> np.ndarray:
     complex scalar does; ``np.abs`` of a complex array can differ in the
     last bit and move an amplitude across the threshold.
     """
-    amps = state.amps
+    return _support_mask(state.amps, threshold)
+
+
+def _support_mask(amps: np.ndarray, threshold: float) -> np.ndarray:
+    """``support_mask`` of amplitudes of any shape, such as a block of rows."""
     return np.hypot(amps.real, amps.imag) > threshold
 
 

@@ -1094,6 +1094,37 @@ class TestCommandFlags:
         assert f"error: unrecognized arguments: {flag} {value}\n" in captured.err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["encode", "proliferate", "correct"])
+    def test_a_refused_flag_is_reported_under_the_command_usage(self, command, capsys):
+        """The usage line and the error name the command that was run, and
+        the usage lists the flags it takes."""
+        assert main([command, "--code", "steane7", "--trials", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: qeclab {command} [-h] [--config CONFIG]")
+        assert captured.err.endswith(
+            f"qeclab {command}: error: unrecognized arguments: --trials 3\n"
+        )
+
+    @pytest.mark.parametrize("command", ["inject", "correct", "proliferate"])
+    def test_a_one_angle_command_refuses_a_theta_grid(self, command, tmp_path, capsys):
+        """A grid of several angles exits 2, ahead of an unwritable --out,
+        instead of running its first angle."""
+        config = tmp_path / "grid.cfg"
+        config.write_text(MINIMAL.replace("theta = 0", "theta.list = 0.05,0.2"))
+        argv = [command, "--config", str(config), "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {command} runs one angle, but the theta grid has 2; give one theta\n"
+        )
+        assert main([command, "--config", str(config), "--theta", "0.05"]) == 0
+
+    def test_a_theta_grid_is_read_by_sweep_and_ignored_by_encode(self, tmp_path, capsys):
+        config = tmp_path / "grid.cfg"
+        config.write_text(MINIMAL.replace("theta = 0", "theta.list = 0.05,0.2"))
+        assert main(["sweep", "--config", str(config), "--trials", "3"]) == 0
+        assert main(["encode", "--config", str(config)]) == 0
+
 
 class TestSharedParser:
     def test_import_builds_no_parser(self, monkeypatch):

@@ -416,6 +416,23 @@ class TestExtractSyndrome:
         for got, want in zip(table, code._syndromes):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("name", CODE_NAMES)
+    def test_overlaps_of_a_block_match_each_row_alone(self, name, monkeypatch):
+        """Row r of a block's overlaps and weights has the bits of row r read
+        alone, whether the block's gather is one slice of rows or several."""
+        code = get_code(name)
+        rng = np.random.default_rng(7)
+        n = code.n_physical
+        block = rng.standard_normal((20, 1 << n)) + 1j * rng.standard_normal((20, 1 << n))
+        block /= np.linalg.norm(block, axis=1, keepdims=True)
+        alone = [_overlaps(amps[None], code._syndromes) for amps in block]
+        for budget in (1, qeclab.codes._GATHER_BYTES, 1 << 30):  # 1 row, some, all at once
+            monkeypatch.setattr(qeclab.codes, "_GATHER_BYTES", budget)
+            got = _overlaps(block, code._syndromes)
+            for r, row in enumerate(alone):
+                for part, want in zip(got, row):
+                    assert part[r].tobytes() == want[0].tobytes()
+
     @pytest.mark.parametrize("name", ["steane7", "shor9"])
     def test_rare_outcome_weight_is_free_of_cancellation(self, name):
         """A y rotation by 1e-6 on qubit 0 puts weight sin^2(theta/2) on
@@ -431,9 +448,9 @@ class TestExtractSyndrome:
             (not pauli_strings_commute(y0, s)) << (len(code.stabilizers) - 1 - k)
             for k, s in enumerate(code.stabilizers)
         )
-        _, _, weight = _overlaps(state.amps, code._syndromes)
+        _, _, weight = _overlaps(state.amps[None], code._syndromes)
         want = math.sin(theta / 2) ** 2
-        assert weight[code._syndromes.rows[syndrome]] == pytest.approx(want, rel=1e-12)
+        assert weight[0, code._syndromes.rows[syndrome]] == pytest.approx(want, rel=1e-12)
 
     def test_rejects_dimension_mismatch(self):
         rng = np.random.default_rng(0)

@@ -27,6 +27,7 @@ from qeclab.errors import (
     Placement,
     _injector,
     apply_error_model,
+    resolve_occupancy,
 )
 from qeclab.experiments import (
     NUMERICAL_FLOOR,
@@ -34,6 +35,7 @@ from qeclab.experiments import (
     ExperimentConfig,
     SweepRow,
     _bare_qubit_placement,
+    _kernel,
     _moments,
     _stacks_errors,
     _trial_rng,
@@ -44,7 +46,7 @@ from qeclab.experiments import (
     sensitivity_experiment,
     sweep_theta,
 )
-from qeclab.statevec import support_size
+from qeclab.statevec import StateVector, support_size
 
 
 def rotation_config(**overrides) -> ExperimentConfig:
@@ -584,9 +586,9 @@ class TestSweepTheta:
     def test_deterministic_occupancy_is_injected_once_per_grid_point(
         self, monkeypatch, placement
     ):
-        """Each kernel resolves an occupancy that draws nothing once, in its
-        constructor, and the coded one injects it once, whatever the trial
-        count."""
+        """Each side resolves an occupancy that draws nothing once per grid
+        point, and the coded side injects it once, as a block of one row,
+        whatever the trial count."""
         resolved, coded_injections = [], []
         original_resolve, original_injector = (
             qeclab.experiments.resolve_occupancy, qeclab.experiments._injector
@@ -599,10 +601,10 @@ class TestSweepTheta:
         def counting_injector(model):
             inject = original_injector(model)
 
-            def counting(state, occupancy):
+            def counting(state, occupancies):
                 if state.n_qubits > 1:
-                    coded_injections.append(occupancy.tolist())
-                return inject(state, occupancy)
+                    coded_injections.append(occupancies.tolist())
+                return inject(state, occupancies)
 
             return counting
 
@@ -614,6 +616,7 @@ class TestSweepTheta:
             sweep_theta(rotation_config(placement=placement, theta_grid=(0.05, 0.3), trials=trials))
             assert resolved == [7, 1] * 2
             assert len(coded_injections) == 2
+            assert all(len(block) == 1 for block in coded_injections)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -651,6 +654,51 @@ class TestSweepTheta:
         assert row.mean_infid_coded < row.mean_infid_uncoded
 
 
+class TestBlockSweep:
+    """A sweep evaluates each grid point's distinct occupancies as one block;
+    its rows must be the bytes of rows rebuilt one trial at a time."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(placement=Placement.bose_einstein(2)),
+            dict(placement=Placement.fermi(2)),
+            dict(code="shor9", placement=Placement.bose_einstein(2)),
+            dict(code="shor9", placement=Placement.fermi(3), axis="x"),
+            dict(code="shor9", placement=Placement.fermi(2), error_kind="decay", decay_rate=0.9),
+        ],
+        ids=["steane7-bose2", "steane7-fermi2", "shor9-bose2", "shor9-fermi3", "shor9-decay-fermi2"],
+    )
+    def test_rows_match_one_row_trials_byte_for_byte(self, overrides):
+        config = rotation_config(
+            logical=GENERIC, theta_grid=(0.05, 0.3, 1.1), trials=40, seed=5, **overrides
+        )
+        encoded = get_code(config.code).encoder(config.logical)
+        bare_config = dataclasses.replace(
+            config, code="uncoded", placement=_bare_qubit_placement(config.placement)
+        )
+        bare_encoded = get_code("uncoded").encoder(config.logical)
+        rows = []
+        for grid_index, theta in enumerate(config.theta_grid):
+            moments, distinct = np.empty((3, config.trials)), set()
+            for t in range(config.trials):
+                occupancy = resolve_occupancy(
+                    config.placement, encoded.n_qubits, _trial_rng(config.seed, grid_index, t, 0)
+                )
+                distinct.add(occupancy.tobytes())
+                (mean,), (variance,), (support,) = _kernel(config, encoded, theta, occupancy[None])
+                trial = run_trial(config, theta, _trial_rng(config.seed, grid_index, t, 0))
+                assert trial == (mean, support)
+                moments[:, t] = mean, variance, support
+            assert len(distinct) > 1  # the sweep evaluates a block of several rows
+            mean, variance, support = moments.mean(axis=1).tolist()
+            variance += float(moments[0].var())
+            bare_occupancy = resolve_occupancy(bare_config.placement, 1, None)[None]
+            (bare,), _, _ = _kernel(bare_config, bare_encoded, theta, bare_occupancy)
+            rows.append(SweepRow(theta, mean, math.sqrt(variance), bare, 0.0, float(support)))
+        assert repr(sweep_theta(config).rows) == repr(tuple(rows))
+
+
 class TestMoments:
     """``_moments`` against the dense oracle, and against sampled shots."""
 
@@ -677,19 +725,19 @@ class TestMoments:
             config = rotation_config(code=code, error_kind=kind, logical=logical, **fields)
             encoded = get_code(code).encoder(logical)
             for theta in (0.3, 1.1):
-                inject = _injector(model_for(config, theta))
-                for occupancy in occupancies:
-                    state = inject(encoded, occupancy)
-                    got = _moments(state.amps, get_code(code)._syndromes, logical)
-                    want = dense_moments(state.amps, code, logical)
+                block = _injector(model_for(config, theta))(encoded, np.array(occupancies))
+                means, variances = _moments(block, get_code(code)._syndromes, logical)
+                for amps, got in zip(block, zip(means, variances)):
+                    want = dense_moments(amps, code, logical)
                     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-15)
 
     def test_monte_carlo_shots_agree_with_the_mean(self):
         """20,000 measured and recovered shots of one injected state."""
         code = get_code("steane7")
         config = rotation_config(logical=GENERIC)
-        state = _injector(model_for(config, 0.5))(code.encoder(GENERIC), np.ones(7, int))
-        mean, variance = _moments(state.amps, code._syndromes, GENERIC)
+        block = _injector(model_for(config, 0.5))(code.encoder(GENERIC), np.ones((1, 7), int))
+        (mean,), (variance,) = _moments(block, code._syndromes, GENERIC)
+        state = StateVector(7, block[0])
         rng = np.random.default_rng(16)
         shots, syndromes = np.empty(20_000), set()
         for shot in range(shots.size):

@@ -9,6 +9,7 @@ from qeclab.codes import CodeSpec, extract_syndrome
 from qeclab.statevec import (
     StateVector,
     _adopt,
+    _product,
     apply_1q,
     apply_pauli_string,
     apply_product,
@@ -208,6 +209,47 @@ class TestApplyProduct:
         before = state.amps.tobytes()
         apply_product(state, H, [0, 1, 2])
         assert state.amps.tobytes() == before
+
+
+def rotation(axis: str, theta: float) -> np.ndarray:
+    generator = {"x": X, "y": Y, "z": Z}[axis]
+    return math.cos(theta / 2) * I2 - 1j * math.sin(theta / 2) * generator
+
+
+class TestProductBlock:
+    """``_product`` on a block of rows rounds every row as it does alone."""
+
+    def test_block_rows_match_each_row_alone(self):
+        rng = np.random.default_rng(20)
+        for n in range(2, 11):
+            unitaries = [rotation(axis, 0.3 + n) for axis in "xyz"] + [random_unitary(rng)]
+            for k in range(1, 41):
+                product = _product(unitaries[(n + k) % 4])
+                targets = [*rng.integers(0, n, size=3).tolist(), n - 1, n - 1, 0]
+                block = np.array([random_state(n, rng).amps for _ in range(k)])
+                got = product(block, targets)
+                assert got.shape == (k, 1 << n)
+                for row, amps in zip(got, block):
+                    assert row.tobytes() == product(amps[None], targets).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_rows_limits_the_product_to_those_rows(self, n):
+        rng = np.random.default_rng(n)
+        product = _product(random_unitary(rng))
+        block = np.array([random_state(n, rng).amps for _ in range(6)])
+        rows = np.array([True, False, False, True, True, False])
+        targets = [0, n - 1, n // 2, n // 2]
+        got = product(block.copy(), targets, rows)
+        whole = product(block, targets)
+        assert got[rows].tobytes() == whole[rows].tobytes()
+        assert got[~rows].tobytes() == block[~rows].tobytes()
+
+    def test_block_leaves_its_input_untouched(self):
+        rng = np.random.default_rng(3)
+        block = np.array([random_state(4, rng).amps for _ in range(3)])
+        before = block.tobytes()
+        _product(H)(block, [0, 3, 1])
+        assert block.tobytes() == before
 
 
 class TestApply1q:
