@@ -14,7 +14,6 @@ from .codes import (
     SyndromeResult,
     extract_syndrome,
     get_code,
-    logical_fidelity,
     pauli_strings_commute,
     recover,
 )
@@ -49,7 +48,6 @@ from .experiments import (
 from .statevec import (
     MAX_QUBITS,
     StateVector,
-    apply_1q,
     apply_pauli_string,
     basis_state,
     fidelity,
@@ -75,7 +73,6 @@ __all__ = [
     "SweepResult",
     "SweepRow",
     "SyndromeResult",
-    "apply_1q",
     "apply_error_model",
     "apply_pauli_string",
     "basis_state",
@@ -87,7 +84,6 @@ __all__ = [
     "fidelity",
     "fit_power_law",
     "get_code",
-    "logical_fidelity",
     "model_for",
     "pauli_strings_commute",
     "pauli_unitary",

@@ -318,7 +318,7 @@ def _format_amplitude(re: float, im: float) -> str:
 def _state_lines(state: StateVector) -> list[str]:
     # The printed kets are the ones support_size counts.
     amps = state.amps
-    kept = np.flatnonzero(support_mask(state, SUPPORT_THRESHOLD))
+    kept = np.flatnonzero(support_mask(amps, SUPPORT_THRESHOLD))
     width = state.n_qubits
     return [
         f"|{index:0{width}b}> {_format_amplitude(re, im)}"

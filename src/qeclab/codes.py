@@ -47,7 +47,6 @@ from .statevec import (
     _norm_sq,
     _pauli_action,
     apply_pauli_string,
-    fidelity,
 )
 
 _NORM_INPUT_TOL = 1e-8
@@ -346,10 +345,3 @@ def recover(result: SyndromeResult, code: CodeSpec) -> StateVector:
     if set(digits) - {"0", "1"}:
         raise ValueError(f"syndrome bits must be 0 or 1, got {result.bits!r}")
     return apply_pauli_string(result.post_state, code.recovery_table["".join(digits)])
-
-
-def logical_fidelity(
-    state: StateVector, code: CodeSpec, reference: LogicalQubit
-) -> float:
-    """Fidelity against the ideal encoding of ``reference``; 1 iff corrected."""
-    return fidelity(state, code.encoder(reference))

@@ -6,6 +6,10 @@ into register cells: ``bose_einstein`` draws a uniform multiset (several
 errors may pile onto one qubit), ``fermi`` a uniform subset (at most one
 per qubit).  Pattern probabilities are kept as exact rationals; floats
 appear only where a caller compares against sampled frequencies.
+
+``check_placement`` alone decides whether a placement fits a register:
+``ExperimentConfig`` refuses through it and ``apply_error_model`` calls
+it before it draws, so occupancy and injection take a fit as given.
 """
 
 from __future__ import annotations
@@ -261,22 +265,33 @@ def sample_placement(
 # Channel application
 # ---------------------------------------------------------------------------
 
+def check_placement(placement: Placement, n_qubits: int, error_kind: str, register: str) -> None:
+    """Raise ValueError unless ``placement`` fits a register of ``n_qubits``
+    under ``error_kind``: fixed qubits lie in [0, N), fermi places n <= N
+    errors, and decay stacks no two errors on one qubit (as a repeated
+    fixed qubit or bose_einstein:n, n >= 2, would), naming the ``register``."""
+    qubits, n_errors = placement.qubits, placement.n_errors
+    outside = [q for q in qubits if not 0 <= q < n_qubits]
+    if outside:
+        raise ValueError(f"fixed placement qubit {outside[0]} out of range for {n_qubits} qubits")
+    if placement.rule == "fermi" and n_errors > n_qubits:
+        raise ValueError(f"fermi placement n={n_errors} exceeds register size N={n_qubits}")
+    stacks = len(set(qubits)) < len(qubits) or (placement.rule == "bose_einstein" and n_errors >= 2)
+    if error_kind == "decay" and stacks:
+        raise ValueError(
+            f"decay placement must not stack errors on one qubit of the {register} register"
+        )
+
+
 def resolve_occupancy(
     placement: Placement, n_qubits: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Errors per qubit under ``placement``: fixed rules draw nothing from
-    ``rng``, sampled rules draw one pattern."""
+    """Errors per qubit under a ``placement`` that fits: fixed rules draw
+    nothing from ``rng``, sampled rules draw one pattern."""
     if placement.rule == "all_qubits":
         return np.ones(n_qubits, dtype=np.int64)
     if placement.rule == "fixed":
-        occupancy = np.zeros(n_qubits, dtype=np.int64)
-        for q in placement.qubits:
-            if not 0 <= q < n_qubits:
-                raise ValueError(
-                    f"fixed placement qubit {q} out of range for {n_qubits} qubits"
-                )
-            occupancy[q] += 1
-        return occupancy
+        return np.bincount(placement.qubits, minlength=n_qubits)
     return sample_placement(n_qubits, placement.n_errors, placement.rule, rng)
 
 
@@ -302,7 +317,7 @@ def _injector(model: ErrorModel):
     scales the |1> amplitude of each occupied qubit by sqrt(1 - p_t) and
     renormalizes each row — a post-selected surrogate that keeps decay
     inside pure-state simulation (the unconditioned channel would need
-    density matrices); occupancy above 1 is rejected for it.
+    density matrices); ``check_placement`` has refused occupancy above 1.
     """
     def layers(state: StateVector, occupancies: np.ndarray):
         """The block of ``state`` repeated once per row, and its layers as
@@ -331,8 +346,6 @@ def _injector(model: ErrorModel):
     scale = math.sqrt(1.0 - decoherence_prob(model.params))
 
     def decay(state: StateVector, occupancies: np.ndarray) -> np.ndarray:
-        if occupancies.max(initial=0) > 1:
-            raise ValueError("decay placement must not stack errors on one qubit")
         block, steps = layers(state, occupancies)
         if not block.flags.writeable:
             block = block.copy()
@@ -357,6 +370,8 @@ def _injector(model: ErrorModel):
 def apply_error_model(
     state: StateVector, model: ErrorModel, rng: np.random.Generator
 ) -> StateVector:
-    """Sample a placement and apply the channel to each occupied qubit."""
-    occupancy = resolve_occupancy(model.placement, state.n_qubits, rng)
-    return _adopt(state.n_qubits, _injector(model)(state, occupancy[None]).reshape(-1))
+    """Check and sample a placement; apply the channel to each occupied qubit."""
+    n = state.n_qubits
+    check_placement(model.placement, n, model.kind, f"{n}-qubit")
+    occupancy = resolve_occupancy(model.placement, n, rng)
+    return _adopt(n, _injector(model)(state, occupancy[None]).reshape(-1))

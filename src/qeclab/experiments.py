@@ -47,10 +47,11 @@ from .errors import (
     RotationErrorParams,
     ROTATION_AXES,
     _injector,
+    check_placement,
     resolve_occupancy,
     rotation_unitary,
 )
-from .statevec import StateVector, _support_mask, apply_product, support_size
+from .statevec import StateVector, apply_product, support_mask, support_size
 
 SUPPORT_THRESHOLD = 1e-12
 # Infidelities this small are rounding residue, not physics; they are
@@ -59,29 +60,6 @@ NUMERICAL_FLOOR = 1e-13
 # A cap on the bytes of one block of injected rows: a grid point with
 # thousands of distinct occupancies is evaluated a slice of rows at a time.
 _BLOCK_BYTES = 1 << 20
-
-
-def _stacks_errors(placement: Placement) -> bool:
-    """Whether ``placement`` can land two errors on one qubit."""
-    if placement.rule == "fixed":
-        return len(set(placement.qubits)) < len(placement.qubits)
-    return placement.rule == "bose_einstein" and placement.n_errors >= 2
-
-
-def _check_placement(placement: Placement, code: str, error_kind: str) -> None:
-    """Raise ValueError unless ``placement`` fits the register of ``code``
-    under ``error_kind``: fixed qubits lie in [0, N), fermi places n <= N
-    errors, and a decay placement never stacks errors on one qubit."""
-    n = get_code(code).n_physical
-    outside = [q for q in placement.qubits if not 0 <= q < n]
-    if outside:
-        raise ValueError(f"fixed placement qubit {outside[0]} out of range for {n} qubits")
-    if placement.rule == "fermi" and placement.n_errors > n:
-        raise ValueError(f"fermi placement n={placement.n_errors} exceeds register size N={n}")
-    if error_kind == "decay" and _stacks_errors(placement):
-        raise ValueError(
-            f"decay placement must not stack errors on one qubit of the {code} register"
-        )
 
 
 class ConfigError(ValueError):
@@ -93,10 +71,10 @@ class ConfigError(ValueError):
         self.field = field
 
 
-def _tagged(field: str, check, *args) -> None:
-    """Run ``check(*args)``, reporting its ValueError as a refusal of ``field``."""
+def _tagged(field: str, check, *args):
+    """Return ``check(*args)``, reporting its ValueError as a refusal of ``field``."""
     try:
-        check(*args)
+        return check(*args)
     except ValueError as exc:
         raise ConfigError(str(exc), field) from None
 
@@ -131,7 +109,7 @@ class ExperimentConfig:
     decay_rate: float = 0.5
 
     def __post_init__(self) -> None:
-        _tagged("code", get_code, self.code)
+        code = _tagged("code", get_code, self.code)
         kind = self.error_kind
         if kind not in ERROR_KINDS:
             raise ConfigError(
@@ -157,7 +135,7 @@ class ExperimentConfig:
             raise ConfigError("theta grid values must be finite and >= 0", "theta_grid")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("theta grid must be strictly increasing", "theta_grid")
-        _tagged("placement", _check_placement, self.placement, self.code, kind)
+        _tagged("placement", check_placement, self.placement, code.n_physical, kind, self.code)
         object.__setattr__(self, "theta_grid", grid)
 
 
@@ -260,7 +238,7 @@ def _kernel(
         block_means, block_variances = _moments(block, table, config.logical)
         means += block_means
         variances += block_variances
-        supports += _support_mask(block, SUPPORT_THRESHOLD).sum(axis=1).tolist()
+        supports += support_mask(block, SUPPORT_THRESHOLD).sum(axis=1).tolist()
     return means, variances, supports
 
 
@@ -340,16 +318,14 @@ def _slope(points: list[tuple[float, float]]) -> float:
     return fit_power_law(usable)
 
 
-def proliferation_experiment(
-    code_name: str, theta: float, threshold: float = SUPPORT_THRESHOLD
-) -> tuple[int, int]:
+def proliferation_experiment(code_name: str, theta: float) -> tuple[int, int]:
     """Support of the encoded |0> before and after rotating every qubit."""
     code = get_code(code_name)
     state = code.encoder(LogicalQubit(1.0, 0.0))
-    before = support_size(state, threshold)
+    before = support_size(state, SUPPORT_THRESHOLD)
     rotation = rotation_unitary(RotationErrorParams("y", theta))
     state = apply_product(state, rotation, range(code.n_physical))
-    return before, support_size(state, threshold)
+    return before, support_size(state, SUPPORT_THRESHOLD)
 
 
 def sensitivity_experiment(n_qubits: int, target_prob: float, theta: float) -> float:

@@ -56,9 +56,6 @@ class StateVector:
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
 
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
-
 
 # Bound once: rebinding the module name ``StateVector`` (as an outside-in
 # tracer does) must not reach the adoption path.
@@ -118,7 +115,7 @@ def _require_unitary2(u: np.ndarray) -> np.ndarray:
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
     defect = np.abs(u @ u.conj().T - _EYE2).max()
-    if defect > UNITARY_INPUT_TOL:
+    if not defect <= UNITARY_INPUT_TOL:  # a NaN defect is refused too
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
     return u
 
@@ -165,11 +162,6 @@ def _product(u: np.ndarray):
 def apply_product(state: StateVector, u: np.ndarray, targets: Iterable[int]) -> StateVector:
     """Apply the single-qubit unitary ``u`` to each of ``targets`` in turn."""
     return _adopt(state.n_qubits, _product(u)(state.amps[None], targets).reshape(-1))
-
-
-def apply_1q(state: StateVector, u: np.ndarray, target: int) -> StateVector:
-    """Apply a single-qubit unitary to ``target``."""
-    return apply_product(state, u, (target,))
 
 
 def _pauli_action(n_qubits: int, ops: str) -> tuple[np.ndarray, np.ndarray]:
@@ -223,21 +215,17 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return min(float(np.abs(np.vdot(a.amps, b.amps)) ** 2), 1.0)
 
 
-def support_mask(state: StateVector, threshold: float) -> np.ndarray:
-    """Which basis indices have |amplitude| strictly above threshold.
+def support_mask(amps: np.ndarray, threshold: float) -> np.ndarray:
+    """Which of ``amps``, of any shape (one register or a block of rows),
+    have modulus strictly above threshold.
 
     The modulus is ``np.hypot`` of the parts, which rounds as ``abs()`` of a
     complex scalar does; ``np.abs`` of a complex array can differ in the
     last bit and move an amplitude across the threshold.
     """
-    return _support_mask(state.amps, threshold)
-
-
-def _support_mask(amps: np.ndarray, threshold: float) -> np.ndarray:
-    """``support_mask`` of amplitudes of any shape, such as a block of rows."""
     return np.hypot(amps.real, amps.imag) > threshold
 
 
 def support_size(state: StateVector, threshold: float) -> int:
     """Number of basis indices with |amplitude| strictly above threshold."""
-    return int(np.count_nonzero(support_mask(state, threshold)))
+    return int(np.count_nonzero(support_mask(state.amps, threshold)))

@@ -6,7 +6,7 @@ pole: a 10^4-trial Monte Carlo sweep, about a minute of compute.
 """
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
@@ -19,7 +19,6 @@ from qeclab.codes import (
     LogicalQubit,
     extract_syndrome,
     get_code,
-    logical_fidelity,
     recover,
 )
 from qeclab.errors import (
@@ -39,7 +38,7 @@ from qeclab.experiments import (
     run_trial,
     sweep_theta,
 )
-from qeclab.statevec import apply_1q, apply_pauli_string
+from qeclab.statevec import apply_pauli_string, apply_product, fidelity
 
 GENERIC_LOGICAL = LogicalQubit(0.6, complex(0.48, 0.64))
 
@@ -108,7 +107,7 @@ def test_criterion_2_exhaustive_single_pauli(capsys):
                 )
                 state = apply_pauli_string(clean, error)
                 corrected = recover(extract_syndrome(state, code, rng), code)
-                worst = max(worst, 1.0 - logical_fidelity(corrected, code, GENERIC_LOGICAL))
+                worst = max(worst, 1.0 - fidelity(corrected, code.encoder(GENERIC_LOGICAL)))
                 cases += 1
     ok = cases == 48 and worst < 1e-9
     with capsys.disabled():
@@ -131,9 +130,9 @@ def test_criterion_3_analog_single_error_discretization(capsys):
                 GeneralErrorParams(complex(e[0], e[1]), complex(e[2], e[3]))
             )
             qubit = int(rng.integers(code.n_physical))
-            state = apply_1q(clean, unitary, qubit)
+            state = apply_product(clean, unitary, [qubit])
             corrected = recover(extract_syndrome(state, code, rng), code)
-            worst = max(worst, 1.0 - logical_fidelity(corrected, code, GENERIC_LOGICAL))
+            worst = max(worst, 1.0 - fidelity(corrected, code.encoder(GENERIC_LOGICAL)))
     ok = worst < 1e-9
     with capsys.disabled():
         report(
@@ -180,8 +179,8 @@ def test_criterion_4_residual_error_scaling(capsys):
 
 
 def test_criterion_5_component_proliferation(capsys):
-    steane = proliferation_experiment("steane7", 0.01, 1e-12)
-    shor = proliferation_experiment("shor9", 0.01, 1e-12)
+    steane = proliferation_experiment("steane7", 0.01)
+    shor = proliferation_experiment("shor9", 0.01)
     ok = steane == (8, 128) and shor == (8, 512)
     with capsys.disabled():
         report(
@@ -236,6 +235,72 @@ def test_criterion_6_occupancy_statistics(capsys):
             "criterion 6 (occupancy statistics)",
             ok,
             f"all N<=5, n<=3 at 1e5 samples, worst pull {worst_pull:.2f} sigma",
+        )
+
+
+class ScriptedRng:
+    """Stands in for a Generator: ``integers(0, h)`` replays ``path``, and
+    draws 0 past its end, recording every bound h it is asked for."""
+
+    def __init__(self, path):
+        self.path, self.bounds = path, []
+
+    def integers(self, low, high):
+        assert low == 0
+        draw = len(self.bounds)
+        self.bounds.append(high)
+        return self.path[draw] if draw < len(self.path) else 0
+
+
+def sampler_paths(n_cells, n_errors, statistics):
+    """Every path of draws ``sample_placement`` can take, depth first, as
+    its occupancy and its exact probability, the product of 1/h over its
+    draws."""
+    path = []
+    while True:
+        rng = ScriptedRng(path)
+        occupancy = tuple(sample_placement(n_cells, n_errors, statistics, rng).tolist())
+        path = path + [0] * (len(rng.bounds) - len(path))
+        probability = Fraction(1)
+        for high in rng.bounds:
+            probability /= high
+        yield occupancy, probability
+        # Advance the last draw that has an outcome left; the draws after
+        # it restart at 0, under the bounds the new prefix asks for.
+        while path and path[-1] + 1 == rng.bounds[len(path) - 1]:
+            path.pop()
+        if not path:
+            return
+        path[-1] += 1
+
+
+def test_criterion_6_sampler_is_exact(capsys):
+    """Criterion 6 without sampling error: every path of draws, weighted
+    exactly, sums per occupancy to the pattern probability, and the paths
+    reach every pattern."""
+    ok, paths = True, 0
+    for n_cells in range(1, 6):
+        for n_errors in range(0, 4):
+            for statistics, probability, patterns in (
+                ("bose_einstein", bose_einstein_pattern_prob,
+                 math.comb(n_cells + n_errors - 1, n_errors)),
+                ("fermi", fermi_pattern_prob, math.comb(n_cells, n_errors)),
+            ):
+                if statistics == "fermi" and n_errors > n_cells:
+                    continue
+                totals = defaultdict(Fraction)
+                for occupancy, weight in sampler_paths(n_cells, n_errors, statistics):
+                    paths += 1
+                    totals[occupancy] += weight
+                    ok &= len(occupancy) == n_cells and sum(occupancy) == n_errors
+                    ok &= statistics == "bose_einstein" or max(occupancy, default=0) <= 1
+                ok &= len(totals) == patterns
+                ok &= set(totals.values()) == {probability(n_cells, n_errors)}
+    with capsys.disabled():
+        report(
+            "criterion 6, exact (every path of the sampler)",
+            ok,
+            f"all N<=5, n<=3, {paths} paths",
         )
 
 

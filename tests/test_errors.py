@@ -316,7 +316,7 @@ class TestApplyErrorModel:
         p_t = decoherence_prob(DecayModel(1.0, 2.0))
         expected_ratio = math.sqrt(1.0 - p_t)
         assert abs(out.amps[1] / out.amps[0]) == pytest.approx(expected_ratio, abs=1e-12)
-        assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(np.abs(out.amps) ** 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_decay_rejects_stacked_occupancy(self):
         rng = np.random.default_rng(0)
@@ -333,5 +333,20 @@ class TestApplyErrorModel:
     def test_fermi_placement_error_propagates(self):
         rng = np.random.default_rng(0)
         model = ErrorModel("bit_flip", placement=Placement.fermi(4))
-        with pytest.raises(ValueError, match="n <= N"):
+        with pytest.raises(ValueError, match="^fermi placement n=4 exceeds register size N=2$"):
             apply_error_model(basis_state(2, "00"), model, rng)
+
+    def test_decay_that_can_stack_is_refused_before_it_draws(self):
+        """bose_einstein:2 may draw two distinct qubits, but a decay model
+        under it is refused up front, as ExperimentConfig refuses it."""
+
+        class NoDraws:
+            def integers(self, *args):
+                raise AssertionError("drew from the generator")
+
+        model = ErrorModel("decay", DecayModel(0.5, 1.0), Placement.bose_einstein(2))
+        with pytest.raises(
+            ValueError,
+            match="^decay placement must not stack errors on one qubit of the 3-qubit register$",
+        ):
+            apply_error_model(basis_state(3, "000"), model, NoDraws())

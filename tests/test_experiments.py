@@ -17,7 +17,6 @@ from qeclab.codes import (
     LogicalQubit,
     extract_syndrome,
     get_code,
-    logical_fidelity,
     recover,
 )
 from qeclab.errors import (
@@ -37,7 +36,6 @@ from qeclab.experiments import (
     _bare_qubit_placement,
     _kernel,
     _moments,
-    _stacks_errors,
     _trial_rng,
     fit_power_law,
     model_for,
@@ -46,7 +44,7 @@ from qeclab.experiments import (
     sensitivity_experiment,
     sweep_theta,
 )
-from qeclab.statevec import StateVector, support_size
+from qeclab.statevec import StateVector, fidelity, support_size
 
 
 def rotation_config(**overrides) -> ExperimentConfig:
@@ -124,7 +122,7 @@ def dense_moments(amps, name, logical):
     return mean, weights @ (leaves - mean) ** 2
 
 
-def uncached_rows(config):
+def dense_oracle_rows(config):
     """The sweep's rows from the dense oracle.  Each trial draws its
     placement from its own stream as ``apply_error_model`` does; a row's
     std is the population std of one trial's infidelity over placements
@@ -412,8 +410,9 @@ class TestSweepTheta:
                 Placement.bose_einstein(3),
             ]
             for kind in ["rotation", *FLIP_KINDS, "general_unitary", "decay"]
-            # decay refuses a placement that stacks errors on the bare qubit
-            if kind != "decay" or not _stacks_errors(_bare_qubit_placement(placement))
+            # decay refuses a placement that stacks errors on the bare qubit:
+            # a projection that lands two or more errors on qubit 0
+            if kind != "decay" or len(_bare_qubit_placement(placement).qubits) < 2
         ],
     )
     def test_bare_qubit_is_one_branch(self, placement, kind):
@@ -485,29 +484,6 @@ class TestSweepTheta:
             assert row.mean_infid_uncoded == pytest.approx(np.mean(bare), abs=1e-15)
             assert row.mean_support == pytest.approx(np.mean(supports), abs=1e-15)
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            dict(code="shor9", placement=Placement.bose_einstein(2), logical=GENERIC),
-            dict(placement=Placement.fermi(2)),
-            dict(code="shor9", error_kind="decay", decay_rate=0.8, logical=GENERIC),
-            dict(
-                error_kind="general_unitary",
-                general=GeneralErrorParams(0.3, complex(0.1, 0.2)),
-                placement=Placement.bose_einstein(2),
-                logical=GENERIC,
-            ),
-        ],
-        ids=["shor9-bose2", "steane7-fermi2", "shor9-decay", "steane7-general"],
-    )
-    def test_cached_kernel_matches_uncached_pipeline(self, overrides):
-        """The per-occupancy memo and the bra table give the rows of the
-        dense oracle, which recomputes every trial from its own stream."""
-        config = rotation_config(theta_grid=(0.3, 1.1), trials=60, seed=2, **overrides)
-        rows = sweep_theta(config).rows
-        assert_rows_match(rows, uncached_rows(config))
-        assert all(0.0 < row.mean_infid_coded < 1.0 and row.std_coded > 0.0 for row in rows)
-
     def test_rows_survive_a_rebound_state_vector_name(self, monkeypatch):
         """An outside-in tracer replaces ``StateVector`` in each module's
         namespace with a wrapper function; sweeps must run as before."""
@@ -523,10 +499,10 @@ class TestSweepTheta:
             monkeypatch.setattr(module, "StateVector", traced)
         assert sweep_theta(config).rows == expected
 
-    def test_channel_operator_is_validated_once_per_kernel(self, monkeypatch):
-        """Each grid point builds two kernels, the coded one and the bare
-        qubit's; each validates its unitary once, however many placements
-        miss the cache."""
+    def test_channel_operator_is_validated_once_per_side_per_grid_point(self, monkeypatch):
+        """Each grid point injects two sides, the coded block and the bare
+        qubit; each validates its unitary once, however many distinct
+        occupancies its block holds."""
         checks = []
         original = qeclab.statevec._require_unitary2
 
@@ -543,25 +519,40 @@ class TestSweepTheta:
         assert len(checks) == 2 * len(config.theta_grid)
 
     @pytest.mark.parametrize(
-        "overrides",
+        "overrides,leaves_residue",
         [
-            dict(logical=GENERIC),
-            dict(code="shor9", logical=GENERIC),
-            dict(placement=Placement.fixed([0, 0, 3]), logical=GENERIC),
-            dict(code="shor9", placement=Placement.bose_einstein(3), logical=GENERIC),
-            dict(code="shor9", error_kind="decay", decay_rate=0.8,
-                 placement=Placement.fixed([1]), logical=GENERIC),
-            dict(axis="x"),
+            (dict(code="shor9", placement=Placement.bose_einstein(2), logical=GENERIC), True),
+            (dict(placement=Placement.fermi(2)), True),
+            (dict(code="shor9", error_kind="decay", decay_rate=0.8, logical=GENERIC), True),
+            (dict(
+                error_kind="general_unitary",
+                general=GeneralErrorParams(0.3, complex(0.1, 0.2)),
+                placement=Placement.bose_einstein(2),
+                logical=GENERIC,
+            ), True),
+            (dict(logical=GENERIC), True),
+            (dict(code="shor9", logical=GENERIC), True),
+            (dict(placement=Placement.fixed([0, 0, 3]), logical=GENERIC), True),
+            (dict(code="shor9", placement=Placement.bose_einstein(3), logical=GENERIC), True),
+            # One decayed qubit is a correctable error: its rows are zero.
+            (dict(code="shor9", error_kind="decay", decay_rate=0.8,
+                  placement=Placement.fixed([1]), logical=GENERIC), False),
+            (dict(axis="x"), True),
         ],
-        ids=["steane7-all", "shor9-all", "steane7-fixed003", "shor9-bose3",
+        ids=["shor9-bose2", "steane7-fermi2", "shor9-decay", "steane7-general",
+             "steane7-all", "shor9-all", "steane7-fixed003", "shor9-bose3",
              "shor9-decay-fixed1", "steane7-x-zero"],
     )
-    def test_hoisted_and_trie_paths_match_uncached_pipeline(self, overrides):
-        """Entries computed once when the kernel is built (placements that
-        draw nothing) and entries computed on a trial's first visit give
-        the rows of the dense oracle."""
+    def test_rows_match_the_dense_oracle(self, overrides, leaves_residue):
+        """A sweep's rows, under placements that draw and placements that
+        draw nothing, are the rows of the dense oracle, which rebuilds every
+        trial from its own stream.  Where the channel leaves a residue after
+        correction, every row carries one, so the match is not vacuous."""
         config = rotation_config(theta_grid=(0.3, 1.1), trials=60, seed=2, **overrides)
-        assert_rows_match(sweep_theta(config).rows, uncached_rows(config))
+        rows = sweep_theta(config).rows
+        assert_rows_match(rows, dense_oracle_rows(config))
+        if leaves_residue:
+            assert all(0.0 < row.mean_infid_coded < 1.0 and row.std_coded > 0.0 for row in rows)
 
     def test_sweep_derives_its_streams_in_one_pass(self, monkeypatch):
         """A placement that draws derives each trial's stream once per sweep;
@@ -623,14 +614,13 @@ class TestSweepTheta:
         [dict(), dict(code="shor9", placement=Placement.bose_einstein(2), logical=GENERIC)],
         ids=["steane7-all", "shor9-bose2"],
     )
-    def test_a_cached_branch_runs_no_walk(self, monkeypatch, overrides):
+    def test_a_sweep_measures_nothing(self, monkeypatch, overrides):
         """A sweep measures nothing: it samples no syndrome, and runs no
         recovery or fidelity."""
         calls = []
         for module, name in [
             (qeclab.codes, "extract_syndrome"),
             (qeclab.codes, "recover"),
-            (qeclab.codes, "fidelity"),
             (qeclab.statevec, "fidelity"),
         ]:
             def counting(*args, _name=name, _original=getattr(module, name)):
@@ -743,7 +733,7 @@ class TestMoments:
         for shot in range(shots.size):
             result = extract_syndrome(state, code, rng)
             syndromes.add(result.bits)
-            shots[shot] = 1.0 - logical_fidelity(recover(result, code), code, GENERIC)
+            shots[shot] = 1.0 - fidelity(recover(result, code), code.encoder(GENERIC))
         shots[shots < NUMERICAL_FLOOR] = 0.0
         assert len(syndromes) == 8
         assert abs(shots.mean() - mean) <= 5 * math.sqrt(variance / shots.size)
@@ -818,13 +808,13 @@ class TestExactAnchors:
 
 class TestProliferation:
     def test_steane_rotated(self):
-        assert proliferation_experiment("steane7", 0.01, 1e-12) == (8, 128)
+        assert proliferation_experiment("steane7", 0.01) == (8, 128)
 
     def test_steane_identity(self):
-        assert proliferation_experiment("steane7", 0.0, 1e-12) == (8, 8)
+        assert proliferation_experiment("steane7", 0.0) == (8, 8)
 
     def test_shor_rotated(self):
-        assert proliferation_experiment("shor9", 0.01, 1e-12) == (8, 512)
+        assert proliferation_experiment("shor9", 0.01) == (8, 512)
 
 
 class TestSensitivity:

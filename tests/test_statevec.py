@@ -10,7 +10,6 @@ from qeclab.statevec import (
     StateVector,
     _adopt,
     _product,
-    apply_1q,
     apply_pauli_string,
     apply_product,
     basis_state,
@@ -187,7 +186,7 @@ class TestApplyProduct:
         targets = list(range(n)) + [n - 1, 0]
         sequential, expected = state, state.amps
         for target in targets:
-            sequential = apply_1q(sequential, u, target)
+            sequential = apply_product(sequential, u, [target])
             expected = moveaxis_1q(expected, u, target, n)
         product = apply_product(state, u, targets)
         assert product.amps.tobytes() == sequential.amps.tobytes() == expected.tobytes()
@@ -203,6 +202,15 @@ class TestApplyProduct:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):
             apply_product(basis_state(2, "00"), np.array([[1, 0], [0, 2]]), [0, 1])
+
+    def test_rejects_a_nan_matrix(self):
+        """A NaN defect compares false with the tolerance, and is refused as
+        any other defect is, before the operator reaches a register."""
+        nan = np.full((2, 2), np.nan)
+        with pytest.raises(ValueError, match="matrix is not unitary"):
+            _product(nan)
+        with pytest.raises(ValueError, match="matrix is not unitary"):
+            apply_product(basis_state(1, "0"), nan, [0])
 
     def test_input_state_untouched(self):
         state = random_state(3, np.random.default_rng(4))
@@ -253,30 +261,32 @@ class TestProductBlock:
 
 
 class TestApply1q:
+    """``apply_product`` on one target."""
+
     def test_x_flips_basis(self):
-        assert np.allclose(apply_1q(basis_state(1, "0"), X, 0).amps, [0, 1])
+        assert np.allclose(apply_product(basis_state(1, "0"), X, [0]).amps, [0, 1])
 
     def test_hadamard_on_msb_qubit(self):
         """H on qubit 0 of |00> spreads over indices 0 and 2 (big-endian)."""
-        state = apply_1q(basis_state(2, "00"), H, 0)
+        state = apply_product(basis_state(2, "00"), H, [0])
         np.testing.assert_allclose(state.amps, [SQRT2_INV, 0, SQRT2_INV, 0], atol=1e-15)
 
     def test_identity_is_noop(self):
         rng = np.random.default_rng(11)
         state = random_state(3, rng)
-        np.testing.assert_allclose(apply_1q(state, I2, 1).amps, state.amps, atol=1e-15)
+        np.testing.assert_allclose(apply_product(state, I2, [1]).amps, state.amps, atol=1e-15)
 
     def test_rejects_out_of_range_target(self):
         with pytest.raises(ValueError, match="out of range"):
-            apply_1q(basis_state(2, "00"), X, 2)
+            apply_product(basis_state(2, "00"), X, [2])
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):
-            apply_1q(basis_state(1, "0"), np.array([[1, 0], [0, 2]]), 0)
+            apply_product(basis_state(1, "0"), np.array([[1, 0], [0, 2]]), [0])
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="2x2"):
-            apply_1q(basis_state(1, "0"), np.eye(4), 0)
+            apply_product(basis_state(1, "0"), np.eye(4), [0])
 
 
 class TestMeasureQubit:
@@ -396,7 +406,7 @@ class TestFidelity:
         """
         zero = basis_state(1, "0")
         for theta in (0.0, 0.1, 0.7, 1.9, math.pi / 2, 3.0):
-            rotated = apply_1q(zero, ry(theta), 0)
+            rotated = apply_product(zero, ry(theta), [0])
             expected = math.cos(theta / 2) ** 2
             by_matrix = abs((ry(theta) @ np.array([1, 0]))[0]) ** 2
             assert fidelity(zero, rotated) == pytest.approx(expected, abs=1e-12)
@@ -432,7 +442,7 @@ class TestSupportSize:
 
         state = get_code("steane7").encoder(LogicalQubit(1.0, 0.0))
         for q in range(7):
-            state = apply_1q(state, ry(0.01), q)
+            state = apply_product(state, ry(0.01), [q])
         assert support_size(state, 1e-12) == 128
 
 
@@ -443,8 +453,8 @@ class TestInvariants:
             n = int(rng.integers(1, 6))
             state = random_state(n, rng)
             for _ in range(40):
-                state = apply_1q(state, random_unitary(rng), int(rng.integers(n)))
-            assert abs(state.norm_sq() - 1.0) < 1e-10
+                state = apply_product(state, random_unitary(rng), [int(rng.integers(n))])
+            assert abs(np.sum(np.abs(state.amps) ** 2) - 1.0) < 1e-10
 
     def test_unitary_round_trip(self):
         """Applying U then U-dagger restores every amplitude to 1e-10."""
@@ -453,7 +463,7 @@ class TestInvariants:
             state = random_state(4, rng)
             u = random_unitary(rng)
             target = int(rng.integers(4))
-            back = apply_1q(apply_1q(state, u, target), u.conj().T, target)
+            back = apply_product(apply_product(state, u, [target]), u.conj().T, [target])
             np.testing.assert_allclose(back.amps, state.amps, atol=1e-10)
 
     def test_disjoint_qubits_commute(self):
@@ -461,8 +471,8 @@ class TestInvariants:
         for _ in range(25):
             state = random_state(4, rng)
             u, v = random_unitary(rng), random_unitary(rng)
-            one_way = apply_1q(apply_1q(state, u, 1), v, 3)
-            other_way = apply_1q(apply_1q(state, v, 3), u, 1)
+            one_way = apply_product(apply_product(state, u, [1]), v, [3])
+            other_way = apply_product(apply_product(state, v, [3]), u, [1])
             np.testing.assert_allclose(one_way.amps, other_way.amps, atol=1e-12)
 
     def test_born_rule_marginals_at_scale(self):
@@ -473,7 +483,7 @@ class TestInvariants:
         theta = 1.1
         c, s = math.cos(theta / 2), math.sin(theta / 2)
         state = StateVector(2, np.array([c, 0, 0, s]))  # c|00> + s|11>
-        state = apply_1q(state, ry(0.4), 1)  # does not touch qubit 0's marginal
+        state = apply_product(state, ry(0.4), [1])  # does not touch qubit 0's marginal
         p_one = s**2
         assert dense_probability(state, "ZI", -1) == pytest.approx(p_one, abs=1e-15)
         ones = sum(measure(state, "ZI", rng)[0] == -1 for _ in range(trials))
