@@ -11,11 +11,8 @@ from .codes import (
     CODE_NAMES,
     CodeSpec,
     LogicalQubit,
-    SyndromeResult,
-    extract_syndrome,
     get_code,
     pauli_strings_commute,
-    recover,
 )
 from .errors import (
     ALL_QUBITS,
@@ -72,14 +69,12 @@ __all__ = [
     "StateVector",
     "SweepResult",
     "SweepRow",
-    "SyndromeResult",
     "apply_error_model",
     "apply_pauli_string",
     "basis_state",
     "bose_einstein_pattern_prob",
     "build_general_unitary",
     "decoherence_prob",
-    "extract_syndrome",
     "fermi_pattern_prob",
     "fidelity",
     "fit_power_law",
@@ -88,7 +83,6 @@ __all__ = [
     "pauli_strings_commute",
     "pauli_unitary",
     "proliferation_experiment",
-    "recover",
     "rotation_unitary",
     "run_trial",
     "sample_placement",

@@ -24,10 +24,10 @@ translates keys.  Unknown keys, and any value a file sets that the
 contract refuses, are reported with their line number.  Inline flags
 override file values: a flag overrides the field its dest names
 (``--error`` sets ``error_kind``, ``--theta`` a one-angle ``theta_grid``),
-and an empty flag value is refused, never ignored.  A value the resulting
-error kind ignores is a config error.  All output is byte-deterministic
-for a fixed seed; files are written atomically (temp file + rename),
-never partially.
+and an empty flag value is refused, never ignored.  A value the file or a
+flag sets that the resulting error kind ignores is a config error, even
+at its default.  All output is byte-deterministic for a fixed seed; files
+are written atomically (temp file + rename), never partially.
 
 Each command registers only the flags it reads, as ``_COMMANDS`` lists
 them; any other flag is refused under that command's usage line.
@@ -57,7 +57,7 @@ import sys
 
 import numpy as np
 
-from .codes import CODE_NAMES, LogicalQubit, extract_syndrome, get_code, recover
+from .codes import CODE_NAMES, LogicalQubit, _draw_syndrome, _overlaps, get_code
 from .errors import (
     ALL_QUBITS,
     ERROR_KINDS,
@@ -70,18 +70,19 @@ from .errors import (
 )
 from .experiments import (
     KIND_FIELDS,
-    NUMERICAL_FLOOR,
     SUPPORT_THRESHOLD,
     ConfigError,
     ExperimentConfig,
     SweepResult,
     SweepRow,
+    _leaves,
+    _refuse_kind_fields,
     model_for,
     proliferation_experiment,
     sensitivity_experiment,
     sweep_theta,
 )
-from .statevec import StateVector, _norm_sq, fidelity, support_mask, support_size
+from .statevec import StateVector, _norm_sq, support_mask, support_size
 
 EXIT_OK, EXIT_CONFIG, EXIT_IO = 0, 2, 3
 
@@ -414,7 +415,8 @@ _FLAG_VALUES = {
 
 def _resolve_experiment(args: argparse.Namespace) -> ExperimentConfig:
     # The file is read and validated first, so its faults are reported first.
-    config = parse_config(_read_text(args.config)) if args.config is not None else None
+    text = _read_text(args.config) if args.config is not None else None
+    config = parse_config(text) if text is not None else None
     if config is None and args.code is None:
         raise ConfigError("no code selected: pass --code or --config")
     # Each flag's dest is the field it overrides.
@@ -427,6 +429,10 @@ def _resolve_experiment(args: argparse.Namespace) -> ExperimentConfig:
         config = ExperimentConfig(**{"error_kind": "rotation", **flags})
     elif flags:
         config = dataclasses.replace(config, **flags)
+    # A kind field the file or a flag sets, even to its default, must be one the kind reads.
+    doc = _Doc(_scan(text) if text is not None else {})
+    _refuse_kind_fields(config.error_kind, [
+        name for name in KIND_FIELDS if name in flags or doc.line(*_FIELD_KEYS[name])])
     if args.command in _ONE_ANGLE and len(config.theta_grid) > 1:
         raise ConfigError(
             f"{args.command} runs one angle, but the theta grid has "
@@ -462,20 +468,15 @@ def _cmd_inject(config: ExperimentConfig) -> str:
 def _cmd_correct(config: ExperimentConfig) -> str:
     code = get_code(config.code)
     rng = np.random.default_rng(config.seed)
-    encoded = code.encoder(config.logical)
-    state = apply_error_model(encoded, model_for(config, config.theta_grid[0]), rng)
-    syndrome = extract_syndrome(state, code, rng)
-    corrected = recover(syndrome, code)
-    # The recovered state lies in the code space, so its infidelity is its
-    # weight on the orthogonal complement of the logical state: no 1 - F
-    # cancellation.  Floored as a sweep's outcome is.
-    alpha, beta = config.logical.alpha, config.logical.beta
-    complement = code.encoder(LogicalQubit(-beta.conjugate(), alpha.conjugate()))
-    infidelity = fidelity(corrected, complement)
-    if infidelity < NUMERICAL_FLOOR:
-        infidelity = 0.0
+    state = apply_error_model(
+        code.encoder(config.logical), model_for(config, config.theta_grid[0]), rng
+    )
+    # The drawn outcome's leaf among the reached outcomes', as a sweep sums it.
+    a0, a1, weight = _overlaps(state.amps[None], code._syndromes)
+    bits, row = _draw_syndrome(weight[0], code._syndromes, rng)
+    infidelity = float(_leaves(a0, a1, weight, config.logical)[np.count_nonzero(weight[0, :row])])
     lines = [
-        "syndrome = " + "".join(map(str, syndrome.bits)),
+        "syndrome = " + "".join(map(str, bits)),
         f"fidelity = {format_float(1.0 - infidelity)}",
         f"infidelity = {format_float(infidelity)}",
     ]

@@ -12,11 +12,9 @@ blast radius.
 A code has one logical qubit, so measuring its stabilizers projects onto
 a syndrome space s spanned by R_s|0_L> and R_s|1_L>, where R_s is the
 recovery table's correction.  Each ``CodeSpec`` owns one table of the
-bras <R_s v_L|, built on first use; every syndrome outcome, its weight
-and its projected state are read off the overlaps <R_s v_L|psi>
-(``_overlaps``).  ``extract_syndrome`` samples an outcome from them, and
-the sweep kernel sums over all of them.  The post-measurement state is
-what ancilla circuits would produce without ever growing the register.
+bras <R_s v_L|, built on first use; a syndrome outcome is one row of the
+overlaps <R_s v_L|psi> (``_overlaps``).  ``_draw_syndrome`` measures one
+outcome from their weights, and the sweep kernel sums over all of them.
 
 Recovery tables are built at construction time by sweeping error patterns
 in order of increasing weight, separately for the X sector (flagged by
@@ -46,7 +44,6 @@ from .statevec import (
     _adopt,
     _norm_sq,
     _pauli_action,
-    apply_pauli_string,
 )
 
 _NORM_INPUT_TOL = 1e-8
@@ -74,14 +71,6 @@ class LogicalQubit:
             alpha, beta = alpha * scale, beta * scale
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-
-
-@dataclass(frozen=True)
-class SyndromeResult:
-    """Measured stabilizer bits (0 for +1, 1 for -1) and the projected state."""
-
-    bits: tuple[int, ...]
-    post_state: StateVector
 
 
 class _SyndromeTable(NamedTuple):
@@ -271,7 +260,7 @@ def get_code(name: str) -> CodeSpec:
 
 
 # ---------------------------------------------------------------------------
-# Syndrome extraction and recovery
+# Syndrome outcomes
 # ---------------------------------------------------------------------------
 
 # A cap on the bytes of one gather of ``_overlaps``: a larger block is
@@ -295,53 +284,16 @@ def _overlaps(block: np.ndarray, table: _SyndromeTable):
     return overlaps[..., 0], overlaps[..., 1], weight
 
 
-def extract_syndrome(
-    state: StateVector, code: CodeSpec, rng: np.random.Generator
-) -> SyndromeResult:
-    """Measure the stabilizers in order on m uniforms from one
-    ``rng.random(m)`` call and return bits plus the projected state.
-
-    Bit k is 0 iff its uniform is below P(bit k = 0 | earlier bits), a
-    ratio of sums of the syndrome weights, so an outcome of weight 0 is
-    never measured.  The projected state is (a_0 R_s v_0 + a_1 R_s v_1)
-    / sqrt(p_s).  On an undisturbed codeword all bits come out 0 and the
-    state is unchanged; on a disturbed one the measurement collapses
-    whatever continuous error was present into a definite Pauli coset.
-    """
-    if state.n_qubits != code.n_physical:
-        raise ValueError(
-            f"state has {state.n_qubits} qubits but {code.name} needs "
-            f"{code.n_physical}"
-        )
-    table = code._syndromes
-    a0, a1, weight = (x[0] for x in _overlaps(state.amps[None], table))
+def _draw_syndrome(weight: np.ndarray, table: _SyndromeTable, rng: np.random.Generator):
+    """The stabilizers' bits (0 for +1) measured in order, and their row: on
+    one ``rng.random(m)``, bit k is 0 iff its uniform is below P(bit k = 0 |
+    earlier bits), a ratio of sums of ``weight``, so no weight-0 row is drawn."""
     weights = weight[table.rows].tolist()  # binary order: each bit halves the range
     bits, syndrome = [], 0
-    for u in rng.random(len(code.stabilizers)).tolist():
+    for u in rng.random(len(weights).bit_length() - 1).tolist():
         half = len(weights) // 2
         low = math.fsum(weights[:half])
         bits.append(0 if u < low / (low + math.fsum(weights[half:])) else 1)
         weights = weights[half:] if bits[-1] else weights[:half]
         syndrome = 2 * syndrome + bits[-1]
-    row = table.rows[syndrome]
-    norm = math.sqrt(weight[row])
-    amps = np.zeros_like(state.amps)
-    for a, support, bra in zip((a0[row], a1[row]), table.index[row], table.bras[row]):
-        amps[support] += (a / norm) * bra.conj()
-    # The code basis is unit only up to rounding (8 fl(1/sqrt 8)^2 < 1), so
-    # the result is renormalized as computed.
-    amps /= np.linalg.norm(amps)
-    return SyndromeResult(tuple(bits), _adopt(state.n_qubits, amps))
-
-
-def recover(result: SyndromeResult, code: CodeSpec) -> StateVector:
-    """Apply the table's Pauli correction for the measured syndrome."""
-    if len(result.bits) != len(code.stabilizers):
-        raise ValueError(
-            f"syndrome has {len(result.bits)} bits but {code.name} has "
-            f"{len(code.stabilizers)} stabilizers"
-        )
-    digits = [str(bit) for bit in result.bits]
-    if set(digits) - {"0", "1"}:
-        raise ValueError(f"syndrome bits must be 0 or 1, got {result.bits!r}")
-    return apply_pauli_string(result.post_state, code.recovery_table["".join(digits)])
+    return tuple(bits), table.rows[syndrome]

@@ -218,16 +218,24 @@ def _check_counts(n_cells: int, n_errors: int, statistics: str) -> None:
         raise ValueError(f"error count must be >= 0, got {n_errors}")
 
 
+def _inverse_count(pool: int, k: int, n_cells: int, n_errors: int) -> Fraction:
+    """1 / C(pool, k), refused unworked if C has more digits than an int prints (4,300)."""
+    digits = (math.lgamma(pool + 1) - math.lgamma(k + 1) - math.lgamma(pool - k + 1)) / math.log(10)
+    if digits >= 4300:
+        raise ValueError(f"the pattern count for N={n_cells}, n={n_errors} has over 4300 digits")
+    return Fraction(1, math.comb(pool, k))
+
+
 def bose_einstein_pattern_prob(n_cells: int, n_errors: int) -> Fraction:
     """Probability of each multiset pattern: 1 / C(N + n - 1, n), exact."""
     _check_counts(n_cells, n_errors, "bose_einstein")
-    return Fraction(1, math.comb(n_cells + n_errors - 1, n_errors))
+    return _inverse_count(n_cells + n_errors - 1, n_errors, n_cells, n_errors)
 
 
 def fermi_pattern_prob(n_cells: int, n_errors: int) -> Fraction:
     """Probability of each subset pattern: 1 / C(N, n), exact."""
     _check_counts(n_cells, n_errors, "fermi")
-    return Fraction(1, math.comb(n_cells, n_errors))
+    return _inverse_count(n_cells, n_errors, n_cells, n_errors)
 
 
 def _uniform_subset(pool: int, k: int, rng: np.random.Generator) -> list[int]:

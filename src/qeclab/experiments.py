@@ -8,13 +8,13 @@ syndrome outcomes.  For a code with one logical qubit, measuring the
 stabilizers projects onto a syndrome space s spanned by R_s|0_L> and
 R_s|1_L>, where R_s is the table's correction, and recovery applies R_s;
 so each outcome's weight and the infidelity it leaves are read off the
-overlaps <R_s v_L|psi> (``_moments``) with the code's syndrome table, the
-one ``extract_syndrome`` samples from.  A trial thus depends on its
-occupancy alone.  At each grid point ``sweep_theta`` draws every trial's
-occupancy, then evaluates the distinct ones as one block (``_kernel``):
-the block is injected one qubit layer at a time, each layer one matrix
-product over the rows it touches, and its overlaps are read by one einsum
-per slice of rows.  A block's rows round exactly as each row alone does.
+overlaps <R_s v_L|psi> (``_leaves``; ``qeclab correct`` prints the leaf
+of the outcome it draws).  A trial thus depends on its occupancy alone.
+At each grid point ``sweep_theta`` draws every trial's occupancy, then
+evaluates the distinct ones as one block (``_kernel``): the block is
+injected one qubit layer at a time, each layer one matrix product over
+the rows it touches, and its overlaps are read by one einsum per slice
+of rows.  A block's rows round exactly as each row alone does.
 Each entry carries its variance over syndrome outcomes: a row's
 ``std_coded`` is the population std of one trial's infidelity, by the law
 of total variance.  A placement with no error count draws nothing; its
@@ -89,6 +89,14 @@ KIND_FIELDS = {
 }
 
 
+def _refuse_kind_fields(kind: str, names) -> None:
+    """Refuse the first of the KIND_FIELDS ``names`` that ``kind`` does not read."""
+    for name in names:
+        reader, label = KIND_FIELDS[name]
+        if kind != reader:
+            raise ConfigError(f"{label} to {reader} errors, not {kind}", name)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One sweep: a code, an error channel, a theta grid, and a trial budget.
@@ -118,9 +126,8 @@ class ExperimentConfig:
             )
         if self.axis not in ROTATION_AXES:
             raise ConfigError(f"unknown rotation axis {self.axis!r}", "axis")
-        for name, (reader, label) in KIND_FIELDS.items():
-            if kind != reader and getattr(self, name) != getattr(ExperimentConfig, name):
-                raise ConfigError(f"{label} to {reader} errors, not {kind}", name)
+        changed = [f for f in KIND_FIELDS if getattr(self, f) != getattr(ExperimentConfig, f)]
+        _refuse_kind_fields(kind, changed)
         if kind == KIND_FIELDS["general"][0] and self.general is None:
             raise ConfigError("general_unitary sweeps need e1/e2 parameters", "general")
         _tagged("decay_rate", DecayModel, self.decay_rate, 0.0)  # rate in (0, 1]
@@ -186,14 +193,20 @@ def _trial_rng(seed: int, grid_index: int, trial: int, side: int) -> np.random.G
     )
 
 
-def _moments(block: np.ndarray, table, logical: LogicalQubit) -> tuple[list, list]:
-    """Exact mean and variance over syndrome outcomes of the floored
-    infidelity that recovery leaves on each row of the amplitude ``block``.
+def _leaves(a0: np.ndarray, a1: np.ndarray, weight: np.ndarray, logical: LogicalQubit):
+    """The floored infidelity |b_s|^2 / p_s recovery leaves on each outcome s
+    of the ``_overlaps`` (a_0, a_1, p_s) with p_s > 0, row after row; b_s =
+    alpha a_1 - beta a_0 is the overlap with R_s of ``logical``'s complement."""
+    b = logical.alpha * a1 - logical.beta * a0
+    reached = weight > 0.0
+    leaf = (b.real**2 + b.imag**2)[reached] / weight[reached]
+    leaf[leaf < NUMERICAL_FLOOR] = 0.0
+    return leaf
 
-    Syndrome space s is spanned by R_s|0_L> and R_s|1_L>.  With
-    a_L = <R_s v_L|psi>, the outcome has weight p_s = |a_0|^2 + |a_1|^2 and
-    leaves infidelity |b_s|^2 / p_s, where b_s = alpha a_1 - beta a_0 is the
-    overlap with R_s applied to the orthogonal complement of ``logical``.
+
+def _moments(block: np.ndarray, table, logical: LogicalQubit) -> tuple[list, list]:
+    """Exact mean and variance over syndrome outcomes of each row's ``_leaves``.
+
     Outcomes of weight 0 are never measured and are skipped: each row's
     sums are dots over its reached outcomes alone, which round as they do
     for the row on its own.  The variance is summed around the mean: a
@@ -201,14 +214,11 @@ def _moments(block: np.ndarray, table, logical: LogicalQubit) -> tuple[list, lis
     outcome leaves the same infidelity.
     """
     a0, a1, weight = _overlaps(block, table)
-    b = logical.alpha * a1 - logical.beta * a0
+    leaf = _leaves(a0, a1, weight, logical)  # every row's reached outcomes, row after row
     reached = weight > 0.0
     # Where each row's reached outcomes end; a single row's are all there are.
     ends = reached.sum(axis=1).cumsum().tolist() if len(block) > 1 else [None]
-    reached = reached.ravel()
-    weight = weight.ravel()[reached]  # every row's reached outcomes, row after row
-    leaf = (b.real**2 + b.imag**2).ravel()[reached] / weight
-    leaf[leaf < NUMERICAL_FLOOR] = 0.0
+    weight = weight[reached]
     means, variances, lo = [], [], 0
     for hi in ends:
         row_weight, row_leaf = weight[lo:hi], leaf[lo:hi]

@@ -16,9 +16,9 @@ callers can hold disjoint streams.
 The public constructor copies and validates its input.  Arrays the
 package has just computed are adopted without the copy (``_adopt``), still
 checked for shape and finiteness; ``_product`` validates an operator once
-and applies it to a block of states, one matrix product per target.  A Pauli string acts as a gather
-(``_pauli_action``).  Stabilizer measurement is not a register operation
-here: ``codes`` reads every syndrome outcome off the code's overlaps.
+and applies it to a block of states, one matrix product per target.  A
+Pauli string acts as a gather (``_pauli_action``).  Measurement and
+recovery are not register operations: ``codes`` reads them off overlaps.
 """
 
 from __future__ import annotations

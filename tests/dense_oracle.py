@@ -1,0 +1,74 @@
+"""A dense oracle for syndrome outcomes, shared by the test modules.
+
+Each outcome is projected by dense (I +- S)/2 factors, Kronecker products
+with qubit 0 the leftmost factor, corrected by its recovery-table entry
+letter by letter and scored by 1 - F against the encoding.  It shares
+nothing with the package's syndrome table, overlaps or leaves.
+"""
+
+import functools
+
+import numpy as np
+
+from qeclab.codes import get_code
+from qeclab.experiments import NUMERICAL_FLOOR
+
+DENSE_PAULIS = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def dense_pauli(ops: str) -> np.ndarray:
+    """The 2^n x 2^n matrix of a Pauli string; qubit 0 is the leftmost factor."""
+    return functools.reduce(np.kron, [DENSE_PAULIS[op] for op in ops])
+
+
+@functools.lru_cache(maxsize=2)
+def dense_stabilizers(name):
+    """Each stabilizer of ``name`` as a dense matrix."""
+    return tuple(dense_pauli(stabilizer) for stabilizer in get_code(name).stabilizers)
+
+
+def apply_letters(ops, amps):
+    """The Pauli string ``ops`` applied letter by letter to the qubit axes
+    of ``amps``."""
+    tensor = amps.reshape((2,) * len(ops))
+    for qubit, op in enumerate(ops):
+        tensor = np.moveaxis(np.tensordot(DENSE_PAULIS[op], tensor, axes=(1, qubit)), 0, qubit)
+    return tensor.reshape(-1)
+
+
+def dense_branches(amps, name, logical):
+    """``{bits: (weight, floored infidelity)}`` over every syndrome outcome
+    of ``amps`` that has nonzero weight, bits as a string, stabilizer 0
+    first.  A branch that is exactly zero is dropped as soon as it is: its
+    later projections stay zero."""
+    code = get_code(name)
+    encoded = code.encoder(logical).amps
+    branches = {"": amps}
+    for stabilizer in dense_stabilizers(name):
+        branches = {
+            bits + bit: branch
+            for bits, psi in branches.items()
+            for bit, sign in (("0", 1), ("1", -1))
+            if (branch := (psi + sign * (stabilizer @ psi)) / 2).any()
+        }
+    outcomes = {}
+    for bits, psi in branches.items():
+        weight = float(np.vdot(psi, psi).real)
+        if weight == 0.0:
+            continue
+        corrected = apply_letters(code.recovery_table[bits], psi)
+        leaf = 1.0 - abs(np.vdot(encoded, corrected)) ** 2 / weight
+        outcomes[bits] = weight, (0.0 if leaf < NUMERICAL_FLOOR else leaf)
+    return outcomes
+
+
+def dense_outcomes(amps, name, logical):
+    """The weights and floored infidelities of ``dense_branches``, as two
+    arrays."""
+    weights, leaves = zip(*dense_branches(amps, name, logical).values())
+    return np.array(weights), np.array(leaves)

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import errno
 import importlib.util
+import itertools
 import math
 import os
 import re
@@ -15,6 +16,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import qeclab.cli
+import qeclab.errors
 import qeclab.experiments
 from qeclab.cli import (
     ConfigError,
@@ -24,7 +26,7 @@ from qeclab.cli import (
     parse_config,
     render_csv,
 )
-from qeclab.codes import CODE_NAMES, LogicalQubit, extract_syndrome, get_code, recover
+from qeclab.codes import CODE_NAMES, LogicalQubit, _overlaps, get_code
 from qeclab.errors import (
     ALL_QUBITS,
     ERROR_KINDS,
@@ -32,11 +34,17 @@ from qeclab.errors import (
     GeneralErrorParams,
     Placement,
     RotationErrorParams,
+    _injector,
     apply_error_model,
+    resolve_occupancy,
     rotation_unitary,
 )
-from qeclab.experiments import ExperimentConfig, SweepResult, SweepRow, fit_power_law, model_for
-from qeclab.statevec import apply_product, fidelity
+from qeclab.experiments import (
+    ExperimentConfig, SweepResult, SweepRow, _leaves, _moments, fit_power_law, model_for
+)
+from qeclab.statevec import apply_product
+
+from dense_oracle import dense_branches
 
 MINIMAL = """\
 code = steane7
@@ -659,6 +667,27 @@ class TestCliCommands:
     def test_stats_requires_a_request(self, capsys):
         assert main(["stats"]) == 2
 
+    @pytest.mark.parametrize("flag,counts", [("--fermi", (20000, 10000)),
+                                             ("--fermi", (10**9, 5 * 10**8)),
+                                             ("--be", (10**6, 10**6))])
+    def test_stats_refuses_a_count_too_long_to_print_before_computing_it(
+        self, flag, counts, monkeypatch, capsys
+    ):
+        def never(*args):
+            raise AssertionError("the count was computed")
+
+        monkeypatch.setattr(qeclab.errors.math, "comb", never)
+        assert main(["stats", flag, *map(str, counts)]) == 2
+        n_cells, n_errors = counts
+        assert capsys.readouterr() == (
+            "", f"error: the pattern count for N={n_cells}, n={n_errors} has over 4300 digits\n"
+        )
+
+    def test_stats_prints_a_count_of_1800_digits(self, capsys):
+        assert main(["stats", "--be", "3000", "3000"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("1/") and 1700 < len(out) < 1900
+
     def test_proliferate(self, capsys):
         assert main(["proliferate", "--code", "steane7", "--theta", "0.01"]) == 0
         assert capsys.readouterr().out == "support_before,support_after\n8,128\n"
@@ -690,22 +719,26 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("code,seed", [("steane7", 0), ("steane7", 5), ("shor9", 1)])
     def test_correct_infidelity_is_one_minus_fidelity(self, code, seed, capsys):
-        """Where a residue survives, the printed infidelity, read off the
-        logical complement, is 1 - F of the recovered state."""
+        """Where a residue survives, the printed infidelity is the leaf of
+        the printed syndrome, bit for bit, and 1 - F of the dense oracle's
+        recovered state within 1e-15."""
         logical = LogicalQubit(0.6, complex(0.48, 0.64))
         config = ExperimentConfig(code=code, error_kind="rotation", theta_grid=(0.8,),
                                   seed=seed, logical=logical)
         spec = get_code(code)
         rng = np.random.default_rng(seed)
-        encoded = spec.encoder(logical)
-        state = apply_error_model(encoded, model_for(config, 0.8), rng)
-        recovered = recover(extract_syndrome(state, spec, rng), spec)
-        want = 1.0 - fidelity(recovered, encoded)
-        assert want > 1e-12
+        state = apply_error_model(spec.encoder(logical), model_for(config, 0.8), rng)
         argv = ["correct", "--code", code, "--theta", "0.8", "--seed", str(seed),
                 "--logical", "0.6,0,0.48,0.64"]
         assert main(argv) == 0
-        printed = float(capsys.readouterr().out.splitlines()[2].split("=", 1)[1])
+        lines = capsys.readouterr().out.splitlines()
+        bits = lines[0].split(" = ")[1]
+        printed = float(lines[2].split("=", 1)[1])
+        a0, a1, weight = _overlaps(state.amps[None], spec._syndromes)
+        reached_before = np.count_nonzero(weight[0, :spec._syndromes.rows[int(bits, 2)]])
+        assert printed == _leaves(a0, a1, weight, logical)[reached_before]
+        want = dense_branches(state.amps, code, logical)[bits][1]
+        assert want > 1e-12
         assert printed == pytest.approx(want, rel=0, abs=1e-15)
 
     def test_correct_reads_a_small_residue_without_cancellation(self, capsys):
@@ -922,6 +955,41 @@ class TestCliCommands:
         assert captured.out == ""
         assert captured.err == "error: axis only applies to rotation errors, not bit_flip\n"
 
+    @pytest.mark.parametrize(
+        "file_lines,flags,message",
+        [
+            (None, ["--code", "steane7", "--error", "bit_flip", "--axis", "y"],
+             "axis only applies to rotation errors, not bit_flip"),
+            ("error.kind = rotation\nerror.axis = y\n", ["--error", "bit_flip"],
+             "axis only applies to rotation errors, not bit_flip"),
+            ("error.kind = decay\nerror.lambda = 0.5\n", ["--error", "bit_flip"],
+             "decay_rate only applies to decay errors, not bit_flip"),
+        ],
+        ids=["axis_flag", "file_axis", "file_lambda"],
+    )
+    def test_a_kind_field_set_at_its_default_is_refused(
+        self, file_lines, flags, message, tmp_path, capsys
+    ):
+        """A setting the final kind ignores is refused even at its default,
+        whether a flag or the file sets it."""
+        if file_lines is not None:
+            config = tmp_path / "set.cfg"
+            config.write_text(
+                "code = steane7\n" + file_lines + "error.placement = fermi:1\ntheta = 0.1\n"
+            )
+            flags = ["--config", str(config), *flags]
+        assert main(["sweep", *flags, "--theta", "0.1", "--trials", "3"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_a_kind_field_left_unset_is_no_refusal(self, tmp_path, capsys):
+        config = tmp_path / "unset.cfg"
+        config.write_text(
+            "code = steane7\nerror.kind = rotation\nerror.placement = fermi:1\ntheta = 0.1\n"
+        )
+        assert main(["sweep", "--config", str(config), "--error", "bit_flip",
+                     "--theta", "0.1", "--trials", "3"]) == 0
+        assert "error.axis" not in capsys.readouterr().out
+
     def test_error_flag_cannot_drop_the_file_axis(self, tmp_path, capsys):
         """Overriding a rotation file's kind would leave its axis unused."""
         config = tmp_path / "rotation.cfg"
@@ -1017,15 +1085,64 @@ class TestCliCommands:
         )
 
     def test_missing_recovery_entry_exits_2(self, monkeypatch, capsys):
-        def missing(result, code):
-            raise LookupError(f"recovery table for {code.name} is missing syndrome")
+        def missing(weight, table, rng):
+            raise LookupError("recovery table for shor9 is missing syndrome")
 
-        monkeypatch.setattr(qeclab.cli, "recover", missing)
+        monkeypatch.setattr(qeclab.cli, "_draw_syndrome", missing)
         argv = ["correct", "--code", "shor9", "--error", "bit_flip", "--placement", "fixed:4"]
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             "error: recovery table for shor9 is missing syndrome\n"
         )
+
+
+class TestCorrectPrintsTheSweepLeaf:
+    """``correct`` prints, bit for bit, the leaf that ``_moments`` sums for
+    the outcome it prints, the one representation of an outcome's
+    infidelity."""
+
+    KINDS = [["--error", "rotation", "--axis", axis] for axis in "xyz"] + [["--error", "decay"]]
+    PLACEMENTS = ["all_qubits", "fixed:1,4", "fixed:0,1,2", "bose_einstein:2"]
+    LOGICALS = ["1,0,0,0", "0,0,1,0", "0.6,0,0.48,0.64"]
+
+    @pytest.mark.parametrize("code", ["steane7", "shor9"])
+    def test_printed_infidelity_is_the_summed_leaf(self, code, monkeypatch, capsys):
+        summed = []
+
+        def spy(*args):
+            leaf = _leaves(*args)
+            summed.append(leaf.copy())  # _moments centres its leaves in place
+            return leaf
+
+        monkeypatch.setattr(qeclab.experiments, "_leaves", spy)
+        spec, runs, nonzero = get_code(code), 0, 0
+        for kind, placement, logical, seed in itertools.product(
+            self.KINDS, self.PLACEMENTS, self.LOGICALS, range(4)
+        ):
+            if kind[1] == "decay" and placement == "bose_einstein:2":
+                continue  # refused: decay must not stack errors
+            argv = ["correct", "--code", code, *kind, "--placement", placement,
+                    "--theta", "0.8", "--logical", logical, "--seed", str(seed)]
+            assert main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
+            bits, printed = lines[0].split(" = ")[1], float(lines[2].split(" = ")[1])
+            # The same trial as a sweep evaluates it: the occupancy drawn from
+            # the command's stream, injected as a block of one row.
+            config = qeclab.cli._resolve_experiment(qeclab.cli._build_parser().parse_args(argv))
+            occupancy = resolve_occupancy(
+                config.placement, spec.n_physical, np.random.default_rng(seed)
+            )
+            block = _injector(model_for(config, 0.8))(spec.encoder(config.logical), occupancy[None])
+            summed.clear()
+            (mean,), _ = _moments(block, spec._syndromes, config.logical)
+            (leaf,) = summed
+            weight = _overlaps(block, spec._syndromes)[2][0]
+            assert mean == min(float(weight[weight > 0.0] @ leaf), 1.0)
+            row = spec._syndromes.rows[int(bits, 2)]
+            assert weight[row] > 0.0
+            assert printed == leaf[np.count_nonzero(weight[:row])], argv
+            runs, nonzero = runs + 1, nonzero + (printed > 0.0)
+        assert runs == 180 and nonzero > 30
 
 
 def _run_cli(argv, capsys):

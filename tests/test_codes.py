@@ -1,7 +1,6 @@
 """Tests for encoders, stabilizer syndromes, and recovery tables."""
 
 import math
-from functools import reduce
 from itertools import combinations, product
 
 import numpy as np
@@ -12,15 +11,14 @@ from qeclab.codes import (
     CODE_NAMES,
     CodeSpec,
     LogicalQubit,
-    SyndromeResult,
     _CODE_DEFINITIONS,
+    _draw_syndrome,
     _overlaps,
-    extract_syndrome,
     get_code,
     pauli_strings_commute,
-    recover,
 )
 from qeclab.errors import GeneralErrorParams, RotationErrorParams, build_general_unitary, rotation_unitary
+from qeclab.experiments import _leaves
 from qeclab.statevec import (
     StateVector,
     _pauli_action,
@@ -29,6 +27,8 @@ from qeclab.statevec import (
     fidelity,
     support_size,
 )
+
+from dense_oracle import apply_letters, dense_pauli
 
 # The codeword structures, restated independently of the module under test.
 STEANE_ZERO_KETS = {
@@ -75,14 +75,13 @@ def single_pauli(n: int, qubit: int, letter: str) -> str:
     return "".join(letter if i == qubit else "I" for i in range(n))
 
 
-def codespace_weight(state, code) -> float:
-    """Squared norm of the projection onto the 2-dimensional codespace."""
-    zero = code.encoder(LogicalQubit(1.0, 0.0))
-    one = code.encoder(LogicalQubit(0.0, 1.0))
-    return (
-        abs(np.vdot(zero.amps, state.amps)) ** 2
-        + abs(np.vdot(one.amps, state.amps)) ** 2
-    )
+def measure(state, code, rng, logical=GENERIC_LOGICAL):
+    """One measured syndrome of ``state``, as ``qeclab correct`` draws it:
+    its bits, and the floored infidelity its recovery leaves against
+    ``logical``."""
+    a0, a1, weight = _overlaps(state.amps[None], code._syndromes)
+    bits, row = _draw_syndrome(weight[0], code._syndromes, rng)
+    return bits, float(_leaves(a0, a1, weight, logical)[np.count_nonzero(weight[0, :row])])
 
 
 class TestLogicalQubit:
@@ -350,9 +349,7 @@ class TestExtractSyndrome:
         for name in ("shor9", "steane7"):
             code = get_code(name)
             state = code.encoder(GENERIC_LOGICAL)
-            result = extract_syndrome(state, code, rng)
-            assert result.bits == (0,) * len(code.stabilizers)
-            np.testing.assert_allclose(result.post_state.amps, state.amps, atol=1e-10)
+            assert measure(state, code, rng) == ((0,) * len(code.stabilizers), 0.0)
 
     def test_steane_bit_flip_syndrome_spells_hamming_column(self):
         """X on qubit j raises the three Z-type bits reading binary j+1.
@@ -365,10 +362,10 @@ class TestExtractSyndrome:
         clean = code.encoder(LogicalQubit(1.0, 0.0))
         for qubit in range(7):
             state = apply_pauli_string(clean, single_pauli(7, qubit, "X"))
-            result = extract_syndrome(state, code, rng)
-            z_bits = result.bits[:3]
+            bits, _ = measure(state, code, rng)
+            z_bits = bits[:3]
             assert z_bits[0] * 4 + z_bits[1] * 2 + z_bits[2] * 1 == qubit + 1
-            assert result.bits[3:] == (0, 0, 0)
+            assert bits[3:] == (0, 0, 0)
 
     def test_rotated_qubit_always_lands_in_correctable_coset(self):
         """100 random (theta, qubit) draws on the Shor code all recover."""
@@ -379,23 +376,7 @@ class TestExtractSyndrome:
             theta = rng.uniform(0.0, math.pi)
             qubit = int(rng.integers(9))
             state = apply_product(clean, rotation_unitary(RotationErrorParams("y", theta)), [qubit])
-            corrected = recover(extract_syndrome(state, code, rng), code)
-            assert fidelity(corrected, code.encoder(GENERIC_LOGICAL)) > 1 - 1e-9
-
-    def test_measurement_is_repeatable(self):
-        rng = np.random.default_rng(3)
-        code = get_code("steane7")
-        state = code.encoder(LogicalQubit(1.0, 0.0))
-        for qubit in range(7):
-            state = apply_product(
-                state, rotation_unitary(RotationErrorParams("y", 0.4)), [qubit]
-            )
-        first = extract_syndrome(state, code, rng)
-        second = extract_syndrome(first.post_state, code, rng)
-        assert second.bits == first.bits
-        np.testing.assert_allclose(
-            second.post_state.amps, first.post_state.amps, atol=1e-10
-        )
+            assert measure(state, code, rng)[1] < 1e-9
 
     def test_a_second_spec_builds_its_table_once(self, monkeypatch):
         """The syndrome table is built once per spec, on first use: one
@@ -411,7 +392,7 @@ class TestExtractSyndrome:
         monkeypatch.setattr(qeclab.codes, "_pauli_action", counted)
         state = code.encoder(GENERIC_LOGICAL)
         for seed in range(3):
-            extract_syndrome(state, spec, np.random.default_rng(seed))
+            measure(state, spec, np.random.default_rng(seed))
         assert gathers == list(code.recovery_table.values())
 
     def test_a_hand_built_spec_builds_its_own_table(self):
@@ -458,28 +439,9 @@ class TestExtractSyndrome:
         want = math.sin(theta / 2) ** 2
         assert weight[0, code._syndromes.rows[syndrome]] == pytest.approx(want, rel=1e-12)
 
-    def test_rejects_dimension_mismatch(self):
-        rng = np.random.default_rng(0)
-        state = get_code("steane7").encoder(LogicalQubit(1.0, 0.0))
-        with pytest.raises(ValueError, match="needs 9"):
-            extract_syndrome(state, get_code("shor9"), rng)
-
-
-DENSE_PAULIS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def dense_pauli(ops: str) -> np.ndarray:
-    """The 2^n x 2^n matrix of a Pauli string; qubit 0 is the leftmost factor."""
-    return reduce(np.kron, [DENSE_PAULIS[op] for op in ops])
-
 
 class TestSyndromeWalk:
-    """``extract_syndrome``'s draw, one stabilizer after another, against
+    """``_draw_syndrome``'s draw, one stabilizer after another, against
     dense projectors (I +/- S)/2 built from Kronecker products, independent
     of the syndrome table it reads."""
 
@@ -500,17 +462,22 @@ class TestSyndromeWalk:
             states.append(StateVector(n, amps / np.linalg.norm(amps)))
         seen_bits = set()
         for seed, state in enumerate(states):
-            result = extract_syndrome(state, code, np.random.default_rng(seed))
+            bits, infidelity = measure(state, code, np.random.default_rng(seed))
             uniforms = np.random.default_rng(seed).random(len(dense))  # the twin stream
             psi = state.amps
             for level, (stabilizer, u) in enumerate(zip(dense, uniforms)):
                 plus = (psi + stabilizer @ psi) / 2
                 p_plus = float(np.vdot(plus, plus).real)
-                assert result.bits[level] == (0 if u < p_plus else 1)
-                branch = (psi + (1 - 2 * result.bits[level]) * (stabilizer @ psi)) / 2
+                assert bits[level] == (0 if u < p_plus else 1)
+                branch = (psi + (1 - 2 * bits[level]) * (stabilizer @ psi)) / 2
                 psi = branch / np.linalg.norm(branch)
-            np.testing.assert_allclose(result.post_state.amps, psi, rtol=0, atol=1e-12)
-            seen_bits.add(result.bits)
+            # The drawn outcome's infidelity is 1 - F of the projected state
+            # after its table correction.
+            corrected = apply_letters(code.recovery_table["".join(map(str, bits))], psi)
+            encoded = code.encoder(GENERIC_LOGICAL).amps
+            dense_infidelity = 1.0 - abs(np.vdot(encoded, corrected)) ** 2
+            assert infidelity == pytest.approx(dense_infidelity, rel=0, abs=1e-12)
+            seen_bits.add(bits)
         assert len(seen_bits) > 3  # the draws reach several syndromes
 
     @pytest.mark.parametrize("name", ["steane7", "shor9"])
@@ -524,9 +491,7 @@ class TestSyndromeWalk:
 
         code = get_code(name)
         state = code.encoder(GENERIC_LOGICAL)
-        result = extract_syndrome(state, code, AlmostOne())
-        assert result.bits == (0,) * len(code.stabilizers)
-        np.testing.assert_allclose(result.post_state.amps, state.amps, rtol=0, atol=1e-15)
+        assert measure(state, code, AlmostOne()) == ((0,) * len(code.stabilizers), 0.0)
 
 
 class TestRecover:
@@ -539,8 +504,7 @@ class TestRecover:
         for qubit in range(code.n_physical):
             for letter in "XYZ":
                 state = apply_pauli_string(clean, single_pauli(code.n_physical, qubit, letter))
-                corrected = recover(extract_syndrome(state, code, rng), code)
-                infid = 1.0 - fidelity(corrected, code.encoder(GENERIC_LOGICAL))
+                _, infid = measure(state, code, rng)
                 assert infid < 1e-9, (name, qubit, letter, infid)
 
     def test_degenerate_z_errors_within_a_shor_block(self):
@@ -551,44 +515,33 @@ class TestRecover:
         syndromes = set()
         for qubit in (0, 1, 2):
             state = apply_pauli_string(clean, single_pauli(9, qubit, "Z"))
-            result = extract_syndrome(state, code, rng)
-            syndromes.add(result.bits)
-            corrected = recover(result, code)
-            assert fidelity(corrected, code.encoder(GENERIC_LOGICAL)) > 1 - 1e-9
+            bits, infid = measure(state, code, rng)
+            syndromes.add(bits)
+            assert infid < 1e-9
         assert len(syndromes) == 1
 
     def test_zero_syndrome_leaves_state_alone(self):
-        rng = np.random.default_rng(0)
+        """The zero syndrome's correction is the identity, so a clean
+        codeword's overlaps with its row are the logical amplitudes."""
         code = get_code("steane7")
-        state = code.encoder(GENERIC_LOGICAL)
-        result = extract_syndrome(state, code, rng)
-        corrected = recover(result, code)
-        np.testing.assert_allclose(corrected.amps, result.post_state.amps, atol=1e-12)
-
-    def test_rejects_bits_outside_zero_and_one(self):
-        code = get_code("steane7")
-        state = code.encoder(LogicalQubit(1.0, 0.0))
-        for bits in ((2, 0, 0, 0, 0, 0), (True, 0, 0, 0, 0, 0), (0.0,) * 6):
-            with pytest.raises(ValueError, match="syndrome bits must be 0 or 1"):
-                recover(SyndromeResult(bits, state), code)
-
-    def test_rejects_syndrome_length_mismatch(self):
-        code = get_code("steane7")
-        result = SyndromeResult((0, 0), code.encoder(LogicalQubit(1.0, 0.0)))
-        with pytest.raises(ValueError, match="stabilizers"):
-            recover(result, code)
+        assert code.recovery_table["000000"] == "IIIIIII"
+        a0, a1, weight = _overlaps(code.encoder(GENERIC_LOGICAL).amps[None], code._syndromes)
+        row = code._syndromes.rows[0]
+        assert a0[0, row] == pytest.approx(GENERIC_LOGICAL.alpha, abs=1e-15)
+        assert a1[0, row] == pytest.approx(GENERIC_LOGICAL.beta, abs=1e-15)
+        assert weight[0, row] == pytest.approx(1.0, abs=1e-15)
 
 
 class TestSyndromeDiscretization:
     @pytest.mark.parametrize("name", ["shor9", "steane7"])
     def test_continuous_errors_collapse_to_pauli_cosets(self, name):
-        """Post-correction states sit exactly in the codespace (weight 1).
+        """The syndrome spaces R_s C, each a correction applied to the
+        codespace, hold all of a state: the weights sum to 1.
 
         Holds for a continuous rotation on one qubit and for rotations on
         every qubit at once; the correction may still carry a logical
-        error, but never leaks outside the codespace.
+        error, but nothing is left outside the cosets.
         """
-        rng = np.random.default_rng(23)
         code = get_code(name)
         clean = code.encoder(GENERIC_LOGICAL)
         rotation = rotation_unitary(RotationErrorParams("y", 0.31))
@@ -597,8 +550,8 @@ class TestSyndromeDiscretization:
         for qubit in range(code.n_physical):
             everywhere = apply_product(everywhere, rotation, [qubit])
         for state in (single, everywhere):
-            corrected = recover(extract_syndrome(state, code, rng), code)
-            assert codespace_weight(corrected, code) == pytest.approx(1.0, abs=1e-9)
+            _, _, weight = _overlaps(state.amps[None], code._syndromes)
+            assert weight.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_200_random_unitaries_on_one_qubit_recover(self):
         """Random members of the continuous error family are discretized."""
@@ -613,8 +566,7 @@ class TestSyndromeDiscretization:
                 )
                 qubit = int(rng.integers(code.n_physical))
                 state = apply_product(clean, u, [qubit])
-                corrected = recover(extract_syndrome(state, code, rng), code)
-                assert fidelity(corrected, code.encoder(GENERIC_LOGICAL)) > 1 - 1e-9
+                assert measure(state, code, rng)[1] < 1e-9
 
 
 class TestLogicalFidelity:
@@ -643,10 +595,7 @@ class TestLogicalFidelity:
         rotation = rotation_unitary(RotationErrorParams("y", 0.6))
         for qubit in range(code.n_physical):
             state = apply_product(state, rotation, [qubit])
-        residuals = []
-        for _ in range(60):
-            corrected = recover(extract_syndrome(state, code, rng), code)
-            residuals.append(1.0 - fidelity(corrected, code.encoder(GENERIC_LOGICAL)))
+        residuals = [measure(state, code, rng)[1] for _ in range(60)]
         assert max(residuals) > 1e-8
 
 
@@ -661,11 +610,11 @@ class TestUncoded:
     def test_empty_syndrome_and_identity_recovery(self):
         rng = np.random.default_rng(0)
         code = get_code("uncoded")
+        assert code.recovery_table == {"": "I"}
         state = code.encoder(GENERIC_LOGICAL)
-        result = extract_syndrome(state, code, rng)
-        assert result.bits == ()
-        recovered = recover(result, code)
-        np.testing.assert_allclose(recovered.amps, state.amps, atol=1e-15)
+        assert measure(state, code, rng) == ((), 0.0)
+        a0, a1, _ = _overlaps(state.amps[None], code._syndromes)
+        assert (a0[0, 0], a1[0, 0]) == (GENERIC_LOGICAL.alpha, GENERIC_LOGICAL.beta)
 
     def test_support_of_codewords(self):
         assert support_size(get_code("uncoded").encoder(LogicalQubit(1.0, 0.0)), 1e-12) == 1

@@ -175,6 +175,33 @@ class TestPatternProbabilities:
         assert isinstance(bose_einstein_pattern_prob(14, 3), Fraction)
         assert isinstance(fermi_pattern_prob(14, 3), Fraction)
 
+    # Half-filled fermi registers and full bosonic ones, with the (N, n) of
+    # each and its pattern count, around the first count of 4,301 digits.
+    BOUNDARY = {
+        "fermi": (
+            fermi_pattern_prob,
+            [(N, N // 2, math.comb(N, N // 2)) for N in range(14_270, 14_300)],
+        ),
+        "bose_einstein": (
+            bose_einstein_pattern_prob,
+            [(N, N, math.comb(2 * N - 1, N)) for N in range(7_125, 7_155)],
+        ),
+    }
+
+    @pytest.mark.parametrize("statistics", BOUNDARY)
+    def test_a_count_is_refused_exactly_past_4300_digits(self, statistics):
+        prob, cases = self.BOUNDARY[statistics]
+        refused = 0
+        for n_cells, n_errors, count in cases:
+            if count >= 10**4300:
+                refused += 1
+                message = f"^the pattern count for N={n_cells}, n={n_errors} has over 4300 digits$"
+                with pytest.raises(ValueError, match=message):
+                    prob(n_cells, n_errors)
+            else:
+                assert prob(n_cells, n_errors) == Fraction(1, count)
+        assert 0 < refused < 30
+
 
 class TestSamplePlacement:
     def test_occupancy_sums_to_error_count(self):

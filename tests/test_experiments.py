@@ -1,7 +1,6 @@
 """Tests for the Monte Carlo harness and its deterministic contracts."""
 
 import dataclasses
-import functools
 import math
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -13,12 +12,7 @@ import qeclab.codes
 import qeclab.errors
 import qeclab.experiments
 import qeclab.statevec
-from qeclab.codes import (
-    LogicalQubit,
-    extract_syndrome,
-    get_code,
-    recover,
-)
+from qeclab.codes import LogicalQubit, _draw_syndrome, _overlaps, get_code
 from qeclab.errors import (
     ALL_QUBITS,
     FLIP_KINDS,
@@ -29,7 +23,6 @@ from qeclab.errors import (
     resolve_occupancy,
 )
 from qeclab.experiments import (
-    NUMERICAL_FLOOR,
     SUPPORT_THRESHOLD,
     ExperimentConfig,
     SweepRow,
@@ -44,7 +37,9 @@ from qeclab.experiments import (
     sensitivity_experiment,
     sweep_theta,
 )
-from qeclab.statevec import StateVector, fidelity, support_size
+from qeclab.statevec import support_size
+
+from dense_oracle import dense_branches, dense_outcomes
 
 
 def rotation_config(**overrides) -> ExperimentConfig:
@@ -61,59 +56,6 @@ def rotation_config(**overrides) -> ExperimentConfig:
 
 
 GENERIC = LogicalQubit(0.6, complex(0.48, 0.64))
-
-
-DENSE_PAULIS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-@functools.lru_cache(maxsize=2)
-def dense_stabilizers(name):
-    """Each stabilizer of ``name`` as a dense matrix, a Kronecker product
-    with qubit 0 the leftmost factor."""
-    return tuple(
-        functools.reduce(np.kron, [DENSE_PAULIS[op] for op in stabilizer])
-        for stabilizer in get_code(name).stabilizers
-    )
-
-
-def apply_letters(ops, amps):
-    """The Pauli string ``ops`` applied letter by letter to the qubit axes
-    of ``amps``."""
-    tensor = amps.reshape((2,) * len(ops))
-    for qubit, op in enumerate(ops):
-        tensor = np.moveaxis(np.tensordot(DENSE_PAULIS[op], tensor, axes=(1, qubit)), 0, qubit)
-    return tensor.reshape(-1)
-
-
-def dense_outcomes(amps, name, logical):
-    """Weight and floored infidelity of every syndrome outcome of ``amps``:
-    each outcome projected by dense (I +- S)/2 factors, corrected by its
-    table entry letter by letter and compared with the encoding by 1 - F.
-    Shares nothing with the kernel's bra table."""
-    code = get_code(name)
-    encoded = code.encoder(logical).amps
-    branches = {"": amps}
-    for stabilizer in dense_stabilizers(name):
-        branches = {
-            bits + bit: (psi + sign * (stabilizer @ psi)) / 2
-            for bits, psi in branches.items()
-            for bit, sign in (("0", 1), ("1", -1))
-        }
-    weights, leaves = [], []
-    for bits, psi in branches.items():
-        weight = float(np.vdot(psi, psi).real)
-        if weight == 0.0:
-            continue
-        corrected = apply_letters(code.recovery_table[bits], psi)
-        leaf = 1.0 - abs(np.vdot(encoded, corrected)) ** 2 / weight
-        weights.append(weight)
-        leaves.append(0.0 if leaf < NUMERICAL_FLOOR else leaf)
-    return np.array(weights), np.array(leaves)
 
 
 def dense_moments(amps, name, logical):
@@ -615,12 +557,11 @@ class TestSweepTheta:
         ids=["steane7-all", "shor9-bose2"],
     )
     def test_a_sweep_measures_nothing(self, monkeypatch, overrides):
-        """A sweep measures nothing: it samples no syndrome, and runs no
-        recovery or fidelity."""
+        """A sweep measures nothing: it draws no syndrome, and runs no
+        fidelity."""
         calls = []
         for module, name in [
-            (qeclab.codes, "extract_syndrome"),
-            (qeclab.codes, "recover"),
+            (qeclab.codes, "_draw_syndrome"),
             (qeclab.statevec, "fidelity"),
         ]:
             def counting(*args, _name=name, _original=getattr(module, name)):
@@ -722,19 +663,20 @@ class TestMoments:
                     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-15)
 
     def test_monte_carlo_shots_agree_with_the_mean(self):
-        """20,000 measured and recovered shots of one injected state."""
+        """20,000 measured shots of one injected state, each scored by the
+        dense oracle's infidelity for the syndrome drawn."""
         code = get_code("steane7")
         config = rotation_config(logical=GENERIC)
         block = _injector(model_for(config, 0.5))(code.encoder(GENERIC), np.ones((1, 7), int))
         (mean,), (variance,) = _moments(block, code._syndromes, GENERIC)
-        state = StateVector(7, block[0])
+        _, _, weight = _overlaps(block, code._syndromes)
+        outcomes = dense_branches(block[0], "steane7", GENERIC)
         rng = np.random.default_rng(16)
         shots, syndromes = np.empty(20_000), set()
         for shot in range(shots.size):
-            result = extract_syndrome(state, code, rng)
-            syndromes.add(result.bits)
-            shots[shot] = 1.0 - fidelity(recover(result, code), code.encoder(GENERIC))
-        shots[shots < NUMERICAL_FLOOR] = 0.0
+            bits, _ = _draw_syndrome(weight[0], code._syndromes, rng)
+            syndromes.add(bits)
+            shots[shot] = outcomes["".join(map(str, bits))][1]
         assert len(syndromes) == 8
         assert abs(shots.mean() - mean) <= 5 * math.sqrt(variance / shots.size)
         assert shots.var() == pytest.approx(variance, rel=0.1)

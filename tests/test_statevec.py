@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qeclab.codes import CodeSpec, extract_syndrome
+from qeclab.codes import CodeSpec, _draw_syndrome, _overlaps
 from qeclab.statevec import (
     StateVector,
     _adopt,
@@ -48,9 +48,13 @@ PAIR_CODES = {
 
 def measure(state: StateVector, ops: str, rng: np.random.Generator):
     """Measure one two-qubit Pauli string as the syndrome of its [[2,1]]
-    code, drawing one uniform; returns (+1/-1 outcome, projected state)."""
-    result = extract_syndrome(state, PAIR_CODES[ops], rng)
-    return 1 - 2 * result.bits[0], result.post_state
+    code, drawing one uniform; returns (+1/-1 outcome, the state projected
+    onto that outcome by the dense (I + sign P)/2)."""
+    table = PAIR_CODES[ops]._syndromes
+    (bit,), _ = _draw_syndrome(_overlaps(state.amps[None], table)[2][0], table, rng)
+    sign = 1 - 2 * bit
+    projected = (state.amps + sign * dense_pair(ops) @ state.amps) / 2
+    return sign, StateVector(2, projected / np.linalg.norm(projected))
 
 
 def measure_z(state: StateVector, target: int, rng: np.random.Generator):
@@ -60,11 +64,16 @@ def measure_z(state: StateVector, target: int, rng: np.random.Generator):
     return (1 - sign) // 2, post
 
 
+def dense_pair(ops: str) -> np.ndarray:
+    """The Kronecker product of the two letters of ``ops``."""
+    mats = {"I": I2, "X": X, "Z": Z}
+    return np.kron(mats[ops[0]], mats[ops[1]])
+
+
 def dense_probability(state: StateVector, ops: str, sign: int) -> float:
     """Born probability of outcome ``sign``: |(I + sign P)/2 psi|^2, P the
     Kronecker product of ``ops``."""
-    mats = {"I": I2, "X": X, "Z": Z}
-    projected = (state.amps + sign * np.kron(mats[ops[0]], mats[ops[1]]) @ state.amps) / 2
+    projected = (state.amps + sign * dense_pair(ops) @ state.amps) / 2
     return float(np.vdot(projected, projected).real)
 
 
@@ -328,7 +337,7 @@ class TestMeasureQubit:
 
 
 class TestMeasurePauliString:
-    """Pauli-string measurement as ``extract_syndrome`` performs it."""
+    """Pauli-string measurement as ``_draw_syndrome`` performs it."""
 
     def test_zz_even_parity(self):
         rng = np.random.default_rng(0)
