@@ -46,7 +46,6 @@ from .statevec import (
     MAX_QUBITS,
     StateVector,
     apply_pauli_string,
-    basis_state,
     fidelity,
     support_size,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "SweepRow",
     "apply_error_model",
     "apply_pauli_string",
-    "basis_state",
     "bose_einstein_pattern_prob",
     "build_general_unitary",
     "decoherence_prob",

@@ -57,7 +57,7 @@ import sys
 
 import numpy as np
 
-from .codes import CODE_NAMES, LogicalQubit, _draw_syndrome, _overlaps, get_code
+from .codes import CODE_NAMES, CodeSpec, LogicalQubit, _draw_syndrome, _overlaps, get_code
 from .errors import (
     ALL_QUBITS,
     ERROR_KINDS,
@@ -454,23 +454,25 @@ def _cmd_encode(config: ExperimentConfig) -> str:
     return "\n".join(_state_lines(state)) + "\n"
 
 
-def _cmd_inject(config: ExperimentConfig) -> str:
+def _injected(config: ExperimentConfig) -> tuple[CodeSpec, StateVector, np.random.Generator]:
+    """The code, its injected state, and the seeded rng, the placement already drawn."""
     code = get_code(config.code)
     rng = np.random.default_rng(config.seed)
     state = apply_error_model(
         code.encoder(config.logical), model_for(config, config.theta_grid[0]), rng
     )
+    return code, state, rng
+
+
+def _cmd_inject(config: ExperimentConfig) -> str:
+    _, state, _ = _injected(config)
     lines = [f"support = {support_size(state, SUPPORT_THRESHOLD)}"]
     lines.extend(_state_lines(state))
     return "\n".join(lines) + "\n"
 
 
 def _cmd_correct(config: ExperimentConfig) -> str:
-    code = get_code(config.code)
-    rng = np.random.default_rng(config.seed)
-    state = apply_error_model(
-        code.encoder(config.logical), model_for(config, config.theta_grid[0]), rng
-    )
+    code, state, rng = _injected(config)
     # The drawn outcome's leaf among the reached outcomes', as a sweep sums it.
     a0, a1, weight = _overlaps(state.amps[None], code._syndromes)
     bits, row = _draw_syndrome(weight[0], code._syndromes, rng)

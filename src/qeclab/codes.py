@@ -41,7 +41,6 @@ from .statevec import (
     MAX_QUBITS,
     StateVector,
     _PAULI_LABELS,
-    _adopt,
     _norm_sq,
     _pauli_action,
 )
@@ -152,7 +151,7 @@ class CodeSpec:
     def encoder(self, logical: LogicalQubit) -> StateVector:
         """alpha |0_L> + beta |1_L>."""
         v0, v1 = self.codewords
-        return _adopt(self.n_physical, logical.alpha * v0 + logical.beta * v1)
+        return StateVector(self.n_physical, logical.alpha * v0 + logical.beta * v1)
 
     @cached_property
     def _syndromes(self) -> _SyndromeTable:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .statevec import StateVector, _adopt, _norm_sq, _product
+from .statevec import StateVector, _norm_sq, _product
 
 FLIP_KINDS = ("bit_flip", "phase_flip", "bit_and_phase_flip")
 ERROR_KINDS = FLIP_KINDS + ("general_unitary", "rotation", "decay")
@@ -382,4 +382,4 @@ def apply_error_model(
     n = state.n_qubits
     check_placement(model.placement, n, model.kind, f"{n}-qubit")
     occupancy = resolve_occupancy(model.placement, n, rng)
-    return _adopt(n, _injector(model)(state, occupancy[None]).reshape(-1))
+    return StateVector(n, _injector(model)(state, occupancy[None]).reshape(-1))

@@ -3,22 +3,21 @@
 Conventions
 -----------
 Qubit 0 is the leftmost symbol of a ket string and the most significant
-bit of an amplitude index, so ``basis_state(2, "10")`` puts amplitude 1
-at index 2.  Capacity is capped at 14 qubits (16384 amplitudes): every
-experiment in this lab needs at most 9, and the cap keeps mistakes loud
-instead of slow.
+bit of an amplitude index, so the amplitude of the two-qubit ket |10>
+sits at index 2.  Capacity is capped at 14 qubits (16384 amplitudes):
+every experiment in this lab needs at most 9, and the cap keeps mistakes
+loud instead of slow.
 
 Public operations are pure.  A ``StateVector`` is immutable once built;
 operations return fresh values and never touch their inputs.  Anything
 randomized takes an explicit ``numpy.random.Generator`` so concurrent
 callers can hold disjoint streams.
 
-The public constructor copies and validates its input.  Arrays the
-package has just computed are adopted without the copy (``_adopt``), still
-checked for shape and finiteness; ``_product`` validates an operator once
-and applies it to a block of states, one matrix product per target.  A
-Pauli string acts as a gather (``_pauli_action``).  Measurement and
-recovery are not register operations: ``codes`` reads them off overlaps.
+The one constructor copies and validates its input.  ``_product``
+validates an operator once and applies it to a block of states, one
+matrix product per target.  A Pauli string acts as a gather
+(``_pauli_action``).  Measurement and recovery are not register
+operations: ``codes`` reads them off overlaps.
 """
 
 from __future__ import annotations
@@ -52,39 +51,15 @@ class StateVector:
                 f"n_qubits must be in [1, {MAX_QUBITS}], got {self.n_qubits}"
             )
         amps = np.array(self.amps, dtype=np.complex128)
-        _check_amps(self.n_qubits, amps)
+        if amps.shape != (1 << self.n_qubits,):
+            raise ValueError(
+                f"expected {1 << self.n_qubits} amplitudes for "
+                f"{self.n_qubits} qubits, got shape {amps.shape}"
+            )
+        if not np.isfinite(amps.view(np.float64)).all():
+            raise ValueError("amplitudes must be finite")
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
-
-
-# Bound once: rebinding the module name ``StateVector`` (as an outside-in
-# tracer does) must not reach the adoption path.
-_STATE_VECTOR = StateVector
-
-
-def _check_amps(n_qubits: int, amps: np.ndarray) -> None:
-    if amps.shape != (1 << n_qubits,):
-        raise ValueError(
-            f"expected {1 << n_qubits} amplitudes for "
-            f"{n_qubits} qubits, got shape {amps.shape}"
-        )
-    if not np.isfinite(amps.view(np.float64)).all():
-        raise ValueError("amplitudes must be finite")
-
-
-def _adopt(n_qubits: int, amps: np.ndarray) -> StateVector:
-    """Wrap complex128 amplitudes the package has just computed, uncopied.
-
-    Shape and finiteness are checked as in the constructor; only the
-    defensive copy is skipped.  ``amps`` is marked read-only, so the caller
-    must keep no writable alias of it.
-    """
-    _check_amps(n_qubits, amps)
-    amps.flags.writeable = False
-    state = object.__new__(_STATE_VECTOR)
-    object.__setattr__(state, "n_qubits", n_qubits)
-    object.__setattr__(state, "amps", amps)
-    return state
 
 
 def _norm_sq(a: complex, b: complex) -> float:
@@ -93,21 +68,6 @@ def _norm_sq(a: complex, b: complex) -> float:
         return abs(a) ** 2 + abs(b) ** 2
     except OverflowError:
         return math.inf
-
-
-def basis_state(n_qubits: int, bits: str) -> StateVector:
-    """Computational basis state |bits>, qubit 0 being the leftmost bit."""
-    if len(bits) != n_qubits:
-        raise ValueError(
-            f"bit string length {len(bits)} does not match n_qubits={n_qubits}"
-        )
-    if set(bits) - {"0", "1"}:
-        raise ValueError(f"bit string must be over 0/1, got {bits!r}")
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
-    amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-    amps[int(bits, 2)] = 1.0
-    return _adopt(n_qubits, amps)
 
 
 def _require_unitary2(u: np.ndarray) -> np.ndarray:
@@ -161,7 +121,7 @@ def _product(u: np.ndarray):
 
 def apply_product(state: StateVector, u: np.ndarray, targets: Iterable[int]) -> StateVector:
     """Apply the single-qubit unitary ``u`` to each of ``targets`` in turn."""
-    return _adopt(state.n_qubits, _product(u)(state.amps[None], targets).reshape(-1))
+    return StateVector(state.n_qubits, _product(u)(state.amps[None], targets).reshape(-1))
 
 
 def _pauli_action(n_qubits: int, ops: str) -> tuple[np.ndarray, np.ndarray]:
@@ -203,7 +163,7 @@ def apply_pauli_string(state: StateVector, ops: str) -> StateVector:
     src, phases = _pauli_action(state.n_qubits, ops)
     image = state.amps[src]
     image *= phases
-    return _adopt(state.n_qubits, image)
+    return StateVector(state.n_qubits, image)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

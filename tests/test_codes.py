@@ -267,13 +267,27 @@ class TestCodeSpecInvariants:
             ((("ZZI", "IZZ"), "XII", "ZZZ"), "logical Z XII anticommutes with stabilizer ZZI"),
             ((("ZZI", "IZZ"), "ZZZ", "XXI"), "logical X XXI anticommutes with stabilizer IZZ"),
             ((("ZZI", "ZZI"), "ZZZ", "XXX"), "not independent"),
-            ((("XX",), "YY", "XI"), "no component in the code space"),
-            ((("YYI", "IYY"), "ZZZ", "XXX"), "must be CSS"),
         ],
     )
     def test_refuses_what_is_not_a_code(self, definition, match):
         with pytest.raises(ValueError, match=match):
             CodeSpec("bad", *definition)
+
+    @pytest.mark.parametrize(
+        "definition,match",
+        [
+            # [[2,1]]: |0_L> (XX = YY = +1) has ZZ = -1, so projecting |00> leaves 0.
+            ((("XX",), "YY", "XI"), "no component in the code space"),
+            # Non-CSS: the recovery table is built per CSS sector.
+            ((("YYI", "IYY"), "ZZZ", "XXX"), "must be CSS"),
+        ],
+    )
+    def test_refuses_valid_codes_it_cannot_build_yet(self, definition, match):
+        """Both definitions are codes: independent commuting stabilizers,
+        and logical operators that commute with them and anticommute with
+        each other.  The constructor builds neither yet."""
+        with pytest.raises(ValueError, match=match):
+            CodeSpec("code", *definition)
 
     @pytest.mark.parametrize("definition", [((), "Y", "X"), ((), "Y", "Z"), (("ZZ",), "YY", "YX")])
     def test_a_logical_z_with_y_keeps_its_phases(self, definition):

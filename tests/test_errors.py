@@ -24,7 +24,14 @@ from qeclab.errors import (
     rotation_unitary,
     sample_placement,
 )
-from qeclab.statevec import basis_state, support_size
+from qeclab.statevec import StateVector, support_size
+
+
+def ket(bits: str) -> StateVector:
+    """|bits>, qubit 0 the leftmost bit: a register with one amplitude 1."""
+    amps = np.zeros(1 << len(bits), dtype=complex)
+    amps[int(bits, 2)] = 1.0
+    return StateVector(len(bits), amps)
 
 
 class TestGeneralUnitary:
@@ -294,14 +301,14 @@ class TestErrorModelValidation:
 class TestApplyErrorModel:
     def test_zero_rotation_everywhere_is_noop(self):
         rng = np.random.default_rng(0)
-        state = basis_state(3, "010")
+        state = ket("010")
         model = ErrorModel("rotation", RotationErrorParams("y", 0.0), ALL_QUBITS)
         out = apply_error_model(state, model, rng)
         np.testing.assert_allclose(out.amps, state.amps, atol=1e-15)
 
     def test_fixed_bit_flip_flips_that_bit(self):
         rng = np.random.default_rng(0)
-        state = basis_state(9, "0" * 9)
+        state = ket("0" * 9)
         model = ErrorModel("bit_flip", placement=Placement.fixed([2]))
         out = apply_error_model(state, model, rng)
         assert np.flatnonzero(out.amps).tolist() == [int("001000000", 2)]
@@ -309,7 +316,7 @@ class TestApplyErrorModel:
     def test_double_occupancy_cancels_bit_flips(self):
         """Two bosonic bit flips in the same cell undo each other."""
         rng = np.random.default_rng(0)
-        state = basis_state(1, "0")
+        state = ket("0")
         model = ErrorModel("bit_flip", placement=Placement.bose_einstein(2))
         out = apply_error_model(state, model, rng)  # one cell: occupancy must be 2
         np.testing.assert_allclose(out.amps, state.amps, atol=1e-15)
@@ -317,7 +324,7 @@ class TestApplyErrorModel:
     def test_fermi_flips_exactly_n_bits(self):
         rng = np.random.default_rng(123)
         for n_errors in range(0, 6):
-            state = basis_state(6, "000000")
+            state = ket("000000")
             model = ErrorModel("bit_flip", placement=Placement.fermi(n_errors))
             out = apply_error_model(state, model, rng)
             index = int(np.flatnonzero(out.amps)[0])
@@ -336,8 +343,6 @@ class TestApplyErrorModel:
         rng = np.random.default_rng(0)
         s = 1 / math.sqrt(2)
         state_amps = np.array([s, s], dtype=complex)
-        from qeclab.statevec import StateVector
-
         model = ErrorModel("decay", DecayModel(1.0, 2.0), Placement.fixed([0]))
         out = apply_error_model(StateVector(1, state_amps), model, rng)
         p_t = decoherence_prob(DecayModel(1.0, 2.0))
@@ -349,19 +354,19 @@ class TestApplyErrorModel:
         rng = np.random.default_rng(0)
         model = ErrorModel("decay", DecayModel(0.5, 1.0), Placement.fixed([0, 0]))
         with pytest.raises(ValueError, match="stack"):
-            apply_error_model(basis_state(2, "00"), model, rng)
+            apply_error_model(ket("00"), model, rng)
 
     def test_rejects_out_of_range_fixed_qubit(self):
         rng = np.random.default_rng(0)
         model = ErrorModel("bit_flip", placement=Placement.fixed([5]))
         with pytest.raises(ValueError, match="out of range"):
-            apply_error_model(basis_state(2, "00"), model, rng)
+            apply_error_model(ket("00"), model, rng)
 
     def test_fermi_placement_error_propagates(self):
         rng = np.random.default_rng(0)
         model = ErrorModel("bit_flip", placement=Placement.fermi(4))
         with pytest.raises(ValueError, match="^fermi placement n=4 exceeds register size N=2$"):
-            apply_error_model(basis_state(2, "00"), model, rng)
+            apply_error_model(ket("00"), model, rng)
 
     def test_decay_that_can_stack_is_refused_before_it_draws(self):
         """bose_einstein:2 may draw two distinct qubits, but a decay model
@@ -376,4 +381,4 @@ class TestApplyErrorModel:
             ValueError,
             match="^decay placement must not stack errors on one qubit of the 3-qubit register$",
         ):
-            apply_error_model(basis_state(3, "000"), model, NoDraws())
+            apply_error_model(ket("000"), model, NoDraws())

@@ -8,11 +8,9 @@ import pytest
 from qeclab.codes import CodeSpec, _draw_syndrome, _overlaps
 from qeclab.statevec import (
     StateVector,
-    _adopt,
     _product,
     apply_pauli_string,
     apply_product,
-    basis_state,
     fidelity,
     support_size,
 )
@@ -29,6 +27,13 @@ I2 = np.eye(2, dtype=complex)
 def ry(theta: float) -> np.ndarray:
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def ket(bits: str) -> StateVector:
+    """|bits>, qubit 0 the leftmost bit: a register with one amplitude 1."""
+    amps = np.zeros(1 << len(bits), dtype=complex)
+    amps[int(bits, 2)] = 1.0
+    return StateVector(len(bits), amps)
 
 
 def random_state(n: int, rng: np.random.Generator) -> StateVector:
@@ -82,37 +87,12 @@ def random_unitary(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-class TestBasisState:
-    def test_single_qubit_zero(self):
-        assert np.array_equal(basis_state(1, "0").amps, [1, 0])
-
-    def test_big_endian_convention(self):
-        """Qubit 0 is the most significant bit: |10> lands on index 2."""
-        state = basis_state(2, "10")
-        assert np.flatnonzero(state.amps).tolist() == [2]
-
-    def test_all_ones(self):
-        state = basis_state(3, "111")
-        assert np.flatnonzero(state.amps).tolist() == [7]
-
-    def test_rejects_zero_qubits(self):
-        with pytest.raises(ValueError, match="n_qubits"):
-            basis_state(0, "")
-
-    def test_rejects_capacity_overflow(self):
-        with pytest.raises(ValueError, match="n_qubits"):
-            basis_state(15, "0" * 15)
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            basis_state(3, "01")
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(ValueError, match="0/1"):
-            basis_state(2, "0x")
-
-
 class TestStateVector:
+    @pytest.mark.parametrize("n", [0, 15])
+    def test_rejects_qubit_count_out_of_range(self, n):
+        with pytest.raises(ValueError, match=rf"^n_qubits must be in \[1, 14\], got {n}$"):
+            StateVector(n, np.ones(1, dtype=complex))
+
     def test_rejects_wrong_amp_count(self):
         with pytest.raises(ValueError, match="expected 4 amplitudes"):
             StateVector(2, np.ones(3, dtype=complex))
@@ -121,8 +101,13 @@ class TestStateVector:
         with pytest.raises(ValueError, match="finite"):
             StateVector(1, np.array([np.nan, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.inf, complex(0.0, -np.inf)])
+    def test_rejects_infinite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            StateVector(1, np.array([bad, 0.0], dtype=complex))
+
     def test_amps_are_immutable(self):
-        state = basis_state(1, "0")
+        state = ket("0")
         with pytest.raises(ValueError):
             state.amps[0] = 0.0
 
@@ -132,24 +117,8 @@ class TestStateVector:
         amps[0] = 5.0
         assert state.amps[0] == 1.0
 
-    def test_adopted_array_is_read_only(self):
-        amps = np.array([0.6, 0.8j, 0.0, 0.0])
-        state = _adopt(2, amps)
-        assert state.amps is amps
-        with pytest.raises(ValueError):
-            amps[0] = 1.0
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
-    def test_adoption_rejects_non_finite_amplitudes(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            _adopt(1, np.array([bad, 0.0], dtype=complex))
-
-    def test_adoption_rejects_wrong_amp_count(self):
-        with pytest.raises(ValueError, match="expected 4 amplitudes"):
-            _adopt(2, np.ones(3, dtype=complex))
-
     def test_computed_states_are_read_only(self):
-        state = apply_product(basis_state(3, "010"), H, [0, 2])
+        state = apply_product(ket("010"), H, [0, 2])
         with pytest.raises(ValueError):
             state.amps[0] = 0.0
 
@@ -206,11 +175,11 @@ class TestApplyProduct:
 
     def test_rejects_out_of_range_target(self):
         with pytest.raises(ValueError, match="out of range"):
-            apply_product(basis_state(2, "00"), X, [0, 2])
+            apply_product(ket("00"), X, [0, 2])
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):
-            apply_product(basis_state(2, "00"), np.array([[1, 0], [0, 2]]), [0, 1])
+            apply_product(ket("00"), np.array([[1, 0], [0, 2]]), [0, 1])
 
     def test_rejects_a_nan_matrix(self):
         """A NaN defect compares false with the tolerance, and is refused as
@@ -219,7 +188,7 @@ class TestApplyProduct:
         with pytest.raises(ValueError, match="matrix is not unitary"):
             _product(nan)
         with pytest.raises(ValueError, match="matrix is not unitary"):
-            apply_product(basis_state(1, "0"), nan, [0])
+            apply_product(ket("0"), nan, [0])
 
     def test_input_state_untouched(self):
         state = random_state(3, np.random.default_rng(4))
@@ -273,11 +242,11 @@ class TestApply1q:
     """``apply_product`` on one target."""
 
     def test_x_flips_basis(self):
-        assert np.allclose(apply_product(basis_state(1, "0"), X, [0]).amps, [0, 1])
+        assert np.allclose(apply_product(ket("0"), X, [0]).amps, [0, 1])
 
     def test_hadamard_on_msb_qubit(self):
         """H on qubit 0 of |00> spreads over indices 0 and 2 (big-endian)."""
-        state = apply_product(basis_state(2, "00"), H, [0])
+        state = apply_product(ket("00"), H, [0])
         np.testing.assert_allclose(state.amps, [SQRT2_INV, 0, SQRT2_INV, 0], atol=1e-15)
 
     def test_identity_is_noop(self):
@@ -287,15 +256,15 @@ class TestApply1q:
 
     def test_rejects_out_of_range_target(self):
         with pytest.raises(ValueError, match="out of range"):
-            apply_product(basis_state(2, "00"), X, [2])
+            apply_product(ket("00"), X, [2])
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):
-            apply_product(basis_state(1, "0"), np.array([[1, 0], [0, 2]]), [0])
+            apply_product(ket("0"), np.array([[1, 0], [0, 2]]), [0])
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="2x2"):
-            apply_product(basis_state(1, "0"), np.eye(4), [0])
+            apply_product(ket("0"), np.eye(4), [0])
 
 
 class TestMeasureQubit:
@@ -304,7 +273,7 @@ class TestMeasureQubit:
     def test_eigenstate_is_deterministic(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            bit, post = measure_z(basis_state(2, "00"), 0, rng)
+            bit, post = measure_z(ket("00"), 0, rng)
             assert bit == 0
             np.testing.assert_allclose(post.amps, [1, 0, 0, 0], atol=1e-15)
 
@@ -341,13 +310,13 @@ class TestMeasurePauliString:
 
     def test_zz_even_parity(self):
         rng = np.random.default_rng(0)
-        sign, post = measure(basis_state(2, "00"), "ZZ", rng)
+        sign, post = measure(ket("00"), "ZZ", rng)
         assert sign == 1
-        np.testing.assert_allclose(post.amps, basis_state(2, "00").amps, atol=1e-15)
+        np.testing.assert_allclose(post.amps, ket("00").amps, atol=1e-15)
 
     def test_zz_odd_parity(self):
         rng = np.random.default_rng(0)
-        sign, _ = measure(basis_state(2, "01"), "ZZ", rng)
+        sign, _ = measure(ket("01"), "ZZ", rng)
         assert sign == -1
 
     def test_bell_is_xx_stabilized(self):
@@ -386,16 +355,16 @@ class TestApplyPauliString:
             )
 
     def test_identity_string_is_noop(self):
-        state = basis_state(2, "01")
+        state = ket("01")
         assert apply_pauli_string(state, "II") is state
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="does not match 1 qubits"):
-            apply_pauli_string(basis_state(1, "0"), "IIIZ")
+            apply_pauli_string(ket("0"), "IIIZ")
 
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError, match="I/X/Y/Z"):
-            apply_pauli_string(basis_state(2, "00"), "QQ")
+            apply_pauli_string(ket("00"), "QQ")
 
 
 class TestFidelity:
@@ -405,7 +374,7 @@ class TestFidelity:
         assert fidelity(state, state) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_states(self):
-        assert fidelity(basis_state(1, "0"), basis_state(1, "1")) == 0.0
+        assert fidelity(ket("0"), ket("1")) == 0.0
 
     def test_rotation_overlap_matches_half_angle_formula(self):
         """<0|Ry(theta)|0> has squared modulus cos^2(theta/2).
@@ -413,7 +382,7 @@ class TestFidelity:
         Cross-checked two ways: the analytic formula and a direct matrix
         evaluation of the rotated column.
         """
-        zero = basis_state(1, "0")
+        zero = ket("0")
         for theta in (0.0, 0.1, 0.7, 1.9, math.pi / 2, 3.0):
             rotated = apply_product(zero, ry(theta), [0])
             expected = math.cos(theta / 2) ** 2
@@ -428,12 +397,12 @@ class TestFidelity:
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            fidelity(basis_state(1, "0"), basis_state(2, "00"))
+            fidelity(ket("0"), ket("00"))
 
 
 class TestSupportSize:
     def test_basis_state(self):
-        assert support_size(basis_state(3, "000"), 1e-12) == 1
+        assert support_size(ket("000"), 1e-12) == 1
 
     def test_threshold_is_strict(self):
         state = StateVector(1, np.array([1.0, 0.0]))
