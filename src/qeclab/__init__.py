@@ -38,7 +38,6 @@ from .experiments import (
     fit_power_law,
     model_for,
     proliferation_experiment,
-    run_trial,
     sensitivity_experiment,
     sweep_theta,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "pauli_unitary",
     "proliferation_experiment",
     "rotation_unitary",
-    "run_trial",
     "sample_placement",
     "sensitivity_experiment",
     "support_size",

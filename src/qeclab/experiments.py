@@ -19,20 +19,21 @@ Each entry carries its variance over syndrome outcomes: a row's
 ``std_coded`` is the population std of one trial's infidelity, by the law
 of total variance.  A placement with no error count draws nothing; its
 row is its one entry, a block of one row, whatever the seed and trial
-count.  Each side is encoded once per sweep.  The uncoded baseline is the
-kernel on the bare qubit, a code with no stabilizer, under a placement
-that draws nothing: one entry per grid point, reported with std 0.
+count.  Each side is encoded once per sweep, and each grid point builds
+one injector, which both sides share.  The uncoded baseline is the
+kernel on the bare qubit, a code with no stabilizer, under the
+placement's projection onto that qubit (``_bare_qubit_placement``),
+which draws nothing: one entry per grid point, reported with std 0.
 
 Trial t of grid point g of a placement that draws takes its occupancy
 from ``default_rng(SeedSequence(entropy=seed, spawn_key=(g, t, 0)))``
 (``_trial_rng``), so results do not depend on how trials are scheduled
-and any one trial can be rebuilt alone; side 1 names streams that no
-sweep derives.
+and any one trial can be rebuilt alone.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,10 +187,11 @@ def model_for(config: ExperimentConfig, theta: float) -> ErrorModel:
     return ErrorModel(kind, None, config.placement)
 
 
-def _trial_rng(seed: int, grid_index: int, trial: int, side: int) -> np.random.Generator:
+def _trial_rng(seed: int, grid_index: int, trial: int) -> np.random.Generator:
     """The stream of one trial, rebuilt on its own in any order."""
+    # The fixed trailing 0 keeps each stream, and so every published row, bit for bit.
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(grid_index, trial, side))
+        np.random.SeedSequence(entropy=seed, spawn_key=(grid_index, trial, 0))
     )
 
 
@@ -231,40 +233,24 @@ def _moments(block: np.ndarray, table, logical: LogicalQubit) -> tuple[list, lis
 
 
 def _kernel(
-    config: ExperimentConfig, encoded: StateVector, theta: float, occupancies: np.ndarray
+    inject, encoded: StateVector, table, logical: LogicalQubit, occupancies: np.ndarray
 ) -> tuple[list, list, list]:
     """The trial entries of one side at one grid point, one per row of the
-    (k, N) ``occupancies``: the ``_moments`` means and variances of the
-    injected states, and their supports right after injection.  Rows are
-    injected and summed in blocks of at most ``_BLOCK_BYTES`` of
-    amplitudes; a block rounds as its rows alone do.
+    (k, N) ``occupancies``: the ``_moments`` means and variances, over the
+    syndrome ``table``, of ``encoded`` injected by ``inject``, and their
+    supports right after injection.  Rows are injected and summed in blocks
+    of at most ``_BLOCK_BYTES`` of amplitudes; a block rounds as its rows
+    alone do.
     """
-    inject = _injector(model_for(config, theta))
-    table = get_code(config.code)._syndromes
     step = max(1, _BLOCK_BYTES // encoded.amps.nbytes)
     means, variances, supports = [], [], []
     for lo in range(0, len(occupancies), step):
         block = inject(encoded, occupancies[lo:lo + step])
-        block_means, block_variances = _moments(block, table, config.logical)
+        block_means, block_variances = _moments(block, table, logical)
         means += block_means
         variances += block_variances
         supports += support_mask(block, SUPPORT_THRESHOLD).sum(axis=1).tolist()
     return means, variances, supports
-
-
-def run_trial(
-    config: ExperimentConfig, theta: float, rng: np.random.Generator
-) -> tuple[float, int]:
-    """Encode, draw the placement from ``rng``, inject; return (infidelity,
-    support): the expectation over syndrome outcomes of the floored 1 - F
-    after recovery, and the support right after injection at the 1e-12
-    threshold, before any measurement collapses the proliferated
-    components.  ``sweep_theta``'s kernel on a block of one row.
-    """
-    encoded = get_code(config.code).encoder(config.logical)
-    occupancy = resolve_occupancy(config.placement, encoded.n_qubits, rng)
-    (mean,), _, (support,) = _kernel(config, encoded, theta, occupancy[None])
-    return mean, support
 
 
 def _bare_qubit_placement(placement: Placement) -> Placement:
@@ -282,37 +268,43 @@ def sweep_theta(config: ExperimentConfig) -> SweepResult:
     ``all_qubits`` placement the comparison is per-physical-qubit fair:
     the baseline sees the error exactly once.
     """
+    # The bare qubit is a register of its own, so its projected placement
+    # must fit it too: decay refuses the errors the projection stacks.
     placement = _bare_qubit_placement(config.placement)
-    bare_config = replace(config, code="uncoded", placement=placement)
-    coded_encoded = get_code(config.code).encoder(config.logical)
-    bare_encoded = get_code("uncoded").encoder(config.logical)
-    n = coded_encoded.n_qubits
+    _tagged("placement", check_placement, placement, 1, config.error_kind, "uncoded")
+    code, uncoded, logical = get_code(config.code), get_code("uncoded"), config.logical
+    # Each side's encoded state, syndrome table and logical state, as _kernel reads them.
+    coded_side = (code.encoder(logical), code._syndromes, logical)
+    bare_side = (uncoded.encoder(logical), uncoded._syndromes, logical)
+    n = code.n_physical
     sampled = config.placement.n_errors > 0
     # Allocated up front, so a trial budget too large to hold fails at once.
     if sampled:
         inverse = np.empty(config.trials, dtype=np.intp)
         moments = np.empty((3, config.trials))
+    else:
+        occupancy = resolve_occupancy(config.placement, n, None)[None]
+    # The bare qubit's projected placement draws nothing: one entry per grid point.
+    bare_occupancy = resolve_occupancy(placement, 1, None)[None]
     rows = []
     for grid_index, theta in enumerate(config.theta_grid):
+        inject = _injector(model_for(config, theta))
         if sampled:
             # Each trial's occupancy, as the index of the distinct one it is.
             distinct: dict[bytes, int] = {}
             for t in range(config.trials):
-                rng = _trial_rng(config.seed, grid_index, t, 0)
+                rng = _trial_rng(config.seed, grid_index, t)
                 key = resolve_occupancy(config.placement, n, rng).tobytes()
                 inverse[t] = distinct.setdefault(key, len(distinct))
             occupancies = np.frombuffer(b"".join(distinct), dtype=np.int64).reshape(-1, n)
-            entries = np.array(_kernel(config, coded_encoded, theta, occupancies))
+            entries = np.array(_kernel(inject, *coded_side, occupancies))
             np.take(entries, inverse, axis=1, out=moments)
             mean, variance, support = moments.mean(axis=1).tolist()
             # The law of total variance: within occupancies, then across them.
             variance += float(moments[0].var())
         else:
-            occupancy = resolve_occupancy(config.placement, n, None)[None]
-            (mean,), (variance,), (support,) = _kernel(config, coded_encoded, theta, occupancy)
-        # The bare qubit's projected placement draws nothing: one entry.
-        occupancy = resolve_occupancy(placement, 1, None)[None]
-        (bare,), _, _ = _kernel(bare_config, bare_encoded, theta, occupancy)
+            (mean,), (variance,), (support,) = _kernel(inject, *coded_side, occupancy)
+        (bare,), _, _ = _kernel(inject, *bare_side, bare_occupancy)
         rows.append(SweepRow(theta, mean, math.sqrt(variance), bare, 0.0, float(support)))
     return SweepResult(
         rows=tuple(rows),

@@ -13,11 +13,12 @@ operations return fresh values and never touch their inputs.  Anything
 randomized takes an explicit ``numpy.random.Generator`` so concurrent
 callers can hold disjoint streams.
 
-The one constructor copies and validates its input.  ``_product``
-validates an operator once and applies it to a block of states, one
-matrix product per target.  A Pauli string acts as a gather
-(``_pauli_action``).  Measurement and recovery are not register
-operations: ``codes`` reads them off overlaps.
+The one constructor copies its input and checks its shape and
+finiteness; it does not check the norm.  ``_product`` validates an
+operator once and applies it to a block of states, one matrix product
+per target.  A Pauli string acts as a gather (``_pauli_action``).
+Measurement and recovery are not register operations: ``codes`` reads
+them off overlaps.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ _EYE2 = np.eye(2)
 
 @dataclass(frozen=True)
 class StateVector:
-    """An n-qubit register: 2**n complex amplitudes with unit norm."""
+    """An n-qubit register: 2**n finite complex amplitudes.  The norm is
+    not checked; a state is unit-norm where its maker normalized it."""
 
     n_qubits: int
     amps: np.ndarray
@@ -167,7 +169,8 @@ def apply_pauli_string(state: StateVector, ops: str) -> StateVector:
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
-    """Squared overlap |<a|b>|^2, clipped into [0, 1] against rounding."""
+    """Squared overlap |<a|b>|^2, clipped to at most 1 against rounding;
+    a fidelity only for unit-norm states, whose norm nothing checks."""
     if a.n_qubits != b.n_qubits:
         raise ValueError(
             f"dimension mismatch: {a.n_qubits} vs {b.n_qubits} qubits"

@@ -20,17 +20,20 @@ from qeclab.errors import (
     ALL_QUBITS,
     DecayModel,
     GeneralErrorParams,
+    _injector,
     bose_einstein_pattern_prob,
     build_general_unitary,
     decoherence_prob,
     fermi_pattern_prob,
+    resolve_occupancy,
     sample_placement,
 )
 from qeclab.experiments import (
     ExperimentConfig,
+    _kernel,
     _trial_rng,
+    model_for,
     proliferation_experiment,
-    run_trial,
     sweep_theta,
 )
 from qeclab.statevec import apply_pauli_string, apply_product
@@ -343,14 +346,15 @@ def test_criterion_8_determinism(capsys, tmp_path):
         seed=9,
     )
     serial = sweep_theta(config)
+    code = get_code(config.code)
+    encoded = code.encoder(config.logical)
 
     def coded_trial(job):
         grid_index, trial = job
-        infid, _ = run_trial(
-            config,
-            config.theta_grid[grid_index],
-            _trial_rng(config.seed, grid_index, trial, 0),
-        )
+        inject = _injector(model_for(config, config.theta_grid[grid_index]))
+        rng = _trial_rng(config.seed, grid_index, trial)
+        occupancy = resolve_occupancy(config.placement, code.n_physical, rng)
+        (infid,), _, _ = _kernel(inject, encoded, code._syndromes, config.logical, occupancy[None])
         return grid_index, infid
 
     jobs = [(g, t) for g in range(2) for t in range(config.trials)][::-1]

@@ -20,10 +20,12 @@ from qeclab.errors import (
     Placement,
     _injector,
     apply_error_model,
+    check_placement,
     resolve_occupancy,
 )
 from qeclab.experiments import (
     SUPPORT_THRESHOLD,
+    ConfigError,
     ExperimentConfig,
     SweepRow,
     _bare_qubit_placement,
@@ -33,7 +35,6 @@ from qeclab.experiments import (
     fit_power_law,
     model_for,
     proliferation_experiment,
-    run_trial,
     sensitivity_experiment,
     sweep_theta,
 )
@@ -64,15 +65,24 @@ def dense_moments(amps, name, logical):
     return mean, weights @ (leaves - mean) ** 2
 
 
+def assert_draws_nothing(placement, n_qubits):
+    """Resolving ``placement`` on ``n_qubits`` leaves a generator untouched."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    resolve_occupancy(placement, n_qubits, rng)
+    assert rng.bit_generator.state == state
+
+
 def dense_oracle_rows(config):
     """The sweep's rows from the dense oracle.  Each trial draws its
     placement from its own stream as ``apply_error_model`` does; a row's
     std is the population std of one trial's infidelity over placements
-    and syndrome outcomes together.  The bare qubit runs on every uncoded
-    stream, not just trial 0's, and must give one value on all of them."""
+    and syndrome outcomes together.  The bare qubit's projected placement
+    draws nothing, so it runs once per grid point, from no stream."""
     bare_config = dataclasses.replace(
         config, code="uncoded", placement=_bare_qubit_placement(config.placement)
     )
+    assert_draws_nothing(bare_config.placement, 1)
     outcomes = {}
 
     def trial(config, theta, rng):
@@ -86,16 +96,13 @@ def dense_oracle_rows(config):
     rows = []
     for grid_index, theta in enumerate(config.theta_grid):
         coded, supports = zip(*(
-            trial(config, theta, _trial_rng(config.seed, grid_index, t, 0))
+            trial(config, theta, _trial_rng(config.seed, grid_index, t))
             for t in range(config.trials)
         ))
         mean = np.mean([weights @ leaves for weights, leaves in coded])
         variance = np.mean([weights @ (leaves - mean) ** 2 for weights, leaves in coded])
-        bare_outcomes = [
-            trial(bare_config, theta, _trial_rng(config.seed, grid_index, t, 1))[0]
-            for t in range(config.trials)
-        ]
-        (bare,) = {float(weights @ leaves) for weights, leaves in bare_outcomes}
+        (weights, leaves), _ = trial(bare_config, theta, None)
+        bare = float(weights @ leaves)
         rows.append(SweepRow(theta, mean, math.sqrt(variance), bare, 0.0, np.mean(supports)))
     return tuple(rows)
 
@@ -229,43 +236,42 @@ class TestExperimentConfig:
         assert flip.params is None
 
 
-class TestRunTrial:
+class TestCorrectedRows:
+    """What correction guarantees one trial, read off the rows of sweeps."""
+
     def test_no_error_is_perfect(self):
         """theta = 0 gives infidelity exactly 0 and the 8-ket support."""
-        config = rotation_config(code="shor9")
-        infid, support = run_trial(config, 0.0, np.random.default_rng(0))
-        assert infid == 0.0
-        assert support == 8
+        (row,) = sweep_theta(rotation_config(code="shor9", theta_grid=(0.0,), trials=1)).rows
+        assert row.mean_infid_coded == 0.0
+        assert row.mean_support == 8
 
     def test_single_qubit_rotation_is_fully_corrected(self):
         """Any rotation confined to one qubit is discretized and recovered."""
-        rng = np.random.default_rng(9)
-        for theta in (0.05, 0.7, 2.0):
-            for qubit in (0, 4, 8):
-                config = rotation_config(
-                    code="shor9", placement=Placement.fixed([qubit])
-                )
-                infid, _ = run_trial(config, theta, rng)
-                assert infid < 1e-9
+        for qubit in (0, 4, 8):
+            config = rotation_config(
+                code="shor9", placement=Placement.fixed([qubit]), theta_grid=(0.05, 0.7, 2.0)
+            )
+            for row in sweep_theta(config).rows:
+                assert row.mean_infid_coded < 1e-9
 
     def test_steane_single_bit_flip_always_corrected(self):
-        """Distance-3 Hamming correction, exhaustively over the 7 positions."""
-        rng = np.random.default_rng(3)
+        """Distance-3 Hamming correction, exhaustively over the 7 positions,
+        and on every one of 25 sampled single flips."""
         for qubit in range(7):
             config = rotation_config(
-                error_kind="bit_flip", placement=Placement.fixed([qubit])
+                error_kind="bit_flip", placement=Placement.fixed([qubit]), theta_grid=(0.0,)
             )
-            infid, _ = run_trial(config, 0.0, rng)
-            assert infid < 1e-9
-        sampled = rotation_config(error_kind="bit_flip", placement=Placement.fermi(1))
-        for _ in range(25):
-            infid, _ = run_trial(sampled, 0.0, rng)
-            assert infid < 1e-9
+            (row,) = sweep_theta(config).rows
+            assert row.mean_infid_coded < 1e-9
+        sampled = rotation_config(
+            error_kind="bit_flip", placement=Placement.fermi(1), theta_grid=(0.0,), trials=25
+        )
+        (row,) = sweep_theta(sampled).rows
+        assert row.mean_infid_coded == 0.0
 
     def test_infidelity_floor_eats_rounding_residue(self):
-        config = rotation_config()
-        infid, _ = run_trial(config, 0.0, np.random.default_rng(1))
-        assert infid == 0.0
+        (row,) = sweep_theta(rotation_config(theta_grid=(0.0,))).rows
+        assert row.mean_infid_coded == 0.0
 
 
 def reference_rng(seed, key):
@@ -274,7 +280,7 @@ def reference_rng(seed, key):
 
 class TestTrialStreams:
     SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 9, 0x9E3779B97F4A7C15F39CC060]
-    KEYS = [(g, t, side) for g in (0, 6, 300) for t in range(0, 1000, 37) for side in (0, 1)]
+    KEYS = [(g, t) for g in (0, 6, 300) for t in range(0, 1000, 37)]
 
     @staticmethod
     def assert_same_stream(rng, reference):
@@ -287,11 +293,11 @@ class TestTrialStreams:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_single_key_matches_seed_sequence(self, seed):
         for key in self.KEYS:
-            self.assert_same_stream(_trial_rng(seed, *key), reference_rng(seed, key))
+            self.assert_same_stream(_trial_rng(seed, *key), reference_rng(seed, (*key, 0)))
 
     def test_negative_seed_is_left_to_numpy(self):
         with pytest.raises(ValueError):
-            _trial_rng(-1, 0, 0, 0)
+            _trial_rng(-1, 0, 0)
 
 
 class TestSweepTheta:
@@ -358,23 +364,12 @@ class TestSweepTheta:
         ],
     )
     def test_bare_qubit_is_one_branch(self, placement, kind):
-        """The sweep computes the baseline once per grid point, which holds
-        only while every uncoded stream gives the bare qubit the same
-        result."""
-        general = GeneralErrorParams(0.3, complex(0.1, 0.2))
-        config = rotation_config(
-            code="uncoded",
-            error_kind=kind,
-            placement=_bare_qubit_placement(placement),
-            logical=GENERIC,
-            general=general if kind == "general_unitary" else None,
-        )
-        for seed, grid_index, theta in [(0, 0, 0.05), (3, 2, 0.3), (7, 5, 1.1)]:
-            outcomes = {
-                run_trial(config, theta, _trial_rng(seed, grid_index, t, 1))
-                for t in range(8)
-            }
-            assert len(outcomes) == 1
+        """The sweep computes the baseline once per grid point, from no
+        stream: the projected placement fits the bare qubit under ``kind``
+        and draws nothing."""
+        projected = _bare_qubit_placement(placement)
+        check_placement(projected, 1, kind, "uncoded")
+        assert_draws_nothing(projected, 1)
 
     def test_sweep_derives_one_uncoded_stream_per_grid_point(self, monkeypatch):
         """A placement that draws derives exactly its ``trials`` coded keys
@@ -392,7 +387,7 @@ class TestSweepTheta:
         )
         sweep_theta(config)
         assert keys == [
-            (config.seed, (g, t, 0))
+            (config.seed, (g, t))
             for g in range(len(config.theta_grid)) for t in range(config.trials)
         ]
 
@@ -400,17 +395,20 @@ class TestSweepTheta:
         """Recomputing trials out of order reproduces the sweep exactly."""
         config = rotation_config(theta_grid=(0.04, 0.09), trials=30, seed=5)
         result = sweep_theta(config)
-        uncoded_config = dataclasses.replace(config, code="uncoded")
+        code, uncoded = get_code(config.code), get_code("uncoded")
+        coded_side = (code.encoder(config.logical), code._syndromes, config.logical)
+        bare_side = (uncoded.encoder(config.logical), uncoded._syndromes, config.logical)
+        bare_placement = _bare_qubit_placement(config.placement)
+        assert_draws_nothing(bare_placement, 1)
 
         def one(job):
             grid_index, trial = job
-            theta = config.theta_grid[grid_index]
-            coded, support = run_trial(
-                config, theta, _trial_rng(config.seed, grid_index, trial, 0)
-            )
-            bare, _ = run_trial(
-                uncoded_config, theta, _trial_rng(config.seed, grid_index, trial, 1)
-            )
+            inject = _injector(model_for(config, config.theta_grid[grid_index]))
+            rng = _trial_rng(config.seed, grid_index, trial)
+            occupancy = resolve_occupancy(config.placement, code.n_physical, rng)
+            (coded,), _, (support,) = _kernel(inject, *coded_side, occupancy[None])
+            occupancy = resolve_occupancy(bare_placement, 1, None)
+            (bare,), _, _ = _kernel(inject, *bare_side, occupancy[None])
             return grid_index, coded, bare, support
 
         jobs = [(g, t) for g in range(2) for t in range(config.trials)]
@@ -441,10 +439,10 @@ class TestSweepTheta:
             monkeypatch.setattr(module, "StateVector", traced)
         assert sweep_theta(config).rows == expected
 
-    def test_channel_operator_is_validated_once_per_side_per_grid_point(self, monkeypatch):
-        """Each grid point injects two sides, the coded block and the bare
-        qubit; each validates its unitary once, however many distinct
-        occupancies its block holds."""
+    def test_channel_operator_is_validated_once_per_grid_point(self, monkeypatch):
+        """Each grid point builds one injector, which validates its unitary
+        once, and injects both sides with it: the coded block, however many
+        distinct occupancies it holds, and the bare qubit."""
         checks = []
         original = qeclab.statevec._require_unitary2
 
@@ -458,7 +456,27 @@ class TestSweepTheta:
             theta_grid=(0.05, 0.2, 0.8), trials=50,
         )
         sweep_theta(config)
-        assert len(checks) == 2 * len(config.theta_grid)
+        assert len(checks) == len(config.theta_grid)
+
+    def test_decay_refuses_a_projection_that_stacks_before_any_work(self, monkeypatch):
+        """The config accepts decay on two distinct qubits, which ``inject``
+        and ``correct`` run; a sweep's bare qubit would take both errors,
+        so ``sweep_theta`` refuses it before it builds any injector."""
+        built = []
+
+        def counting(model):
+            built.append(model)
+            return _injector(model)
+
+        monkeypatch.setattr(qeclab.experiments, "_injector", counting)
+        config = ExperimentConfig("steane7", "decay", Placement.fixed([1, 4]), (0.5,), trials=3)
+        with pytest.raises(ConfigError) as refused:
+            sweep_theta(config)
+        assert refused.value.field == "placement"
+        assert str(refused.value) == (
+            "decay placement must not stack errors on one qubit of the uncoded register"
+        )
+        assert built == []
 
     @pytest.mark.parametrize(
         "overrides,leaves_residue",
@@ -519,9 +537,9 @@ class TestSweepTheta:
     def test_deterministic_occupancy_is_injected_once_per_grid_point(
         self, monkeypatch, placement
     ):
-        """Each side resolves an occupancy that draws nothing once per grid
-        point, and the coded side injects it once, as a block of one row,
-        whatever the trial count."""
+        """Each side resolves an occupancy that draws nothing once per sweep,
+        and the coded side injects it once per grid point, as a block of one
+        row, whatever the trial count."""
         resolved, coded_injections = [], []
         original_resolve, original_injector = (
             qeclab.experiments.resolve_occupancy, qeclab.experiments._injector
@@ -547,7 +565,7 @@ class TestSweepTheta:
             resolved.clear()
             coded_injections.clear()
             sweep_theta(rotation_config(placement=placement, theta_grid=(0.05, 0.3), trials=trials))
-            assert resolved == [7, 1] * 2
+            assert resolved == [7, 1]
             assert len(coded_injections) == 2
             assert all(len(block) == 1 for block in coded_injections)
 
@@ -604,28 +622,25 @@ class TestBlockSweep:
         config = rotation_config(
             logical=GENERIC, theta_grid=(0.05, 0.3, 1.1), trials=40, seed=5, **overrides
         )
-        encoded = get_code(config.code).encoder(config.logical)
-        bare_config = dataclasses.replace(
-            config, code="uncoded", placement=_bare_qubit_placement(config.placement)
-        )
-        bare_encoded = get_code("uncoded").encoder(config.logical)
+        code, uncoded = get_code(config.code), get_code("uncoded")
+        coded_side = (code.encoder(config.logical), code._syndromes, config.logical)
+        bare_side = (uncoded.encoder(config.logical), uncoded._syndromes, config.logical)
+        bare_occupancy = resolve_occupancy(_bare_qubit_placement(config.placement), 1, None)
         rows = []
         for grid_index, theta in enumerate(config.theta_grid):
+            inject = _injector(model_for(config, theta))
             moments, distinct = np.empty((3, config.trials)), set()
             for t in range(config.trials):
                 occupancy = resolve_occupancy(
-                    config.placement, encoded.n_qubits, _trial_rng(config.seed, grid_index, t, 0)
+                    config.placement, code.n_physical, _trial_rng(config.seed, grid_index, t)
                 )
                 distinct.add(occupancy.tobytes())
-                (mean,), (variance,), (support,) = _kernel(config, encoded, theta, occupancy[None])
-                trial = run_trial(config, theta, _trial_rng(config.seed, grid_index, t, 0))
-                assert trial == (mean, support)
+                (mean,), (variance,), (support,) = _kernel(inject, *coded_side, occupancy[None])
                 moments[:, t] = mean, variance, support
             assert len(distinct) > 1  # the sweep evaluates a block of several rows
             mean, variance, support = moments.mean(axis=1).tolist()
             variance += float(moments[0].var())
-            bare_occupancy = resolve_occupancy(bare_config.placement, 1, None)[None]
-            (bare,), _, _ = _kernel(bare_config, bare_encoded, theta, bare_occupancy)
+            (bare,), _, _ = _kernel(inject, *bare_side, bare_occupancy[None])
             rows.append(SweepRow(theta, mean, math.sqrt(variance), bare, 0.0, float(support)))
         assert repr(sweep_theta(config).rows) == repr(tuple(rows))
 
