@@ -215,6 +215,11 @@ def _theta_grid_from_doc(doc: _Doc) -> tuple[float, ...]:
         raise ConfigError(f"line {doc.line('theta.scale')}: theta.scale must be linear or log")
     if points < 1:
         raise ConfigError(f"line {doc.line('theta.points')}: theta.points must be >= 1")
+    if points == 1 and hi != lo:  # a one-point grid is theta.min; theta.max must say so too
+        raise ConfigError(
+            f"line {doc.line('theta.points')}: theta.points = 1 grids theta.min alone, "
+            f"so theta.max must equal it, got {hi!r} and {lo!r}"
+        )
     for key, bound in (("theta.min", lo), ("theta.max", hi)):
         if scale == "log" and bound <= 0:
             raise ConfigError(f"line {doc.line(key)}: log-scaled grids need {key} > 0")

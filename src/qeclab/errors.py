@@ -311,52 +311,61 @@ def _operator_for(model: ErrorModel) -> np.ndarray:
     return rotation_unitary(model.params)
 
 
-def _injector(model: ErrorModel):
-    """The channel as ``inject(state, occupancies)``, its operator validated once.
+def _injector(*models: ErrorModel):
+    """The channel of ``models``, all of one kind (a sweep's grid points), as
+    ``inject(state, occupancies, which=0)``, each operator validated once.
 
     ``occupancies`` is a (k, N) array of errors per qubit, and the result
-    is the (k, 2**N) block of ``state`` injected under each row.  The block
-    is injected one layer at a time: qubits in ascending order, a qubit's
-    repeats back to back, each layer on the rows it touches, so every row
-    sees the sequence of operations it would see alone.
+    is the (k, 2**N) block of ``state`` injected under each row.  ``which``
+    names the model each row is injected under: one index for every row,
+    or a (k,) array of indices, one per row.  Rows that share one
+    occupancy are injected as one layer of all its targets; other blocks
+    are injected one layer at a time: qubits in ascending order, a qubit's
+    repeats back to back, each layer on the rows it touches.  Either way
+    every row sees the sequence of operations it would see alone.
 
     Unitary kinds are applied once per unit of occupancy, so two bosonic
     bit flips landing on the same qubit cancel.  The decay kind instead
-    scales the |1> amplitude of each occupied qubit by sqrt(1 - p_t) and
-    renormalizes each row — a post-selected surrogate that keeps decay
-    inside pure-state simulation (the unconditioned channel would need
-    density matrices); ``check_placement`` has refused occupancy above 1.
+    scales the |1> amplitude of each occupied qubit by sqrt(1 - p_t), one
+    scale per model, and renormalizes each row — a post-selected surrogate
+    that keeps decay inside pure-state simulation (the unconditioned
+    channel would need density matrices); ``check_placement`` has refused
+    occupancy above 1.
     """
     def layers(state: StateVector, occupancies: np.ndarray):
         """The block of ``state`` repeated once per row, and its layers as
         (targets, the rows they touch or None for every row)."""
-        if len(occupancies) == 1:
+        k = len(occupancies)
+        if k == 1 or (occupancies == occupancies[0]).all():
             counts = occupancies[0].tolist()
             targets = [q for q, count in enumerate(counts) for _ in range(count)]
-            return state.amps[None], [(targets, None)]
+            block = state.amps[None] if k == 1 else np.repeat(state.amps[None], k, axis=0)
+            return block, [(targets, None)]
         steps = []
         for q, most in enumerate(occupancies.max(axis=0).tolist()):
             for r in range(most):
                 rows = occupancies[:, q] > r
                 steps.append(([q], None if rows.all() else rows))
-        return np.repeat(state.amps[None], len(occupancies), axis=0), steps
+        return np.repeat(state.amps[None], k, axis=0), steps
 
-    if model.kind != "decay":
-        product = _product(_operator_for(model))
+    if models[0].kind != "decay":
+        product = _product(*(_operator_for(model) for model in models))
 
-        def unitary(state: StateVector, occupancies: np.ndarray) -> np.ndarray:
+        def unitary(state: StateVector, occupancies: np.ndarray, which=0) -> np.ndarray:
             block, steps = layers(state, occupancies)
             for targets, rows in steps:
-                block = product(block, targets, rows)
+                block = product(block, targets, rows, which)
             return block
 
         return unitary
-    scale = math.sqrt(1.0 - decoherence_prob(model.params))
+    scales = [math.sqrt(1.0 - decoherence_prob(model.params)) for model in models]
 
-    def decay(state: StateVector, occupancies: np.ndarray) -> np.ndarray:
+    def decay(state: StateVector, occupancies: np.ndarray, which=0) -> np.ndarray:
         block, steps = layers(state, occupancies)
         if not block.flags.writeable:
             block = block.copy()
+        per_row = not isinstance(which, int)
+        scale = np.array(scales)[which, None, None] if per_row else scales[which]
         for targets, rows in steps:
             for q in targets:
                 # The amplitudes whose qubit q reads 1, as a view of each row.
@@ -364,7 +373,7 @@ def _injector(model: ErrorModel):
                 if rows is None:
                     ones *= scale
                 else:
-                    ones[rows] *= scale
+                    ones[rows] *= scale[rows] if per_row else scale
         for amps in block:
             norm = float(np.linalg.norm(amps))
             if norm < _STATE_NORM_FLOOR:

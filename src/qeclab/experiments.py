@@ -18,12 +18,16 @@ of rows.  A block's rows round exactly as each row alone does.
 Each entry carries its variance over syndrome outcomes: a row's
 ``std_coded`` is the population std of one trial's infidelity, by the law
 of total variance.  A placement with no error count draws nothing; its
-row is its one entry, a block of one row, whatever the seed and trial
-count.  Each side is encoded once per sweep, and each grid point builds
-one injector, which both sides share.  The uncoded baseline is the
-kernel on the bare qubit, a code with no stabilizer, under the
+row is its one entry, whatever the seed and trial count.  Each side is
+encoded once per sweep, and the sweep builds one injector, holding every
+grid point's operator, which both sides share.  The uncoded baseline is
+the kernel on the bare qubit, a code with no stabilizer, under the
 placement's projection onto that qubit (``_bare_qubit_placement``),
 which draws nothing: one entry per grid point, reported with std 0.
+The rows that draw nothing, the bare side's and a drawless coded side's,
+are one block per side with a row per grid point, each row injected
+under its own grid point's operator; a placement that draws keeps one
+block per grid point, so its per-trial buffers stay one grid point long.
 
 Trial t of grid point g of a placement that draws takes its occupancy
 from ``default_rng(SeedSequence(entropy=seed, spawn_key=(g, t, 0)))``
@@ -233,19 +237,24 @@ def _moments(block: np.ndarray, table, logical: LogicalQubit) -> tuple[list, lis
 
 
 def _kernel(
-    inject, encoded: StateVector, table, logical: LogicalQubit, occupancies: np.ndarray
+    inject, encoded: StateVector, table, logical: LogicalQubit, occupancies: np.ndarray,
+    which=0,
 ) -> tuple[list, list, list]:
-    """The trial entries of one side at one grid point, one per row of the
-    (k, N) ``occupancies``: the ``_moments`` means and variances, over the
-    syndrome ``table``, of ``encoded`` injected by ``inject``, and their
-    supports right after injection.  Rows are injected and summed in blocks
-    of at most ``_BLOCK_BYTES`` of amplitudes; a block rounds as its rows
-    alone do.
+    """The trial entries of one side, one per row of the (k, N)
+    ``occupancies``: the ``_moments`` means and variances, over the
+    syndrome ``table``, of ``encoded`` injected by ``inject`` under the
+    grid points ``which`` names (one for every row, or one per row), and
+    their supports right after injection.  Rows are injected and summed in
+    blocks of at most ``_BLOCK_BYTES`` of amplitudes; a block rounds as its
+    rows alone do.
     """
     step = max(1, _BLOCK_BYTES // encoded.amps.nbytes)
     means, variances, supports = [], [], []
     for lo in range(0, len(occupancies), step):
-        block = inject(encoded, occupancies[lo:lo + step])
+        rows = slice(lo, lo + step)
+        block = inject(
+            encoded, occupancies[rows], which if isinstance(which, int) else which[rows]
+        )
         block_means, block_variances = _moments(block, table, logical)
         means += block_means
         variances += block_variances
@@ -270,8 +279,8 @@ def sweep_theta(config: ExperimentConfig) -> SweepResult:
     """
     # The bare qubit is a register of its own, so its projected placement
     # must fit it too: decay refuses the errors the projection stacks.
-    placement = _bare_qubit_placement(config.placement)
-    _tagged("placement", check_placement, placement, 1, config.error_kind, "uncoded")
+    bare_placement = _bare_qubit_placement(config.placement)
+    _tagged("placement", check_placement, bare_placement, 1, config.error_kind, "uncoded")
     code, uncoded, logical = get_code(config.code), get_code("uncoded"), config.logical
     # Each side's encoded state, syndrome table and logical state, as _kernel reads them.
     coded_side = (code.encoder(logical), code._syndromes, logical)
@@ -282,14 +291,18 @@ def sweep_theta(config: ExperimentConfig) -> SweepResult:
     if sampled:
         inverse = np.empty(config.trials, dtype=np.intp)
         moments = np.empty((3, config.trials))
-    else:
-        occupancy = resolve_occupancy(config.placement, n, None)[None]
-    # The bare qubit's projected placement draws nothing: one entry per grid point.
-    bare_occupancy = resolve_occupancy(placement, 1, None)[None]
-    rows = []
-    for grid_index, theta in enumerate(config.theta_grid):
-        inject = _injector(model_for(config, theta))
-        if sampled:
+    inject = _injector(*(model_for(config, theta) for theta in config.theta_grid))
+    grid = np.arange(len(config.theta_grid))
+
+    def drawless(side, placement: Placement, n_qubits: int) -> tuple[list, list, list]:
+        """One side's entry at every grid point under a placement that draws
+        nothing: one block, a row per grid point under its own operator."""
+        occupancy = resolve_occupancy(placement, n_qubits, None)
+        return _kernel(inject, *side, np.repeat(occupancy[None], len(grid), axis=0), grid)
+
+    if sampled:
+        coded = []
+        for grid_index in grid.tolist():
             # Each trial's occupancy, as the index of the distinct one it is.
             distinct: dict[bytes, int] = {}
             for t in range(config.trials):
@@ -297,15 +310,19 @@ def sweep_theta(config: ExperimentConfig) -> SweepResult:
                 key = resolve_occupancy(config.placement, n, rng).tobytes()
                 inverse[t] = distinct.setdefault(key, len(distinct))
             occupancies = np.frombuffer(b"".join(distinct), dtype=np.int64).reshape(-1, n)
-            entries = np.array(_kernel(inject, *coded_side, occupancies))
+            entries = np.array(_kernel(inject, *coded_side, occupancies, grid_index))
             np.take(entries, inverse, axis=1, out=moments)
             mean, variance, support = moments.mean(axis=1).tolist()
             # The law of total variance: within occupancies, then across them.
-            variance += float(moments[0].var())
-        else:
-            (mean,), (variance,), (support,) = _kernel(inject, *coded_side, occupancy)
-        (bare,), _, _ = _kernel(inject, *bare_side, bare_occupancy)
-        rows.append(SweepRow(theta, mean, math.sqrt(variance), bare, 0.0, float(support)))
+            coded.append((mean, variance + float(moments[0].var()), support))
+    else:
+        coded = zip(*drawless(coded_side, config.placement, n))
+    # The bare qubit's projected placement draws nothing: one entry per grid point.
+    bare, _, _ = drawless(bare_side, bare_placement, 1)
+    rows = [
+        SweepRow(theta, mean, math.sqrt(variance), bare_mean, 0.0, float(support))
+        for theta, (mean, variance, support), bare_mean in zip(config.theta_grid, coded, bare)
+    ]
     return SweepResult(
         rows=tuple(rows),
         slope_coded=_slope([(r.theta, r.mean_infid_coded) for r in rows]),

@@ -14,9 +14,9 @@ randomized takes an explicit ``numpy.random.Generator`` so concurrent
 callers can hold disjoint streams.
 
 The one constructor copies its input and checks its shape and
-finiteness; it does not check the norm.  ``_product`` validates an
-operator once and applies it to a block of states, one matrix product
-per target.  A Pauli string acts as a gather (``_pauli_action``).
+finiteness; it does not check the norm.  ``_product`` validates its
+operators once and applies them to a block of states, one shared or one
+per row, one matrix product per target.  A Pauli string acts as a gather (``_pauli_action``).
 Measurement and recovery are not register operations: ``codes`` reads
 them off overlaps.
 """
@@ -82,27 +82,38 @@ def _require_unitary2(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _product(u: np.ndarray):
-    """Validate ``u`` once; return ``apply(block, targets, rows=None)``,
-    applying it per target.
+def _product(*us: np.ndarray):
+    """Validate each of the unitaries ``us`` once; return
+    ``apply(block, targets, rows=None, which=0)``, applying them per target.
 
     ``block`` is a (k, 2**n) array of k registers' amplitudes, and each of
-    its rows gets ``u`` on each of ``targets`` in turn; a repeated target
-    gets it once per occurrence.  ``rows``, a boolean mask over the rows,
-    limits the product to those rows, which are updated in place.  Each
-    target is one (M, 2) @ u.T product, new[..., i] = sum_j u[i, j] *
-    old[..., j], over a contiguous transpose of the rows that holds each
-    amplitude pair side by side.  A row rounds as it does alone, except in
-    a 1-qubit block of k > 1 rows: a lone 1-qubit row is a (1, 2) product,
-    which numpy takes down its vector-matrix path and rounds differently.
-    Sweeps never batch that case, since a 1-qubit register has one
-    occupancy pattern.
+    its rows gets its operator on each of ``targets`` in turn; a repeated
+    target gets it once per occurrence.  ``which`` names the operators: an
+    index into ``us`` gives every row that one, and a (k,) array of indices
+    gives each row its own.  ``rows``, a boolean mask over the rows, limits
+    the product to those rows, which are updated in place.  Each target is
+    one matrix product, new[..., i] = sum_j u[i, j] * old[..., j], over a
+    contiguous transpose of the rows that holds each amplitude pair side by
+    side: one shared operator is a single (k*M, 2) @ u.T, and per-row
+    operators are one (k, M, 2) @ (k, 2, 2), which numpy takes one row's
+    (M, 2) slice at a time, down the BLAS path the row alone takes.  So each
+    row rounds as it does alone, except k > 1 rows of one qubit sharing an
+    operator: their (k, 2) product is not a lone row's (1, 2)
+    vector-matrix product, so a caller that needs lone rounding there names
+    each row's operator, as a sweep's bare rows do.
     """
-    u_t = _require_unitary2(u).T
+    checked = [_require_unitary2(u) for u in us]
+    stack = np.stack(checked) if len(checked) > 1 else checked[0][None]
+    shared = [u.T for u in checked]  # each operator for every row, as BLAS reads it
 
-    def apply(block: np.ndarray, targets: Iterable[int], rows=None) -> np.ndarray:
+    def apply(block: np.ndarray, targets: Iterable[int], rows=None, which=0) -> np.ndarray:
         k, size = block.shape
         n_qubits = size.bit_length() - 1
+        if isinstance(which, int):
+            ops, lead = shared[which], ()
+        else:  # the operators of the rows the product touches, each u.T as a view
+            ops = stack[which if rows is None else which[rows]].swapaxes(1, 2)
+            lead = (len(ops),)
         for target in targets:
             if not 0 <= target < n_qubits:
                 raise ValueError(
@@ -111,11 +122,11 @@ def _product(u: np.ndarray):
             # (k, 2**target, rest, 2): qubit ``target`` indexes the last axis.
             pairs = block.reshape(k, 1 << target, 2, -1).swapaxes(2, 3)
             if rows is None:
-                new = (pairs.reshape(-1, 2) @ u_t).reshape(pairs.shape)
+                new = (pairs.reshape(*lead, -1, 2) @ ops).reshape(pairs.shape)
                 block = new.swapaxes(2, 3).reshape(k, size)
             else:
                 chosen = pairs[rows]
-                pairs[rows] = (chosen.reshape(-1, 2) @ u_t).reshape(chosen.shape)
+                pairs[rows] = (chosen.reshape(*lead, -1, 2) @ ops).reshape(chosen.shape)
         return block
 
     return apply

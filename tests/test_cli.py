@@ -326,6 +326,27 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"^line 6: theta.points must be >= 1$"):
             parse_config(text)
 
+    def test_a_one_point_range_refuses_a_max_it_would_ignore(self, tmp_path, capsys):
+        """One point grids theta.min alone, so a theta.max that differs would
+        be ignored: the file is refused at its theta.points line, exit 2."""
+        path = tmp_path / "one.cfg"
+        text = (
+            "code = steane7\nerror.kind = rotation\nerror.placement = all_qubits\n"
+            "theta.min = 0.01\ntheta.max = 0.5\ntheta.points = 1\ntrials = 1\n"
+        )
+        path.write_text(text)
+        assert main(["sweep", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: line 6: theta.points = 1 grids theta.min alone, "
+            "so theta.max must equal it, got 0.5 and 0.01\n"
+        )
+        path.write_text(text.replace("theta.max = 0.5", "theta.max = 0.01"))
+        assert parse_config(path.read_text()).theta_grid == (0.01,)
+        assert main(["sweep", "--config", str(path)]) == 0
+        assert "\n0.01," in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "keys,line",
         [("", 2), ("error.e1_re = 0\n", 4), ("error.e1_re = 0\nerror.e2_im = 0.0\n", 5)],

@@ -12,6 +12,7 @@ import qeclab.codes
 import qeclab.errors
 import qeclab.experiments
 import qeclab.statevec
+from qeclab.cli import format_float
 from qeclab.codes import LogicalQubit, _draw_syndrome, _overlaps, get_code
 from qeclab.errors import (
     ALL_QUBITS,
@@ -57,6 +58,11 @@ def rotation_config(**overrides) -> ExperimentConfig:
 
 
 GENERIC = LogicalQubit(0.6, complex(0.48, 0.64))
+
+
+def csv_values(row: SweepRow) -> str:
+    """A sweep row as its CSV line."""
+    return ",".join(map(format_float, vars(row).values()))
 
 
 def dense_moments(amps, name, logical):
@@ -530,6 +536,21 @@ class TestSweepTheta:
         sweep_theta(dataclasses.replace(config, placement=Placement.bose_einstein(2)))
         assert len(keys) == len(set(keys)) == 7 * 20
 
+    def test_an_unholdable_trial_budget_fails_before_any_draw(self, monkeypatch):
+        """A placement that draws allocates its per-trial buffers first, so a
+        budget too large to hold fails at once: no stream, no injector."""
+        calls = []
+        for name in ("_trial_rng", "_injector"):
+            def counting(*args, _name=name, _original=getattr(qeclab.experiments, name)):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(qeclab.experiments, name, counting)
+        config = rotation_config(placement=Placement.fermi(2), trials=10**15)
+        with pytest.raises(MemoryError):
+            sweep_theta(config)
+        assert calls == []
+
     @pytest.mark.parametrize(
         "placement",
         [ALL_QUBITS, Placement.fixed([0, 0, 3]), Placement.fermi(0), Placement.bose_einstein(0)],
@@ -538,9 +559,10 @@ class TestSweepTheta:
         self, monkeypatch, placement
     ):
         """Each side resolves an occupancy that draws nothing once per sweep,
-        and the coded side injects it once per grid point, as a block of one
-        row, whatever the trial count."""
-        resolved, coded_injections = [], []
+        and injects it once per grid point, whatever the trial count: as one
+        block per side and sweep, a row per grid point, each row under its
+        own grid point's model."""
+        resolved, injections = [], []
         original_resolve, original_injector = (
             qeclab.experiments.resolve_occupancy, qeclab.experiments._injector
         )
@@ -549,25 +571,32 @@ class TestSweepTheta:
             resolved.append(n_qubits)
             return original_resolve(placement, n_qubits, rng)
 
-        def counting_injector(model):
-            inject = original_injector(model)
+        def counting_injector(*models):
+            inject = original_injector(*models)
 
-            def counting(state, occupancies):
-                if state.n_qubits > 1:
-                    coded_injections.append(occupancies.tolist())
-                return inject(state, occupancies)
+            def counting(state, occupancies, which=0):
+                injections.append((state.n_qubits, occupancies.tolist(), np.ravel(which).tolist()))
+                return inject(state, occupancies, which)
 
             return counting
 
         monkeypatch.setattr(qeclab.experiments, "resolve_occupancy", counting_resolve)
         monkeypatch.setattr(qeclab.experiments, "_injector", counting_injector)
+        occupancy = {
+            7: original_resolve(placement, 7, None).tolist(),
+            1: original_resolve(_bare_qubit_placement(placement), 1, None).tolist(),
+        }
         for trials in (1, 20):
             resolved.clear()
-            coded_injections.clear()
-            sweep_theta(rotation_config(placement=placement, theta_grid=(0.05, 0.3), trials=trials))
+            injections.clear()
+            sweep_theta(
+                rotation_config(placement=placement, theta_grid=(0.05, 0.3, 1.1), trials=trials)
+            )
             assert resolved == [7, 1]
-            assert len(coded_injections) == 2
-            assert all(len(block) == 1 for block in coded_injections)
+            assert [n for n, _, _ in injections] == [7, 1]
+            for n, block, which in injections:
+                assert block == [occupancy[n]] * 3
+                assert which == [0, 1, 2]
 
     @pytest.mark.parametrize(
         "overrides",
@@ -606,6 +635,33 @@ class TestSweepTheta:
 class TestBlockSweep:
     """A sweep evaluates each grid point's distinct occupancies as one block;
     its rows must be the bytes of rows rebuilt one trial at a time."""
+
+    @pytest.mark.parametrize(
+        "placement", [ALL_QUBITS, Placement.fixed([0])], ids=["all", "fixed0"]
+    )
+    @pytest.mark.parametrize(
+        "kind",
+        [dict(axis="x"), dict(axis="y"), dict(axis="z"),
+         dict(error_kind="decay", decay_rate=0.8),
+         dict(error_kind="general_unitary", general=GeneralErrorParams(0.3, complex(0.1, 0.2)))],
+        ids=["x", "y", "z", "decay", "general"],
+    )
+    @pytest.mark.parametrize("code", ["steane7", "shor9", "uncoded"])
+    def test_drawless_rows_do_not_depend_on_their_neighbours(self, code, kind, placement):
+        """A drawless sweep injects every grid point as one row of one block
+        per side; each row's CSV values are those of its theta swept alone."""
+        config = rotation_config(
+            code=code, placement=placement, logical=GENERIC,
+            theta_grid=(0.01, 0.05, 0.1, 0.3, 1.1, 2.5), **kind,
+        )
+        rows = sweep_theta(config).rows
+        for row in rows:
+            alone = sweep_theta(dataclasses.replace(config, theta_grid=(row.theta,))).rows
+            assert csv_values(alone[0]) == csv_values(row)
+        # One error on a code is corrected, so only the other rows carry a residue.
+        if placement == ALL_QUBITS or code == "uncoded":
+            assert any(row.mean_infid_coded > 0.0 for row in rows)
+        assert any(row.mean_infid_uncoded > 0.0 for row in rows)
 
     @pytest.mark.parametrize(
         "overrides",

@@ -237,6 +237,33 @@ class TestProductBlock:
         _product(H)(block, [0, 3, 1])
         assert block.tobytes() == before
 
+    def test_per_row_operators_round_as_each_row_alone(self):
+        """Each row under its own operator rounds as it does alone, 1-qubit
+        blocks of k > 1 rows included, with or without a row mask."""
+        rng = np.random.default_rng(21)
+        unitaries = [rotation(axis, 0.7) for axis in "xyz"] + [random_unitary(rng)]
+        product = _product(*unitaries)
+        for n in range(1, 8):
+            for k in (2, 3, 8):
+                which = rng.integers(0, len(unitaries), size=k)
+                targets = [*rng.integers(0, n, size=2).tolist(), n - 1, 0]
+                block = np.array([random_state(n, rng).amps for _ in range(k)])
+                rows = np.arange(k) % 2 == 0
+                got = product(block, targets, which=which)
+                masked = product(block.copy(), targets, rows, which)
+                for i, amps in enumerate(block):
+                    alone = _product(unitaries[which[i]])(amps[None], targets)[0]
+                    assert got[i].tobytes() == alone.tobytes()
+                    assert masked[i].tobytes() == (alone if rows[i] else amps).tobytes()
+
+    def test_one_index_names_one_shared_operator(self):
+        rng = np.random.default_rng(22)
+        unitaries = [random_unitary(rng) for _ in range(3)]
+        block = np.array([random_state(4, rng).amps for _ in range(5)])
+        for g, u in enumerate(unitaries):
+            got = _product(*unitaries)(block, [0, 3, 3], which=g)
+            assert got.tobytes() == _product(u)(block, [0, 3, 3]).tobytes()
+
 
 class TestApply1q:
     """``apply_product`` on one target."""
