@@ -32,7 +32,12 @@ block per grid point, so its per-trial buffers stay one grid point long.
 Trial t of grid point g of a placement that draws takes its occupancy
 from ``default_rng(SeedSequence(entropy=seed, spawn_key=(g, t, 0)))``
 (``_trial_rng``), so results do not depend on how trials are scheduled
-and any one trial can be rebuilt alone.
+and any one trial can be rebuilt alone.  A sweep draws those streams as
+arrays, ``_DRAW_TRIALS`` trials at a time (``_trial_occupancies``): the
+SeedSequence words, PCG64 and the Lemire draws of Floyd's algorithm,
+integer for integer as numpy computes them, so every row is the one its
+trial's stream draws.  A trial whose draw numpy would reject and redraw
+is rebuilt alone from ``_trial_rng``.
 """
 from __future__ import annotations
 
@@ -199,6 +204,166 @@ def _trial_rng(seed: int, grid_index: int, trial: int) -> np.random.Generator:
     )
 
 
+# The constants of numpy's SeedSequence hash (a pool of four 32-bit words)
+# and of its default generator, PCG64 (O'Neill, HMC-CS-2014-0905).
+_MASK32 = 0xFFFFFFFF
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+# Trials whose occupancies are drawn as one set of arrays.  Each holds a
+# few hundred bytes (stream state, draws, occupancy and its key), so a
+# chunk's arrays stay near 1 MB.
+_DRAW_TRIALS = 2048
+
+
+def _hash(value, before, after):
+    """SeedSequence's hashmix of ``value`` under the hash constant ``before``
+    and the one it advances to, ``after``, mod 2**32."""
+    value = (value ^ before) * after & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of the pool word ``x`` with the hashed ``y``, mod 2**32."""
+    x = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
+    return x ^ x >> 16
+
+
+def _seed_words(seed: int, grid_index: int, trials: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(grid_index, t, 0)).generate_state(4,
+    np.uint64)`` as row t of a (T, 4) array, for the uint32 ``trials``.
+
+    The hash constants advance alike for every t, so the words of ``seed``
+    and ``grid_index`` mix as Python ints, and t's word and the trailing 0
+    each mix into the four pool words as one (4, T) array operation.
+    """
+    def words(value: int) -> list[int]:
+        return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
+
+    def constants(count: int, mult: int) -> list[int]:
+        """The hash constant and the ``count`` it advances to next."""
+        nonlocal const
+        chain = [const]
+        for _ in range(count):
+            chain.append(const := const * mult & _MASK32)
+        return chain
+
+    def hashmix(value: int) -> int:
+        return _hash(value, *constants(1, _HASH_MULT_A))
+
+    def columns(count: int, mult: int) -> tuple[np.ndarray, np.ndarray]:
+        """``count`` hashmixes' (before, after) constants, as (count, 1) arrays."""
+        chain = np.array(constants(count, mult), np.uint32)[:, None]
+        return chain[:-1], chain[1:]
+
+    entropy = words(seed)
+    # A spawn key pads the seed's words to the pool's four.
+    entropy += [0] * (4 - len(entropy)) + words(grid_index)
+    const = _HASH_INIT_A
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    pool = np.array(pool, np.uint32)[:, None]
+    for word in (trials, 0):
+        pool = _mix(pool, _hash(word, *columns(4, _HASH_MULT_A)))
+    const = _HASH_INIT_B
+    state = _hash(np.concatenate([pool, pool]), *columns(8, _HASH_MULT_B))
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
+    """One step of PCG64's 128-bit LCG, state * multiplier + inc, on
+    (hi, lo) uint64 halves; the high half of lo times the multiplier's
+    low half is summed from 32-bit limbs."""
+    lo0, lo1 = lo & _MASK32, lo >> 32
+    m0, m1 = _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
+    cross0, cross1 = lo0 * m1, lo1 * m0
+    mid = (lo0 * m0 >> 32) + (cross0 & _MASK32) + (cross1 & _MASK32)
+    carry = lo1 * m1 + (cross0 >> 32) + (cross1 >> 32) + (mid >> 32)
+    hi = carry + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + inc_hi
+    lo = lo * _PCG_MULT_LO + inc_lo
+    return hi + (lo < inc_lo), lo
+
+
+def _lemire(words: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lemire's draw of an integer in [0, bound] from each 32-bit word
+    (arXiv:1805.10941), as numpy's ``integers(0, bound + 1)`` makes it
+    for 0 < bound < 2**32 - 1, and where the word falls in the rejection
+    zone, after which numpy would draw another word."""
+    scaled = words * (bound + 1)
+    return scaled >> 32, (scaled & _MASK32) < (_MASK32 - bound) % (bound + 1)
+
+
+def _trial_occupancies(
+    placement: Placement, n: int, seed: int, grid_index: int, trials: range
+) -> np.ndarray:
+    """The (T, n) occupancies the bose_einstein or fermi ``placement``
+    draws on ``n`` qubits for the trials ``trials`` of ``grid_index``:
+    row i is ``resolve_occupancy(placement, n, _trial_rng(seed,
+    grid_index, trials[i]))`` byte for byte.
+
+    Every trial's stream is computed at once: its SeedSequence words
+    (``_seed_words``), then PCG64 seeded from them and stepped on every
+    trial together, whose XSL-RR outputs hand out their low 32 bits, then
+    their high ones, to Floyd's draws (``_lemire``; a bound of 0 takes no
+    word).  A trial whose draw is rejected, and every trial of a
+    placement with a bound numpy draws by another route, is rebuilt from
+    ``_trial_rng``, so that stream remains the one definition of a trial.
+    """
+    k = placement.n_errors
+    pool = n + k - 1 if placement.rule == "bose_einstein" else n
+    count = len(trials)
+    if pool > _MASK32 or trials.stop > _MASK32 + 1:
+        rebuild = np.ones(count, dtype=bool)
+        occupancies = np.empty((count, n), dtype=np.int64)
+    else:
+        t = np.arange(trials.start, trials.stop, dtype=np.uint32)
+        seed_hi, seed_lo, seq_hi, seq_lo = _seed_words(seed, grid_index, t).T
+        # pcg64_set_seed: inc = initseq << 1 | 1, a step from state 0, add the seed, step.
+        inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+        lo = inc_lo + seed_lo
+        hi, lo = _pcg_step(inc_hi + seed_hi + (lo < seed_lo), lo, inc_hi, inc_lo)
+        rebuild = np.zeros(count, dtype=bool)
+        # Floyd's picks so far, and each trial's row of slots they have taken.
+        chosen, taken = [], np.zeros(count * pool, dtype=bool)
+        rows, used = np.arange(0, count * pool, pool), 0  # used: the 32-bit words drawn
+        for j in range(pool - k, pool):
+            if not j:
+                draw = np.zeros(count, dtype=np.intp)  # a bound of 0 takes no word
+            else:
+                if used % 2 == 0:
+                    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+                    mixed, turn = hi ^ lo, hi >> 58
+                    output = mixed >> turn | mixed << (64 - turn & 63)
+                    word = output & _MASK32
+                else:
+                    word = output >> 32
+                used += 1
+                draw, missed = _lemire(word, j)
+                draw = draw.astype(np.intp)
+                rebuild |= missed
+            # A draw already chosen gives way to j.
+            pick = np.where(taken.take(rows + draw), j, draw)
+            taken.put(rows + pick, True)
+            chosen.append(pick)
+        cells = np.sort(np.array(chosen, dtype=np.intp).reshape(k, count).T, axis=1)
+        if placement.rule == "bose_einstein":
+            cells -= np.arange(k)  # stars and bars: star i in slot p sits in cell p - i
+        cells += np.arange(count)[:, None] * n
+        occupancies = np.bincount(cells.ravel(), minlength=count * n).astype(np.int64, copy=False)
+        occupancies = occupancies.reshape(count, n)
+    for i in np.flatnonzero(rebuild).tolist():
+        rng = _trial_rng(seed, grid_index, trials[i])
+        occupancies[i] = resolve_occupancy(placement, n, rng)
+    return occupancies
+
+
 def _leaves(a0: np.ndarray, a1: np.ndarray, weight: np.ndarray, logical: LogicalQubit):
     """The floored infidelity |b_s|^2 / p_s recovery leaves on each outcome s
     of the ``_overlaps`` (a_0, a_1, p_s) with p_s > 0, row after row; b_s =
@@ -291,6 +456,10 @@ def sweep_theta(config: ExperimentConfig) -> SweepResult:
     if sampled:
         inverse = np.empty(config.trials, dtype=np.intp)
         moments = np.empty((3, config.trials))
+        # Trials drawn at a time; each takes a byte per Floyd slot, of which
+        # a bose_einstein placement has n + n_errors - 1, so a huge count
+        # draws fewer at a time.
+        step = max(1, min(_DRAW_TRIALS, _BLOCK_BYTES // (n + config.placement.n_errors)))
     inject = _injector(*(model_for(config, theta) for theta in config.theta_grid))
     grid = np.arange(len(config.theta_grid))
 
@@ -305,10 +474,14 @@ def sweep_theta(config: ExperimentConfig) -> SweepResult:
         for grid_index in grid.tolist():
             # Each trial's occupancy, as the index of the distinct one it is.
             distinct: dict[bytes, int] = {}
-            for t in range(config.trials):
-                rng = _trial_rng(config.seed, grid_index, t)
-                key = resolve_occupancy(config.placement, n, rng).tobytes()
-                inverse[t] = distinct.setdefault(key, len(distinct))
+            for lo in range(0, config.trials, step):
+                trials = range(config.trials)[lo:lo + step]
+                drawn = _trial_occupancies(config.placement, n, config.seed, grid_index, trials)
+                raw, width = drawn.tobytes(), drawn.itemsize * n
+                inverse[lo:lo + step] = [
+                    distinct.setdefault(raw[i:i + width], len(distinct))
+                    for i in range(0, len(raw), width)
+                ]
             occupancies = np.frombuffer(b"".join(distinct), dtype=np.int64).reshape(-1, n)
             entries = np.array(_kernel(inject, *coded_side, occupancies, grid_index))
             np.take(entries, inverse, axis=1, out=moments)

@@ -29,9 +29,12 @@ from qeclab.experiments import (
     ConfigError,
     ExperimentConfig,
     SweepRow,
+    _DRAW_TRIALS,
     _bare_qubit_placement,
     _kernel,
+    _lemire,
     _moments,
+    _trial_occupancies,
     _trial_rng,
     fit_power_law,
     model_for,
@@ -305,6 +308,56 @@ class TestTrialStreams:
         with pytest.raises(ValueError):
             _trial_rng(-1, 0, 0)
 
+    # fermi n = N starts Floyd's draws at a bound of 0, which takes no word.
+    PLACEMENTS = [(Placement.fermi(k), 9) for k in range(1, 10)] + [
+        (Placement.bose_einstein(1), 1),
+        (Placement.bose_einstein(3), 1),
+        (Placement.bose_einstein(2), 9),
+        (Placement.bose_einstein(9), 13),
+    ]
+
+    @staticmethod
+    def assert_rows_are_the_streams(placement, n, seed, grid_index, trials):
+        rows = _trial_occupancies(placement, n, seed, grid_index, trials)
+        expected = [
+            resolve_occupancy(placement, n, reference_rng(seed, (grid_index, t, 0)))
+            for t in trials
+        ]
+        assert rows.shape == (len(trials), n)
+        assert [row.tobytes() for row in rows] == [row.tobytes() for row in expected]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_trial_occupancies_are_the_trials_streams(self, seed):
+        """Each drawn row is the occupancy its trial's own stream draws,
+        byte for byte, also for a range that starts inside a later chunk."""
+        later = range(2 * _DRAW_TRIALS - 13, 2 * _DRAW_TRIALS + 17)
+        for grid_index in (0, 6, 300):
+            for placement, n in self.PLACEMENTS:
+                for trials in (range(30), later):
+                    self.assert_rows_are_the_streams(placement, n, seed, grid_index, trials)
+
+    def test_trials_past_32_bits_take_the_scalar_route(self):
+        """A trial index of two words changes the seed's entropy length;
+        such trials are rebuilt from their own streams."""
+        trials = range(2**32 - 2, 2**32 + 2)
+        self.assert_rows_are_the_streams(Placement.bose_einstein(2), 9, 5, 1, trials)
+
+    @pytest.mark.parametrize("bound", [1, 5, 6, 2**31, 2**32 - 2])
+    def test_lemire_rejects_exactly_below_the_threshold(self, bound):
+        """A word is rejected exactly when the low half of word * (bound + 1)
+        is below (2**32 - 1 - bound) mod (bound + 1); otherwise its draw is
+        the high half."""
+        excl = bound + 1
+        threshold = (2**32 - 1 - bound) % excl
+        words = [0, 1, 2, 3, 2**31, 2**32 - 1, 0x9E3779B9]
+        if excl % 2:  # the words whose low half lands on either side of the threshold
+            inverse = pow(excl, -1, 2**32)
+            words += [low * inverse % 2**32 for low in (threshold - 1, threshold, threshold + 1)]
+        draws, rejected = _lemire(np.array(words, dtype=np.uint64), bound)
+        assert draws.tolist() == [w * excl >> 32 for w in words]
+        assert rejected.tolist() == [(w * excl) % 2**32 < threshold for w in words]
+        assert any(rejected) == (threshold > 0)
+
 
 class TestSweepTheta:
     def test_same_seed_is_bit_identical(self):
@@ -378,24 +431,54 @@ class TestSweepTheta:
         assert_draws_nothing(projected, 1)
 
     def test_sweep_derives_one_uncoded_stream_per_grid_point(self, monkeypatch):
-        """A placement that draws derives exactly its ``trials`` coded keys
-        per grid point, in order, and no uncoded key (the baseline draws
-        nothing)."""
-        keys = []
-
-        def counting(seed, *key):
-            keys.append((seed, key))
-            return _trial_rng(seed, *key)
-
-        monkeypatch.setattr(qeclab.experiments, "_trial_rng", counting)
+        """A placement that draws draws exactly its ``trials`` coded keys per
+        grid point, each once, in trial order across chunks, and no uncoded
+        key (the baseline draws nothing); no trial here needs its scalar
+        stream, and the chunking leaves the rows as they are."""
         config = rotation_config(
             placement=Placement.fermi(2), theta_grid=(0.02, 0.08, 0.3), trials=12, seed=9
         )
-        sweep_theta(config)
+        expected = repr(sweep_theta(config))
+        keys, rebuilt = [], []
+
+        def counting(placement, n, seed, grid_index, trials):
+            keys.extend((seed, (grid_index, t)) for t in trials)
+            return _trial_occupancies(placement, n, seed, grid_index, trials)
+
+        monkeypatch.setattr(qeclab.experiments, "_trial_occupancies", counting)
+        monkeypatch.setattr(qeclab.experiments, "_trial_rng", lambda *key: rebuilt.append(key))
+        monkeypatch.setattr(qeclab.experiments, "_DRAW_TRIALS", 5)
+        assert repr(sweep_theta(config)) == expected
         assert keys == [
             (config.seed, (g, t))
             for g in range(len(config.theta_grid)) for t in range(config.trials)
         ]
+        assert rebuilt == []
+
+    def test_a_rejected_trial_is_rebuilt_from_its_own_stream(self, monkeypatch):
+        """A trial whose Lemire draw is rejected is recomputed alone from
+        ``_trial_rng``, so the rows do not move, whatever the array draw
+        made of it."""
+        config = rotation_config(
+            code="shor9", placement=Placement.bose_einstein(2), logical=GENERIC,
+            theta_grid=(0.05, 0.8), trials=40, seed=6,
+        )
+        expected = repr(sweep_theta(config))
+        rebuilt = []
+
+        def rejecting(words, bound):
+            draws, rejected = _lemire(words, bound)
+            draws[3], rejected[3] = 0, True  # a wrong draw, which the flag disowns
+            return draws, rejected
+
+        def counting(seed, *key):
+            rebuilt.append(key)
+            return _trial_rng(seed, *key)
+
+        monkeypatch.setattr(qeclab.experiments, "_lemire", rejecting)
+        monkeypatch.setattr(qeclab.experiments, "_trial_rng", counting)
+        assert repr(sweep_theta(config)) == expected
+        assert rebuilt == [(g, 3) for g in range(len(config.theta_grid))]
 
     def test_trials_are_schedule_independent(self):
         """Recomputing trials out of order reproduces the sweep exactly."""
@@ -521,15 +604,15 @@ class TestSweepTheta:
             assert all(0.0 < row.mean_infid_coded < 1.0 and row.std_coded > 0.0 for row in rows)
 
     def test_sweep_derives_its_streams_in_one_pass(self, monkeypatch):
-        """A placement that draws derives each trial's stream once per sweep;
-        the criterion-4 grid, which draws nothing, derives none."""
+        """A placement that draws draws each trial's occupancy once per sweep;
+        the criterion-4 grid, which draws nothing, draws none."""
         keys = []
 
-        def counting(seed, *key):
-            keys.append(key)
-            return _trial_rng(seed, *key)
+        def counting(placement, n, seed, grid_index, trials):
+            keys.extend((grid_index, t) for t in trials)
+            return _trial_occupancies(placement, n, seed, grid_index, trials)
 
-        monkeypatch.setattr(qeclab.experiments, "_trial_rng", counting)
+        monkeypatch.setattr(qeclab.experiments, "_trial_occupancies", counting)
         config = rotation_config(theta_grid=tuple(np.geomspace(1e-3, 1e-1, 7)), trials=20)
         sweep_theta(config)
         assert keys == []

@@ -82,11 +82,6 @@ def dense_probability(state: StateVector, ops: str, sign: int) -> float:
     return float(np.vdot(projected, projected).real)
 
 
-def random_unitary(rng: np.random.Generator) -> np.ndarray:
-    q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-    return q
-
-
 class TestStateVector:
     @pytest.mark.parametrize("n", [0, 15])
     def test_rejects_qubit_count_out_of_range(self, n):
