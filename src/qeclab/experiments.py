@@ -14,7 +14,12 @@ At each grid point ``sweep_theta`` draws every trial's occupancy, then
 evaluates the distinct ones as one block (``_kernel``): the block is
 injected one qubit layer at a time, each layer one matrix product over
 the rows it touches, and its overlaps are read by one einsum per slice
-of rows.  A block's rows round exactly as each row alone does.
+of rows.  An error on the qubits Q moves the codewords' kets only by
+flips inside Q, so a row reaches only the outcomes with a ket there; the
+others have overlaps exactly 0 and weight 0, are never measured, and a
+block with few reached (row, outcome) pairs reads only those, by the
+same sums of products (``_overlaps``).  A block's rows round exactly as
+each row alone does.
 Each entry carries its variance over syndrome outcomes: a row's
 ``std_coded`` is the population std of one trial's infidelity, by the law
 of total variance.  A placement with no error count draws nothing; its
@@ -375,16 +380,19 @@ def _leaves(a0: np.ndarray, a1: np.ndarray, weight: np.ndarray, logical: Logical
     return leaf
 
 
-def _moments(block: np.ndarray, table, logical: LogicalQubit) -> tuple[list, list]:
+def _moments(
+    block: np.ndarray, table, logical: LogicalQubit, touched=None
+) -> tuple[list, list]:
     """Exact mean and variance over syndrome outcomes of each row's ``_leaves``.
 
     Outcomes of weight 0 are never measured and are skipped: each row's
     sums are dots over its reached outcomes alone, which round as they do
     for the row on its own.  The variance is summed around the mean: a
     difference of raw moments would leave ~1e-8 of rounding where every
-    outcome leaves the same infidelity.
+    outcome leaves the same infidelity.  ``touched`` is passed to
+    ``_overlaps``: each row's qubit mask, if the rows are injected codewords.
     """
-    a0, a1, weight = _overlaps(block, table)
+    a0, a1, weight = _overlaps(block, table, touched)
     leaf = _leaves(a0, a1, weight, logical)  # every row's reached outcomes, row after row
     reached = weight > 0.0
     # Where each row's reached outcomes end; a single row's are all there are.
@@ -411,7 +419,9 @@ def _kernel(
     grid points ``which`` names (one for every row, or one per row), and
     their supports right after injection.  Rows are injected and summed in
     blocks of at most ``_BLOCK_BYTES`` of amplitudes; a block rounds as its
-    rows alone do.
+    rows alone do.  ``encoded`` is a state of the table's code, so each
+    row's overlaps need only the outcomes an error on its occupied qubits
+    can reach (``_overlaps``).
     """
     step = max(1, _BLOCK_BYTES // encoded.amps.nbytes)
     means, variances, supports = [], [], []
@@ -420,7 +430,11 @@ def _kernel(
         block = inject(
             encoded, occupancies[rows], which if isinstance(which, int) else which[rows]
         )
-        block_means, block_variances = _moments(block, table, logical)
+        occupied = occupancies[rows] > 0
+        # Rows that all touch every qubit can reach every outcome: no lookup.
+        # Otherwise each row's mask of occupied qubits, qubit 0 the top bit.
+        touched = None if occupied.all() else occupied @ (1 << np.arange(encoded.n_qubits)[::-1])
+        block_means, block_variances = _moments(block, table, logical, touched)
         means += block_means
         variances += block_variances
         supports += support_mask(block, SUPPORT_THRESHOLD).sum(axis=1).tolist()

@@ -22,6 +22,7 @@ from qeclab.experiments import _leaves
 from qeclab.statevec import (
     StateVector,
     _pauli_action,
+    _product,
     apply_pauli_string,
     apply_product,
     fidelity,
@@ -420,19 +421,54 @@ class TestExtractSyndrome:
     @pytest.mark.parametrize("name", CODE_NAMES)
     def test_overlaps_of_a_block_match_each_row_alone(self, name, monkeypatch):
         """Row r of a block's overlaps and weights has the bits of row r read
-        alone, whether the block's gather is one slice of rows or several."""
+        alone, whether the block's gather is one slice of rows or several,
+        and whether every outcome is read or, given a qubit mask per row,
+        only the (row, outcome) pairs each mask reaches."""
         code = get_code(name)
         rng = np.random.default_rng(7)
         n = code.n_physical
         block = rng.standard_normal((20, 1 << n)) + 1j * rng.standard_normal((20, 1 << n))
         block /= np.linalg.norm(block, axis=1, keepdims=True)
-        alone = [_overlaps(amps[None], code._syndromes) for amps in block]
-        for budget in (1, qeclab.codes._GATHER_BYTES, 1 << 30):  # 1 row, some, all at once
-            monkeypatch.setattr(qeclab.codes, "_GATHER_BYTES", budget)
-            got = _overlaps(block, code._syndromes)
-            for r, row in enumerate(alone):
-                for part, want in zip(got, row):
-                    assert part[r].tobytes() == want[0].tobytes()
+        monkeypatch.setattr(qeclab.codes, "_PAIR_SHARE", 2.0)  # a mask takes the pair path
+        budgets = (1, qeclab.codes._GATHER_BYTES, 1 << 30)  # 1 row or pair, some, all at once
+        for touched in (None, rng.integers(0, 1 << n, (20, 1))):
+            alone = [
+                _overlaps(amps[None], code._syndromes, None if touched is None else touched[r])
+                for r, amps in enumerate(block)
+            ]
+            for budget in budgets:
+                monkeypatch.setattr(qeclab.codes, "_GATHER_BYTES", budget)
+                got = _overlaps(block, code._syndromes, None if touched is None else touched[:, 0])
+                for r, row in enumerate(alone):
+                    for part, want in zip(got, row):
+                        assert part[r].tobytes() == want[0].tobytes()
+
+    @pytest.mark.parametrize("name", CODE_NAMES)
+    def test_reach_holds_every_outcome_an_error_reaches(self, name, monkeypatch):
+        """Inject a random non-diagonal unitary on exactly the qubits of each
+        mask into |0_L>, |1_L> and a generic state: every outcome of weight
+        > 0 is one the mask reaches, and the overlaps read through the
+        reach are the dense ones byte for byte, the unreached written 0."""
+        monkeypatch.setattr(qeclab.codes, "_PAIR_SHARE", 2.0)  # every block takes the pair path
+        code = get_code(name)
+        n, table = code.n_physical, code._syndromes
+        masks = np.arange(1 << n)
+        touches = (masks[:, None] >> np.arange(n)[::-1] & 1).astype(bool)  # qubit 0 is the top bit
+        rng = np.random.default_rng(11)
+        u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        assert np.abs(u).min() > 0.1
+        product = _product(u)
+        reached = np.zeros((len(masks), len(table.index)), dtype=bool)
+        for row, hits in enumerate(qeclab.codes._reached(table, masks)):
+            reached[row, hits] = True
+        for logical in (LogicalQubit(1.0, 0.0), LogicalQubit(0.0, 1.0), GENERIC_LOGICAL):
+            block = np.repeat(code.encoder(logical).amps[None], len(masks), axis=0)
+            for q in range(n):
+                block = product(block, [q], touches[:, q])
+            dense = _overlaps(block, table)
+            assert not dense[2][~reached].any()
+            for got, want in zip(_overlaps(block, table, masks), dense):
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", ["steane7", "shor9"])
     def test_rare_outcome_weight_is_free_of_cancellation(self, name):

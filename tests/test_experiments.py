@@ -784,6 +784,83 @@ class TestBlockSweep:
         assert repr(sweep_theta(config).rows) == repr(tuple(rows))
 
 
+def _path_configs() -> list[ExperimentConfig]:
+    """Every placement rule on each code (fermi at every count), under x and
+    y rotations, a general unitary and, where the bare qubit stacks nothing,
+    decay."""
+    kinds = [
+        dict(axis="x"),
+        dict(axis="y"),
+        dict(error_kind="general_unitary", general=GeneralErrorParams(0.3, complex(0.1, 0.2))),
+        dict(error_kind="decay", decay_rate=0.8),
+    ]
+    configs = []
+    for code in ("steane7", "shor9", "uncoded"):
+        n = get_code(code).n_physical
+        placements = [ALL_QUBITS, Placement.fixed([0])]
+        placements += [Placement.fixed([0, n - 1])] if n > 1 else []
+        placements += [Placement.fermi(k) for k in range(1, n + 1)]
+        placements += [Placement.bose_einstein(k) for k in (1, 2, 3)]
+        for placement in placements:
+            for kind in kinds:
+                stacks = len(_bare_qubit_placement(placement).qubits) > 1
+                if kind.get("error_kind") == "decay" and stacks:
+                    continue  # decay refuses errors stacked on the bare qubit
+                configs.append(rotation_config(
+                    code=code, placement=placement, logical=GENERIC,
+                    theta_grid=(0.1, 0.7), trials=30, seed=3, **kind,
+                ))
+    return configs
+
+
+class TestOverlapPaths:
+    """``_overlaps`` reads either every (row, outcome) pair or only those a
+    row's qubit mask reaches; which one a block takes must move no row."""
+
+    def test_both_paths_give_the_same_rows(self, monkeypatch):
+        configs = _path_configs()
+        assert len(configs) >= 100
+        rows = {}
+        for path, share in (("pairs", 2.0), ("dense", 0.0)):
+            monkeypatch.setattr(qeclab.codes, "_PAIR_SHARE", share)
+            rows[path] = [repr(sweep_theta(config)) for config in configs]
+        for config, pairs, dense in zip(configs, rows["pairs"], rows["dense"]):
+            assert pairs == dense, config
+
+    def test_a_reach_missing_an_outcome_moves_a_row(self, monkeypatch):
+        """The comparison above catches a reach that is too small.  In a copy
+        of shor9's table, drop the flips that let qubit 0 reach the outcome
+        Y_0 is corrected on: the overlaps of a fixed:0 y rotation change
+        there.  One error is corrected exactly, so that row's infidelity
+        cannot show it; drop the flips that let qubits 0 and 1 reach X_2's
+        outcome, where X_0 X_1 lands and leaves X_0 X_1 X_2, a logical error,
+        and the fixed:0,1 sweep row changes."""
+        monkeypatch.setattr(qeclab.codes, "_PAIR_SHARE", 2.0)
+        code = get_code("shor9")
+        table, corrections = code._syndromes, list(code.recovery_table.values())
+
+        def without(correction: str, mask: int):
+            flips = table.flips.copy()
+            row = flips[corrections.index(correction)]
+            row[(row & ~mask) == 0] = (1 << code.n_physical) - 1
+            return table._replace(flips=flips)
+
+        config = rotation_config(
+            code="shor9", placement=Placement.fixed([0]), logical=GENERIC, theta_grid=(0.7,)
+        )
+        occupancy = resolve_occupancy(config.placement, code.n_physical, None)
+        block = _injector(model_for(config, 0.7))(code.encoder(GENERIC), occupancy[None])
+        touched = np.array([1 << code.n_physical - 1])
+        y0 = corrections.index("YIIIIIIII")
+        assert _overlaps(block, table, touched)[2][0, y0] > 0.0
+        assert _overlaps(block, without("YIIIIIIII", touched[0]), touched)[2][0, y0] == 0.0
+
+        config = dataclasses.replace(config, placement=Placement.fixed([0, 1]))
+        want = repr(sweep_theta(config))
+        monkeypatch.setitem(vars(code), "_syndromes", without("IIXIIIIII", 0b110000000))
+        assert repr(sweep_theta(config)) != want
+
+
 class TestMoments:
     """``_moments`` against the dense oracle, and against sampled shots."""
 
