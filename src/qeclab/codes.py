@@ -3,8 +3,9 @@ Steane 7-qubit codes, plus an uncoded single-qubit baseline.
 
 A code is its definition: its stabilizers and its logical Z and X,
 written down once in ``_CODE_DEFINITIONS``.  ``CodeSpec`` checks a
-definition and derives the rest when it is built.  The codewords project
-|0...0> onto the code space instead of running gate circuits, and their
+definition and derives the rest, from each string's (x, z) bit masks
+(``statevec._masks``), when it is built.  The codewords project |0...0>
+onto the code space instead of running gate circuits, and their
 amplitudes are set exactly (1/sqrt 8 on 8 kets per logical basis state
 for either code), so they are bit-exact and circuit bugs are out of the
 blast radius.
@@ -17,14 +18,16 @@ overlaps <R_s v_L|psi> (``_overlaps``).  ``_draw_syndrome`` measures one
 outcome from their weights, and the sweep kernel sums over all of them,
 reading only the outcomes an error on a row's qubits can reach.
 
-Recovery tables are built at construction time by sweeping error patterns
+Recovery tables are built at construction time by sweeping error masks
 in order of increasing weight, separately for the X sector (flagged by
-Z-type stabilizers) and the Z sector (flagged by X-type stabilizers).
-That makes every table total over the full syndrome space and minimum
-weight within each sector, and it agrees with a plain single-Pauli sweep
-wherever one applies.  Degenerate syndromes resolve to the first (lowest
-weight) representative; correctness is judged by logical fidelity, not by
-matching a particular Pauli.
+Z-type stabilizers, whose x mask is 0) and the Z sector (flagged by
+X-type stabilizers, whose z mask is 0); a stabilizer's bit is the parity
+of the error mask on its mask.  That makes every table total over the
+full syndrome space and minimum weight within each sector, and it agrees
+with a plain single-Pauli sweep wherever one applies.  Degenerate
+syndromes resolve to the first (lowest weight) representative;
+correctness is judged by logical fidelity, not by matching a particular
+Pauli.
 """
 
 from __future__ import annotations
@@ -39,13 +42,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .statevec import (
-    MAX_QUBITS,
-    StateVector,
-    _PAULI_LABELS,
-    _norm_sq,
-    _pauli_action,
-)
+from .statevec import MAX_QUBITS, StateVector, _masks, _norm_sq, _pauli_action
 
 _NORM_INPUT_TOL = 1e-8
 _NORM_EXACT_TOL = 1e-12
@@ -95,9 +92,10 @@ class CodeSpec:
     """A code with one logical qubit, defined by its stabilizers (Z-type
     first, then X-type) and its logical Z and X, each a string of n letters
     over IXYZ.  The constructor refuses a definition that is not one, and
-    derives the rest: the qubit count n, the read-only codewords
-    (|0_L>, |1_L>), the total recovery table, and, on first use, the
-    syndrome table.
+    derives the rest, from the strings' (x, z) masks: the qubit count n,
+    the read-only codewords (|0_L>, |1_L>), the total recovery table, and,
+    on first use, the syndrome table, which gathers each correction on the
+    codewords' kets alone.
 
     |0_L> is |0...0> projected onto the +1 eigenspace of ``logical_z`` and
     of every stabilizer.  A stabilizer state's amplitudes share one modulus,
@@ -115,18 +113,18 @@ class CodeSpec:
 
     def __post_init__(self) -> None:
         name, stabilizers, n = self.name, self.stabilizers, len(self.logical_z)
-        for ops in (*stabilizers, self.logical_z, self.logical_x):
-            if len(ops) != n or set(ops) - _PAULI_LABELS:
-                raise ValueError(f"{name}: {ops!r} is not {n} letters over IXYZ")
+        *checks, z_bar, x_bar = (
+            _code_masks(name, n, ops) for ops in (*stabilizers, self.logical_z, self.logical_x)
+        )
         if not 1 <= n <= MAX_QUBITS:
             raise ValueError(f"{name}: a code needs 1 to {MAX_QUBITS} qubits, got {n}")
-        for label, logical in (("logical Z", self.logical_z), ("logical X", self.logical_x)):
-            for stabilizer in stabilizers:
-                if not pauli_strings_commute(logical, stabilizer):
-                    raise ValueError(
-                        f"{name}: {label} {logical} anticommutes with stabilizer {stabilizer}"
-                    )
-        if pauli_strings_commute(self.logical_z, self.logical_x):
+        # Every pair of the strings commutes but logical Z and X, taken first.
+        named = [("logical Z", self.logical_z, z_bar), ("logical X", self.logical_x, x_bar)]
+        named += [("stabilizer", ops, masks) for ops, masks in zip(stabilizers, checks)]
+        for (label, a, p), (other, b, q) in list(combinations(named, 2))[1:]:
+            if not _commute(p, q):
+                raise ValueError(f"{name}: {label} {a} anticommutes with {other} {b}")
+        if _commute(z_bar, x_bar):
             raise ValueError(
                 f"{name}: logical Z {self.logical_z} commutes with logical X {self.logical_x}"
             )
@@ -136,10 +134,11 @@ class CodeSpec:
                 f"{name}: {n} qubits need {n - 1} stabilizers to leave one logical "
                 f"qubit, got {len(stabilizers)}"
             )
+        kets = np.arange(1 << n)
         projected = np.zeros(1 << n)
         projected[0] = 1.0
-        for ops in (self.logical_z, *stabilizers):  # each (I + P) is exact on integers
-            src, phases = _pauli_action(n, ops)
+        for x, z in (z_bar, *checks):  # each (I + P) is exact on integers
+            src, phases = _pauli_action(x, z, kets)
             projected = projected + phases * projected[src]
         support = projected != 0
         if not support.any():
@@ -147,12 +146,12 @@ class CodeSpec:
         v0 = np.zeros(1 << n, dtype=np.complex128)
         phase = projected[support] / np.abs(projected[support])
         v0[support] = phase * (1.0 / math.sqrt(np.count_nonzero(support)))
-        src, phases = _pauli_action(n, self.logical_x)
+        src, phases = _pauli_action(*x_bar, kets)
         v1 = phases * v0[src] + 0.0  # + 0.0 turns the -0.0 of a -1 phase into 0.0
         v0.flags.writeable = v1.flags.writeable = False
         object.__setattr__(self, "n_physical", n)
         object.__setattr__(self, "codewords", (v0, v1))
-        object.__setattr__(self, "recovery_table", _build_recovery_table(n, stabilizers))
+        object.__setattr__(self, "recovery_table", _build_recovery_table(n, checks))
 
     def encoder(self, logical: LogicalQubit) -> StateVector:
         """alpha |0_L> + beta |1_L>."""
@@ -162,18 +161,19 @@ class CodeSpec:
     @cached_property
     def _syndromes(self) -> _SyndromeTable:
         """The code's one syndrome table, built on first use and kept."""
+        supports = [np.flatnonzero(v) for v in self.codewords]
         index, bras = [], []
         for correction in self.recovery_table.values():
-            src, phases = _pauli_action(self.n_physical, correction)
-            for v in self.codewords:
-                image = phases * v[src]
-                support = np.flatnonzero(image)
-                index.append(support)
-                bras.append(image[support].conj())
+            x, z = _masks(correction)
+            for v, support in zip(self.codewords, supports):
+                kets = np.sort(support ^ x)  # the support of R_s v
+                src, phases = _pauli_action(x, z, kets)
+                index.append(kets)
+                bras.append((phases * v[src]).conj())
         rows = np.argsort([int("0" + key, 2) for key in self.recovery_table])
         shape = (len(self.recovery_table), 2, -1)
         index, bras = np.reshape(index, shape), np.reshape(bras, shape)
-        base = np.flatnonzero((self.codewords[0] != 0) | (self.codewords[1] != 0))
+        base = np.union1d(*supports)
         flips = (index.reshape(len(index), -1, 1) ^ base).reshape(len(index), -1)
         for array in (rows, index, bras, flips):
             array.flags.writeable = False
@@ -185,50 +185,53 @@ class CodeSpec:
 # ---------------------------------------------------------------------------
 
 def pauli_strings_commute(a: str, b: str) -> bool:
-    """Symplectic test: strings commute iff they clash on an even count."""
-    clashes = sum(
-        1 for x, y in zip(a, b) if x != "I" and y != "I" and x != y
-    )
-    return clashes % 2 == 0
+    """Whether two Pauli strings of one length commute."""
+    if len(a) != len(b):
+        raise ValueError(f"Pauli strings {a!r} and {b!r} differ in length")
+    return _commute(_masks(a), _masks(b))
 
 
-def _support(pauli: str) -> frozenset[int]:
-    return frozenset(i for i, op in enumerate(pauli) if op != "I")
+def _commute(p: tuple[int, int], q: tuple[int, int]) -> bool:
+    """Symplectic test: (x, z) masks commute iff they clash on an even count."""
+    return ((p[0] & q[1]) ^ (p[1] & q[0])).bit_count() % 2 == 0
 
 
-def _min_weight_patterns(
-    n: int, detector_supports: list[frozenset[int]]
-) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Lowest-weight error pattern for every syndrome of one CSS sector."""
-    want = 1 << len(detector_supports)
-    found: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for weight in range(n + 1):
-        for subset in combinations(range(n), weight):
-            cells = set(subset)
-            syndrome = tuple(len(cells & sup) & 1 for sup in detector_supports)
-            found.setdefault(syndrome, subset)
+def _code_masks(name: str, n: int, ops: str) -> tuple[int, int]:
+    """The masks of one of a code's n-letter strings, or its refusal."""
+    try:
+        if len(ops) == n:
+            return _masks(ops)
+    except ValueError:
+        pass
+    raise ValueError(f"{name}: {ops!r} is not {n} letters over IXYZ")
+
+
+def _min_weight_patterns(n: int, detectors: list[int]) -> dict[tuple[int, ...], int]:
+    """Lowest-weight error mask for every syndrome of one CSS sector, by
+    weight and then from qubit 0 on (down from the largest mask)."""
+    want = 1 << len(detectors)
+    found: dict[tuple[int, ...], int] = {}
+    for error in sorted(range(1 << n), key=lambda e: (e.bit_count(), -e)):
+        found.setdefault(tuple((error & d).bit_count() & 1 for d in detectors), error)
         if len(found) == want:
             return found
     raise ValueError("stabilizers are not independent: they do not span their syndrome space")
 
 
-def _build_recovery_table(n: int, stabilizers: tuple[str, ...]) -> Mapping[str, str]:
-    z_type = [s for s in stabilizers if set(s) <= {"I", "Z"}]
-    x_type = [s for s in stabilizers if set(s) <= {"I", "X"}]
-    if list(stabilizers) != z_type + x_type:
+def _build_recovery_table(n: int, stabilizers: list[tuple[int, int]]) -> Mapping[str, str]:
+    z_type = [(x, z) for x, z in stabilizers if not x]
+    x_type = [(x, z) for x, z in stabilizers if not z]
+    if stabilizers != z_type + x_type:
         raise ValueError("stabilizers must be CSS: Z-type (I/Z) ones first, then X-type (I/X)")
-    for a, b in combinations(stabilizers, 2):
-        if not pauli_strings_commute(a, b):
-            raise ValueError(f"stabilizers {a} and {b} do not commute")
     # Z-type stabilizers flag X errors and vice versa.
-    x_patterns = _min_weight_patterns(n, [_support(s) for s in z_type])
-    z_patterns = _min_weight_patterns(n, [_support(s) for s in x_type])
+    x_patterns = _min_weight_patterns(n, [z for _, z in z_type])
+    z_patterns = _min_weight_patterns(n, [x for x, _ in x_type])
     table: dict[str, str] = {}
-    for syn_z, x_cells in x_patterns.items():
-        for syn_x, z_cells in z_patterns.items():
+    for syn_z, x in x_patterns.items():
+        for syn_x, z in z_patterns.items():
             key = "".join(map(str, syn_z + syn_x))
-            # X on the X cells, Z on the Z cells, Y on both.
-            table[key] = "".join("IZXY"[2 * (q in x_cells) + (q in z_cells)] for q in range(n))
+            # X on the x bits, Z on the z bits, Y on both; qubit 0 is the top bit.
+            table[key] = "".join("IZXY"[2 * (x >> q & 1) + (z >> q & 1)] for q in range(n)[::-1])
     return MappingProxyType(table)
 
 

@@ -16,9 +16,11 @@ callers can hold disjoint streams.
 The one constructor copies its input and checks its shape and
 finiteness; it does not check the norm.  ``_product`` validates its
 operators once and applies them to a block of states, one shared or one
-per row, one matrix product per target.  A Pauli string acts as a gather (``_pauli_action``).
-Measurement and recovery are not register operations: ``codes`` reads
-them off overlaps.
+per row, one matrix product per target.  ``_masks`` is the one parser of
+a Pauli string, into (x, z) bit masks that every Pauli computation here
+and in ``codes`` works on; masks act as a gather on the kets asked for
+(``_pauli_action``).  Measurement and recovery are not register
+operations: ``codes`` reads them off overlaps.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ MAX_QUBITS = 14
 # drift that accumulated rounding may leave on invariants.
 UNITARY_INPUT_TOL = 1e-8
 
-_PAULI_LABELS = frozenset("IXYZ")
 _EYE2 = np.eye(2)
 
 
@@ -137,30 +138,25 @@ def apply_product(state: StateVector, u: np.ndarray, targets: Iterable[int]) -> 
     return StateVector(state.n_qubits, _product(u)(state.amps[None], targets).reshape(-1))
 
 
-def _pauli_action(n_qubits: int, ops: str) -> tuple[np.ndarray, np.ndarray]:
-    """Source indices and phases realizing a Pauli string as a gather.
+def _masks(ops: str) -> tuple[int, int]:
+    """The (x, z) bit masks of the Pauli string ``ops``, qubit 0 the top
+    bit: X sets a qubit's x bit, Z its z bit, and Y both."""
+    x = z = 0
+    for letter in ops:
+        if letter not in ("I", "X", "Y", "Z"):
+            raise ValueError(f"Pauli string must be over I/X/Y/Z, got {ops!r}")
+        x, z = 2 * x + (letter in "XY"), 2 * z + (letter in "YZ")
+    return x, z
 
-    For P = prod_i P_i the action on amplitudes is
-    ``(P psi)[k] = phase[k] * psi[src[k]]`` where ``src = k XOR xmask``
-    and the phase collects i per Y plus (-1) per set bit under Z/Y.
-    """
-    xmask = zmask = 0
-    y_count = 0
-    for i, op in enumerate(ops):
-        bit = 1 << (n_qubits - 1 - i)  # qubit 0 is the most significant bit
-        if op == "X":
-            xmask |= bit
-        elif op == "Z":
-            zmask |= bit
-        elif op == "Y":
-            xmask |= bit
-            zmask |= bit
-            y_count += 1
-    idx = np.arange(1 << n_qubits, dtype=np.uint64)
-    src = idx ^ np.uint64(xmask)
-    parity = np.bitwise_count(src & np.uint64(zmask)) & 1
-    phases = np.where(parity, -1.0 + 0j, 1.0 + 0j) * (1j**y_count)
-    return src.astype(np.intp), phases
+
+def _pauli_action(x: int, z: int, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Source indices and phases of the Pauli P of masks (x, z) as a gather
+    on the indices ``kets``: P = i^|x & z| X^x Z^z, so ``(P psi)[k] =
+    phase * psi[src]`` with ``src = k XOR x``, phase i^|x & z| (-1)^|src & z|."""
+    src = kets ^ x
+    parity = np.bitwise_count(src & z) & 1
+    phases = np.where(parity, -1.0 + 0j, 1.0 + 0j) * (1j ** (x & z).bit_count())
+    return src, phases
 
 
 def apply_pauli_string(state: StateVector, ops: str) -> StateVector:
@@ -169,11 +165,10 @@ def apply_pauli_string(state: StateVector, ops: str) -> StateVector:
         raise ValueError(
             f"Pauli string length {len(ops)} does not match {state.n_qubits} qubits"
         )
-    if set(ops) - _PAULI_LABELS:
-        raise ValueError(f"Pauli string must be over I/X/Y/Z, got {ops!r}")
-    if set(ops) == {"I"}:
+    x, z = _masks(ops)
+    if not x | z:
         return state
-    src, phases = _pauli_action(state.n_qubits, ops)
+    src, phases = _pauli_action(x, z, np.arange(1 << state.n_qubits))
     image = state.amps[src]
     image *= phases
     return StateVector(state.n_qubits, image)

@@ -1,5 +1,6 @@
 """Tests for encoders, stabilizer syndromes, and recovery tables."""
 
+import hashlib
 import math
 from itertools import combinations, product
 
@@ -21,7 +22,6 @@ from qeclab.errors import GeneralErrorParams, RotationErrorParams, build_general
 from qeclab.experiments import _leaves
 from qeclab.statevec import (
     StateVector,
-    _pauli_action,
     _product,
     apply_pauli_string,
     apply_product,
@@ -62,6 +62,24 @@ LOGICAL_OPERATORS = {
 }
 
 GENERIC_LOGICAL = LogicalQubit(0.6, complex(0.48, 0.64))  # exact unit norm
+
+# Each registered code's sha256 of its recovery table's items in order,
+# and of the bytes of its syndrome table's rows, index, bras and flips:
+# a sweep's bytes depend on the rows' order and on every bit of the bras.
+TABLE_SHA256 = {
+    "shor9": (
+        "c47299bf9db54bb10fc2735b23d12f61e426fa76b91e796975cecdd8fa2244f0",
+        "42416a290f2caef4d9d096e4322acae5676c9b8aece7815ea3e0480d35347ffc",
+    ),
+    "steane7": (
+        "f70b70323cd78faffa11dfa1baf654f516e07cad4adf176156c55b66ee8e176c",
+        "512dce2b39e43d8535f976ab9aede135ee55f7d22dc312693b7708978a7ff6b3",
+    ),
+    "uncoded": (
+        "d0bc24d7383721f5fb1487af50abb2e39e57e84a4a94187852db1af99512b64d",
+        "759e4a3a03cab35f68e6447e5888e20653adf4fbcd7f579ce08997fd7b5b752d",
+    ),
+}
 
 
 def ket_codeword(n: int, kets) -> np.ndarray:
@@ -267,6 +285,7 @@ class TestCodeSpecInvariants:
             ((("ZZI", "IZZ"), "XXX", "XXX"), "logical Z XXX commutes with logical X XXX"),
             ((("ZZI", "IZZ"), "XII", "ZZZ"), "logical Z XII anticommutes with stabilizer ZZI"),
             ((("ZZI", "IZZ"), "ZZZ", "XXI"), "logical X XXI anticommutes with stabilizer IZZ"),
+            ((("ZZI", "IXX"), "ZZZ", "XXX"), "stabilizer ZZI anticommutes with stabilizer IXX"),
             ((("ZZI", "ZZI"), "ZZZ", "XXX"), "not independent"),
         ],
     )
@@ -300,6 +319,32 @@ class TestCodeSpecInvariants:
             np.testing.assert_allclose(apply_pauli_string(zero, ops).amps, zero.amps, atol=1e-15)
         np.testing.assert_allclose(apply_pauli_string(one, code.logical_z).amps, -one.amps, atol=1e-15)
         assert abs(np.vdot(zero.amps, one.amps)) < 1e-15
+
+    @pytest.mark.parametrize("name", CODE_NAMES)
+    def test_tables_keep_their_bytes(self, name):
+        code = get_code(name)
+        table = repr(list(code.recovery_table.items())).encode()
+        arrays = b"".join(array.tobytes() for array in code._syndromes)
+        digests = tuple(hashlib.sha256(data).hexdigest() for data in (table, arrays))
+        assert digests == TABLE_SHA256[name]
+
+
+class TestPauliStringsCommute:
+    @pytest.mark.parametrize(
+        "a,b,commute",
+        [("XZ", "ZX", True), ("XI", "ZI", False), ("XY", "YX", True), ("XYZ", "YZX", False)],
+    )
+    def test_counts_clashes(self, a, b, commute):
+        assert pauli_strings_commute(a, b) is commute
+
+    def test_refuses_strings_of_unequal_length(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            pauli_strings_commute("XZ", "ZXI")
+
+    @pytest.mark.parametrize("a,b", [("XZ", "ZQ"), ("xz", "ZX")])
+    def test_refuses_letters_outside_ixyz(self, a, b):
+        with pytest.raises(ValueError, match="I/X/Y/Z"):
+            pauli_strings_commute(a, b)
 
 
 def _weight_le_one_paulis(n: int) -> list[str]:
@@ -394,21 +439,22 @@ class TestExtractSyndrome:
             assert measure(state, code, rng)[1] < 1e-9
 
     def test_a_second_spec_builds_its_table_once(self, monkeypatch):
-        """The syndrome table is built once per spec, on first use: one
-        gather per correction, however many measurements follow."""
+        """The syndrome table is built once per spec, on first use, however
+        many measurements follow."""
         code = get_code("steane7")
         spec = CodeSpec("copy", code.stabilizers, code.logical_z, code.logical_x)
-        gathers = []
+        build, builds = CodeSpec._syndromes.func, []
 
-        def counted(n, ops):
-            gathers.append(ops)
-            return _pauli_action(n, ops)
+        def counted(self):
+            builds.append(self.name)
+            return build(self)
 
-        monkeypatch.setattr(qeclab.codes, "_pauli_action", counted)
+        monkeypatch.setattr(CodeSpec._syndromes, "func", counted)
         state = code.encoder(GENERIC_LOGICAL)
+        assert builds == []
         for seed in range(3):
             measure(state, spec, np.random.default_rng(seed))
-        assert gathers == list(code.recovery_table.values())
+        assert builds == ["copy"]
 
     def test_a_hand_built_spec_builds_its_own_table(self):
         code = get_code("steane7")
