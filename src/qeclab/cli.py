@@ -479,9 +479,12 @@ def _cmd_inject(config: ExperimentConfig) -> str:
 def _cmd_correct(config: ExperimentConfig) -> str:
     code, state, rng = _injected(config)
     # The drawn outcome's leaf among the reached outcomes', as a sweep sums it.
-    a0, a1, weight = _overlaps(state.amps[None], code._syndromes)
-    bits, row = _draw_syndrome(weight[0], code._syndromes, rng)
-    infidelity = float(_leaves(a0, a1, weight, config.logical)[np.count_nonzero(weight[0, :row])])
+    table = code._syndromes
+    _, outcome, overlaps, weight = _overlaps(state.amps[None], table)
+    by_outcome = np.zeros(len(table.index))
+    by_outcome[outcome] = weight
+    bits, row = _draw_syndrome(by_outcome, table, rng)
+    infidelity = float(_leaves(overlaps, weight, config.logical)[outcome.searchsorted(row)])
     lines = [
         "syndrome = " + "".join(map(str, bits)),
         f"fidelity = {format_float(1.0 - infidelity)}",

@@ -13,10 +13,12 @@ blast radius.
 A code has one logical qubit, so measuring its stabilizers projects onto
 a syndrome space s spanned by R_s|0_L> and R_s|1_L>, where R_s is the
 recovery table's correction.  Each ``CodeSpec`` owns one table of the
-bras <R_s v_L|, built on first use; a syndrome outcome is one row of the
-overlaps <R_s v_L|psi> (``_overlaps``).  ``_draw_syndrome`` measures one
-outcome from their weights, and the sweep kernel sums over all of them,
-reading only the outcomes an error on a row's qubits can reach.
+bras <R_s v_L|, built on first use.  ``_overlaps`` finds, once, the
+outcomes a block of states reaches: the (row, outcome) pairs of weight
+p_s > 0, with their overlaps <R_s v_L|psi>.  An error on the qubits Q
+reaches only outcomes with a ket that agrees with a codeword ket off Q
+(``_reached``), so the sweep kernel reads only those.  ``_draw_syndrome``
+measures one outcome from the weights.
 
 Recovery tables are built at construction time by sweeping error masks
 in order of increasing weight, separately for the X sector (flagged by
@@ -33,7 +35,6 @@ Pauli.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -76,15 +77,17 @@ class _SyndromeTable(NamedTuple):
     R_s v_L (``index``) and its conjugated amplitudes there (``bras``), both
     of shape (2^m, 2, support size), rows in recovery-table order.
     ``rows[s]`` is the row of the syndrome whose bits, stabilizer 0 first,
-    spell s in binary.  ``flips[s]`` holds each ket of row s XOR each ket
-    of the codewords: an error on the qubits of a mask Q moves the
-    codewords' kets only by flips inside Q, so it can reach row s only if
-    some flip of s has no bit outside Q (``_reached``)."""
+    spell s in binary.  ``kets`` is the union of the codewords' kets: an
+    error on the qubits of a mask Q moves them only by flips inside Q, so
+    it can reach row s only if a ket of row s agrees with one of ``kets``
+    off Q.  ``reach`` holds each mask's reached rows once found
+    (``_reached``)."""
 
     rows: np.ndarray
     index: np.ndarray
     bras: np.ndarray
-    flips: np.ndarray
+    kets: np.ndarray
+    reach: dict[int, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -173,11 +176,10 @@ class CodeSpec:
         rows = np.argsort([int("0" + key, 2) for key in self.recovery_table])
         shape = (len(self.recovery_table), 2, -1)
         index, bras = np.reshape(index, shape), np.reshape(bras, shape)
-        base = np.union1d(*supports)
-        flips = (index.reshape(len(index), -1, 1) ^ base).reshape(len(index), -1)
-        for array in (rows, index, bras, flips):
+        kets = np.union1d(*supports)
+        for array in (rows, index, bras, kets):
             array.flags.writeable = False
-        return _SyndromeTable(rows, index, bras, flips)
+        return _SyndromeTable(rows, index, bras, kets, {})
 
 
 # ---------------------------------------------------------------------------
@@ -283,33 +285,27 @@ _GATHER_BYTES = 1 << 19
 # steane7's one-qubit masks reach exactly a quarter of its outcomes, where
 # the pairs lose by about a tenth, so the bound sits there.
 _PAIR_SHARE = 0.25
-# Each table's reached rows per qubit mask, kept while its ``flips`` lives.
-_REACHED: dict[int, dict[int, np.ndarray]] = {}
 
 
 def _reached(table: _SyndromeTable, touched: np.ndarray) -> list[np.ndarray]:
     """The rows of ``table`` that an error on the qubits of each mask in
-    ``touched`` can reach, memoised per table and mask: those with a flip
-    that has no bit outside the mask."""
-    key = id(table.flips)
-    memo = _REACHED.get(key)
-    if memo is None:
-        memo = _REACHED[key] = {}
-        weakref.finalize(table.flips, _REACHED.pop, key)
-    reached = []
-    for mask in touched.tolist():
-        if mask not in memo:
-            memo[mask] = np.flatnonzero(((table.flips & ~mask) == 0).any(axis=1))
-        reached.append(memo[mask])
-    return reached
+    ``touched`` can reach, kept in ``table.reach`` per mask: those with a
+    ket that agrees with one of the codewords' kets off the mask."""
+    for mask in set(touched.tolist()) - table.reach.keys():
+        off = table.index & ~mask, table.kets & ~mask
+        table.reach[mask] = np.flatnonzero(np.isin(*off).any(axis=(1, 2)))
+    return [table.reach[mask] for mask in touched.tolist()]
 
 
 def _overlaps(block: np.ndarray, table: _SyndromeTable, touched=None):
-    """The overlaps a_0, a_1 of each row of the (k, 2**n) ``block`` with
-    the bras of every row s of ``table`` (a_L = <R_s v_L|psi>), and the
-    weight p_s = |a_0|^2 + |a_1|^2, the probability of measuring s: a sum of
-    squares, with no cancellation however rare the outcome.  Each is a
-    (k, 2**m) array.
+    """The syndrome outcomes each row of the (k, 2**n) ``block`` reaches:
+    the (row, outcome s) pairs whose weight p_s = |a_0|^2 + |a_1|^2, the
+    probability of measuring s, is > 0, where a_L = <R_s v_L|psi> are the
+    row's overlaps with the bras of row s of ``table``.  The weight is a
+    sum of squares, with no cancellation however rare the outcome.  The
+    pairs run row after row, outcomes ascending, as four arrays: each
+    row's count of pairs, their outcomes, their (P, 2) overlaps and their
+    P weights.
 
     ``touched``, if given, holds each row's qubit mask (qubit 0 the most
     significant bit): the row must be a codeword state injected on those
@@ -317,38 +313,40 @@ def _overlaps(block: np.ndarray, table: _SyndromeTable, touched=None):
     from amplitudes i and i XOR 2**(n-1-q), so the row is exactly 0 off
     the codewords' kets moved by flips inside its mask, and an outcome it
     cannot reach (``_reached``) has a_0 = a_1 = 0 and weight 0.  When the
-    reached pairs are under ``_PAIR_SHARE`` of all, only they are read and
-    the rest are written as 0; each is the same sum of products, in the
-    same order, as without ``touched``, so no bit depends on the path.
+    reached pairs are under ``_PAIR_SHARE`` of all, only they are read;
+    each is the same sum of products, in the same order, as without
+    ``touched``, so no bit depends on the path.
     """
     k, outcomes = len(block), len(table.index)
     reached = None if touched is None else _reached(table, touched)
     if reached is None or sum(map(len, reached)) >= _PAIR_SHARE * k * outcomes:
+        hit = np.arange(k * outcomes) % outcomes
+        ends = np.arange(outcomes, (k + 1) * outcomes, outcomes)  # each row's end among the pairs
         overlaps = np.empty((k, outcomes, 2), dtype=block.dtype)
         rows = max(1, _GATHER_BYTES // (table.index.size * block.itemsize))
         for lo in range(0, k, rows):
             gather = block[lo:lo + rows].take(table.index, axis=1)
             np.einsum("slj,kslj->ksl", table.bras, gather, out=overlaps[lo:lo + rows])
-        return overlaps[..., 0], overlaps[..., 1], _weight(overlaps)
-    overlaps = np.zeros((k, outcomes, 2), dtype=block.dtype)
-    weight = np.zeros((k, outcomes))
-    counts = [len(hits) for hits in reached]
-    hit = np.concatenate(reached)
-    # Each pair's place in the flat (k * 2**m) outcomes and its row's first amplitude.
-    cell = np.repeat(np.arange(0, k * outcomes, outcomes), counts) + hit
-    start = np.repeat(np.arange(0, block.size, block.shape[1]), counts)[:, None, None]
-    # A pair's gather holds its kets' indices twice (bare, then offset to its
-    # row), its bras and its amplitudes.
-    per_pair = table.index[0].size * 2 * (table.index.itemsize + block.itemsize)
-    pairs = max(1, _GATHER_BYTES // per_pair)
-    amps = block.reshape(-1)
-    for lo in range(0, len(hit), pairs):
-        s, at = hit[lo:lo + pairs], cell[lo:lo + pairs]
-        gather = amps.take(table.index[s] + start[lo:lo + pairs])
-        pair_overlaps = np.einsum("plj,plj->pl", table.bras[s], gather)
-        overlaps.reshape(-1, 2)[at] = pair_overlaps
-        weight.reshape(-1)[at] = _weight(pair_overlaps)
-    return overlaps[..., 0], overlaps[..., 1], weight
+        overlaps = overlaps.reshape(-1, 2)
+    else:
+        counts = [len(hits) for hits in reached]
+        hit, ends = np.concatenate(reached), np.cumsum(counts)
+        start = np.repeat(np.arange(0, block.size, block.shape[1]), counts)[:, None, None]
+        overlaps = np.empty((len(hit), 2), dtype=block.dtype)
+        # A pair's gather holds its kets' indices twice (bare, then offset to
+        # its row), its bras and its amplitudes.
+        per_pair = table.index[0].size * 2 * (table.index.itemsize + block.itemsize)
+        pairs = max(1, _GATHER_BYTES // per_pair)
+        amps = block.reshape(-1)
+        for lo in range(0, len(hit), pairs):
+            s = hit[lo:lo + pairs]
+            gather = amps.take(table.index[s] + start[lo:lo + pairs])
+            np.einsum("plj,plj->pl", table.bras[s], gather, out=overlaps[lo:lo + pairs])
+    weight = _weight(overlaps)
+    (kept,) = (weight > 0.0).nonzero()
+    counts = kept.searchsorted(ends)  # each row's end among the kept pairs, then its count
+    counts[1:] -= counts[:-1]
+    return counts, hit.take(kept), overlaps.take(kept, axis=0), weight.take(kept)
 
 
 def _weight(overlaps: np.ndarray) -> np.ndarray:

@@ -13,12 +13,12 @@ of the outcome it draws).  A trial thus depends on its occupancy alone.
 At each grid point ``sweep_theta`` draws every trial's occupancy, then
 evaluates the distinct ones as one block (``_kernel``): the block is
 injected one qubit layer at a time, each layer one matrix product over
-the rows it touches, and its overlaps are read by one einsum per slice
-of rows.  An error on the qubits Q moves the codewords' kets only by
-flips inside Q, so a row reaches only the outcomes with a ket there; the
-others have overlaps exactly 0 and weight 0, are never measured, and a
-block with few reached (row, outcome) pairs reads only those, by the
-same sums of products (``_overlaps``).  A block's rows round exactly as
+the rows it touches.  ``_overlaps`` then finds, once, the (row, outcome)
+pairs of weight > 0, row after row, and the leaves and moments read
+those pairs alone.  An error on the qubits Q moves the codewords' kets
+only by flips inside Q, so a row reaches only outcomes with a ket that
+agrees with a codeword ket off Q; a block with few such pairs reads only
+them, by the same sums of products.  A block's rows round exactly as
 each row alone does.
 Each entry carries its variance over syndrome outcomes: a row's
 ``std_coded`` is the population std of one trial's infidelity, by the law
@@ -235,50 +235,33 @@ def _mix(x, y):
     return x ^ x >> 16
 
 
+def _constants(const: int, count: int, mult: int) -> np.ndarray:
+    """The hash constant ``const`` and the ``count`` it advances to next,
+    as a (count + 1, 1) uint32 array."""
+    return np.array([const * pow(mult, i, 1 << 32) & _MASK32 for i in range(count + 1)],
+                    np.uint32)[:, None]
+
+
 def _seed_words(seed: int, grid_index: int, trials: np.ndarray) -> np.ndarray:
     """``SeedSequence(seed, spawn_key=(grid_index, t, 0)).generate_state(4,
     np.uint64)`` as row t of a (T, 4) array, for the uint32 ``trials``.
 
-    The hash constants advance alike for every t, so the words of ``seed``
-    and ``grid_index`` mix as Python ints, and t's word and the trailing 0
-    each mix into the four pool words as one (4, T) array operation.
+    The words of ``seed`` and ``grid_index`` leave the pool of
+    ``SeedSequence(seed, spawn_key=(grid_index,))``, alike for every t,
+    and four hashmixes per entropy word (the seed's padded to the pool's
+    four) advance the hash constant.  From there t's word and the trailing
+    0 each mix into the four pool words as one (4, T) array operation.
     """
-    def words(value: int) -> list[int]:
-        return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
+    def n_words(value: int) -> int:
+        return max(1, (value.bit_length() + 31) // 32)
 
-    def constants(count: int, mult: int) -> list[int]:
-        """The hash constant and the ``count`` it advances to next."""
-        nonlocal const
-        chain = [const]
-        for _ in range(count):
-            chain.append(const := const * mult & _MASK32)
-        return chain
-
-    def hashmix(value: int) -> int:
-        return _hash(value, *constants(1, _HASH_MULT_A))
-
-    def columns(count: int, mult: int) -> tuple[np.ndarray, np.ndarray]:
-        """``count`` hashmixes' (before, after) constants, as (count, 1) arrays."""
-        chain = np.array(constants(count, mult), np.uint32)[:, None]
-        return chain[:-1], chain[1:]
-
-    entropy = words(seed)
-    # A spawn key pads the seed's words to the pool's four.
-    entropy += [0] * (4 - len(entropy)) + words(grid_index)
-    const = _HASH_INIT_A
-    pool = [hashmix(word) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    pool = np.array(pool, np.uint32)[:, None]
-    for word in (trials, 0):
-        pool = _mix(pool, _hash(word, *columns(4, _HASH_MULT_A)))
-    const = _HASH_INIT_B
-    state = _hash(np.concatenate([pool, pool]), *columns(8, _HASH_MULT_B))
+    entropy = max(4, n_words(seed)) + n_words(grid_index)
+    pool = np.random.SeedSequence(seed, spawn_key=(grid_index,)).pool[:, None]
+    chain = _constants(_HASH_INIT_A * pow(_HASH_MULT_A, 4 * entropy, 1 << 32), 8, _HASH_MULT_A)
+    for lo, word in ((0, trials), (4, 0)):
+        pool = _mix(pool, _hash(word, chain[lo:lo + 4], chain[lo + 1:lo + 5]))
+    chain = _constants(_HASH_INIT_B, 8, _HASH_MULT_B)
+    state = _hash(np.concatenate([pool, pool]), chain[:-1], chain[1:])
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
@@ -369,13 +352,13 @@ def _trial_occupancies(
     return occupancies
 
 
-def _leaves(a0: np.ndarray, a1: np.ndarray, weight: np.ndarray, logical: LogicalQubit):
-    """The floored infidelity |b_s|^2 / p_s recovery leaves on each outcome s
-    of the ``_overlaps`` (a_0, a_1, p_s) with p_s > 0, row after row; b_s =
-    alpha a_1 - beta a_0 is the overlap with R_s of ``logical``'s complement."""
-    b = logical.alpha * a1 - logical.beta * a0
-    reached = weight > 0.0
-    leaf = (b.real**2 + b.imag**2)[reached] / weight[reached]
+def _leaves(overlaps: np.ndarray, weight: np.ndarray, logical: LogicalQubit):
+    """The floored infidelity |b_s|^2 / p_s recovery leaves on each of the
+    ``_overlaps`` pairs, (a_0, a_1) in ``overlaps`` and p_s in ``weight``;
+    b_s = alpha a_1 - beta a_0 is the overlap with R_s of ``logical``'s
+    complement."""
+    b = logical.alpha * overlaps[:, 1] - logical.beta * overlaps[:, 0]
+    leaf = (b.real**2 + b.imag**2) / weight
     leaf[leaf < NUMERICAL_FLOOR] = 0.0
     return leaf
 
@@ -385,21 +368,18 @@ def _moments(
 ) -> tuple[list, list]:
     """Exact mean and variance over syndrome outcomes of each row's ``_leaves``.
 
-    Outcomes of weight 0 are never measured and are skipped: each row's
-    sums are dots over its reached outcomes alone, which round as they do
-    for the row on its own.  The variance is summed around the mean: a
-    difference of raw moments would leave ~1e-8 of rounding where every
-    outcome leaves the same infidelity.  ``touched`` is passed to
-    ``_overlaps``: each row's qubit mask, if the rows are injected codewords.
+    Outcomes of weight 0 are never measured, and ``_overlaps`` returns
+    none: each row's sums are dots over its reached outcomes alone, which
+    round as they do for the row on its own.  The variance is summed around
+    the mean: a difference of raw moments would leave ~1e-8 of rounding
+    where every outcome leaves the same infidelity.  ``touched`` is passed
+    to ``_overlaps``: each row's qubit mask, if the rows are injected
+    codewords.
     """
-    a0, a1, weight = _overlaps(block, table, touched)
-    leaf = _leaves(a0, a1, weight, logical)  # every row's reached outcomes, row after row
-    reached = weight > 0.0
-    # Where each row's reached outcomes end; a single row's are all there are.
-    ends = reached.sum(axis=1).cumsum().tolist() if len(block) > 1 else [None]
-    weight = weight[reached]
+    counts, _, overlaps, weight = _overlaps(block, table, touched)
+    leaf = _leaves(overlaps, weight, logical)  # every row's reached outcomes, row after row
     means, variances, lo = [], [], 0
-    for hi in ends:
+    for hi in counts.cumsum().tolist():
         row_weight, row_leaf = weight[lo:hi], leaf[lo:hi]
         mean = min(float(row_weight @ row_leaf), 1.0)  # clipped against rounding, as fidelity is
         row_leaf -= mean

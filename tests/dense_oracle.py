@@ -4,13 +4,17 @@ Each outcome is projected by dense (I +- S)/2 factors, Kronecker products
 with qubit 0 the leftmost factor, corrected by its recovery-table entry
 letter by letter and scored by 1 - F against the encoding.  It shares
 nothing with the package's syndrome table, overlaps or leaves.
+
+``dense_overlaps`` is the one exception, and no oracle: it lays the
+package's reached (row, outcome) pairs out as (k, 2^m) arrays, for tests
+that read an outcome by its row of the table.
 """
 
 import functools
 
 import numpy as np
 
-from qeclab.codes import get_code
+from qeclab.codes import _overlaps, get_code
 from qeclab.experiments import NUMERICAL_FLOOR
 
 DENSE_PAULIS = {
@@ -72,3 +76,15 @@ def dense_outcomes(amps, name, logical):
     arrays."""
     weights, leaves = zip(*dense_branches(amps, name, logical).values())
     return np.array(weights), np.array(leaves)
+
+
+def dense_overlaps(block, table, touched=None):
+    """``_overlaps(block, table, touched)`` scattered back into (k, 2^m)
+    arrays a_0, a_1 and p_s, with 0 at every outcome a row does not reach."""
+    counts, outcome, overlaps, weight = _overlaps(block, table, touched)
+    cells = np.repeat(np.arange(len(block)), counts), outcome
+    dense = np.zeros((len(block), len(table.index), 2), dtype=overlaps.dtype)
+    dense[cells] = overlaps
+    weights = np.zeros(dense.shape[:2])
+    weights[cells] = weight
+    return dense[..., 0], dense[..., 1], weights

@@ -44,7 +44,7 @@ from qeclab.experiments import (
 )
 from qeclab.statevec import apply_product
 
-from dense_oracle import dense_branches
+from dense_oracle import dense_branches, dense_overlaps
 
 MINIMAL = """\
 code = steane7
@@ -755,9 +755,9 @@ class TestCliCommands:
         lines = capsys.readouterr().out.splitlines()
         bits = lines[0].split(" = ")[1]
         printed = float(lines[2].split("=", 1)[1])
-        a0, a1, weight = _overlaps(state.amps[None], spec._syndromes)
-        reached_before = np.count_nonzero(weight[0, :spec._syndromes.rows[int(bits, 2)]])
-        assert printed == _leaves(a0, a1, weight, logical)[reached_before]
+        _, outcome, overlaps, weight = _overlaps(state.amps[None], spec._syndromes)
+        (at,) = np.flatnonzero(outcome == spec._syndromes.rows[int(bits, 2)])
+        assert printed == _leaves(overlaps, weight, logical)[at]
         want = dense_branches(state.amps, code, logical)[bits][1]
         assert want > 1e-12
         assert printed == pytest.approx(want, rel=0, abs=1e-15)
@@ -1157,7 +1157,7 @@ class TestCorrectPrintsTheSweepLeaf:
             summed.clear()
             (mean,), _ = _moments(block, spec._syndromes, config.logical)
             (leaf,) = summed
-            weight = _overlaps(block, spec._syndromes)[2][0]
+            weight = dense_overlaps(block, spec._syndromes)[2][0]
             assert mean == min(float(weight[weight > 0.0] @ leaf), 1.0)
             row = spec._syndromes.rows[int(bits, 2)]
             assert weight[row] > 0.0

@@ -29,7 +29,7 @@ from qeclab.statevec import (
     support_size,
 )
 
-from dense_oracle import apply_letters, dense_pauli
+from dense_oracle import apply_letters, dense_overlaps, dense_pauli
 
 # The codeword structures, restated independently of the module under test.
 STEANE_ZERO_KETS = {
@@ -64,20 +64,20 @@ LOGICAL_OPERATORS = {
 GENERIC_LOGICAL = LogicalQubit(0.6, complex(0.48, 0.64))  # exact unit norm
 
 # Each registered code's sha256 of its recovery table's items in order,
-# and of the bytes of its syndrome table's rows, index, bras and flips:
-# a sweep's bytes depend on the rows' order and on every bit of the bras.
+# and of the bytes of its syndrome table's rows, index and bras: a sweep's
+# bytes depend on the rows' order and on every bit of the bras.
 TABLE_SHA256 = {
     "shor9": (
         "c47299bf9db54bb10fc2735b23d12f61e426fa76b91e796975cecdd8fa2244f0",
-        "42416a290f2caef4d9d096e4322acae5676c9b8aece7815ea3e0480d35347ffc",
+        "955863b87079d1f0c8d640141b8d24dd5eefbc2d49d503e08ab8ac5d6969c774",
     ),
     "steane7": (
         "f70b70323cd78faffa11dfa1baf654f516e07cad4adf176156c55b66ee8e176c",
-        "512dce2b39e43d8535f976ab9aede135ee55f7d22dc312693b7708978a7ff6b3",
+        "b47956767dd1dd9bc554aed143040de8453712c0b8f5f7a030384aa147a501fc",
     ),
     "uncoded": (
         "d0bc24d7383721f5fb1487af50abb2e39e57e84a4a94187852db1af99512b64d",
-        "759e4a3a03cab35f68e6447e5888e20653adf4fbcd7f579ce08997fd7b5b752d",
+        "9d2a8d834fb7c790c3a5c82cba6e56025d8fb217d02a474486197f84400c1b76",
     ),
 }
 
@@ -98,9 +98,12 @@ def measure(state, code, rng, logical=GENERIC_LOGICAL):
     """One measured syndrome of ``state``, as ``qeclab correct`` draws it:
     its bits, and the floored infidelity its recovery leaves against
     ``logical``."""
-    a0, a1, weight = _overlaps(state.amps[None], code._syndromes)
-    bits, row = _draw_syndrome(weight[0], code._syndromes, rng)
-    return bits, float(_leaves(a0, a1, weight, logical)[np.count_nonzero(weight[0, :row])])
+    table = code._syndromes
+    _, outcome, overlaps, weight = _overlaps(state.amps[None], table)
+    by_outcome = np.zeros(len(table.index))
+    by_outcome[outcome] = weight
+    bits, row = _draw_syndrome(by_outcome, table, rng)
+    return bits, float(_leaves(overlaps, weight, logical)[outcome.searchsorted(row)])
 
 
 class TestLogicalQubit:
@@ -324,7 +327,8 @@ class TestCodeSpecInvariants:
     def test_tables_keep_their_bytes(self, name):
         code = get_code(name)
         table = repr(list(code.recovery_table.items())).encode()
-        arrays = b"".join(array.tobytes() for array in code._syndromes)
+        syndromes = code._syndromes
+        arrays = b"".join(a.tobytes() for a in (syndromes.rows, syndromes.index, syndromes.bras))
         digests = tuple(hashlib.sha256(data).hexdigest() for data in (table, arrays))
         assert digests == TABLE_SHA256[name]
 
@@ -461,8 +465,9 @@ class TestExtractSyndrome:
         spec = CodeSpec("copy", code.stabilizers, code.logical_z, code.logical_x)
         table = spec._syndromes
         assert table is not code._syndromes
-        for got, want in zip(table, code._syndromes):
-            assert np.array_equal(got, want)
+        for field in ("rows", "index", "bras", "kets"):
+            assert np.array_equal(getattr(table, field), getattr(code._syndromes, field))
+        assert table.reach is not code._syndromes.reach
 
     @pytest.mark.parametrize("name", CODE_NAMES)
     def test_overlaps_of_a_block_match_each_row_alone(self, name, monkeypatch):
@@ -479,12 +484,12 @@ class TestExtractSyndrome:
         budgets = (1, qeclab.codes._GATHER_BYTES, 1 << 30)  # 1 row or pair, some, all at once
         for touched in (None, rng.integers(0, 1 << n, (20, 1))):
             alone = [
-                _overlaps(amps[None], code._syndromes, None if touched is None else touched[r])
+                dense_overlaps(amps[None], code._syndromes, None if touched is None else touched[r])
                 for r, amps in enumerate(block)
             ]
             for budget in budgets:
                 monkeypatch.setattr(qeclab.codes, "_GATHER_BYTES", budget)
-                got = _overlaps(block, code._syndromes, None if touched is None else touched[:, 0])
+                got = dense_overlaps(block, code._syndromes, None if touched is None else touched[:, 0])
                 for r, row in enumerate(alone):
                     for part, want in zip(got, row):
                         assert part[r].tobytes() == want[0].tobytes()
@@ -494,7 +499,9 @@ class TestExtractSyndrome:
         """Inject a random non-diagonal unitary on exactly the qubits of each
         mask into |0_L>, |1_L> and a generic state: every outcome of weight
         > 0 is one the mask reaches, and the overlaps read through the
-        reach are the dense ones byte for byte, the unreached written 0."""
+        reach are the dense ones byte for byte, the unreached written 0.
+        Either way the pairs are those of weight > 0, row after row and
+        outcomes ascending."""
         monkeypatch.setattr(qeclab.codes, "_PAIR_SHARE", 2.0)  # every block takes the pair path
         code = get_code(name)
         n, table = code.n_physical, code._syndromes
@@ -511,10 +518,36 @@ class TestExtractSyndrome:
             block = np.repeat(code.encoder(logical).amps[None], len(masks), axis=0)
             for q in range(n):
                 block = product(block, [q], touches[:, q])
-            dense = _overlaps(block, table)
+            dense = dense_overlaps(block, table)
             assert not dense[2][~reached].any()
-            for got, want in zip(_overlaps(block, table, masks), dense):
+            for got, want in zip(dense_overlaps(block, table, masks), dense):
                 assert got.tobytes() == want.tobytes()
+            for touched in (None, masks):
+                counts, outcome, _, weight = _overlaps(block, table, touched)
+                rows = np.repeat(np.arange(len(masks)), counts)
+                assert (weight > 0.0).all()
+                assert (np.diff(rows * len(table.index) + outcome) > 0).all()
+
+    @pytest.mark.parametrize(
+        "name", [*CODE_NAMES, "bitflip3", "bitflip5", "phaseflip3", "phaseflip5"]
+    )
+    def test_reach_is_the_flip_rule(self, name):
+        """On every mask Q, ``_reached`` holds exactly the outcomes s with a
+        flip inside Q: a ket of s XOR a ket of either codeword with no bit
+        outside Q."""
+        if name in CODE_NAMES:
+            spec = get_code(name)
+        else:
+            n, check = int(name[-1]), "Z" if name.startswith("bit") else "X"
+            checks = tuple("I" * i + check * 2 + "I" * (n - 2 - i) for i in range(n - 1))
+            spec = CodeSpec(name, checks, "Z" * n, "X" * n)
+        table = spec._syndromes
+        kets = np.union1d(*(np.flatnonzero(v) for v in spec.codewords))
+        flips = (table.index.reshape(len(table.index), -1, 1) ^ kets).reshape(len(table.index), -1)
+        masks = np.arange(1 << spec.n_physical)
+        for mask, got in zip(masks.tolist(), qeclab.codes._reached(table, masks)):
+            want = np.flatnonzero(((flips & ~mask) == 0).any(axis=1))
+            assert np.array_equal(got, want), mask
 
     @pytest.mark.parametrize("name", ["steane7", "shor9"])
     def test_rare_outcome_weight_is_free_of_cancellation(self, name):
@@ -531,7 +564,7 @@ class TestExtractSyndrome:
             (not pauli_strings_commute(y0, s)) << (len(code.stabilizers) - 1 - k)
             for k, s in enumerate(code.stabilizers)
         )
-        _, _, weight = _overlaps(state.amps[None], code._syndromes)
+        _, _, weight = dense_overlaps(state.amps[None], code._syndromes)
         want = math.sin(theta / 2) ** 2
         assert weight[0, code._syndromes.rows[syndrome]] == pytest.approx(want, rel=1e-12)
 
@@ -621,7 +654,7 @@ class TestRecover:
         codeword's overlaps with its row are the logical amplitudes."""
         code = get_code("steane7")
         assert code.recovery_table["000000"] == "IIIIIII"
-        a0, a1, weight = _overlaps(code.encoder(GENERIC_LOGICAL).amps[None], code._syndromes)
+        a0, a1, weight = dense_overlaps(code.encoder(GENERIC_LOGICAL).amps[None], code._syndromes)
         row = code._syndromes.rows[0]
         assert a0[0, row] == pytest.approx(GENERIC_LOGICAL.alpha, abs=1e-15)
         assert a1[0, row] == pytest.approx(GENERIC_LOGICAL.beta, abs=1e-15)
@@ -646,7 +679,7 @@ class TestSyndromeDiscretization:
         for qubit in range(code.n_physical):
             everywhere = apply_product(everywhere, rotation, [qubit])
         for state in (single, everywhere):
-            _, _, weight = _overlaps(state.amps[None], code._syndromes)
+            _, _, weight = dense_overlaps(state.amps[None], code._syndromes)
             assert weight.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_200_random_unitaries_on_one_qubit_recover(self):
@@ -709,7 +742,7 @@ class TestUncoded:
         assert code.recovery_table == {"": "I"}
         state = code.encoder(GENERIC_LOGICAL)
         assert measure(state, code, rng) == ((), 0.0)
-        a0, a1, _ = _overlaps(state.amps[None], code._syndromes)
+        a0, a1, _ = dense_overlaps(state.amps[None], code._syndromes)
         assert (a0[0, 0], a1[0, 0]) == (GENERIC_LOGICAL.alpha, GENERIC_LOGICAL.beta)
 
     def test_support_of_codewords(self):

@@ -13,7 +13,7 @@ import qeclab.errors
 import qeclab.experiments
 import qeclab.statevec
 from qeclab.cli import format_float
-from qeclab.codes import LogicalQubit, _draw_syndrome, _overlaps, get_code
+from qeclab.codes import LogicalQubit, _draw_syndrome, get_code
 from qeclab.errors import (
     ALL_QUBITS,
     FLIP_KINDS,
@@ -28,6 +28,7 @@ from qeclab.experiments import (
     SUPPORT_THRESHOLD,
     ConfigError,
     ExperimentConfig,
+    NUMERICAL_FLOOR,
     SweepRow,
     _DRAW_TRIALS,
     _bare_qubit_placement,
@@ -44,7 +45,7 @@ from qeclab.experiments import (
 )
 from qeclab.statevec import support_size
 
-from dense_oracle import dense_branches, dense_outcomes
+from dense_oracle import dense_branches, dense_outcomes, dense_overlaps
 
 
 def rotation_config(**overrides) -> ExperimentConfig:
@@ -329,9 +330,10 @@ class TestTrialStreams:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_trial_occupancies_are_the_trials_streams(self, seed):
         """Each drawn row is the occupancy its trial's own stream draws,
-        byte for byte, also for a range that starts inside a later chunk."""
+        byte for byte, also for a range that starts inside a later chunk
+        and for a grid index of two 32-bit words."""
         later = range(2 * _DRAW_TRIALS - 13, 2 * _DRAW_TRIALS + 17)
-        for grid_index in (0, 6, 300):
+        for grid_index in (0, 6, 300, 2**32 + 5):
             for placement, n in self.PLACEMENTS:
                 for trials in (range(30), later):
                     self.assert_rows_are_the_streams(placement, n, seed, grid_index, trials)
@@ -828,22 +830,21 @@ class TestOverlapPaths:
             assert pairs == dense, config
 
     def test_a_reach_missing_an_outcome_moves_a_row(self, monkeypatch):
-        """The comparison above catches a reach that is too small.  In a copy
-        of shor9's table, drop the flips that let qubit 0 reach the outcome
-        Y_0 is corrected on: the overlaps of a fixed:0 y rotation change
-        there.  One error is corrected exactly, so that row's infidelity
-        cannot show it; drop the flips that let qubits 0 and 1 reach X_2's
-        outcome, where X_0 X_1 lands and leaves X_0 X_1 X_2, a logical error,
-        and the fixed:0,1 sweep row changes."""
+        """The comparison above catches a reach that is too small.  Give a
+        copy of shor9's table a reach for qubit 0 that lacks the outcome Y_0
+        is corrected on: the overlaps of a fixed:0 y rotation change there.
+        One error is corrected exactly, so that row's infidelity cannot show
+        it; a reach for qubits 0 and 1 that lacks X_2's outcome, where X_0
+        X_1 lands and leaves X_0 X_1 X_2, a logical error, changes the
+        fixed:0,1 sweep row."""
         monkeypatch.setattr(qeclab.codes, "_PAIR_SHARE", 2.0)
         code = get_code("shor9")
         table, corrections = code._syndromes, list(code.recovery_table.values())
 
         def without(correction: str, mask: int):
-            flips = table.flips.copy()
-            row = flips[corrections.index(correction)]
-            row[(row & ~mask) == 0] = (1 << code.n_physical) - 1
-            return table._replace(flips=flips)
+            (hits,) = qeclab.codes._reached(table, np.array([mask]))
+            assert corrections.index(correction) in hits
+            return table._replace(reach={mask: hits[hits != corrections.index(correction)]})
 
         config = rotation_config(
             code="shor9", placement=Placement.fixed([0]), logical=GENERIC, theta_grid=(0.7,)
@@ -852,13 +853,29 @@ class TestOverlapPaths:
         block = _injector(model_for(config, 0.7))(code.encoder(GENERIC), occupancy[None])
         touched = np.array([1 << code.n_physical - 1])
         y0 = corrections.index("YIIIIIIII")
-        assert _overlaps(block, table, touched)[2][0, y0] > 0.0
-        assert _overlaps(block, without("YIIIIIIII", touched[0]), touched)[2][0, y0] == 0.0
+        assert dense_overlaps(block, table, touched)[2][0, y0] > 0.0
+        assert dense_overlaps(block, without("YIIIIIIII", touched[0]), touched)[2][0, y0] == 0.0
 
         config = dataclasses.replace(config, placement=Placement.fixed([0, 1]))
         want = repr(sweep_theta(config))
         monkeypatch.setitem(vars(code), "_syndromes", without("IIXIIIIII", 0b110000000))
         assert repr(sweep_theta(config)) != want
+
+    def test_a_code_with_wide_codewords_builds_its_table(self, repetition_codes):
+        """The 11-qubit phase-flip code's table builds, though every
+        outcome spreads over 2 x 2^10 kets, and its sweep corrects two z
+        rotations to rounding, while the bare qubit is rotated twice.  The
+        coded rows are not exactly 0: outcomes whose overlaps cancel only
+        up to rounding carry weights near 1e-33."""
+        table = get_code("phaseflip11")._syndromes
+        assert table.index.shape == (1 << 10, 2, 1 << 10)
+        config = rotation_config(
+            code="phaseflip11", axis="z", placement=Placement.fixed([0, 1]), logical=GENERIC,
+            theta_grid=(0.3, 1.1),
+        )
+        rows = sweep_theta(config).rows
+        assert all(row.mean_infid_coded < NUMERICAL_FLOOR for row in rows)
+        assert all(row.mean_infid_uncoded > 0.0 for row in rows)
 
 
 class TestMoments:
@@ -900,7 +917,7 @@ class TestMoments:
         config = rotation_config(logical=GENERIC)
         block = _injector(model_for(config, 0.5))(code.encoder(GENERIC), np.ones((1, 7), int))
         (mean,), (variance,) = _moments(block, code._syndromes, GENERIC)
-        _, _, weight = _overlaps(block, code._syndromes)
+        _, _, weight = dense_overlaps(block, code._syndromes)
         outcomes = dense_branches(block[0], "steane7", GENERIC)
         rng = np.random.default_rng(16)
         shots, syndromes = np.empty(20_000), set()
@@ -918,13 +935,15 @@ CRITERION_4_GRID = tuple(np.geomspace(1e-3, 1e-1, 7))
 REPETITION_CODES = {
     "bitflip3": (("ZZI", "IZZ"), "ZZZ", "XXX"),
     "phaseflip3": (("XXI", "IXX"), "XXX", "ZZZ"),
+    # Each codeword on 2^10 kets, so each of its 2^10 outcomes on 2 x 2^10.
+    "phaseflip11": (tuple("I" * i + "XX" + "I" * (9 - i) for i in range(10)), "Z" * 11, "X" * 11),
 }
 
 
 @pytest.fixture
 def repetition_codes(monkeypatch):
-    """The note's three-qubit bit-flip and phase-flip codes, registered for
-    one test only."""
+    """The note's three-qubit bit-flip and phase-flip codes, and an
+    11-qubit phase-flip code, registered for one test only."""
     for name, definition in REPETITION_CODES.items():
         monkeypatch.setitem(qeclab.codes._CODE_DEFINITIONS, name, definition)
     yield

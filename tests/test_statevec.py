@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qeclab.codes import CodeSpec, _draw_syndrome, _overlaps
+from qeclab.codes import CodeSpec, _draw_syndrome
 from qeclab.statevec import (
     StateVector,
     _product,
@@ -14,6 +14,8 @@ from qeclab.statevec import (
     fidelity,
     support_size,
 )
+
+from dense_oracle import dense_overlaps
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
 
@@ -56,7 +58,7 @@ def measure(state: StateVector, ops: str, rng: np.random.Generator):
     code, drawing one uniform; returns (+1/-1 outcome, the state projected
     onto that outcome by the dense (I + sign P)/2)."""
     table = PAIR_CODES[ops]._syndromes
-    (bit,), _ = _draw_syndrome(_overlaps(state.amps[None], table)[2][0], table, rng)
+    (bit,), _ = _draw_syndrome(dense_overlaps(state.amps[None], table)[2][0], table, rng)
     sign = 1 - 2 * bit
     projected = (state.amps + sign * dense_pair(ops) @ state.amps) / 2
     return sign, StateVector(2, projected / np.linalg.norm(projected))
