@@ -277,7 +277,8 @@ def get_code(name: str) -> CodeSpec:
 # ---------------------------------------------------------------------------
 
 # A cap on the bytes of one gather of ``_overlaps``: a larger block is
-# read in slices of rows, which round as the whole block would.
+# read in slices of rows, and a row wider than the cap in slices of its
+# outcomes; each slice rounds as the whole block would.
 _GATHER_BYTES = 1 << 19
 # The share of a block's (row, outcome) pairs below which ``_overlaps``
 # reads only the reached ones.  A reached pair costs two to four pairs of
@@ -309,7 +310,7 @@ def _overlaps(block: np.ndarray, table: _SyndromeTable, touched=None):
 
     ``touched``, if given, holds each row's qubit mask (qubit 0 the most
     significant bit): the row must be a codeword state injected on those
-    qubits alone.  Each injection layer on qubit q writes amplitude i only
+    qubits alone.  Each injection step on qubit q writes amplitude i only
     from amplitudes i and i XOR 2**(n-1-q), so the row is exactly 0 off
     the codewords' kets moved by flips inside its mask, and an outcome it
     cannot reach (``_reached``) has a_0 = a_1 = 0 and weight 0.  When the
@@ -324,9 +325,12 @@ def _overlaps(block: np.ndarray, table: _SyndromeTable, touched=None):
         ends = np.arange(outcomes, (k + 1) * outcomes, outcomes)  # each row's end among the pairs
         overlaps = np.empty((k, outcomes, 2), dtype=block.dtype)
         rows = max(1, _GATHER_BYTES // (table.index.size * block.itemsize))
+        cols = max(1, _GATHER_BYTES // (table.index[0].size * block.itemsize))
         for lo in range(0, k, rows):
-            gather = block[lo:lo + rows].take(table.index, axis=1)
-            np.einsum("slj,kslj->ksl", table.bras, gather, out=overlaps[lo:lo + rows])
+            for s in range(0, outcomes, cols):
+                gather = block[lo:lo + rows].take(table.index[s:s + cols], axis=1)
+                np.einsum("slj,kslj->ksl", table.bras[s:s + cols], gather,
+                          out=overlaps[lo:lo + rows, s:s + cols])
         overlaps = overlaps.reshape(-1, 2)
     else:
         counts = [len(hits) for hits in reached]

@@ -318,11 +318,10 @@ def _injector(*models: ErrorModel):
     ``occupancies`` is a (k, N) array of errors per qubit, and the result
     is the (k, 2**N) block of ``state`` injected under each row.  ``which``
     names the model each row is injected under: one index for every row,
-    or a (k,) array of indices, one per row.  Rows that share one
-    occupancy are injected as one layer of all its targets; other blocks
-    are injected one layer at a time: qubits in ascending order, a qubit's
-    repeats back to back, each layer on the rows it touches.  Either way
-    every row sees the sequence of operations it would see alone.
+    or a (k,) array of indices, one per row.  Every block is injected on
+    one per-qubit schedule: qubits in ascending order, a qubit's repeats
+    back to back, each step on the rows it touches, so every row sees the
+    sequence of operations it would see alone.
 
     Unitary kinds are applied once per unit of occupancy, so two bosonic
     bit flips landing on the same qubit cancel.  The decay kind instead
@@ -333,47 +332,37 @@ def _injector(*models: ErrorModel):
     occupancy above 1.
     """
     def layers(state: StateVector, occupancies: np.ndarray):
-        """The block of ``state`` repeated once per row, and its layers as
-        (targets, the rows they touch or None for every row)."""
-        k = len(occupancies)
-        if k == 1 or (occupancies == occupancies[0]).all():
-            counts = occupancies[0].tolist()
-            targets = [q for q, count in enumerate(counts) for _ in range(count)]
-            block = state.amps[None] if k == 1 else np.repeat(state.amps[None], k, axis=0)
-            return block, [(targets, None)]
+        """The block of ``state`` repeated once per row, and its steps as
+        (q, the rows the step touches or None for every row): a repeat r
+        of qubit q touches the rows with more than r errors on q."""
+        lows, highs = occupancies.min(axis=0).tolist(), occupancies.max(axis=0).tolist()
         steps = []
-        for q, most in enumerate(occupancies.max(axis=0).tolist()):
-            for r in range(most):
-                rows = occupancies[:, q] > r
-                steps.append(([q], None if rows.all() else rows))
-        return np.repeat(state.amps[None], k, axis=0), steps
+        for q, (least, most) in enumerate(zip(lows, highs)):
+            steps += [(q, None)] * least
+            for r in range(least, most):
+                steps.append((q, occupancies[:, q] > r))
+        return np.repeat(state.amps[None], len(occupancies), axis=0), steps
 
     if models[0].kind != "decay":
         product = _product(*(_operator_for(model) for model in models))
 
         def unitary(state: StateVector, occupancies: np.ndarray, which=0) -> np.ndarray:
-            block, steps = layers(state, occupancies)
-            for targets, rows in steps:
-                block = product(block, targets, rows, which)
-            return block
+            return product(*layers(state, occupancies), which)
 
         return unitary
     scales = [math.sqrt(1.0 - decoherence_prob(model.params)) for model in models]
 
     def decay(state: StateVector, occupancies: np.ndarray, which=0) -> np.ndarray:
         block, steps = layers(state, occupancies)
-        if not block.flags.writeable:
-            block = block.copy()
         per_row = not isinstance(which, int)
         scale = np.array(scales)[which, None, None] if per_row else scales[which]
-        for targets, rows in steps:
-            for q in targets:
-                # The amplitudes whose qubit q reads 1, as a view of each row.
-                ones = block.reshape(len(block), 1 << q, 2, -1)[:, :, 1]
-                if rows is None:
-                    ones *= scale
-                else:
-                    ones[rows] *= scale[rows] if per_row else scale
+        for q, rows in steps:
+            # The amplitudes whose qubit q reads 1, as a view of each row.
+            ones = block.reshape(len(block), 1 << q, 2, -1)[:, :, 1]
+            if rows is None:
+                ones *= scale
+            else:
+                ones[rows] *= scale[rows] if per_row else scale
         for amps in block:
             norm = float(np.linalg.norm(amps))
             if norm < _STATE_NORM_FLOOR:

@@ -12,7 +12,7 @@ overlaps <R_s v_L|psi> (``_leaves``; ``qeclab correct`` prints the leaf
 of the outcome it draws).  A trial thus depends on its occupancy alone.
 At each grid point ``sweep_theta`` draws every trial's occupancy, then
 evaluates the distinct ones as one block (``_kernel``): the block is
-injected one qubit layer at a time, each layer one matrix product over
+injected one qubit step at a time, each step one matrix product over
 the rows it touches.  ``_overlaps`` then finds, once, the (row, outcome)
 pairs of weight > 0, row after row, and the leaves and moments read
 those pairs alone.  An error on the qubits Q moves the codewords' kets
@@ -62,11 +62,11 @@ from .errors import (
     RotationErrorParams,
     ROTATION_AXES,
     _injector,
+    apply_error_model,
     check_placement,
     resolve_occupancy,
-    rotation_unitary,
 )
-from .statevec import StateVector, apply_product, support_mask, support_size
+from .statevec import StateVector, support_mask, support_size
 
 SUPPORT_THRESHOLD = 1e-12
 # Infidelities this small are rounding residue, not physics; they are
@@ -509,8 +509,7 @@ def proliferation_experiment(code_name: str, theta: float) -> tuple[int, int]:
     code = get_code(code_name)
     state = code.encoder(LogicalQubit(1.0, 0.0))
     before = support_size(state, SUPPORT_THRESHOLD)
-    rotation = rotation_unitary(RotationErrorParams("y", theta))
-    state = apply_product(state, rotation, range(code.n_physical))
+    state = apply_error_model(state, ErrorModel("rotation", RotationErrorParams("y", theta)), None)
     return before, support_size(state, SUPPORT_THRESHOLD)
 
 
@@ -532,8 +531,7 @@ def sensitivity_experiment(n_qubits: int, target_prob: float, theta: float) -> f
     amps = np.full(dim, tail, dtype=np.complex128)
     amps[0] = math.sqrt(target_prob)
     state = StateVector(n_qubits, amps)
-    rotation = rotation_unitary(RotationErrorParams("y", theta))
-    state = apply_product(state, rotation, range(n_qubits))
+    state = apply_error_model(state, ErrorModel("rotation", RotationErrorParams("y", theta)), None)
     damaged = float(np.abs(state.amps[0]) ** 2)
     damage = (target_prob - damaged) / target_prob
     if abs(damage) < NUMERICAL_FLOOR:

@@ -16,17 +16,16 @@ callers can hold disjoint streams.
 The one constructor copies its input and checks its shape and
 finiteness; it does not check the norm.  ``_product`` validates its
 operators once and applies them to a block of states, one shared or one
-per row, one matrix product per target.  ``_masks`` is the one parser of
-a Pauli string, into (x, z) bit masks that every Pauli computation here
-and in ``codes`` works on; masks act as a gather on the kets asked for
-(``_pauli_action``).  Measurement and recovery are not register
-operations: ``codes`` reads them off overlaps.
+per row, along a list of per-qubit steps, one matrix product per step.
+``_masks`` is the one parser of a Pauli string, into (x, z) bit masks
+that every Pauli computation here and in ``codes`` works on; masks act
+as a gather on the kets asked for (``_pauli_action``).  Measurement and
+recovery are not register operations: ``codes`` reads them off overlaps.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,21 +84,20 @@ def _require_unitary2(u: np.ndarray) -> np.ndarray:
 
 def _product(*us: np.ndarray):
     """Validate each of the unitaries ``us`` once; return
-    ``apply(block, targets, rows=None, which=0)``, applying them per target.
+    ``apply(block, steps, which=0)``, applying them step by step.
 
     ``block`` is a (k, 2**n) array of k registers' amplitudes, and each of
-    its rows gets its operator on each of ``targets`` in turn; a repeated
-    target gets it once per occurrence.  ``which`` names the operators: an
-    index into ``us`` gives every row that one, and a (k,) array of indices
-    gives each row its own.  ``rows``, a boolean mask over the rows, limits
-    the product to those rows, which are updated in place.  Each target is
-    one matrix product, new[..., i] = sum_j u[i, j] * old[..., j], over a
-    contiguous transpose of the rows that holds each amplitude pair side by
-    side: one shared operator is a single (k*M, 2) @ u.T, and per-row
-    operators are one (k, M, 2) @ (k, 2, 2), which numpy takes one row's
-    (M, 2) slice at a time, down the BLAS path the row alone takes.  So each
-    row rounds as it does alone, except k > 1 rows of one qubit sharing an
-    operator: their (k, 2) product is not a lone row's (1, 2)
+    ``steps`` is a pair (q, rows): an operator on qubit q of the rows the
+    boolean mask ``rows`` picks, updated in place, or of every row for
+    None.  ``which`` names the operators: an index into ``us`` gives every
+    row that one, and a (k,) array of indices gives each row its own.  Each
+    step is one matrix product, new[..., i] = sum_j u[i, j] * old[..., j],
+    over a contiguous transpose of the rows that holds each amplitude pair
+    side by side: one shared operator is a single (k*M, 2) @ u.T, and
+    per-row operators are one (k, M, 2) @ (k, 2, 2), which numpy takes one
+    row's (M, 2) slice at a time, down the BLAS path the row alone takes.
+    So each row rounds as it does alone, except k > 1 rows of one qubit
+    sharing an operator: their (k, 2) product is not a lone row's (1, 2)
     vector-matrix product, so a caller that needs lone rounding there names
     each row's operator, as a sweep's bare rows do.
     """
@@ -107,35 +105,26 @@ def _product(*us: np.ndarray):
     stack = np.stack(checked) if len(checked) > 1 else checked[0][None]
     shared = [u.T for u in checked]  # each operator for every row, as BLAS reads it
 
-    def apply(block: np.ndarray, targets: Iterable[int], rows=None, which=0) -> np.ndarray:
+    def apply(block: np.ndarray, steps, which=0) -> np.ndarray:
         k, size = block.shape
-        n_qubits = size.bit_length() - 1
-        if isinstance(which, int):
-            ops, lead = shared[which], ()
-        else:  # the operators of the rows the product touches, each u.T as a view
-            ops = stack[which if rows is None else which[rows]].swapaxes(1, 2)
-            lead = (len(ops),)
-        for target in targets:
-            if not 0 <= target < n_qubits:
-                raise ValueError(
-                    f"target qubit {target} out of range for {n_qubits} qubits"
-                )
-            # (k, 2**target, rest, 2): qubit ``target`` indexes the last axis.
-            pairs = block.reshape(k, 1 << target, 2, -1).swapaxes(2, 3)
+        per_row = not isinstance(which, int)
+        ops = stack[which].swapaxes(1, 2) if per_row else shared[which]  # each u.T as a view
+        for q, rows in steps:
+            # (k, 2**q, rest, 2): qubit q indexes the last axis.
+            pairs = block.reshape(k, 1 << q, 2, -1).swapaxes(2, 3)
+            chosen = pairs if rows is None else pairs[rows]
+            if not per_row:
+                new = chosen.reshape(-1, 2) @ ops
+            else:  # the operators of the rows the step touches
+                some = ops if rows is None else stack[which[rows]].swapaxes(1, 2)
+                new = chosen.reshape(len(chosen), -1, 2) @ some
             if rows is None:
-                new = (pairs.reshape(*lead, -1, 2) @ ops).reshape(pairs.shape)
-                block = new.swapaxes(2, 3).reshape(k, size)
+                block = new.reshape(pairs.shape).swapaxes(2, 3).reshape(k, size)
             else:
-                chosen = pairs[rows]
-                pairs[rows] = (chosen.reshape(*lead, -1, 2) @ ops).reshape(chosen.shape)
+                pairs[rows] = new.reshape(chosen.shape)
         return block
 
     return apply
-
-
-def apply_product(state: StateVector, u: np.ndarray, targets: Iterable[int]) -> StateVector:
-    """Apply the single-qubit unitary ``u`` to each of ``targets`` in turn."""
-    return StateVector(state.n_qubits, _product(u)(state.amps[None], targets).reshape(-1))
 
 
 def _masks(ops: str) -> tuple[int, int]:

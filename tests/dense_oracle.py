@@ -7,7 +7,9 @@ nothing with the package's syndrome table, overlaps or leaves.
 
 ``dense_overlaps`` is the one exception, and no oracle: it lays the
 package's reached (row, outcome) pairs out as (k, 2^m) arrays, for tests
-that read an outcome by its row of the table.
+that read an outcome by its row of the table.  ``apply_product`` is no
+oracle either: it runs the package's ``_product`` on one register, for
+tests that place a unitary on qubits of their choosing.
 """
 
 import functools
@@ -16,6 +18,7 @@ import numpy as np
 
 from qeclab.codes import _overlaps, get_code
 from qeclab.experiments import NUMERICAL_FLOOR
+from qeclab.statevec import StateVector, _product
 
 DENSE_PAULIS = {
     "I": np.eye(2, dtype=complex),
@@ -88,3 +91,9 @@ def dense_overlaps(block, table, touched=None):
     weights = np.zeros(dense.shape[:2])
     weights[cells] = weight
     return dense[..., 0], dense[..., 1], weights
+
+
+def apply_product(state, u, targets):
+    """The single-qubit unitary ``u`` applied to each of ``targets`` in turn."""
+    steps = [(q, None) for q in targets]
+    return StateVector(state.n_qubits, _product(u)(state.amps[None], steps).reshape(-1))

@@ -36,9 +36,9 @@ from qeclab.experiments import (
     proliferation_experiment,
     sweep_theta,
 )
-from qeclab.statevec import apply_pauli_string, apply_product
+from qeclab.statevec import apply_pauli_string
 
-from dense_oracle import dense_outcomes
+from dense_oracle import apply_product, dense_outcomes
 
 GENERIC_LOGICAL = LogicalQubit(0.6, complex(0.48, 0.64))
 

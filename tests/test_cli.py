@@ -42,9 +42,8 @@ from qeclab.errors import (
 from qeclab.experiments import (
     ExperimentConfig, SweepResult, SweepRow, _leaves, _moments, fit_power_law, model_for
 )
-from qeclab.statevec import apply_product
 
-from dense_oracle import dense_branches, dense_overlaps
+from dense_oracle import apply_product, dense_branches, dense_overlaps
 
 MINIMAL = """\
 code = steane7

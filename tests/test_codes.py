@@ -24,12 +24,11 @@ from qeclab.statevec import (
     StateVector,
     _product,
     apply_pauli_string,
-    apply_product,
     fidelity,
     support_size,
 )
 
-from dense_oracle import apply_letters, dense_overlaps, dense_pauli
+from dense_oracle import apply_letters, apply_product, dense_overlaps, dense_pauli
 
 # The codeword structures, restated independently of the module under test.
 STEANE_ZERO_KETS = {
@@ -516,8 +515,7 @@ class TestExtractSyndrome:
             reached[row, hits] = True
         for logical in (LogicalQubit(1.0, 0.0), LogicalQubit(0.0, 1.0), GENERIC_LOGICAL):
             block = np.repeat(code.encoder(logical).amps[None], len(masks), axis=0)
-            for q in range(n):
-                block = product(block, [q], touches[:, q])
+            block = product(block, [(q, touches[:, q]) for q in range(n)])
             dense = dense_overlaps(block, table)
             assert not dense[2][~reached].any()
             for got, want in zip(dense_overlaps(block, table, masks), dense):

@@ -15,6 +15,7 @@ from qeclab.errors import (
     GeneralErrorParams,
     Placement,
     RotationErrorParams,
+    _injector,
     apply_error_model,
     bose_einstein_pattern_prob,
     build_general_unitary,
@@ -382,3 +383,44 @@ class TestApplyErrorModel:
             match="^decay placement must not stack errors on one qubit of the 3-qubit register$",
         ):
             apply_error_model(ket("000"), model, NoDraws())
+
+
+class TestInjectorSchedule:
+    """``_injector`` injects a block of occupancies on one per-qubit
+    schedule, each step on the rows it touches, so every row has the bits
+    it has injected alone: one row or several, all equal or mixed, with
+    repeats of a qubit, under one model for every row or one per row."""
+
+    MODELS = {
+        "rotation": [ErrorModel("rotation", RotationErrorParams("x", t)) for t in (0.3, 1.1, 2.5)],
+        "general_unitary": [
+            ErrorModel("general_unitary", GeneralErrorParams(e1, complex(0.1, e1)))
+            for e1 in (0.3, 2.0)
+        ],
+        "decay": [ErrorModel("decay", DecayModel(0.8, t)) for t in (0.3, 1.1, 2.5)],
+    }
+
+    @pytest.mark.parametrize("kind", list(MODELS))
+    def test_block_rows_match_each_row_injected_alone(self, kind):
+        rng = np.random.default_rng(31)
+        models = self.MODELS[kind]
+        inject = _injector(*models)
+        most = 1 if kind == "decay" else 3  # decay stacks no two errors on a qubit
+        for n in (1, 2, 5, 7):
+            amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+            state = StateVector(n, amps / np.linalg.norm(amps))
+            for k in (1, 2, 6):
+                mixed = rng.integers(0, most + 1, (k, n))
+                equal = np.repeat(rng.integers(0, most + 1, (1, n)), k, axis=0)
+                per_row = rng.integers(0, len(models), k)
+                # k > 1 rows of one qubit sharing an operator do not round as
+                # one row alone does; a sweep names each row's operator there.
+                shared = [] if n == 1 and k > 1 and kind != "decay" else [len(models) - 1]
+                for occupancies in (mixed, equal):
+                    for which in (*shared, per_row):
+                        block = inject(state, occupancies, which)
+                        assert block.shape == (k, 1 << n)
+                        for i, row in enumerate(block):
+                            model = models[which if isinstance(which, int) else per_row[i]]
+                            alone = _injector(model)(state, occupancies[i:i + 1])
+                            assert row.tobytes() == alone.tobytes()

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -13,7 +14,7 @@ import qeclab.errors
 import qeclab.experiments
 import qeclab.statevec
 from qeclab.cli import format_float
-from qeclab.codes import LogicalQubit, _draw_syndrome, get_code
+from qeclab.codes import LogicalQubit, _draw_syndrome, _overlaps, get_code
 from qeclab.errors import (
     ALL_QUBITS,
     FLIP_KINDS,
@@ -876,6 +877,28 @@ class TestOverlapPaths:
         rows = sweep_theta(config).rows
         assert all(row.mean_infid_coded < NUMERICAL_FLOOR for row in rows)
         assert all(row.mean_infid_uncoded > 0.0 for row in rows)
+
+    def test_a_wide_row_is_gathered_in_slices_of_its_outcomes(self, repetition_codes, monkeypatch):
+        """One row of the 11-qubit phase-flip code gathers 2 x 2^10 kets for
+        each of its 2^10 outcomes, 32 MB at once; the dense path reads it in
+        slices of outcomes under ``_GATHER_BYTES``, so one row peaks under
+        2 MB, with the bits of one slice of every outcome and of one outcome
+        at a time."""
+        table = get_code("phaseflip11")._syndromes
+        rng = np.random.default_rng(12)
+        block = rng.standard_normal((1, 1 << 11)) + 1j * rng.standard_normal((1, 1 << 11))
+        tracemalloc.start()
+        try:
+            got = _overlaps(block, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        assert got[0].tolist() == [1 << 10]  # a generic row reaches every outcome
+        for budget in (1, 1 << 30):  # one outcome at a time, every outcome at once
+            monkeypatch.setattr(qeclab.codes, "_GATHER_BYTES", budget)
+            for part, want in zip(_overlaps(block, table), got):
+                assert part.tobytes() == want.tobytes()
 
 
 class TestMoments:
