@@ -7,13 +7,7 @@ seeded Monte Carlo harness for measuring the residual error that
 survives syndrome-based correction.
 """
 
-from .codes import (
-    CODE_NAMES,
-    CodeSpec,
-    LogicalQubit,
-    get_code,
-    pauli_strings_commute,
-)
+from .codes import CODE_NAMES, CodeSpec, LogicalQubit, get_code
 from .errors import (
     ALL_QUBITS,
     ERROR_KINDS,
@@ -77,7 +71,6 @@ __all__ = [
     "fit_power_law",
     "get_code",
     "model_for",
-    "pauli_strings_commute",
     "pauli_unitary",
     "proliferation_experiment",
     "rotation_unitary",

@@ -229,14 +229,16 @@ def _theta_grid_from_doc(doc: _Doc) -> tuple[float, ...]:
     return tuple(float(t) for t in grid)
 
 
-def _complex_pair(doc: _Doc, keys: tuple[str, ...], build, fallback_line=None):
-    """``build(a, b)`` of the complex pair spelled by four float keys, absent
-    ones read as 0; a refusal names the last key present, else ``fallback_line``."""
+def _complex_pair(doc: _Doc, field: str, build, fallback_line=None):
+    """``build(a, b)`` of the complex pair spelled by ``field``'s four float
+    keys, absent ones read as 0; a refusal of ``field`` names the last key
+    present, else ``fallback_line``."""
+    keys = _FIELD_KEYS[field]
     a_re, a_im, b_re, b_im = (doc.parse(k, float, default=0.0) for k in keys)
     try:
         return build(complex(a_re, a_im), complex(b_re, b_im))
     except ValueError as exc:
-        raise ConfigError(f"line {doc.line(*keys) or fallback_line}: {exc}") from None
+        raise ConfigError(f"line {doc.line(*keys) or fallback_line}: {exc}", field) from None
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -256,26 +258,24 @@ def parse_config(text: str) -> ExperimentConfig:
         if kind != reader:
             for key in _FIELD_KEYS[name]:
                 doc.reject(key, f"{key} only applies to {reader} errors")
-    general_keys, logical_keys = _FIELD_KEYS["general"], _FIELD_KEYS["logical"]
+    # Read in field order; each read's refusal already names its line.
+    fields = dict(
+        axis=doc.parse("error.axis", str, ExperimentConfig.axis),
+        decay_rate=doc.parse("error.lambda", float, ExperimentConfig.decay_rate),
+        general=(
+            _complex_pair(doc, "general", GeneralErrorParams, doc.line("error.kind"))
+            if kind == KIND_FIELDS["general"][0] else None
+        ),
+        theta_grid=_theta_grid_from_doc(doc),
+        trials=doc.parse("trials", int, ExperimentConfig.trials),
+        seed=doc.parse("seed", int, ExperimentConfig.seed),
+        logical=(
+            _complex_pair(doc, "logical", LogicalQubit)
+            if doc.line(*_FIELD_KEYS["logical"]) else ExperimentConfig.logical
+        ),
+    )
     try:
-        return ExperimentConfig(
-            code=code,
-            error_kind=kind,
-            placement=placement,
-            axis=doc.parse("error.axis", str, ExperimentConfig.axis),
-            decay_rate=doc.parse("error.lambda", float, ExperimentConfig.decay_rate),
-            general=(
-                _complex_pair(doc, general_keys, GeneralErrorParams, doc.line("error.kind"))
-                if kind == KIND_FIELDS["general"][0] else None
-            ),
-            theta_grid=_theta_grid_from_doc(doc),
-            trials=doc.parse("trials", int, ExperimentConfig.trials),
-            seed=doc.parse("seed", int, ExperimentConfig.seed),
-            logical=(
-                _complex_pair(doc, logical_keys, LogicalQubit)
-                if doc.line(*logical_keys) else ExperimentConfig.logical
-            ),
-        )
+        return ExperimentConfig(code=code, error_kind=kind, placement=placement, **fields)
     except ConfigError as exc:
         line = doc.line(*_FIELD_KEYS.get(exc.field, ()))
         if line is None:

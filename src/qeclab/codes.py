@@ -186,13 +186,6 @@ class CodeSpec:
 # Pauli-string bookkeeping
 # ---------------------------------------------------------------------------
 
-def pauli_strings_commute(a: str, b: str) -> bool:
-    """Whether two Pauli strings of one length commute."""
-    if len(a) != len(b):
-        raise ValueError(f"Pauli strings {a!r} and {b!r} differ in length")
-    return _commute(_masks(a), _masks(b))
-
-
 def _commute(p: tuple[int, int], q: tuple[int, int]) -> bool:
     """Symplectic test: (x, z) masks commute iff they clash on an even count."""
     return ((p[0] & q[1]) ^ (p[1] & q[0])).bit_count() % 2 == 0

@@ -15,6 +15,7 @@ it before it draws, so occupancy and injection take a fit as given.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,15 +37,24 @@ _STATE_NORM_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class GeneralErrorParams:
-    """Complex pair (e1, e2) selecting one member of the unitary error family."""
+    """Complex pair (e1, e2) selecting one member of the unitary error family.
+
+    The weight |e1|^2 + |e2|^2 must be a finite normal float: a subnormal
+    weight has lost the bits ``build_general_unitary`` normalizes by, so
+    this refusal is what makes every operator it builds unitary to about
+    1e-15, and no later step checks it again.
+    """
 
     e1: complex
     e2: complex
 
     def __post_init__(self) -> None:
         weight = _norm_sq(self.e1, self.e2)
-        if not (math.isfinite(weight) and weight > 0.0):
-            raise ValueError("e1 and e2 must be finite and not both zero")
+        if not (math.isfinite(weight) and weight >= sys.float_info.min):
+            raise ValueError(
+                f"e1 and e2 must be finite, with |e1|^2 + |e2|^2 at least "
+                f"{sys.float_info.min!r} to normalize, got {weight!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -313,7 +323,11 @@ def _operator_for(model: ErrorModel) -> np.ndarray:
 
 def _injector(*models: ErrorModel):
     """The channel of ``models``, all of one kind (a sweep's grid points), as
-    ``inject(state, occupancies, which=0)``, each operator validated once.
+    ``inject(state, occupancies, which=0)``, each operator built once by
+    ``_operator_for``.  That build is where unitarity is guaranteed: the
+    flips are exact, ``RotationErrorParams`` refuses a non-finite angle and
+    ``GeneralErrorParams`` a pair it cannot normalize, so ``_product``
+    applies the operators unchecked.
 
     ``occupancies`` is a (k, N) array of errors per qubit, and the result
     is the (k, 2**N) block of ``state`` injected under each row.  ``which``

@@ -14,9 +14,11 @@ randomized takes an explicit ``numpy.random.Generator`` so concurrent
 callers can hold disjoint streams.
 
 The one constructor copies its input and checks its shape and
-finiteness; it does not check the norm.  ``_product`` validates its
-operators once and applies them to a block of states, one shared or one
-per row, along a list of per-qubit steps, one matrix product per step.
+finiteness; it does not check the norm.  ``_product`` applies 2x2
+operators to a block of states, one shared or one per row, along a list
+of per-qubit steps, one matrix product per step.  It takes its operators'
+unitarity as given: ``errors`` builds every operator a register receives,
+and its parameter types refuse what would not build a unitary.
 ``_masks`` is the one parser of a Pauli string, into (x, z) bit masks
 that every Pauli computation here and in ``codes`` works on; masks act
 as a gather on the kets asked for (``_pauli_action``).  Measurement and
@@ -31,12 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_QUBITS = 14
-
-# Malformed unitary *inputs* are rejected at 1e-8, looser than the 1e-10
-# drift that accumulated rounding may leave on invariants.
-UNITARY_INPUT_TOL = 1e-8
-
-_EYE2 = np.eye(2)
 
 
 @dataclass(frozen=True)
@@ -72,19 +68,11 @@ def _norm_sq(a: complex, b: complex) -> float:
         return math.inf
 
 
-def _require_unitary2(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
-    defect = np.abs(u @ u.conj().T - _EYE2).max()
-    if not defect <= UNITARY_INPUT_TOL:  # a NaN defect is refused too
-        raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
-    return u
-
-
 def _product(*us: np.ndarray):
-    """Validate each of the unitaries ``us`` once; return
-    ``apply(block, steps, which=0)``, applying them step by step.
+    """Return ``apply(block, steps, which=0)``, applying the 2x2 complex
+    unitaries ``us`` step by step.  Nothing here checks that they are
+    unitary: ``errors._operator_for`` builds them, and the parameter types
+    it reads refuse any pair or angle that would not give a unitary.
 
     ``block`` is a (k, 2**n) array of k registers' amplitudes, and each of
     ``steps`` is a pair (q, rows): an operator on qubit q of the rows the
@@ -101,9 +89,8 @@ def _product(*us: np.ndarray):
     vector-matrix product, so a caller that needs lone rounding there names
     each row's operator, as a sweep's bare rows do.
     """
-    checked = [_require_unitary2(u) for u in us]
-    stack = np.stack(checked) if len(checked) > 1 else checked[0][None]
-    shared = [u.T for u in checked]  # each operator for every row, as BLAS reads it
+    stack = np.stack(us)
+    shared = [u.T for u in us]  # each operator for every row, as BLAS reads it
 
     def apply(block: np.ndarray, steps, which=0) -> np.ndarray:
         k, size = block.shape

@@ -53,6 +53,12 @@ theta = 0
 trials = 100
 """
 
+# GeneralErrorParams' refusal of a pair, up to the weight it prints.
+PAIR_REFUSAL = (
+    "e1 and e2 must be finite, with |e1|^2 + |e2|^2 at least "
+    "2.2250738585072014e-308 to normalize, got "
+)
+
 STEANE_ENCODE_LINES = [
     "|0000000> 0.3535533906",
     "|0001111> 0.3535533906",
@@ -353,10 +359,28 @@ class TestParseConfig:
     )
     def test_zero_e1_e2_pair_names_its_last_key(self, keys, line):
         text = "code = shor9\nerror.kind = general_unitary\nerror.placement = fixed:3\n"
-        with pytest.raises(
-            ConfigError, match=rf"^line {line}: e1 and e2 must be finite and not both zero$"
-        ):
+        with pytest.raises(ConfigError, match=rf"^line {line}: {re.escape(PAIR_REFUSAL)}0\.0$"):
             parse_config(text + keys + "theta = 0\n")
+
+    @pytest.mark.parametrize("command", ["sweep", "inject", "correct"])
+    def test_a_pair_too_small_to_normalize_is_refused_at_its_line(
+        self, command, tmp_path, capsys
+    ):
+        """|e1|^2 + |e2|^2 = 1e-320 is subnormal, too coarse to normalize the
+        operator by: the config is refused at the pair's line, as the
+        ``general`` field, and no command starts."""
+        text = (
+            "code = steane7\nerror.kind = general_unitary\nerror.placement = fixed:0\n"
+            "error.e1_re = 1e-160\ntheta = 0\n"
+        )
+        message = f"line 4: {PAIR_REFUSAL}1e-320"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as refused:
+            parse_config(text)
+        assert refused.value.field == "general"
+        path = tmp_path / "tiny.cfg"
+        path.write_text(text)
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "key,value,reader",
@@ -887,7 +911,7 @@ class TestCliCommands:
              "line 6: logical amplitudes must be normalized, |a|^2+|b|^2 = inf"),
             (["sweep"], "code = shor9\nerror.kind = general_unitary\nerror.placement = fixed:3\n"
              "error.e1_re = 1e308\ntheta = 0\n",
-             "line 4: e1 and e2 must be finite and not both zero"),
+             f"line 4: {PAIR_REFUSAL}inf"),
         ],
         ids=["logical_pair", "logical_four", "config_logical", "config_general"],
     )

@@ -1,21 +1,28 @@
 """Unit and property tests for the error catalog."""
 
+import cmath
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qeclab.errors import (
     ALL_QUBITS,
+    FLIP_KINDS,
+    ROTATION_AXES,
     DecayModel,
     ErrorModel,
     GeneralErrorParams,
     Placement,
     RotationErrorParams,
     _injector,
+    _operator_for,
     apply_error_model,
     bose_einstein_pattern_prob,
     build_general_unitary,
@@ -26,6 +33,23 @@ from qeclab.errors import (
     sample_placement,
 )
 from qeclab.statevec import StateVector, support_size
+
+
+def _component(exponent: float, phase: float) -> complex:
+    return 10.0**exponent * cmath.exp(1j * phase)
+
+
+# (kind, constructor arguments) of every operator family: the flips, a
+# rotation about each axis by 0 to 1e300, and general pairs whose parts
+# range over 1e-170 to 1e160 in modulus, at any phase, or are 0.  Half the
+# exponents lie below -150, where a weight turns subnormal near 1e-154.
+_EXPONENTS = st.floats(-170, 160) | st.floats(-170, -150)
+_PARTS = st.just(0j) | st.builds(_component, _EXPONENTS, st.floats(0, 2 * math.pi))
+OPERATOR_MODELS = st.one_of(
+    st.tuples(st.sampled_from(FLIP_KINDS), st.just(())),
+    st.tuples(st.just("rotation"), st.tuples(st.sampled_from(ROTATION_AXES), st.floats(0, 1e300))),
+    st.tuples(st.just("general_unitary"), st.tuples(_PARTS, _PARTS)),
+)
 
 
 def ket(bits: str) -> StateVector:
@@ -50,20 +74,39 @@ class TestGeneralUnitary:
         s = 1 / math.sqrt(2)
         np.testing.assert_allclose(u, [[s, s], [s, -s]], atol=1e-15)
 
-    def test_always_unitary(self):
-        """10^4 random parameter draws all give U U-dagger = I to 1e-10."""
-        rng = np.random.default_rng(42)
-        draws = rng.standard_normal((10_000, 4))
-        eye = np.eye(2)
-        for e in draws:
-            u = build_general_unitary(
-                GeneralErrorParams(complex(e[0], e[1]), complex(e[2], e[3]))
-            )
-            assert np.max(np.abs(u @ u.conj().T - eye)) < 1e-10
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @given(OPERATOR_MODELS)
+    def test_always_unitary(self, build):
+        """Every operator ``_operator_for`` can return is unitary to 1e-12,
+        since no kernel checks it again: the flips, each rotation axis at
+        any finite angle, and every general pair whose weight
+        |e1|^2 + |e2|^2 is a finite normal float.  A pair of any other
+        weight, a subnormal one included, is refused where it is built."""
+        kind, args = build
+        if kind == "general_unitary":
+            try:
+                weight = abs(args[0]) ** 2 + abs(args[1]) ** 2
+            except OverflowError:
+                weight = math.inf
+            if not sys.float_info.min <= weight < math.inf:
+                with pytest.raises(ValueError, match="to normalize"):
+                    GeneralErrorParams(*args)
+                return
+            model = ErrorModel(kind, GeneralErrorParams(*args))
+        else:
+            model = ErrorModel(kind, RotationErrorParams(*args) if args else None)
+        u = _operator_for(model)
+        assert np.abs(u @ u.conj().T - np.eye(2)).max() <= 1e-12
 
-    def test_rejects_double_zero(self):
-        with pytest.raises(ValueError, match="not both zero"):
-            GeneralErrorParams(0, 0)
+    @pytest.mark.parametrize(
+        "e1,e2,weight",
+        [(0, 0, "0"), (math.nan, 0, "nan"), (math.inf, 0, "inf"), (1e155, 0, "inf"),
+         (1e-160, 0, "1e-320"), (1e-155, 1e-155j, "2e-310")],
+        ids=["double_zero", "nan", "inf", "overflow", "subnormal", "subnormal_pair"],
+    )
+    def test_rejects_a_pair_that_cannot_normalize(self, e1, e2, weight):
+        with pytest.raises(ValueError, match=f"to normalize, got {weight}$"):
+            GeneralErrorParams(e1, e2)
 
 
 class TestRotationUnitary:
@@ -93,8 +136,9 @@ class TestRotationUnitary:
             RotationErrorParams("w", 0.1)
 
     def test_rejects_non_finite_angle(self):
-        with pytest.raises(ValueError, match="finite"):
-            RotationErrorParams("y", math.inf)
+        for theta in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                RotationErrorParams("y", theta)
 
 
 class TestPauliUnitary:

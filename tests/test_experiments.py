@@ -531,24 +531,24 @@ class TestSweepTheta:
             monkeypatch.setattr(module, "StateVector", traced)
         assert sweep_theta(config).rows == expected
 
-    def test_channel_operator_is_validated_once_per_grid_point(self, monkeypatch):
-        """Each grid point builds one injector, which validates its unitary
-        once, and injects both sides with it: the coded block, however many
-        distinct occupancies it holds, and the bare qubit."""
-        checks = []
-        original = qeclab.statevec._require_unitary2
+    def test_channel_operator_is_built_once_per_grid_point(self, monkeypatch):
+        """A sweep builds each grid point's unitary once, through
+        ``errors._operator_for``, and injects both sides with it: the coded
+        block, however many distinct occupancies it holds, and the bare qubit."""
+        built = []
+        original = qeclab.errors._operator_for
 
-        def counting(u):
-            checks.append(u)
-            return original(u)
+        def counting(model):
+            built.append(model)
+            return original(model)
 
-        monkeypatch.setattr(qeclab.statevec, "_require_unitary2", counting)
+        monkeypatch.setattr(qeclab.errors, "_operator_for", counting)
         config = rotation_config(
             code="shor9", placement=Placement.bose_einstein(2), logical=GENERIC,
             theta_grid=(0.05, 0.2, 0.8), trials=50,
         )
         sweep_theta(config)
-        assert len(checks) == len(config.theta_grid)
+        assert [model.params.theta for model in built] == list(config.theta_grid)
 
     def test_decay_refuses_a_projection_that_stacks_before_any_work(self, monkeypatch):
         """The config accepts decay on two distinct qubits, which ``inject``

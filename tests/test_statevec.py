@@ -169,19 +169,6 @@ class TestApplyProduct:
         state = random_state(3, np.random.default_rng(2))
         assert apply_product(state, X, []).amps.tobytes() == state.amps.tobytes()
 
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError, match="not unitary"):
-            _product(X, np.array([[1, 0], [0, 2]]))
-
-    def test_rejects_a_nan_matrix(self):
-        """A NaN defect compares false with the tolerance, and is refused as
-        any other defect is, before the operator reaches a register."""
-        nan = np.full((2, 2), np.nan)
-        with pytest.raises(ValueError, match="matrix is not unitary"):
-            _product(nan)
-        with pytest.raises(ValueError, match="matrix is not unitary"):
-            apply_product(ket("0"), nan, [0])
-
     def test_input_state_untouched(self):
         state = random_state(3, np.random.default_rng(4))
         before = state.amps.tobytes()
@@ -278,14 +265,6 @@ class TestApply1q:
         rng = np.random.default_rng(11)
         state = random_state(3, rng)
         np.testing.assert_allclose(apply_product(state, I2, [1]).amps, state.amps, atol=1e-15)
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError, match="not unitary"):
-            _product(np.array([[1, 0], [0, 2]]))
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError, match="2x2"):
-            _product(np.eye(4))
 
 
 class TestMeasureQubit:
