@@ -303,9 +303,11 @@ def _overlaps(block: np.ndarray, table: _SyndromeTable, touched=None):
 
     ``touched``, if given, holds each row's qubit mask (qubit 0 the most
     significant bit): the row must be a codeword state injected on those
-    qubits alone.  Each injection step on qubit q writes amplitude i only
-    from amplitudes i and i XOR 2**(n-1-q), so the row is exactly 0 off
-    the codewords' kets moved by flips inside its mask, and an outcome it
+    qubits alone.  The injector holds such a row in a compact register,
+    one slot per codeword ket moved by flips inside its mask, where each
+    step on a qubit of the mask writes a slot only from the slot of the ket
+    that differs from it on that qubit (``errors._layout``); scattered
+    into the block, the row is exactly 0 off those kets, so an outcome it
     cannot reach (``_reached``) has a_0 = a_1 = 0 and weight 0.  When the
     reached pairs are under ``_PAIR_SHARE`` of all, only they are read;
     each is the same sum of products, in the same order, as without

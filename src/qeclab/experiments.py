@@ -13,13 +13,18 @@ of the outcome it draws).  A trial thus depends on its occupancy alone.
 At each grid point ``sweep_theta`` draws every trial's occupancy, then
 evaluates the distinct ones as one block (``_kernel``): the block is
 injected one qubit step at a time, each step one matrix product over
-the rows it touches.  ``_overlaps`` then finds, once, the (row, outcome)
-pairs of weight > 0, row after row, and the leaves and moments read
-those pairs alone.  An error on the qubits Q moves the codewords' kets
-only by flips inside Q, so a row reaches only outcomes with a ket that
-agrees with a codeword ket off Q; a block with few such pairs reads only
-them, by the same sums of products.  A block's rows round exactly as
-each row alone does.
+the rows it touches.  An error on the qubits Q moves the codewords' kets
+only by flips inside Q, so each row is injected on those kets alone: a
+register of the values of its occupied qubits over the patterns of the
+codewords' kets off them (``errors._layout``), the whole register in a
+block with a row on every qubit.  Supports are counted there, and the
+rows are scattered into the dense block that ``_overlaps`` reads; each
+amplitude is the one a dense injection computes, by the same products.
+``_overlaps`` then finds, once, the (row, outcome) pairs of weight > 0,
+row after row, and the leaves and moments read those pairs alone.  A
+row reaches only outcomes with a ket that agrees with a codeword ket off
+Q; a block with few such pairs reads only them, by the same sums of
+products.  A block's rows round exactly as each row alone does.
 Each entry carries its variance over syndrome outcomes: a row's
 ``std_coded`` is the population std of one trial's infidelity, by the law
 of total variance.  A placement with no error count draws nothing; its
@@ -62,6 +67,7 @@ from .errors import (
     RotationErrorParams,
     ROTATION_AXES,
     _injector,
+    _scatter,
     apply_error_model,
     check_placement,
     resolve_occupancy,
@@ -398,26 +404,33 @@ def _kernel(
     syndrome ``table``, of ``encoded`` injected by ``inject`` under the
     grid points ``which`` names (one for every row, or one per row), and
     their supports right after injection.  Rows are injected and summed in
-    blocks of at most ``_BLOCK_BYTES`` of amplitudes; a block rounds as its
-    rows alone do.  ``encoded`` is a state of the table's code, so each
-    row's overlaps need only the outcomes an error on its occupied qubits
-    can reach (``_overlaps``).
+    blocks of at most ``_BLOCK_BYTES`` of dense amplitudes; a block rounds
+    as its rows alone do.  ``encoded`` is a state of the table's code, so
+    each row is injected on the kets ``table.kets`` moved by flips inside
+    its occupied qubits alone (``errors._layout``), and its overlaps need
+    only the outcomes those flips reach (``_overlaps``).
     """
     step = max(1, _BLOCK_BYTES // encoded.amps.nbytes)
     means, variances, supports = [], [], []
     for lo in range(0, len(occupancies), step):
         rows = slice(lo, lo + step)
-        block = inject(
-            encoded, occupancies[rows], which if isinstance(which, int) else which[rows]
-        )
         occupied = occupancies[rows] > 0
-        # Rows that all touch every qubit can reach every outcome: no lookup.
-        # Otherwise each row's mask of occupied qubits, qubit 0 the top bit.
-        touched = None if occupied.all() else occupied @ (1 << np.arange(encoded.n_qubits)[::-1])
+        # Rows that all touch every qubit can reach every ket and outcome: no
+        # lookup.  Otherwise each row's mask of occupied qubits, qubit 0 the
+        # top bit.
+        every = occupied.all()
+        touched = None if every else occupied @ (1 << np.arange(encoded.n_qubits)[::-1])
+        block, slots = inject(
+            encoded, occupancies[rows], which if isinstance(which, int) else which[rows],
+            None if every else table.kets,
+        )
+        # Supports on the compact rows: their dropped slots hold zeros.
+        supports += support_mask(block, SUPPORT_THRESHOLD).sum(axis=1).tolist()
+        if slots is not None:
+            block = _scatter(block, slots, encoded.amps.size)
         block_means, block_variances = _moments(block, table, logical, touched)
         means += block_means
         variances += block_variances
-        supports += support_mask(block, SUPPORT_THRESHOLD).sum(axis=1).tolist()
     return means, variances, supports
 
 

@@ -61,9 +61,10 @@ class StateVector:
 
 
 def _norm_sq(a: complex, b: complex) -> float:
-    """``abs(a) ** 2 + abs(b) ** 2``, or inf where that raises OverflowError."""
+    """``abs(a) ** 2 + abs(b) ** 2`` as a float, or inf where a part or its
+    square overflows a float (an int part may be too large to convert)."""
     try:
-        return abs(a) ** 2 + abs(b) ** 2
+        return float(abs(a)) ** 2 + float(abs(b)) ** 2
     except OverflowError:
         return math.inf
 
@@ -74,11 +75,13 @@ def _product(*us: np.ndarray):
     unitary: ``errors._operator_for`` builds them, and the parameter types
     it reads refuse any pair or angle that would not give a unitary.
 
-    ``block`` is a (k, 2**n) array of k registers' amplitudes, and each of
-    ``steps`` is a pair (q, rows): an operator on qubit q of the rows the
-    boolean mask ``rows`` picks, updated in place, or of every row for
-    None.  ``which`` names the operators: an index into ``us`` gives every
-    row that one, and a (k,) array of indices gives each row its own.  Each
+    ``block`` is a (k, 2**m * c) array of k registers of m qubits, qubit 0
+    the most significant, with c amplitudes under each of their 2**m values
+    (c = 1 for a state vector), and each of ``steps`` is a pair (q, rows):
+    an operator on qubit q of the rows the boolean mask ``rows`` picks,
+    updated in place, or of every row for None.  ``which`` names the
+    operators: an index into ``us`` gives every row that one, and a (k,)
+    array of indices gives each row its own.  Each
     step is one matrix product, new[..., i] = sum_j u[i, j] * old[..., j],
     over a contiguous transpose of the rows that holds each amplitude pair
     side by side: one shared operator is a single (k*M, 2) @ u.T, and

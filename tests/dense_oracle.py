@@ -9,14 +9,20 @@ nothing with the package's syndrome table, overlaps or leaves.
 package's reached (row, outcome) pairs out as (k, 2^m) arrays, for tests
 that read an outcome by its row of the table.  ``apply_product`` is no
 oracle either: it runs the package's ``_product`` on one register, for
-tests that place a unitary on qubits of their choosing.
+tests that place a unitary on qubits of their choosing.  ``dense_inject``
+is the reference for the injector's register layout, not for its
+arithmetic: it runs the package's operators on every row's whole
+register, as the injector did before it held each row only on the kets
+the row can reach.
 """
 
 import functools
+import math
 
 import numpy as np
 
-from qeclab.codes import _overlaps, get_code
+from qeclab.codes import CODE_NAMES, CodeSpec, _overlaps, get_code
+from qeclab.errors import _operator_for, decoherence_prob
 from qeclab.experiments import NUMERICAL_FLOOR
 from qeclab.statevec import StateVector, _product
 
@@ -93,7 +99,46 @@ def dense_overlaps(block, table, touched=None):
     return dense[..., 0], dense[..., 1], weights
 
 
+@functools.lru_cache(maxsize=None)
+def code_spec(name):
+    """A registered code, or the n-qubit repetition code ``bitflip<n>``
+    (checks Z_iZ_{i+1}) or ``phaseflip<n>`` (checks X_iX_{i+1}), n < 10,
+    with Z-bar = Z^n and X-bar = X^n."""
+    if name in CODE_NAMES:
+        return get_code(name)
+    n, check = int(name[-1]), "Z" if name.startswith("bit") else "X"
+    checks = tuple("I" * i + check * 2 + "I" * (n - 2 - i) for i in range(n - 1))
+    return CodeSpec(name, checks, "Z" * n, "X" * n)
+
+
 def apply_product(state, u, targets):
     """The single-qubit unitary ``u`` applied to each of ``targets`` in turn."""
     steps = [(q, None) for q in targets]
     return StateVector(state.n_qubits, _product(u)(state.amps[None], steps).reshape(-1))
+
+
+def dense_inject(models, state, occupancies, which=0):
+    """The (k, 2^N) block of ``state`` injected under each row of the
+    (k, N) ``occupancies``, each row on its whole register: qubits in
+    ascending order, a qubit's repeats back to back, a repeat r of qubit q
+    one step on the rows with more than r errors on q (every row, as one
+    product, while every row has).  ``which`` names each row's model, as
+    the injector reads it.  Decay scales each step's |1> amplitudes by
+    sqrt(1 - p_t) and then normalizes each row."""
+    k, n = occupancies.shape
+    steps = []
+    for q in range(n):
+        least, most = int(occupancies[:, q].min()), int(occupancies[:, q].max())
+        steps += [(q, None)] * least + [(q, occupancies[:, q] > r) for r in range(least, most)]
+    block = np.repeat(state.amps[None], k, axis=0)
+    if models[0].kind != "decay":
+        return _product(*(_operator_for(model) for model in models))(block, steps, which)
+    scales = [math.sqrt(1.0 - decoherence_prob(model.params)) for model in models]
+    scale = np.array(scales)[np.broadcast_to(which, (k,))]
+    for q, rows in steps:
+        chosen = np.ones(k, dtype=bool) if rows is None else rows
+        ones = block.reshape(k, 1 << q, 2, -1)[:, :, 1]
+        ones[chosen] *= scale[chosen, None, None]
+    for amps in block:
+        amps /= float(np.linalg.norm(amps))
+    return block

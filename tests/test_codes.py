@@ -29,7 +29,7 @@ from qeclab.statevec import (
     support_size,
 )
 
-from dense_oracle import apply_letters, apply_product, dense_overlaps, dense_pauli
+from dense_oracle import apply_letters, apply_product, code_spec, dense_overlaps, dense_pauli
 
 
 def commute_strings(a: str, b: str) -> bool:
@@ -531,12 +531,7 @@ class TestExtractSyndrome:
         """On every mask Q, ``_reached`` holds exactly the outcomes s with a
         flip inside Q: a ket of s XOR a ket of either codeword with no bit
         outside Q."""
-        if name in CODE_NAMES:
-            spec = get_code(name)
-        else:
-            n, check = int(name[-1]), "Z" if name.startswith("bit") else "X"
-            checks = tuple("I" * i + check * 2 + "I" * (n - 2 - i) for i in range(n - 1))
-            spec = CodeSpec(name, checks, "Z" * n, "X" * n)
+        spec = code_spec(name)
         table = spec._syndromes
         kets = np.union1d(*(np.flatnonzero(v) for v in spec.codewords))
         flips = (table.index.reshape(len(table.index), -1, 1) ^ kets).reshape(len(table.index), -1)

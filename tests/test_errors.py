@@ -100,11 +100,15 @@ class TestGeneralUnitary:
 
     @pytest.mark.parametrize(
         "e1,e2,weight",
-        [(0, 0, "0"), (math.nan, 0, "nan"), (math.inf, 0, "inf"), (1e155, 0, "inf"),
-         (1e-160, 0, "1e-320"), (1e-155, 1e-155j, "2e-310")],
-        ids=["double_zero", "nan", "inf", "overflow", "subnormal", "subnormal_pair"],
+        [(0, 0, "0.0"), (math.nan, 0, "nan"), (math.inf, 0, "inf"), (1e155, 0, "inf"),
+         (1e-160, 0, "1e-320"), (1e-155, 1e-155j, "2e-310"),
+         (10**200, 0, "inf"), (-(10**200), 0, "inf"), (complex(1e200, 0), 0, "inf")],
+        ids=["double_zero", "nan", "inf", "overflow", "subnormal", "subnormal_pair",
+             "huge_int", "huge_negative_int", "huge_complex"],
     )
     def test_rejects_a_pair_that_cannot_normalize(self, e1, e2, weight):
+        """Every refused pair raises ValueError, an int too large for a
+        float included."""
         with pytest.raises(ValueError, match=f"to normalize, got {weight}$"):
             GeneralErrorParams(e1, e2)
 
@@ -462,9 +466,9 @@ class TestInjectorSchedule:
                 shared = [] if n == 1 and k > 1 and kind != "decay" else [len(models) - 1]
                 for occupancies in (mixed, equal):
                     for which in (*shared, per_row):
-                        block = inject(state, occupancies, which)
+                        block, _ = inject(state, occupancies, which)
                         assert block.shape == (k, 1 << n)
                         for i, row in enumerate(block):
                             model = models[which if isinstance(which, int) else per_row[i]]
-                            alone = _injector(model)(state, occupancies[i:i + 1])
+                            alone, _ = _injector(model)(state, occupancies[i:i + 1])
                             assert row.tobytes() == alone.tobytes()

@@ -8,19 +8,26 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qeclab.codes
 import qeclab.errors
 import qeclab.experiments
 import qeclab.statevec
 from qeclab.cli import format_float
-from qeclab.codes import LogicalQubit, _draw_syndrome, _overlaps, get_code
+from qeclab.codes import CODE_NAMES, LogicalQubit, _draw_syndrome, _overlaps, get_code
 from qeclab.errors import (
     ALL_QUBITS,
     FLIP_KINDS,
+    DecayModel,
+    ErrorModel,
     GeneralErrorParams,
     Placement,
+    RotationErrorParams,
     _injector,
+    _layout,
+    _scatter,
     apply_error_model,
     check_placement,
     resolve_occupancy,
@@ -44,9 +51,9 @@ from qeclab.experiments import (
     sensitivity_experiment,
     sweep_theta,
 )
-from qeclab.statevec import support_size
+from qeclab.statevec import support_mask, support_size
 
-from dense_oracle import dense_branches, dense_outcomes, dense_overlaps
+from dense_oracle import code_spec, dense_branches, dense_inject, dense_outcomes, dense_overlaps
 
 
 def rotation_config(**overrides) -> ExperimentConfig:
@@ -660,9 +667,9 @@ class TestSweepTheta:
         def counting_injector(*models):
             inject = original_injector(*models)
 
-            def counting(state, occupancies, which=0):
+            def counting(state, occupancies, which=0, kets=None):
                 injections.append((state.n_qubits, occupancies.tolist(), np.ravel(which).tolist()))
-                return inject(state, occupancies, which)
+                return inject(state, occupancies, which, kets)
 
             return counting
 
@@ -851,7 +858,7 @@ class TestOverlapPaths:
             code="shor9", placement=Placement.fixed([0]), logical=GENERIC, theta_grid=(0.7,)
         )
         occupancy = resolve_occupancy(config.placement, code.n_physical, None)
-        block = _injector(model_for(config, 0.7))(code.encoder(GENERIC), occupancy[None])
+        block, _ = _injector(model_for(config, 0.7))(code.encoder(GENERIC), occupancy[None])
         touched = np.array([1 << code.n_physical - 1])
         y0 = corrections.index("YIIIIIIII")
         assert dense_overlaps(block, table, touched)[2][0, y0] > 0.0
@@ -927,7 +934,7 @@ class TestMoments:
             config = rotation_config(code=code, error_kind=kind, logical=logical, **fields)
             encoded = get_code(code).encoder(logical)
             for theta in (0.3, 1.1):
-                block = _injector(model_for(config, theta))(encoded, np.array(occupancies))
+                block, _ = _injector(model_for(config, theta))(encoded, np.array(occupancies))
                 means, variances = _moments(block, get_code(code)._syndromes, logical)
                 for amps, got in zip(block, zip(means, variances)):
                     want = dense_moments(amps, code, logical)
@@ -938,7 +945,7 @@ class TestMoments:
         dense oracle's infidelity for the syndrome drawn."""
         code = get_code("steane7")
         config = rotation_config(logical=GENERIC)
-        block = _injector(model_for(config, 0.5))(code.encoder(GENERIC), np.ones((1, 7), int))
+        block, _ = _injector(model_for(config, 0.5))(code.encoder(GENERIC), np.ones((1, 7), int))
         (mean,), (variance,) = _moments(block, code._syndromes, GENERIC)
         _, _, weight = dense_overlaps(block, code._syndromes)
         outcomes = dense_branches(block[0], "steane7", GENERIC)
@@ -951,6 +958,150 @@ class TestMoments:
         assert len(syndromes) == 8
         assert abs(shots.mean() - mean) <= 5 * math.sqrt(variance / shots.size)
         assert shots.var() == pytest.approx(variance, rel=0.1)
+
+
+def _models(kind: str, draw) -> list:
+    """One to three models of ``kind``, or the one flip model."""
+    count = draw(st.integers(1, 3))
+    if kind == "rotation":
+        axis = draw(st.sampled_from("xyz"))
+        angles = st.floats(0.0, 3.0, allow_nan=False)
+        return [ErrorModel(kind, RotationErrorParams(axis, draw(angles))) for _ in range(count)]
+    if kind == "general_unitary":
+        parts = st.floats(-2.0, 2.0, allow_nan=False).filter(lambda x: abs(x) > 0.01)
+        return [
+            ErrorModel(kind, GeneralErrorParams(draw(parts), complex(draw(parts), draw(parts))))
+            for _ in range(count)
+        ]
+    if kind == "decay":
+        rates, times = st.floats(0.05, 1.0), st.floats(0.0, 3.0)
+        return [ErrorModel(kind, DecayModel(draw(rates), draw(times))) for _ in range(count)]
+    return [ErrorModel(kind)]
+
+
+@st.composite
+def injections(draw):
+    """A code, its encoded state, models of one kind and a block of up to
+    8 occupancies of mixed widths, with repeats unless the kind is decay,
+    under one model for every row or one per row."""
+    name = draw(st.sampled_from([*CODE_NAMES, "bitflip3", "bitflip5", "phaseflip3", "phaseflip5"]))
+    spec = code_spec(name)
+    n = spec.n_physical
+    kind = draw(st.sampled_from(["rotation", "general_unitary", "bit_flip", "phase_flip", "decay"]))
+    models = _models(kind, draw)
+    widest, counts = draw(st.sampled_from([1, 2, 3, n])), st.integers(1, 1 if kind == "decay" else 3)
+    # A run of adjacent qubits covers shor9's blocks, where codeword kets merge.
+    runs = st.tuples(st.integers(0, n - 1), st.integers(1, widest)).flatmap(
+        lambda run: st.fixed_dictionaries({q: counts for q in range(run[0], min(sum(run), n))})
+    )
+    rows = draw(st.lists(
+        st.one_of(st.dictionaries(st.integers(0, n - 1), counts, max_size=widest), runs),
+        min_size=1, max_size=8,
+    ))
+    occupancies = np.zeros((len(rows), n), dtype=np.int64)
+    for row, errors in zip(occupancies, rows):
+        row[list(errors)] = list(errors.values())
+    per_row = st.lists(st.integers(0, len(models) - 1), min_size=len(rows), max_size=len(rows))
+    which = draw(st.one_of(st.integers(0, len(models) - 1), per_row.map(np.array)))
+    logical = draw(st.sampled_from([LogicalQubit(1.0, 0.0), LogicalQubit(0.0, 1.0), GENERIC]))
+    return spec, spec.encoder(logical), logical, models, occupancies, which
+
+
+class TestCompactInjection:
+    """Each row is injected only on the kets it can reach (``_layout``),
+    and every number read from it is the dense register's."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(injections())
+    def test_compact_rows_are_the_dense_rows(self, case):
+        """Scattered, the compact rows are the dense injection's bit for bit
+        up to the sign of zero, each reachable ket in exactly one slot; the
+        supports and ``_kernel``'s moments are the dense block's."""
+        spec, state, logical, models, occupancies, which = case
+        table, size, inject = spec._syndromes, 1 << spec.n_physical, _injector(*models)
+        rows, slots = inject(state, occupancies, which, table.kets)
+        want = dense_inject(models, state, occupancies, which)
+        got = rows if slots is None else _scatter(rows, slots, size)
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+        if slots is not None:
+            for row_slots, amps in zip(slots, want):
+                live = row_slots[row_slots < size]
+                assert len(np.unique(live)) == len(live)
+                assert np.isin(np.flatnonzero(amps), live).all()
+        occupied = occupancies > 0
+        touched = None if occupied.all() else occupied @ (1 << np.arange(spec.n_physical)[::-1])
+        supports = support_mask(want, SUPPORT_THRESHOLD).sum(axis=1).tolist()
+        assert support_mask(rows, SUPPORT_THRESHOLD).sum(axis=1).tolist() == supports
+        assert _kernel(inject, state, table, logical, occupancies, which) == (
+            *_moments(want, table, logical, touched), supports
+        )
+
+    def test_the_layout_each_block_takes(self):
+        """Rows on a few qubits of a code take the compact register; a block
+        with a row on every qubit, the bare qubit and a register no
+        smaller than the dense one take the dense register."""
+        shor9, steane7 = get_code("shor9"), get_code("steane7")
+        one = np.zeros((1, 9), dtype=np.int64)
+        one[0, 4] = 2
+        compact, slots = _layout(one, 9, shor9._syndromes.kets)
+        # Qubit 4 in the top bit, the 8 codeword kets' patterns off it below.
+        assert compact.tolist() == [[2]] and slots.shape == (1, 16)
+        block = np.ones((2, 7), dtype=np.int64)
+        block[1, :3] = 0
+        assert _layout(block, 7, steane7._syndromes.kets)[1] is None
+        assert _layout(np.ones((3, 1), dtype=np.int64), 1, np.array([0, 1]))[1] is None
+        assert _layout(np.array([[1, 0, 1]]), 3, np.array([0, 2, 5, 7]))[1] is None  # 2 x 4 slots
+
+    def test_a_lone_amplitude_pair_takes_the_dense_register(self):
+        """A compact step of one amplitude pair per row would go down numpy's
+        vector-matrix path, which rounds unlike the matrix products of the
+        dense register's steps (``TestInjectorSchedule``), so such a block
+        takes the dense register.  Two pairs per row stay compact: phantom
+        and merged slots point at ket 2**n."""
+        kets = np.array([0, 1])  # one pattern off qubit 2, and off qubits 1 and 2
+        assert _layout(np.array([[0, 0, 1]]), 3, kets)[1] is None
+        compact, slots = _layout(np.array([[0, 1, 2], [0, 0, 1]]), 3, kets)
+        assert compact.tolist() == [[1, 2], [1, 0]]
+        assert slots.tolist() == [[0, 1, 2, 3], [0, 8, 1, 8]]
+        model = ErrorModel("rotation", RotationErrorParams("x", 0.7))
+        amps = np.zeros(8, dtype=complex)
+        amps[kets] = 0.6, 0.8
+        state = qeclab.statevec.StateVector(3, amps)
+        for occupancies in ([[0, 0, 1]], [[0, 1, 2], [0, 0, 1]]):
+            occupancies = np.array(occupancies)
+            rows, slots = _injector(model)(state, occupancies, 0, kets)
+            got = rows if slots is None else _scatter(rows, slots, 8)
+            want = dense_inject([model], state, occupancies)
+            assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+    @pytest.mark.parametrize("share", [0.0, qeclab.codes._PAIR_SHARE, 2.0])
+    def test_no_output_depends_on_the_sign_of_a_zero_amplitude(self, monkeypatch, share):
+        """Every zero part of an injected block flipped in sign leaves
+        ``_overlaps``' pairs, ``_moments`` and ``support_mask`` as they were,
+        on either overlap path, so a block scattered from compact rows, whose
+        unreached kets hold +0, reads as the dense block does."""
+        monkeypatch.setattr(qeclab.codes, "_PAIR_SHARE", share)
+        rng = np.random.default_rng(33)
+        flipped_any = False
+        for name, kind in (("shor9", "rotation"), ("steane7", "rotation"), ("bitflip3", "general_unitary")):
+            spec = code_spec(name)
+            n, table = spec.n_physical, spec._syndromes
+            occupancies = rng.integers(0, 3, (6, n)) * (rng.random((6, n)) < 0.3)
+            models = [ErrorModel(kind, RotationErrorParams("y", 0.9))] if kind == "rotation" else [
+                ErrorModel(kind, GeneralErrorParams(0.3, 0.4j))
+            ]
+            block = dense_inject(models, spec.encoder(GENERIC), occupancies)
+            parts = block.view(np.float64).copy()
+            parts[parts == 0.0] *= -1.0
+            flipped = parts.view(np.complex128)
+            flipped_any |= bool((np.signbit(parts) != np.signbit(block.view(np.float64))).any())
+            touched = (occupancies > 0) @ (1 << np.arange(n)[::-1])
+            for masks in (None, touched):
+                for got, want in zip(_overlaps(flipped, table, masks), _overlaps(block, table, masks)):
+                    assert got.tobytes() == want.tobytes()
+                assert _moments(flipped, table, GENERIC, masks) == _moments(block, table, GENERIC, masks)
+            assert (support_mask(flipped, SUPPORT_THRESHOLD) == support_mask(block, SUPPORT_THRESHOLD)).all()
+        assert flipped_any
 
 
 CRITERION_4_GRID = tuple(np.geomspace(1e-3, 1e-1, 7))
