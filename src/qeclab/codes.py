@@ -17,7 +17,8 @@ bras <R_s v_L|, built on first use.  ``_overlaps`` finds, once, the
 outcomes a block of states reaches: the (row, outcome) pairs of weight
 p_s > 0, with their overlaps <R_s v_L|psi>.  An error on the qubits Q
 reaches only outcomes with a ket that agrees with a codeword ket off Q
-(``_reached``), so the sweep kernel reads only those.  ``_draw_syndrome``
+(``_reached``), so the sweep kernel reads only those of a block it
+injects compact (``errors._layout``).  ``_draw_syndrome``
 measures one outcome from the weights.
 
 Recovery tables are built at construction time by sweeping error masks
@@ -273,12 +274,6 @@ def get_code(name: str) -> CodeSpec:
 # read in slices of rows, and a row wider than the cap in slices of its
 # outcomes; each slice rounds as the whole block would.
 _GATHER_BYTES = 1 << 19
-# The share of a block's (row, outcome) pairs below which ``_overlaps``
-# reads only the reached ones.  A reached pair costs two to four pairs of
-# the dense gather, so on shor9 blocks the pairs win below about a third;
-# steane7's one-qubit masks reach exactly a quarter of its outcomes, where
-# the pairs lose by about a tenth, so the bound sits there.
-_PAIR_SHARE = 0.25
 
 
 def _reached(table: _SyndromeTable, touched: np.ndarray) -> list[np.ndarray]:
@@ -302,20 +297,18 @@ def _overlaps(block: np.ndarray, table: _SyndromeTable, touched=None):
     P weights.
 
     ``touched``, if given, holds each row's qubit mask (qubit 0 the most
-    significant bit): the row must be a codeword state injected on those
-    qubits alone.  The injector holds such a row in a compact register,
-    one slot per codeword ket moved by flips inside its mask, where each
-    step on a qubit of the mask writes a slot only from the slot of the ket
-    that differs from it on that qubit (``errors._layout``); scattered
-    into the block, the row is exactly 0 off those kets, so an outcome it
-    cannot reach (``_reached``) has a_0 = a_1 = 0 and weight 0.  When the
-    reached pairs are under ``_PAIR_SHARE`` of all, only they are read;
-    each is the same sum of products, in the same order, as without
-    ``touched``, so no bit depends on the path.
+    significant bit), and only the reached pairs are read: the row must be
+    a codeword state injected on those qubits alone, as a block laid out
+    compact (``errors._layout``) holds it, one slot per codeword ket moved
+    by flips inside its mask, each step on a qubit of the mask writing a
+    slot only from the slot of the ket that differs from it on that qubit.
+    Scattered into the block, the row is exactly 0 off those kets, so an
+    outcome it cannot reach (``_reached``) has a_0 = a_1 = 0 and weight 0.
+    Each reached pair is the same sum of products, in the same order, as
+    without ``touched``, so no bit depends on the read.
     """
     k, outcomes = len(block), len(table.index)
-    reached = None if touched is None else _reached(table, touched)
-    if reached is None or sum(map(len, reached)) >= _PAIR_SHARE * k * outcomes:
+    if touched is None:
         hit = np.arange(k * outcomes) % outcomes
         ends = np.arange(outcomes, (k + 1) * outcomes, outcomes)  # each row's end among the pairs
         overlaps = np.empty((k, outcomes, 2), dtype=block.dtype)
@@ -328,6 +321,7 @@ def _overlaps(block: np.ndarray, table: _SyndromeTable, touched=None):
                           out=overlaps[lo:lo + rows, s:s + cols])
         overlaps = overlaps.reshape(-1, 2)
     else:
+        reached = _reached(table, touched)
         counts = [len(hits) for hits in reached]
         hit, ends = np.concatenate(reached), np.cumsum(counts)
         start = np.repeat(np.arange(0, block.size, block.shape[1]), counts)[:, None, None]

@@ -339,12 +339,15 @@ def _layout(occupancies: np.ndarray, n: int, kets):
     register is taken where L * 2**W is not below 2**n, and where it is
     below 4, so that no step holds a lone amplitude pair per row: numpy
     multiplies a lone pair down its vector-matrix path, which rounds unlike
-    the matrix products of the dense register's steps.
+    the matrix products of the dense register's steps.  The sweep reads
+    only the reached outcomes of a compact block (``codes._overlaps``).
     """
     if kets is None:
         return occupancies, None
     k, occupied = len(occupancies), occupancies > 0
     width = int(occupied.sum(axis=1).max())
+    if width == n:  # W = n: a row on every qubit, so L * 2**W >= 2**n
+        return occupancies, None
     masks = occupied @ (1 << np.arange(n)[::-1])  # qubit 0 the top bit
     patterns = np.sort(kets & ~masks[:, None], axis=1)
     repeats = patterns[:, 1:] == patterns[:, :-1]
@@ -381,11 +384,11 @@ def _injector(*models: ErrorModel):
 
     ``occupancies`` is a (k, N) array of errors per qubit, and ``which``
     names the model each row is injected under: one index for every row,
-    or a (k,) array of indices, one per row.  ``inject`` returns the rows
-    of ``state`` injected under each row, on the register ``_layout``
-    gives them for ``kets``, the kets of ``state``'s support: the compact
-    rows with the ket of each slot, which ``_scatter`` lays out as the
-    dense block, or the dense (k, 2**N) block itself with None.  Every
+    or a (k,) array of indices, one per row.  Every kind's ``inject``
+    returns the rows of ``state`` injected under each row, on the register
+    ``_layout`` gives them for ``kets``, the kets of ``state``'s support:
+    the compact rows with the ket of each slot, which ``_scatter`` lays out
+    as the dense block, or the dense (k, 2**N) block itself with None.  Every
     block is injected on one schedule over its register's qubits: in
     ascending order, a qubit's repeats back to back, each step on the rows
     it touches, so every row sees the sequence of operations it would see
@@ -397,9 +400,8 @@ def _injector(*models: ErrorModel):
     scale per model, and renormalizes each row — a post-selected surrogate
     that keeps decay inside pure-state simulation (the unconditioned
     channel would need density matrices); ``check_placement`` has refused
-    occupancy above 1.  Decay scatters compact rows before it normalizes,
-    so each norm sums the dense row in the dense row's order, and returns
-    the dense block.
+    occupancy above 1.  Each norm is taken on a ``_scatter`` copy of the
+    rows, so it sums the dense row in the dense row's order.
     """
     def layers(state: StateVector, occupancies: np.ndarray, kets):
         """The block of ``state`` on its register, repeated once per row, its
@@ -438,14 +440,13 @@ def _injector(*models: ErrorModel):
                 ones *= scale
             else:
                 ones[rows] *= scale[rows] if per_row else scale
-        if slots is not None:
-            block = _scatter(block, slots, 1 << state.n_qubits)
-        for amps in block:
+        dense = block if slots is None else _scatter(block, slots, 1 << state.n_qubits)
+        for amps, row in zip(dense, block):
             norm = float(np.linalg.norm(amps))
             if norm < _STATE_NORM_FLOOR:
                 raise ValueError("decay annihilated the state (norm underflow)")
-            amps /= norm
-        return block, None
+            row /= norm
+        return block, slots
 
     return decay
 

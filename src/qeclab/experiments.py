@@ -14,16 +14,16 @@ At each grid point ``sweep_theta`` draws every trial's occupancy, then
 evaluates the distinct ones as one block (``_kernel``): the block is
 injected one qubit step at a time, each step one matrix product over
 the rows it touches.  An error on the qubits Q moves the codewords' kets
-only by flips inside Q, so each row is injected on those kets alone: a
+only by flips inside Q, so a row can be injected on those kets alone: a
 register of the values of its occupied qubits over the patterns of the
-codewords' kets off them (``errors._layout``), the whole register in a
-block with a row on every qubit.  Supports are counted there, and the
-rows are scattered into the dense block that ``_overlaps`` reads; each
-amplitude is the one a dense injection computes, by the same products.
-``_overlaps`` then finds, once, the (row, outcome) pairs of weight > 0,
-row after row, and the leaves and moments read those pairs alone.  A
-row reaches only outcomes with a ket that agrees with a codeword ket off
-Q; a block with few such pairs reads only them, by the same sums of
+codewords' kets off them.  ``errors._layout`` alone picks each block's
+register, this one or, where it is no smaller, the dense one.  Supports
+are counted there, and the rows are scattered into the dense block that
+``_overlaps`` reads; each amplitude is the one a dense injection
+computes, by the same products.  ``_overlaps`` then finds, once, the
+(row, outcome) pairs of weight > 0, row after row, and the leaves and
+moments read those pairs alone: of a compact block only the pairs its
+rows' flips reach, of a dense block every pair, by the same sums of
 products.  A block's rows round exactly as each row alone does.
 Each entry carries its variance over syndrome outcomes: a row's
 ``std_coded`` is the population std of one trial's infidelity, by the law
@@ -164,6 +164,10 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("theta grid must be strictly increasing", "theta_grid")
         _tagged("placement", check_placement, self.placement, code.n_physical, kind, self.code)
+        draw = self.placement.n_errors + code.n_physical  # bytes a trial's Floyd slots take
+        if draw > _BLOCK_BYTES:
+            raise ConfigError(f"placement needs {draw} bytes to draw a trial, over {_BLOCK_BYTES}",
+                              "placement")
         object.__setattr__(self, "theta_grid", grid)
 
 
@@ -406,28 +410,25 @@ def _kernel(
     their supports right after injection.  Rows are injected and summed in
     blocks of at most ``_BLOCK_BYTES`` of dense amplitudes; a block rounds
     as its rows alone do.  ``encoded`` is a state of the table's code, so
-    each row is injected on the kets ``table.kets`` moved by flips inside
-    its occupied qubits alone (``errors._layout``), and its overlaps need
-    only the outcomes those flips reach (``_overlaps``).
+    ``inject`` may hold each row on the kets ``table.kets`` moved by flips
+    inside its occupied qubits alone (``errors._layout``), and such a
+    block reads only the outcomes those flips reach (``_overlaps``).
     """
     step = max(1, _BLOCK_BYTES // encoded.amps.nbytes)
     means, variances, supports = [], [], []
     for lo in range(0, len(occupancies), step):
         rows = slice(lo, lo + step)
-        occupied = occupancies[rows] > 0
-        # Rows that all touch every qubit can reach every ket and outcome: no
-        # lookup.  Otherwise each row's mask of occupied qubits, qubit 0 the
-        # top bit.
-        every = occupied.all()
-        touched = None if every else occupied @ (1 << np.arange(encoded.n_qubits)[::-1])
         block, slots = inject(
             encoded, occupancies[rows], which if isinstance(which, int) else which[rows],
-            None if every else table.kets,
+            table.kets,
         )
         # Supports on the compact rows: their dropped slots hold zeros.
         supports += support_mask(block, SUPPORT_THRESHOLD).sum(axis=1).tolist()
+        touched = None
         if slots is not None:
             block = _scatter(block, slots, encoded.amps.size)
+            # Each row's mask of occupied qubits, qubit 0 the top bit.
+            touched = (occupancies[rows] > 0) @ (1 << np.arange(encoded.n_qubits)[::-1])
         block_means, block_variances = _moments(block, table, logical, touched)
         means += block_means
         variances += block_variances
@@ -465,8 +466,8 @@ def sweep_theta(config: ExperimentConfig) -> SweepResult:
         moments = np.empty((3, config.trials))
         # Trials drawn at a time; each takes a byte per Floyd slot, of which
         # a bose_einstein placement has n + n_errors - 1, so a huge count
-        # draws fewer at a time.
-        step = max(1, min(_DRAW_TRIALS, _BLOCK_BYTES // (n + config.placement.n_errors)))
+        # draws fewer at a time (ExperimentConfig keeps that at least one).
+        step = min(_DRAW_TRIALS, _BLOCK_BYTES // (n + config.placement.n_errors))
     inject = _injector(*(model_for(config, theta) for theta in config.theta_grid))
     grid = np.arange(len(config.theta_grid))
 

@@ -470,14 +470,13 @@ class TestExtractSyndrome:
     def test_overlaps_of_a_block_match_each_row_alone(self, name, monkeypatch):
         """Row r of a block's overlaps and weights has the bits of row r read
         alone, whether the block's gather is one slice of rows or several,
-        and whether every outcome is read or, given a qubit mask per row,
-        only the (row, outcome) pairs each mask reaches."""
+        and whether every outcome is read (no masks) or only the (row,
+        outcome) pairs each row's qubit mask reaches."""
         code = get_code(name)
         rng = np.random.default_rng(7)
         n = code.n_physical
         block = rng.standard_normal((20, 1 << n)) + 1j * rng.standard_normal((20, 1 << n))
         block /= np.linalg.norm(block, axis=1, keepdims=True)
-        monkeypatch.setattr(qeclab.codes, "_PAIR_SHARE", 2.0)  # a mask takes the pair path
         budgets = (1, qeclab.codes._GATHER_BYTES, 1 << 30)  # 1 row or pair, some, all at once
         for touched in (None, rng.integers(0, 1 << n, (20, 1))):
             alone = [
@@ -492,14 +491,14 @@ class TestExtractSyndrome:
                         assert part[r].tobytes() == want[0].tobytes()
 
     @pytest.mark.parametrize("name", CODE_NAMES)
-    def test_reach_holds_every_outcome_an_error_reaches(self, name, monkeypatch):
+    def test_reach_holds_every_outcome_an_error_reaches(self, name):
         """Inject a random non-diagonal unitary on exactly the qubits of each
         mask into |0_L>, |1_L> and a generic state: every outcome of weight
         > 0 is one the mask reaches, and the overlaps read through the
-        reach are the dense ones byte for byte, the unreached written 0.
+        reach (the block read with its masks) are those of every outcome
+        (the block read without) byte for byte, the unreached written 0.
         Either way the pairs are those of weight > 0, row after row and
         outcomes ascending."""
-        monkeypatch.setattr(qeclab.codes, "_PAIR_SHARE", 2.0)  # every block takes the pair path
         code = get_code(name)
         n, table = code.n_physical, code._syndromes
         masks = np.arange(1 << n)

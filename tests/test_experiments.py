@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -211,6 +212,17 @@ class TestExperimentConfig:
         with pytest.raises(qeclab.experiments.ConfigError) as refused:
             rotation_config(**overrides)
         assert refused.value.field == field
+
+    def test_a_bose_count_too_large_to_draw_is_refused_before_any_work(self):
+        """A trial's draw takes a byte per Floyd slot, n_errors + n - 1 of
+        them, and a sweep draws at least one trial at a time under
+        ``_BLOCK_BYTES``; a count past that is refused as its placement."""
+        budget = qeclab.experiments._BLOCK_BYTES
+        rotation_config(placement=Placement.bose_einstein(budget - 7))
+        for count in (budget - 6, 10**9):
+            with pytest.raises(ConfigError, match="placement needs") as refused:
+                rotation_config(placement=Placement.bose_einstein(count))
+            assert refused.value.field == "placement"
 
     def test_placements_that_fit_are_accepted(self):
         for placement in (Placement.fixed([6, 0]), Placement.fermi(7), Placement.bose_einstein(9)):
@@ -823,19 +835,47 @@ def _path_configs() -> list[ExperimentConfig]:
     return configs
 
 
-class TestOverlapPaths:
-    """``_overlaps`` reads either every (row, outcome) pair or only those a
-    row's qubit mask reaches; which one a block takes must move no row."""
+def _sweep_blocks(config: ExperimentConfig):
+    """Each block ``sweep_theta(config)`` reads, a side and a grid point at a
+    time, as (its syndrome table, its distinct occupancies, their rows
+    laid out dense, whether ``_layout`` gave them the compact register)."""
+    code, uncoded = get_code(config.code), get_code("uncoded")
+    inject = _injector(*(model_for(config, theta) for theta in config.theta_grid))
+    bare = resolve_occupancy(_bare_qubit_placement(config.placement), 1, None)[None]
+    n = code.n_physical
+    for grid_index in range(len(config.theta_grid)):
+        if config.placement.n_errors:
+            trials = range(config.trials)
+            drawn = _trial_occupancies(config.placement, n, config.seed, grid_index, trials)
+            coded = np.unique(drawn, axis=0)
+        else:
+            coded = resolve_occupancy(config.placement, n, None)[None]
+        for spec, occupancies in ((code, coded), (uncoded, bare)):
+            table = spec._syndromes
+            rows, slots = inject(spec.encoder(config.logical), occupancies, grid_index, table.kets)
+            block = rows if slots is None else _scatter(rows, slots, 1 << spec.n_physical)
+            yield table, occupancies, block, slots is not None
 
-    def test_both_paths_give_the_same_rows(self, monkeypatch):
+
+class TestOverlapPaths:
+    """``_overlaps`` reads either every (row, outcome) pair or, given each
+    row's qubit mask, only those the mask reaches; ``_layout`` picks the
+    read, and neither may move a row."""
+
+    def test_both_reads_of_every_sweep_block_agree(self):
+        """Every block a sweep reads, compact or dense, gives the same pairs
+        byte for byte whether it is read with its rows' masks or without."""
         configs = _path_configs()
         assert len(configs) >= 100
-        rows = {}
-        for path, share in (("pairs", 2.0), ("dense", 0.0)):
-            monkeypatch.setattr(qeclab.codes, "_PAIR_SHARE", share)
-            rows[path] = [repr(sweep_theta(config)) for config in configs]
-        for config, pairs, dense in zip(configs, rows["pairs"], rows["dense"]):
-            assert pairs == dense, config
+        compact = dense = 0
+        for config in configs:
+            for table, occupancies, block, laid_out_compact in _sweep_blocks(config):
+                masks = (occupancies > 0) @ (1 << np.arange(occupancies.shape[1])[::-1])
+                for pairs, every in zip(_overlaps(block, table, masks), _overlaps(block, table)):
+                    assert pairs.tobytes() == every.tobytes(), config
+                compact += laid_out_compact
+                dense += not laid_out_compact
+        assert compact > 100 and dense > 100
 
     def test_a_reach_missing_an_outcome_moves_a_row(self, monkeypatch):
         """The comparison above catches a reach that is too small.  Give a
@@ -844,8 +884,7 @@ class TestOverlapPaths:
         One error is corrected exactly, so that row's infidelity cannot show
         it; a reach for qubits 0 and 1 that lacks X_2's outcome, where X_0
         X_1 lands and leaves X_0 X_1 X_2, a logical error, changes the
-        fixed:0,1 sweep row."""
-        monkeypatch.setattr(qeclab.codes, "_PAIR_SHARE", 2.0)
+        fixed:0,1 sweep row, whose block ``_layout`` lays out compact."""
         code = get_code("shor9")
         table, corrections = code._syndromes, list(code.recovery_table.values())
 
@@ -865,6 +904,7 @@ class TestOverlapPaths:
         assert dense_overlaps(block, without("YIIIIIIII", touched[0]), touched)[2][0, y0] == 0.0
 
         config = dataclasses.replace(config, placement=Placement.fixed([0, 1]))
+        assert _layout(np.array([[1, 1] + [0] * 7]), 9, table.kets)[1] is not None
         want = repr(sweep_theta(config))
         monkeypatch.setitem(vars(code), "_syndromes", without("IIXIIIIII", 0b110000000))
         assert repr(sweep_theta(config)) != want
@@ -1028,13 +1068,31 @@ class TestCompactInjection:
                 live = row_slots[row_slots < size]
                 assert len(np.unique(live)) == len(live)
                 assert np.isin(np.flatnonzero(amps), live).all()
-        occupied = occupancies > 0
-        touched = None if occupied.all() else occupied @ (1 << np.arange(spec.n_physical)[::-1])
+        masks = (occupancies > 0) @ (1 << np.arange(spec.n_physical)[::-1])
+        touched = None if slots is None else masks  # as ``_kernel`` reads the block
         supports = support_mask(want, SUPPORT_THRESHOLD).sum(axis=1).tolist()
         assert support_mask(rows, SUPPORT_THRESHOLD).sum(axis=1).tolist() == supports
         assert _kernel(inject, state, table, logical, occupancies, which) == (
             *_moments(want, table, logical, touched), supports
         )
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(injections())
+    def test_a_block_reads_pairs_exactly_when_laid_out_compact(self, case):
+        """``_kernel`` passes ``_overlaps`` its rows' masks exactly when
+        ``_layout`` gave the block the compact register, and a compact
+        block's pairs are the same read either way, byte for byte."""
+        spec, state, logical, models, occupancies, which = case
+        table, inject = spec._syndromes, _injector(*models)
+        _, slots = _layout(occupancies, spec.n_physical, table.kets)
+        with mock.patch.object(qeclab.experiments, "_overlaps", wraps=_overlaps) as read:
+            _kernel(inject, state, table, logical, occupancies, which)
+        (call,) = read.call_args_list
+        block, _, touched = call.args
+        assert (touched is None) == (slots is None)
+        if slots is not None:
+            for pairs, every in zip(_overlaps(block, table, touched), _overlaps(block, table)):
+                assert pairs.tobytes() == every.tobytes()
 
     def test_the_layout_each_block_takes(self):
         """Rows on a few qubits of a code take the compact register; a block
@@ -1074,13 +1132,12 @@ class TestCompactInjection:
             want = dense_inject([model], state, occupancies)
             assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
-    @pytest.mark.parametrize("share", [0.0, qeclab.codes._PAIR_SHARE, 2.0])
-    def test_no_output_depends_on_the_sign_of_a_zero_amplitude(self, monkeypatch, share):
+    def test_no_output_depends_on_the_sign_of_a_zero_amplitude(self):
         """Every zero part of an injected block flipped in sign leaves
         ``_overlaps``' pairs, ``_moments`` and ``support_mask`` as they were,
-        on either overlap path, so a block scattered from compact rows, whose
-        unreached kets hold +0, reads as the dense block does."""
-        monkeypatch.setattr(qeclab.codes, "_PAIR_SHARE", share)
+        read with the rows' masks and without, so a block scattered from
+        compact rows, whose unreached kets hold +0, reads as the dense block
+        does."""
         rng = np.random.default_rng(33)
         flipped_any = False
         for name, kind in (("shor9", "rotation"), ("steane7", "rotation"), ("bitflip3", "general_unitary")):
