@@ -16,9 +16,10 @@ recovery table's correction.  Each ``CodeSpec`` owns one table of the
 bras <R_s v_L|, built on first use.  ``_overlaps`` finds, once, the
 outcomes a block of states reaches: the (row, outcome) pairs of weight
 p_s > 0, with their overlaps <R_s v_L|psi>.  An error on the qubits Q
-reaches only outcomes with a ket that agrees with a codeword ket off Q
-(``_reached``), so the sweep kernel reads only those of a block it
-injects compact (``errors._layout``).  ``_draw_syndrome``
+moves the codewords' kets only by flips inside Q: the table keeps, once
+per mask Q, their patterns off Q and the outcomes they reach (``_reach``),
+from which ``_layout`` lays a block out on the kets its rows reach and
+names the outcomes ``_overlaps`` reads of it.  ``_draw_syndrome``
 measures one outcome from the weights.
 
 Recovery tables are built at construction time by sweeping error masks
@@ -78,17 +79,15 @@ class _SyndromeTable(NamedTuple):
     R_s v_L (``index``) and its conjugated amplitudes there (``bras``), both
     of shape (2^m, 2, support size), rows in recovery-table order.
     ``rows[s]`` is the row of the syndrome whose bits, stabilizer 0 first,
-    spell s in binary.  ``kets`` is the union of the codewords' kets: an
-    error on the qubits of a mask Q moves them only by flips inside Q, so
-    it can reach row s only if a ket of row s agrees with one of ``kets``
-    off Q.  ``reach`` holds each mask's reached rows once found
-    (``_reached``)."""
+    spell s in binary.  ``kets`` is the union of the codewords' kets, and
+    ``reach`` each qubit mask's entry once found (``_reach``): the patterns
+    of ``kets`` off it, their count, and the rows it reaches."""
 
     rows: np.ndarray
     index: np.ndarray
     bras: np.ndarray
     kets: np.ndarray
-    reach: dict[int, np.ndarray]
+    reach: dict[int, tuple[np.ndarray, int, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -270,23 +269,70 @@ def get_code(name: str) -> CodeSpec:
 # Syndrome outcomes
 # ---------------------------------------------------------------------------
 
+def _reach(table: _SyndromeTable, mask: int, n: int):
+    """``table.reach[mask]``, filled here once: the distinct patterns of
+    ``kets`` off the qubits of ``mask`` (qubit 0 the top of n bits),
+    ascending and padded to ``len(kets)`` with ket 2**n, their count, and
+    the rows an error on those qubits can reach, those with a ket that
+    agrees with one of the patterns off them."""
+    if mask not in table.reach:
+        off = np.zeros(1 << n, dtype=bool)  # which kets are a pattern off the mask
+        off[table.kets & ~mask] = True
+        patterns = np.flatnonzero(off)
+        rows = np.flatnonzero(off[table.index & ~mask].any(axis=(1, 2)))
+        padded = np.append(patterns, np.full(len(table.kets) - len(patterns), 1 << n))
+        table.reach[mask] = padded, len(patterns), rows
+    return table.reach[mask]
+
+
+def _layout(table: _SyndromeTable, occupancies: np.ndarray):
+    """The register the rows of the (k, n) ``occupancies`` are injected on,
+    for a state of ``table``'s code, as (each row's errors per register
+    qubit, the ket of each slot of each row, each row's reached rows of
+    ``table``), the last two None for the dense register: every qubit a
+    register qubit, every ket its own slot.
+
+    An error on the qubits Q moves ``table.kets`` only by flips inside Q, so
+    a row is exactly 0 off ``kets`` XOR span(Q): L * 2**w kets, w = |Q| and
+    L the count of distinct patterns of ``kets`` off Q (``_reach``).  The
+    compact register gives each row a (2**W, L) array, W and L the block's
+    largest w and L: its 2**W axis holds the values of the row's occupied
+    qubits, ascending, in its top bits, and its L axis the row's distinct
+    patterns.  A phantom bit (a register qubit past the row's w) and a
+    column past the row's own L point at ket 2**n, a zero, so every ket the
+    row can reach has exactly one slot.  The dense register is taken where
+    L * 2**W is not below 2**n, and where it is below 4, so that no step
+    holds a lone amplitude pair per row: numpy multiplies a lone pair down
+    its vector-matrix path, which rounds unlike the matrix products of the
+    dense register's steps.  A compact block is read only on its rows'
+    reached outcomes (``_overlaps``).
+    """
+    k, n = occupancies.shape
+    occupied = occupancies > 0
+    width = int(occupied.sum(axis=1).max())
+    if width == n:  # W = n: a row on every qubit, so L * 2**W >= 2**n
+        return occupancies, None, None
+    masks = (occupied @ (1 << np.arange(n)[::-1])).tolist()  # qubit 0 the top bit
+    entries = [_reach(table, mask, n) for mask in masks]
+    count = max(entry[1] for entry in entries)
+    if not 4 <= count << width < 1 << n:
+        return occupancies, None, None
+    base = np.stack([entry[0] for entry in entries])[:, :count]
+    qubits = np.argsort(~occupied, axis=1, kind="stable")[:, :width]  # occupied first, ascending
+    compact = np.take_along_axis(occupancies, qubits, axis=1)
+    flips = np.where(compact > 0, 1 << (n - 1 - qubits), 1 << n)  # a phantom bit leaves the register
+    values = (np.arange(1 << width)[:, None] >> np.arange(width)[::-1]) & 1  # register qubit 0 on top
+    slots = (flips @ values.T)[:, :, None] + base[:, None, :]
+    return compact, np.minimum(slots, 1 << n).reshape(k, -1), [entry[2] for entry in entries]
+
+
 # A cap on the bytes of one gather of ``_overlaps``: a larger block is
 # read in slices of rows, and a row wider than the cap in slices of its
 # outcomes; each slice rounds as the whole block would.
 _GATHER_BYTES = 1 << 19
 
 
-def _reached(table: _SyndromeTable, touched: np.ndarray) -> list[np.ndarray]:
-    """The rows of ``table`` that an error on the qubits of each mask in
-    ``touched`` can reach, kept in ``table.reach`` per mask: those with a
-    ket that agrees with one of the codewords' kets off the mask."""
-    for mask in set(touched.tolist()) - table.reach.keys():
-        off = table.index & ~mask, table.kets & ~mask
-        table.reach[mask] = np.flatnonzero(np.isin(*off).any(axis=(1, 2)))
-    return [table.reach[mask] for mask in touched.tolist()]
-
-
-def _overlaps(block: np.ndarray, table: _SyndromeTable, touched=None):
+def _overlaps(block: np.ndarray, table: _SyndromeTable, reached=None):
     """The syndrome outcomes each row of the (k, 2**n) ``block`` reaches:
     the (row, outcome s) pairs whose weight p_s = |a_0|^2 + |a_1|^2, the
     probability of measuring s, is > 0, where a_L = <R_s v_L|psi> are the
@@ -296,19 +342,19 @@ def _overlaps(block: np.ndarray, table: _SyndromeTable, touched=None):
     row's count of pairs, their outcomes, their (P, 2) overlaps and their
     P weights.
 
-    ``touched``, if given, holds each row's qubit mask (qubit 0 the most
-    significant bit), and only the reached pairs are read: the row must be
-    a codeword state injected on those qubits alone, as a block laid out
-    compact (``errors._layout``) holds it, one slot per codeword ket moved
-    by flips inside its mask, each step on a qubit of the mask writing a
-    slot only from the slot of the ket that differs from it on that qubit.
-    Scattered into the block, the row is exactly 0 off those kets, so an
-    outcome it cannot reach (``_reached``) has a_0 = a_1 = 0 and weight 0.
-    Each reached pair is the same sum of products, in the same order, as
-    without ``touched``, so no bit depends on the read.
+    ``reached``, if given, holds each row's reached rows of ``table``
+    (``_layout``), and only those pairs are read: the row must be a
+    codeword state injected on the qubits of one mask alone, as a block
+    laid out compact holds it, one slot per codeword ket moved by flips
+    inside the mask, each step on a qubit of the mask writing a slot only
+    from the slot of the ket that differs from it on that qubit.  Scattered
+    into the block, the row is exactly 0 off those kets, so an outcome it
+    cannot reach (``_reach``) has a_0 = a_1 = 0 and weight 0.  Each reached
+    pair is the same sum of products, in the same order, as without
+    ``reached``, so no bit depends on the read.
     """
     k, outcomes = len(block), len(table.index)
-    if touched is None:
+    if reached is None:
         hit = np.arange(k * outcomes) % outcomes
         ends = np.arange(outcomes, (k + 1) * outcomes, outcomes)  # each row's end among the pairs
         overlaps = np.empty((k, outcomes, 2), dtype=block.dtype)
@@ -321,7 +367,6 @@ def _overlaps(block: np.ndarray, table: _SyndromeTable, touched=None):
                           out=overlaps[lo:lo + rows, s:s + cols])
         overlaps = overlaps.reshape(-1, 2)
     else:
-        reached = _reached(table, touched)
         counts = [len(hits) for hits in reached]
         hit, ends = np.concatenate(reached), np.cumsum(counts)
         start = np.repeat(np.arange(0, block.size, block.shape[1]), counts)[:, None, None]

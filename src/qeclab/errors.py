@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .statevec import StateVector, _norm_sq, _product
+from .statevec import StateVector, _norm_sq, _product, _scatter
 
 FLIP_KINDS = ("bit_flip", "phase_flip", "bit_and_phase_flip")
 ERROR_KINDS = FLIP_KINDS + ("general_unitary", "rotation", "decay")
@@ -321,74 +321,21 @@ def _operator_for(model: ErrorModel) -> np.ndarray:
     return rotation_unitary(model.params)
 
 
-def _layout(occupancies: np.ndarray, n: int, kets):
-    """The register the rows of the (k, n) ``occupancies`` are injected on,
-    as (each row's errors per register qubit, the ket of each slot of each
-    row), the kets None for the dense register: every qubit a register
-    qubit, every ket its own slot, as ``kets`` None (any ket) takes.
-
-    An error on the qubits Q moves ``kets`` only by flips inside Q, so a
-    row is exactly 0 off ``kets`` XOR span(Q): L * 2**w kets, w = |Q| and L
-    the count of distinct patterns of ``kets`` off Q.  The compact register
-    gives each row a (2**W, L) array, W and L the block's largest w and L:
-    its 2**W axis holds the values of the row's occupied qubits, ascending,
-    in its top bits, and its L axis the row's distinct patterns.  A phantom
-    bit (a register qubit past the row's w), a pattern that merges with
-    one before it, and a column past the row's own L point at ket 2**n, a
-    zero, so every ket the row can reach has exactly one slot.  The dense
-    register is taken where L * 2**W is not below 2**n, and where it is
-    below 4, so that no step holds a lone amplitude pair per row: numpy
-    multiplies a lone pair down its vector-matrix path, which rounds unlike
-    the matrix products of the dense register's steps.  The sweep reads
-    only the reached outcomes of a compact block (``codes._overlaps``).
-    """
-    if kets is None:
-        return occupancies, None
-    k, occupied = len(occupancies), occupancies > 0
-    width = int(occupied.sum(axis=1).max())
-    if width == n:  # W = n: a row on every qubit, so L * 2**W >= 2**n
-        return occupancies, None
-    masks = occupied @ (1 << np.arange(n)[::-1])  # qubit 0 the top bit
-    patterns = np.sort(kets & ~masks[:, None], axis=1)
-    repeats = patterns[:, 1:] == patterns[:, :-1]
-    patterns[:, 1:][repeats] = 1 << n  # a pattern that merges with the one before it
-    count = len(kets) - int(repeats.sum(axis=1).min())
-    if not 4 <= count << width < 1 << n:
-        return occupancies, None
-    base = np.sort(patterns, axis=1)[:, :count]
-    qubits = np.argsort(~occupied, axis=1, kind="stable")[:, :width]  # occupied first, ascending
-    compact = np.take_along_axis(occupancies, qubits, axis=1)
-    flips = np.where(compact > 0, 1 << (n - 1 - qubits), 1 << n)  # a phantom bit leaves the register
-    values = (np.arange(1 << width)[:, None] >> np.arange(width)[::-1]) & 1  # register qubit 0 on top
-    slots = (flips @ values.T)[:, :, None] + base[:, None, :]
-    return compact, np.minimum(slots, 1 << n).reshape(k, -1)
-
-
-def _scatter(rows: np.ndarray, slots: np.ndarray, size: int) -> np.ndarray:
-    """The (k, size) dense block of the compact ``rows`` whose slots hold
-    the kets ``slots`` (``_layout``): each slot written to its ket, those
-    at ket ``size`` dropped, every other ket 0."""
-    k = len(rows)
-    dense = np.zeros(k * size + 1, dtype=rows.dtype)  # the last entry takes the dropped slots
-    dense[np.where(slots < size, slots + np.arange(0, k * size, size)[:, None], k * size)] = rows
-    return dense[:-1].reshape(k, size)
-
-
 def _injector(*models: ErrorModel):
     """The channel of ``models``, all of one kind (a sweep's grid points), as
-    ``inject(state, occupancies, which=0, kets=None)``, each operator built
+    ``inject(state, occupancies, which=0, slots=None)``, each operator built
     once by ``_operator_for``.  That build is where unitarity is
     guaranteed: the flips are exact, ``RotationErrorParams`` refuses a
     non-finite angle and ``GeneralErrorParams`` a pair it cannot
     normalize, so ``_product`` applies the operators unchecked.
 
-    ``occupancies`` is a (k, N) array of errors per qubit, and ``which``
-    names the model each row is injected under: one index for every row,
-    or a (k,) array of indices, one per row.  Every kind's ``inject``
-    returns the rows of ``state`` injected under each row, on the register
-    ``_layout`` gives them for ``kets``, the kets of ``state``'s support:
-    the compact rows with the ket of each slot, which ``_scatter`` lays out
-    as the dense block, or the dense (k, 2**N) block itself with None.  Every
+    ``occupancies`` is a (k, M) array of errors per register qubit, and
+    ``which`` names the model each row is injected under: one index for
+    every row, or a (k,) array of indices, one per row.  ``slots`` names
+    the register: None for the dense one, whose M qubits are ``state``'s,
+    or the ket of each slot of each row of a compact one, as
+    ``codes._layout`` lays a block out.  Every kind's ``inject`` returns the
+    rows of ``state`` injected under each row, on that register.  Every
     block is injected on one schedule over its register's qubits: in
     ascending order, a qubit's repeats back to back, each step on the rows
     it touches, so every row sees the sequence of operations it would see
@@ -403,12 +350,11 @@ def _injector(*models: ErrorModel):
     occupancy above 1.  Each norm is taken on a ``_scatter`` copy of the
     rows, so it sums the dense row in the dense row's order.
     """
-    def layers(state: StateVector, occupancies: np.ndarray, kets):
-        """The block of ``state`` on its register, repeated once per row, its
-        slots' kets, and its steps as (q, the rows the step touches or None
-        for every row): a repeat r of register qubit q touches the rows
-        with more than r errors on q."""
-        occupancies, slots = _layout(occupancies, state.n_qubits, kets)
+    def layers(state: StateVector, occupancies: np.ndarray, slots):
+        """The block of ``state`` on its register, repeated once per row, and
+        its steps as (q, the rows the step touches or None for every row):
+        a repeat r of register qubit q touches the rows with more than r
+        errors on q."""
         lows, highs = occupancies.min(axis=0).tolist(), occupancies.max(axis=0).tolist()
         steps = []
         for q, (least, most) in enumerate(zip(lows, highs)):
@@ -416,21 +362,20 @@ def _injector(*models: ErrorModel):
             for r in range(least, most):
                 steps.append((q, occupancies[:, q] > r))
         if slots is None:
-            return np.repeat(state.amps[None], len(occupancies), axis=0), slots, steps
-        return np.append(state.amps, 0.0)[slots], slots, steps
+            return np.repeat(state.amps[None], len(occupancies), axis=0), steps
+        return np.append(state.amps, 0.0)[slots], steps
 
     if models[0].kind != "decay":
         product = _product(*(_operator_for(model) for model in models))
 
-        def unitary(state: StateVector, occupancies: np.ndarray, which=0, kets=None):
-            block, slots, steps = layers(state, occupancies, kets)
-            return product(block, steps, which), slots
+        def unitary(state: StateVector, occupancies: np.ndarray, which=0, slots=None):
+            return product(*layers(state, occupancies, slots), which)
 
         return unitary
     scales = [math.sqrt(1.0 - decoherence_prob(model.params)) for model in models]
 
-    def decay(state: StateVector, occupancies: np.ndarray, which=0, kets=None):
-        block, slots, steps = layers(state, occupancies, kets)
+    def decay(state: StateVector, occupancies: np.ndarray, which=0, slots=None):
+        block, steps = layers(state, occupancies, slots)
         per_row = not isinstance(which, int)
         scale = np.array(scales)[which, None, None] if per_row else scales[which]
         for q, rows in steps:
@@ -440,13 +385,12 @@ def _injector(*models: ErrorModel):
                 ones *= scale
             else:
                 ones[rows] *= scale[rows] if per_row else scale
-        dense = block if slots is None else _scatter(block, slots, 1 << state.n_qubits)
-        for amps, row in zip(dense, block):
+        for amps, row in zip(_scatter(block, slots, 1 << state.n_qubits), block):
             norm = float(np.linalg.norm(amps))
             if norm < _STATE_NORM_FLOOR:
                 raise ValueError("decay annihilated the state (norm underflow)")
             row /= norm
-        return block, slots
+        return block
 
     return decay
 
@@ -458,5 +402,5 @@ def apply_error_model(
     n = state.n_qubits
     check_placement(model.placement, n, model.kind, f"{n}-qubit")
     occupancy = resolve_occupancy(model.placement, n, rng)
-    block, _ = _injector(model)(state, occupancy[None])
+    block = _injector(model)(state, occupancy[None])
     return StateVector(n, block.reshape(-1))

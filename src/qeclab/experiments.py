@@ -16,15 +16,16 @@ injected one qubit step at a time, each step one matrix product over
 the rows it touches.  An error on the qubits Q moves the codewords' kets
 only by flips inside Q, so a row can be injected on those kets alone: a
 register of the values of its occupied qubits over the patterns of the
-codewords' kets off them.  ``errors._layout`` alone picks each block's
-register, this one or, where it is no smaller, the dense one.  Supports
-are counted there, and the rows are scattered into the dense block that
-``_overlaps`` reads; each amplitude is the one a dense injection
-computes, by the same products.  ``_overlaps`` then finds, once, the
-(row, outcome) pairs of weight > 0, row after row, and the leaves and
-moments read those pairs alone: of a compact block only the pairs its
-rows' flips reach, of a dense block every pair, by the same sums of
-products.  A block's rows round exactly as each row alone does.
+codewords' kets off them.  ``codes._layout`` alone picks each block's
+register, this one or, where it is no smaller, the dense one, and the
+injector works on the register it is given.  Supports are counted
+there, and the rows are scattered (``statevec._scatter``) into the dense
+block that ``_overlaps`` reads; each amplitude is the one a dense
+injection computes, by the same products.  ``_overlaps`` then finds,
+once, the (row, outcome) pairs of weight > 0, row after row, and the
+leaves and moments read those pairs alone: of a compact block only the
+pairs its rows' flips reach, of a dense block every pair, by the same
+sums of products.  A block's rows round exactly as each row alone does.
 Each entry carries its variance over syndrome outcomes: a row's
 ``std_coded`` is the population std of one trial's infidelity, by the law
 of total variance.  A placement with no error count draws nothing; its
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import LogicalQubit, _overlaps, get_code
+from .codes import LogicalQubit, _layout, _overlaps, get_code
 from .errors import (
     ALL_QUBITS,
     ERROR_KINDS,
@@ -67,12 +68,11 @@ from .errors import (
     RotationErrorParams,
     ROTATION_AXES,
     _injector,
-    _scatter,
     apply_error_model,
     check_placement,
     resolve_occupancy,
 )
-from .statevec import StateVector, support_mask, support_size
+from .statevec import StateVector, _scatter, support_mask, support_size
 
 SUPPORT_THRESHOLD = 1e-12
 # Infidelities this small are rounding residue, not physics; they are
@@ -310,14 +310,14 @@ def _trial_occupancies(
     (``_seed_words``), then PCG64 seeded from them and stepped on every
     trial together, whose XSL-RR outputs hand out their low 32 bits, then
     their high ones, to Floyd's draws (``_lemire``; a bound of 0 takes no
-    word).  A trial whose draw is rejected, and every trial of a
-    placement with a bound numpy draws by another route, is rebuilt from
-    ``_trial_rng``, so that stream remains the one definition of a trial.
+    word).  A trial whose draw is rejected, and every trial of a range
+    past 2**32, is rebuilt from ``_trial_rng``, so that stream remains the
+    one definition of a trial.
     """
     k = placement.n_errors
     pool = n + k - 1 if placement.rule == "bose_einstein" else n
     count = len(trials)
-    if pool > _MASK32 or trials.stop > _MASK32 + 1:
+    if trials.stop > _MASK32 + 1:
         rebuild = np.ones(count, dtype=bool)
         occupancies = np.empty((count, n), dtype=np.int64)
     else:
@@ -374,7 +374,7 @@ def _leaves(overlaps: np.ndarray, weight: np.ndarray, logical: LogicalQubit):
 
 
 def _moments(
-    block: np.ndarray, table, logical: LogicalQubit, touched=None
+    block: np.ndarray, table, logical: LogicalQubit, reached=None
 ) -> tuple[list, list]:
     """Exact mean and variance over syndrome outcomes of each row's ``_leaves``.
 
@@ -382,11 +382,11 @@ def _moments(
     none: each row's sums are dots over its reached outcomes alone, which
     round as they do for the row on its own.  The variance is summed around
     the mean: a difference of raw moments would leave ~1e-8 of rounding
-    where every outcome leaves the same infidelity.  ``touched`` is passed
-    to ``_overlaps``: each row's qubit mask, if the rows are injected
-    codewords.
+    where every outcome leaves the same infidelity.  ``reached`` is passed
+    to ``_overlaps``: each row's reached outcomes, if the block is laid out
+    compact (``codes._layout``).
     """
-    counts, _, overlaps, weight = _overlaps(block, table, touched)
+    counts, _, overlaps, weight = _overlaps(block, table, reached)
     leaf = _leaves(overlaps, weight, logical)  # every row's reached outcomes, row after row
     means, variances, lo = [], [], 0
     for hi in counts.cumsum().tolist():
@@ -410,26 +410,20 @@ def _kernel(
     their supports right after injection.  Rows are injected and summed in
     blocks of at most ``_BLOCK_BYTES`` of dense amplitudes; a block rounds
     as its rows alone do.  ``encoded`` is a state of the table's code, so
-    ``inject`` may hold each row on the kets ``table.kets`` moved by flips
-    inside its occupied qubits alone (``errors._layout``), and such a
-    block reads only the outcomes those flips reach (``_overlaps``).
+    ``codes._layout`` may lay a block out compact, each row on the kets
+    ``table.kets`` moved by flips inside its occupied qubits alone, and
+    such a block reads only the outcomes those flips reach.
     """
     step = max(1, _BLOCK_BYTES // encoded.amps.nbytes)
     means, variances, supports = [], [], []
     for lo in range(0, len(occupancies), step):
         rows = slice(lo, lo + step)
-        block, slots = inject(
-            encoded, occupancies[rows], which if isinstance(which, int) else which[rows],
-            table.kets,
-        )
+        register, slots, reached = _layout(table, occupancies[rows])
+        block = inject(encoded, register, which if isinstance(which, int) else which[rows], slots)
         # Supports on the compact rows: their dropped slots hold zeros.
         supports += support_mask(block, SUPPORT_THRESHOLD).sum(axis=1).tolist()
-        touched = None
-        if slots is not None:
-            block = _scatter(block, slots, encoded.amps.size)
-            # Each row's mask of occupied qubits, qubit 0 the top bit.
-            touched = (occupancies[rows] > 0) @ (1 << np.arange(encoded.n_qubits)[::-1])
-        block_means, block_variances = _moments(block, table, logical, touched)
+        block = _scatter(block, slots, encoded.amps.size)
+        block_means, block_variances = _moments(block, table, logical, reached)
         means += block_means
         variances += block_variances
     return means, variances, supports

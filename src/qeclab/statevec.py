@@ -18,11 +18,12 @@ finiteness; it does not check the norm.  ``_product`` applies 2x2
 operators to a block of states, one shared or one per row, along a list
 of per-qubit steps, one matrix product per step.  It takes its operators'
 unitarity as given: ``errors`` builds every operator a register receives,
-and its parameter types refuse what would not build a unitary.
-``_masks`` is the one parser of a Pauli string, into (x, z) bit masks
-that every Pauli computation here and in ``codes`` works on; masks act
-as a gather on the kets asked for (``_pauli_action``).  Measurement and
-recovery are not register operations: ``codes`` reads them off overlaps.
+and its parameter types refuse what would not build a unitary; a block
+held on a compact register is laid out dense by ``_scatter``.  ``_masks``
+is the one parser of a Pauli string, into (x, z) bit masks that every
+Pauli computation here and in ``codes`` works on; masks act as a gather
+on the kets asked for (``_pauli_action``).  Measurement and recovery are
+not register operations: ``codes`` reads them off overlaps.
 """
 
 from __future__ import annotations
@@ -115,6 +116,19 @@ def _product(*us: np.ndarray):
         return block
 
     return apply
+
+
+def _scatter(rows: np.ndarray, slots, size: int) -> np.ndarray:
+    """The (k, size) dense block of ``rows`` whose slots hold the kets
+    ``slots`` (``codes._layout``): each slot written to its ket, those at
+    ket ``size`` dropped, every other ket 0; ``rows`` itself, already dense,
+    for ``slots`` None."""
+    if slots is None:
+        return rows
+    k = len(rows)
+    dense = np.zeros(k * size + 1, dtype=rows.dtype)  # the last entry takes the dropped slots
+    dense[np.where(slots < size, slots + np.arange(0, k * size, size)[:, None], k * size)] = rows
+    return dense[:-1].reshape(k, size)
 
 
 def _masks(ops: str) -> tuple[int, int]:

@@ -7,7 +7,8 @@ nothing with the package's syndrome table, overlaps or leaves.
 
 ``dense_overlaps`` is the one exception, and no oracle: it lays the
 package's reached (row, outcome) pairs out as (k, 2^m) arrays, for tests
-that read an outcome by its row of the table.  ``apply_product`` is no
+that read an outcome by its row of the table, and ``reached_rows`` looks
+up the package's reach of each row for them.  ``apply_product`` is no
 oracle either: it runs the package's ``_product`` on one register, for
 tests that place a unitary on qubits of their choosing.  ``dense_inject``
 is the reference for the injector's register layout, not for its
@@ -21,7 +22,7 @@ import math
 
 import numpy as np
 
-from qeclab.codes import CODE_NAMES, CodeSpec, _overlaps, get_code
+from qeclab.codes import CODE_NAMES, CodeSpec, _overlaps, _reach, get_code
 from qeclab.errors import _operator_for, decoherence_prob
 from qeclab.experiments import NUMERICAL_FLOOR
 from qeclab.statevec import StateVector, _product
@@ -87,16 +88,24 @@ def dense_outcomes(amps, name, logical):
     return np.array(weights), np.array(leaves)
 
 
-def dense_overlaps(block, table, touched=None):
-    """``_overlaps(block, table, touched)`` scattered back into (k, 2^m)
+def dense_overlaps(block, table, reached=None):
+    """``_overlaps(block, table, reached)`` scattered back into (k, 2^m)
     arrays a_0, a_1 and p_s, with 0 at every outcome a row does not reach."""
-    counts, outcome, overlaps, weight = _overlaps(block, table, touched)
+    counts, outcome, overlaps, weight = _overlaps(block, table, reached)
     cells = np.repeat(np.arange(len(block)), counts), outcome
     dense = np.zeros((len(block), len(table.index), 2), dtype=overlaps.dtype)
     dense[cells] = overlaps
     weights = np.zeros(dense.shape[:2])
     weights[cells] = weight
     return dense[..., 0], dense[..., 1], weights
+
+
+def reached_rows(table, occupancies):
+    """Each row's reached outcomes of ``table`` (``codes._reach``), by its
+    mask of occupied qubits, whatever register ``_layout`` gives the block."""
+    n = occupancies.shape[1]
+    masks = (occupancies > 0) @ (1 << np.arange(n)[::-1])
+    return [_reach(table, mask, n)[2] for mask in masks.tolist()]
 
 
 @functools.lru_cache(maxsize=None)

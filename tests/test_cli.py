@@ -1176,7 +1176,7 @@ class TestCorrectPrintsTheSweepLeaf:
             occupancy = resolve_occupancy(
                 config.placement, spec.n_physical, np.random.default_rng(seed)
             )
-            block, _ = _injector(model_for(config, 0.8))(spec.encoder(config.logical), occupancy[None])
+            block = _injector(model_for(config, 0.8))(spec.encoder(config.logical), occupancy[None])
             summed.clear()
             (mean,), _ = _moments(block, spec._syndromes, config.logical)
             (leaf,) = summed

@@ -16,6 +16,7 @@ from qeclab.codes import (
     _commute,
     _draw_syndrome,
     _overlaps,
+    _reach,
     get_code,
 )
 from qeclab.errors import GeneralErrorParams, RotationErrorParams, build_general_unitary, rotation_unitary
@@ -470,22 +471,23 @@ class TestExtractSyndrome:
     def test_overlaps_of_a_block_match_each_row_alone(self, name, monkeypatch):
         """Row r of a block's overlaps and weights has the bits of row r read
         alone, whether the block's gather is one slice of rows or several,
-        and whether every outcome is read (no masks) or only the (row,
-        outcome) pairs each row's qubit mask reaches."""
+        and whether every outcome is read or only the (row, outcome) pairs
+        each row's qubit mask reaches."""
         code = get_code(name)
         rng = np.random.default_rng(7)
         n = code.n_physical
         block = rng.standard_normal((20, 1 << n)) + 1j * rng.standard_normal((20, 1 << n))
         block /= np.linalg.norm(block, axis=1, keepdims=True)
         budgets = (1, qeclab.codes._GATHER_BYTES, 1 << 30)  # 1 row or pair, some, all at once
-        for touched in (None, rng.integers(0, 1 << n, (20, 1))):
+        masks = rng.integers(0, 1 << n, 20).tolist()
+        for reached in (None, [_reach(code._syndromes, mask, n)[2] for mask in masks]):
             alone = [
-                dense_overlaps(amps[None], code._syndromes, None if touched is None else touched[r])
+                dense_overlaps(amps[None], code._syndromes, None if reached is None else reached[r:r + 1])
                 for r, amps in enumerate(block)
             ]
             for budget in budgets:
                 monkeypatch.setattr(qeclab.codes, "_GATHER_BYTES", budget)
-                got = dense_overlaps(block, code._syndromes, None if touched is None else touched[:, 0])
+                got = dense_overlaps(block, code._syndromes, reached)
                 for r, row in enumerate(alone):
                     for part, want in zip(got, row):
                         assert part[r].tobytes() == want[0].tobytes()
@@ -507,18 +509,19 @@ class TestExtractSyndrome:
         u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
         assert np.abs(u).min() > 0.1
         product = _product(u)
+        hits = [_reach(table, mask, n)[2] for mask in masks.tolist()]
         reached = np.zeros((len(masks), len(table.index)), dtype=bool)
-        for row, hits in enumerate(qeclab.codes._reached(table, masks)):
-            reached[row, hits] = True
+        for row, rows in enumerate(hits):
+            reached[row, rows] = True
         for logical in (LogicalQubit(1.0, 0.0), LogicalQubit(0.0, 1.0), GENERIC_LOGICAL):
             block = np.repeat(code.encoder(logical).amps[None], len(masks), axis=0)
             block = product(block, [(q, touches[:, q]) for q in range(n)])
             dense = dense_overlaps(block, table)
             assert not dense[2][~reached].any()
-            for got, want in zip(dense_overlaps(block, table, masks), dense):
+            for got, want in zip(dense_overlaps(block, table, hits), dense):
                 assert got.tobytes() == want.tobytes()
-            for touched in (None, masks):
-                counts, outcome, _, weight = _overlaps(block, table, touched)
+            for read in (None, hits):
+                counts, outcome, _, weight = _overlaps(block, table, read)
                 rows = np.repeat(np.arange(len(masks)), counts)
                 assert (weight > 0.0).all()
                 assert (np.diff(rows * len(table.index) + outcome) > 0).all()
@@ -527,17 +530,21 @@ class TestExtractSyndrome:
         "name", [*CODE_NAMES, "bitflip3", "bitflip5", "phaseflip3", "phaseflip5"]
     )
     def test_reach_is_the_flip_rule(self, name):
-        """On every mask Q, ``_reached`` holds exactly the outcomes s with a
+        """On every mask Q, ``_reach`` holds exactly the outcomes s with a
         flip inside Q: a ket of s XOR a ket of either codeword with no bit
-        outside Q."""
+        outside Q; and the distinct patterns of the codewords' kets off Q,
+        ascending, padded with ket 2^n to one per ket."""
         spec = code_spec(name)
-        table = spec._syndromes
+        n, table = spec.n_physical, spec._syndromes
         kets = np.union1d(*(np.flatnonzero(v) for v in spec.codewords))
         flips = (table.index.reshape(len(table.index), -1, 1) ^ kets).reshape(len(table.index), -1)
-        masks = np.arange(1 << spec.n_physical)
-        for mask, got in zip(masks.tolist(), qeclab.codes._reached(table, masks)):
+        for mask in range(1 << n):
+            patterns, count, got = _reach(table, mask, n)
             want = np.flatnonzero(((flips & ~mask) == 0).any(axis=1))
             assert np.array_equal(got, want), mask
+            off = sorted({ket & ~mask for ket in kets.tolist()})
+            assert patterns.tolist() == off + [1 << n] * (len(kets) - len(off)), mask
+            assert count == len(off)
 
     @pytest.mark.parametrize("name", ["steane7", "shor9"])
     def test_rare_outcome_weight_is_free_of_cancellation(self, name):

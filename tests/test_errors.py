@@ -466,9 +466,9 @@ class TestInjectorSchedule:
                 shared = [] if n == 1 and k > 1 and kind != "decay" else [len(models) - 1]
                 for occupancies in (mixed, equal):
                     for which in (*shared, per_row):
-                        block, _ = inject(state, occupancies, which)
+                        block = inject(state, occupancies, which)
                         assert block.shape == (k, 1 << n)
                         for i, row in enumerate(block):
                             model = models[which if isinstance(which, int) else per_row[i]]
-                            alone, _ = _injector(model)(state, occupancies[i:i + 1])
+                            alone = _injector(model)(state, occupancies[i:i + 1])
                             assert row.tobytes() == alone.tobytes()

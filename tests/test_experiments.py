@@ -17,7 +17,15 @@ import qeclab.errors
 import qeclab.experiments
 import qeclab.statevec
 from qeclab.cli import format_float
-from qeclab.codes import CODE_NAMES, LogicalQubit, _draw_syndrome, _overlaps, get_code
+from qeclab.codes import (
+    CODE_NAMES,
+    LogicalQubit,
+    _draw_syndrome,
+    _layout,
+    _overlaps,
+    _reach,
+    get_code,
+)
 from qeclab.errors import (
     ALL_QUBITS,
     FLIP_KINDS,
@@ -27,8 +35,6 @@ from qeclab.errors import (
     Placement,
     RotationErrorParams,
     _injector,
-    _layout,
-    _scatter,
     apply_error_model,
     check_placement,
     resolve_occupancy,
@@ -52,9 +58,16 @@ from qeclab.experiments import (
     sensitivity_experiment,
     sweep_theta,
 )
-from qeclab.statevec import support_mask, support_size
+from qeclab.statevec import _scatter, support_mask, support_size
 
-from dense_oracle import code_spec, dense_branches, dense_inject, dense_outcomes, dense_overlaps
+from dense_oracle import (
+    code_spec,
+    dense_branches,
+    dense_inject,
+    dense_outcomes,
+    dense_overlaps,
+    reached_rows,
+)
 
 
 def rotation_config(**overrides) -> ExperimentConfig:
@@ -216,13 +229,19 @@ class TestExperimentConfig:
     def test_a_bose_count_too_large_to_draw_is_refused_before_any_work(self):
         """A trial's draw takes a byte per Floyd slot, n_errors + n - 1 of
         them, and a sweep draws at least one trial at a time under
-        ``_BLOCK_BYTES``; a count past that is refused as its placement."""
+        ``_BLOCK_BYTES``; a count past that is refused as its placement.
+        So on every code the largest count accepted has a pool below 2**32,
+        every bound of its draws one ``_lemire`` draws as numpy does."""
         budget = qeclab.experiments._BLOCK_BYTES
-        rotation_config(placement=Placement.bose_einstein(budget - 7))
-        for count in (budget - 6, 10**9):
-            with pytest.raises(ConfigError, match="placement needs") as refused:
-                rotation_config(placement=Placement.bose_einstein(count))
-            assert refused.value.field == "placement"
+        for code in CODE_NAMES:
+            n = get_code(code).n_physical
+            largest = budget - n
+            rotation_config(code=code, placement=Placement.bose_einstein(largest))
+            assert n + largest - 1 < 2**32  # its Floyd pool
+            for count in (largest + 1, 10**9):
+                with pytest.raises(ConfigError, match="placement needs") as refused:
+                    rotation_config(code=code, placement=Placement.bose_einstein(count))
+                assert refused.value.field == "placement"
 
     def test_placements_that_fit_are_accepted(self):
         for placement in (Placement.fixed([6, 0]), Placement.fermi(7), Placement.bose_einstein(9)):
@@ -667,10 +686,14 @@ class TestSweepTheta:
         and injects it once per grid point, whatever the trial count: as one
         block per side and sweep, a row per grid point, each row under its
         own grid point's model."""
-        resolved, injections = [], []
+        resolved, laid_out, injections = [], [], []
         original_resolve, original_injector = (
             qeclab.experiments.resolve_occupancy, qeclab.experiments._injector
         )
+
+        def counting_layout(table, occupancies):
+            laid_out.append(occupancies.tolist())
+            return _layout(table, occupancies)
 
         def counting_resolve(placement, n_qubits, rng):
             resolved.append(n_qubits)
@@ -679,29 +702,28 @@ class TestSweepTheta:
         def counting_injector(*models):
             inject = original_injector(*models)
 
-            def counting(state, occupancies, which=0, kets=None):
-                injections.append((state.n_qubits, occupancies.tolist(), np.ravel(which).tolist()))
-                return inject(state, occupancies, which, kets)
+            def counting(state, occupancies, which=0, slots=None):
+                injections.append((state.n_qubits, len(occupancies), np.ravel(which).tolist()))
+                return inject(state, occupancies, which, slots)
 
             return counting
 
         monkeypatch.setattr(qeclab.experiments, "resolve_occupancy", counting_resolve)
         monkeypatch.setattr(qeclab.experiments, "_injector", counting_injector)
+        monkeypatch.setattr(qeclab.experiments, "_layout", counting_layout)
         occupancy = {
             7: original_resolve(placement, 7, None).tolist(),
             1: original_resolve(_bare_qubit_placement(placement), 1, None).tolist(),
         }
         for trials in (1, 20):
-            resolved.clear()
-            injections.clear()
+            for calls in (resolved, laid_out, injections):
+                calls.clear()
             sweep_theta(
                 rotation_config(placement=placement, theta_grid=(0.05, 0.3, 1.1), trials=trials)
             )
             assert resolved == [7, 1]
-            assert [n for n, _, _ in injections] == [7, 1]
-            for n, block, which in injections:
-                assert block == [occupancy[n]] * 3
-                assert which == [0, 1, 2]
+            assert laid_out == [[occupancy[7]] * 3, [occupancy[1]] * 3]
+            assert injections == [(7, 3, [0, 1, 2]), (1, 3, [0, 1, 2])]
 
     @pytest.mark.parametrize(
         "overrides",
@@ -838,7 +860,8 @@ def _path_configs() -> list[ExperimentConfig]:
 def _sweep_blocks(config: ExperimentConfig):
     """Each block ``sweep_theta(config)`` reads, a side and a grid point at a
     time, as (its syndrome table, its distinct occupancies, their rows
-    laid out dense, whether ``_layout`` gave them the compact register)."""
+    laid out dense, and each row's reached outcomes where ``_layout`` gave
+    them the compact register, else None)."""
     code, uncoded = get_code(config.code), get_code("uncoded")
     inject = _injector(*(model_for(config, theta) for theta in config.theta_grid))
     bare = resolve_occupancy(_bare_qubit_placement(config.placement), 1, None)[None]
@@ -852,30 +875,68 @@ def _sweep_blocks(config: ExperimentConfig):
             coded = resolve_occupancy(config.placement, n, None)[None]
         for spec, occupancies in ((code, coded), (uncoded, bare)):
             table = spec._syndromes
-            rows, slots = inject(spec.encoder(config.logical), occupancies, grid_index, table.kets)
-            block = rows if slots is None else _scatter(rows, slots, 1 << spec.n_physical)
-            yield table, occupancies, block, slots is not None
+            register, slots, reached = _layout(table, occupancies)
+            rows = inject(spec.encoder(config.logical), register, grid_index, slots)
+            yield table, occupancies, _scatter(rows, slots, 1 << spec.n_physical), reached
 
 
 class TestOverlapPaths:
     """``_overlaps`` reads either every (row, outcome) pair or, given each
-    row's qubit mask, only those the mask reaches; ``_layout`` picks the
-    read, and neither may move a row."""
+    row's reached outcomes, only those; ``_layout`` picks the read, and
+    neither may move a row."""
 
     def test_both_reads_of_every_sweep_block_agree(self):
         """Every block a sweep reads, compact or dense, gives the same pairs
-        byte for byte whether it is read with its rows' masks or without."""
+        byte for byte whether it is read on its rows' reached outcomes (as
+        ``_layout`` names them, or as the memo holds them for a dense
+        block) or on every outcome."""
         configs = _path_configs()
         assert len(configs) >= 100
         compact = dense = 0
         for config in configs:
-            for table, occupancies, block, laid_out_compact in _sweep_blocks(config):
-                masks = (occupancies > 0) @ (1 << np.arange(occupancies.shape[1])[::-1])
-                for pairs, every in zip(_overlaps(block, table, masks), _overlaps(block, table)):
+            for table, occupancies, block, reached in _sweep_blocks(config):
+                read = reached_rows(table, occupancies) if reached is None else reached
+                for pairs, every in zip(_overlaps(block, table, read), _overlaps(block, table)):
                     assert pairs.tobytes() == every.tobytes(), config
-                compact += laid_out_compact
-                dense += not laid_out_compact
+                compact += reached is not None
+                dense += reached is None
         assert compact > 100 and dense > 100
+
+    def test_sweep_bytes_do_not_depend_on_what_the_memo_holds(self):
+        """A sweep's bytes are the same from an empty reach memo and after
+        another sweep has filled it, and a sweep run again adds no entry:
+        a compact config, a dense one, and one of mixed widths whose blocks
+        mostly fall back to the dense register."""
+        configs = [
+            rotation_config(code=code, placement=placement, logical=GENERIC,
+                            theta_grid=(0.1, 0.7), trials=300, seed=5)
+            for code, placement in (("shor9", Placement.bose_einstein(2)),
+                                    ("steane7", Placement.fermi(3)),
+                                    ("shor9", Placement.bose_einstein(6)))
+        ]
+
+        def layouts(config):
+            """Whether each coded block is laid out compact, and its rows' widths."""
+            return [
+                (reached is not None, set((occupancies > 0).sum(axis=1).tolist()))
+                for table, occupancies, _, reached in _sweep_blocks(config) if len(table.kets) > 2
+            ]
+
+        compact, dense, mixed = map(layouts, configs)
+        assert all(laid_out for laid_out, _ in compact)
+        assert not any(laid_out for laid_out, _ in dense)
+        assert any(not laid_out and len(widths) > 1 for laid_out, widths in mixed)
+        memos = [get_code(name)._syndromes.reach for name in ("shor9", "steane7", "uncoded")]
+        for b in configs:
+            for memo in memos:
+                memo.clear()
+            fresh = repr(sweep_theta(b))
+            for a in configs:
+                sweep_theta(a)
+                assert repr(sweep_theta(b)) == fresh
+                held = [set(memo) for memo in memos]
+                sweep_theta(b)
+                assert [set(memo) for memo in memos] == held
 
     def test_a_reach_missing_an_outcome_moves_a_row(self, monkeypatch):
         """The comparison above catches a reach that is too small.  Give a
@@ -889,22 +950,22 @@ class TestOverlapPaths:
         table, corrections = code._syndromes, list(code.recovery_table.values())
 
         def without(correction: str, mask: int):
-            (hits,) = qeclab.codes._reached(table, np.array([mask]))
+            *patterns, hits = _reach(table, mask, code.n_physical)
             assert corrections.index(correction) in hits
-            return table._replace(reach={mask: hits[hits != corrections.index(correction)]})
+            return table._replace(reach={mask: (*patterns, hits[hits != corrections.index(correction)])})
 
         config = rotation_config(
             code="shor9", placement=Placement.fixed([0]), logical=GENERIC, theta_grid=(0.7,)
         )
         occupancy = resolve_occupancy(config.placement, code.n_physical, None)
-        block, _ = _injector(model_for(config, 0.7))(code.encoder(GENERIC), occupancy[None])
-        touched = np.array([1 << code.n_physical - 1])
-        y0 = corrections.index("YIIIIIIII")
-        assert dense_overlaps(block, table, touched)[2][0, y0] > 0.0
-        assert dense_overlaps(block, without("YIIIIIIII", touched[0]), touched)[2][0, y0] == 0.0
+        block = _injector(model_for(config, 0.7))(code.encoder(GENERIC), occupancy[None])
+        y0, mask = corrections.index("YIIIIIIII"), 1 << code.n_physical - 1
+        assert dense_overlaps(block, table, reached_rows(table, occupancy[None]))[2][0, y0] > 0.0
+        missing = [without("YIIIIIIII", mask).reach[mask][2]]
+        assert dense_overlaps(block, table, missing)[2][0, y0] == 0.0
 
         config = dataclasses.replace(config, placement=Placement.fixed([0, 1]))
-        assert _layout(np.array([[1, 1] + [0] * 7]), 9, table.kets)[1] is not None
+        assert _layout(table, np.array([[1, 1] + [0] * 7]))[1] is not None
         want = repr(sweep_theta(config))
         monkeypatch.setitem(vars(code), "_syndromes", without("IIXIIIIII", 0b110000000))
         assert repr(sweep_theta(config)) != want
@@ -974,7 +1035,7 @@ class TestMoments:
             config = rotation_config(code=code, error_kind=kind, logical=logical, **fields)
             encoded = get_code(code).encoder(logical)
             for theta in (0.3, 1.1):
-                block, _ = _injector(model_for(config, theta))(encoded, np.array(occupancies))
+                block = _injector(model_for(config, theta))(encoded, np.array(occupancies))
                 means, variances = _moments(block, get_code(code)._syndromes, logical)
                 for amps, got in zip(block, zip(means, variances)):
                     want = dense_moments(amps, code, logical)
@@ -985,7 +1046,7 @@ class TestMoments:
         dense oracle's infidelity for the syndrome drawn."""
         code = get_code("steane7")
         config = rotation_config(logical=GENERIC)
-        block, _ = _injector(model_for(config, 0.5))(code.encoder(GENERIC), np.ones((1, 7), int))
+        block = _injector(model_for(config, 0.5))(code.encoder(GENERIC), np.ones((1, 7), int))
         (mean,), (variance,) = _moments(block, code._syndromes, GENERIC)
         _, _, weight = dense_overlaps(block, code._syndromes)
         outcomes = dense_branches(block[0], "steane7", GENERIC)
@@ -1047,8 +1108,14 @@ def injections(draw):
     return spec, spec.encoder(logical), logical, models, occupancies, which
 
 
+def _on_kets(name: str, kets):
+    """The syndrome table of ``name`` with ``kets`` for its codewords' kets
+    and an empty reach memo, for layouts of kets no code holds."""
+    return code_spec(name)._syndromes._replace(kets=np.array(kets), reach={})
+
+
 class TestCompactInjection:
-    """Each row is injected only on the kets it can reach (``_layout``),
+    """Each row is injected only on the kets it can reach (``codes._layout``),
     and every number read from it is the dense register's."""
 
     @settings(derandomize=True, max_examples=400, deadline=None)
@@ -1059,39 +1126,39 @@ class TestCompactInjection:
         supports and ``_kernel``'s moments are the dense block's."""
         spec, state, logical, models, occupancies, which = case
         table, size, inject = spec._syndromes, 1 << spec.n_physical, _injector(*models)
-        rows, slots = inject(state, occupancies, which, table.kets)
+        register, slots, reached = _layout(table, occupancies)
+        rows = inject(state, register, which, slots)
         want = dense_inject(models, state, occupancies, which)
-        got = rows if slots is None else _scatter(rows, slots, size)
+        got = _scatter(rows, slots, size)
         assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
         if slots is not None:
             for row_slots, amps in zip(slots, want):
                 live = row_slots[row_slots < size]
                 assert len(np.unique(live)) == len(live)
                 assert np.isin(np.flatnonzero(amps), live).all()
-        masks = (occupancies > 0) @ (1 << np.arange(spec.n_physical)[::-1])
-        touched = None if slots is None else masks  # as ``_kernel`` reads the block
         supports = support_mask(want, SUPPORT_THRESHOLD).sum(axis=1).tolist()
         assert support_mask(rows, SUPPORT_THRESHOLD).sum(axis=1).tolist() == supports
         assert _kernel(inject, state, table, logical, occupancies, which) == (
-            *_moments(want, table, logical, touched), supports
+            *_moments(want, table, logical, reached), supports
         )
 
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(injections())
     def test_a_block_reads_pairs_exactly_when_laid_out_compact(self, case):
-        """``_kernel`` passes ``_overlaps`` its rows' masks exactly when
-        ``_layout`` gave the block the compact register, and a compact
-        block's pairs are the same read either way, byte for byte."""
+        """``_kernel`` passes ``_overlaps`` its rows' reached outcomes
+        exactly when ``_layout`` gave the block the compact register, and a
+        compact block's pairs are the same read either way, byte for byte."""
         spec, state, logical, models, occupancies, which = case
         table, inject = spec._syndromes, _injector(*models)
-        _, slots = _layout(occupancies, spec.n_physical, table.kets)
+        _, slots, _ = _layout(table, occupancies)
         with mock.patch.object(qeclab.experiments, "_overlaps", wraps=_overlaps) as read:
             _kernel(inject, state, table, logical, occupancies, which)
         (call,) = read.call_args_list
-        block, _, touched = call.args
-        assert (touched is None) == (slots is None)
+        block, _, reached = call.args
+        assert (reached is None) == (slots is None)
         if slots is not None:
-            for pairs, every in zip(_overlaps(block, table, touched), _overlaps(block, table)):
+            assert all(map(np.array_equal, reached, reached_rows(table, occupancies)))
+            for pairs, every in zip(_overlaps(block, table, reached), _overlaps(block, table)):
                 assert pairs.tobytes() == every.tobytes()
 
     def test_the_layout_each_block_takes(self):
@@ -1101,14 +1168,16 @@ class TestCompactInjection:
         shor9, steane7 = get_code("shor9"), get_code("steane7")
         one = np.zeros((1, 9), dtype=np.int64)
         one[0, 4] = 2
-        compact, slots = _layout(one, 9, shor9._syndromes.kets)
+        compact, slots, reached = _layout(shor9._syndromes, one)
         # Qubit 4 in the top bit, the 8 codeword kets' patterns off it below.
         assert compact.tolist() == [[2]] and slots.shape == (1, 16)
+        assert np.array_equal(reached[0], reached_rows(shor9._syndromes, one)[0])
         block = np.ones((2, 7), dtype=np.int64)
         block[1, :3] = 0
-        assert _layout(block, 7, steane7._syndromes.kets)[1] is None
-        assert _layout(np.ones((3, 1), dtype=np.int64), 1, np.array([0, 1]))[1] is None
-        assert _layout(np.array([[1, 0, 1]]), 3, np.array([0, 2, 5, 7]))[1] is None  # 2 x 4 slots
+        assert _layout(steane7._syndromes, block)[1:] == (None, None)
+        assert _layout(get_code("uncoded")._syndromes, np.ones((3, 1), dtype=np.int64))[1:] == (None, None)
+        wide = _on_kets("bitflip3", [0, 2, 5, 7])
+        assert _layout(wide, np.array([[1, 0, 1]]))[1:] == (None, None)  # 2 x 4 slots
 
     def test_a_lone_amplitude_pair_takes_the_dense_register(self):
         """A compact step of one amplitude pair per row would go down numpy's
@@ -1116,9 +1185,10 @@ class TestCompactInjection:
         dense register's steps (``TestInjectorSchedule``), so such a block
         takes the dense register.  Two pairs per row stay compact: phantom
         and merged slots point at ket 2**n."""
-        kets = np.array([0, 1])  # one pattern off qubit 2, and off qubits 1 and 2
-        assert _layout(np.array([[0, 0, 1]]), 3, kets)[1] is None
-        compact, slots = _layout(np.array([[0, 1, 2], [0, 0, 1]]), 3, kets)
+        kets = [0, 1]  # one pattern off qubit 2, and off qubits 1 and 2
+        table = _on_kets("bitflip3", kets)
+        assert _layout(table, np.array([[0, 0, 1]]))[1:] == (None, None)
+        compact, slots, _ = _layout(table, np.array([[0, 1, 2], [0, 0, 1]]))
         assert compact.tolist() == [[1, 2], [1, 0]]
         assert slots.tolist() == [[0, 1, 2, 3], [0, 8, 1, 8]]
         model = ErrorModel("rotation", RotationErrorParams("x", 0.7))
@@ -1127,17 +1197,17 @@ class TestCompactInjection:
         state = qeclab.statevec.StateVector(3, amps)
         for occupancies in ([[0, 0, 1]], [[0, 1, 2], [0, 0, 1]]):
             occupancies = np.array(occupancies)
-            rows, slots = _injector(model)(state, occupancies, 0, kets)
-            got = rows if slots is None else _scatter(rows, slots, 8)
+            register, slots, _ = _layout(table, occupancies)
+            got = _scatter(_injector(model)(state, register, 0, slots), slots, 8)
             want = dense_inject([model], state, occupancies)
             assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
     def test_no_output_depends_on_the_sign_of_a_zero_amplitude(self):
         """Every zero part of an injected block flipped in sign leaves
         ``_overlaps``' pairs, ``_moments`` and ``support_mask`` as they were,
-        read with the rows' masks and without, so a block scattered from
-        compact rows, whose unreached kets hold +0, reads as the dense block
-        does."""
+        read on the rows' reached outcomes and on every one, so a block
+        scattered from compact rows, whose unreached kets hold +0, reads as
+        the dense block does."""
         rng = np.random.default_rng(33)
         flipped_any = False
         for name, kind in (("shor9", "rotation"), ("steane7", "rotation"), ("bitflip3", "general_unitary")):
@@ -1152,11 +1222,10 @@ class TestCompactInjection:
             parts[parts == 0.0] *= -1.0
             flipped = parts.view(np.complex128)
             flipped_any |= bool((np.signbit(parts) != np.signbit(block.view(np.float64))).any())
-            touched = (occupancies > 0) @ (1 << np.arange(n)[::-1])
-            for masks in (None, touched):
-                for got, want in zip(_overlaps(flipped, table, masks), _overlaps(block, table, masks)):
+            for reached in (None, reached_rows(table, occupancies)):
+                for got, want in zip(_overlaps(flipped, table, reached), _overlaps(block, table, reached)):
                     assert got.tobytes() == want.tobytes()
-                assert _moments(flipped, table, GENERIC, masks) == _moments(block, table, GENERIC, masks)
+                assert _moments(flipped, table, GENERIC, reached) == _moments(block, table, GENERIC, reached)
             assert (support_mask(flipped, SUPPORT_THRESHOLD) == support_mask(block, SUPPORT_THRESHOLD)).all()
         assert flipped_any
 
