@@ -37,7 +37,7 @@ once, to stdout or atomically to --out.
 
 Exit codes: 0 success, 2 a refused flag, a config/validation error or a
 simulation that cannot continue (a trial budget too large to allocate for
-a placement that draws), 3 I/O error.
+a placement with more patterns than trials), 3 I/O error.
 
 ``main(argv)`` returns its exit code for every argv, --help included, and
 is re-entrant, so tests and notebooks can call it in-process any number of
@@ -532,7 +532,8 @@ _FLAGS = {
     "axis": ("--axis", dict(choices=ROTATION_AXES, help="rotation axis override")),
     "theta_grid": ("--theta", dict(
         metavar="THETA", type=float, help="single angle override (radians)")),
-    "trials": ("--trials", dict(type=int, help="Monte Carlo trials per grid point")),
+    "trials": ("--trials", dict(type=int, help="trials per grid point; a placement with "
+                                "no more patterns than this is summed over all of them")),
     "seed": ("--seed", dict(type=int, help="random seed (default 0)")),
     "logical": ("--logical", dict(help="logical amplitudes a_re,a_im[,b_re,b_im]")),
     "qubits": ("--qubits", dict(type=int, default=5, help="register size")),

@@ -1,57 +1,43 @@
 """Monte Carlo harness: residual infidelity vs. error strength, component
 proliferation, and amplitude-sensitivity measurements.
 
-A trial samples a placement occupancy, injects the error into the
-encoded state, and reports the support right after injection and the
-infidelity 1 - F that recovery leaves, as its exact expectation over
-syndrome outcomes.  For a code with one logical qubit, measuring the
-stabilizers projects onto a syndrome space s spanned by R_s|0_L> and
-R_s|1_L>, where R_s is the table's correction, and recovery applies R_s;
-so each outcome's weight and the infidelity it leaves are read off the
-overlaps <R_s v_L|psi> (``_leaves``; ``qeclab correct`` prints the leaf
-of the outcome it draws).  A trial thus depends on its occupancy alone.
-At each grid point ``sweep_theta`` draws every trial's occupancy, then
-evaluates the distinct ones as one block (``_kernel``): the block is
-injected one qubit step at a time, each step one matrix product over
-the rows it touches.  An error on the qubits Q moves the codewords' kets
-only by flips inside Q, so a row can be injected on those kets alone: a
-register of the values of its occupied qubits over the patterns of the
-codewords' kets off them.  ``codes._layout`` alone picks each block's
-register, this one or, where it is no smaller, the dense one, and the
-injector works on the register it is given.  Supports are counted
-there, and the rows are scattered (``statevec._scatter``) into the dense
-block that ``_overlaps`` reads; each amplitude is the one a dense
-injection computes, by the same products.  ``_overlaps`` then finds,
-once, the (row, outcome) pairs of weight > 0, row after row, and the
-leaves and moments read those pairs alone: of a compact block only the
-pairs its rows' flips reach, of a dense block every pair, by the same
-sums of products.  A block's rows round exactly as each row alone does.
-Each entry carries its variance over syndrome outcomes: a row's
-``std_coded`` is the population std of one trial's infidelity, by the law
-of total variance.  A placement with no error count draws nothing; its
-row is its one entry, whatever the seed and trial count.  Each side is
-encoded once per sweep, and the sweep builds one injector, holding every
-grid point's operator, which both sides share.  The uncoded baseline is
-the kernel on the bare qubit, a code with no stabilizer, under the
-placement's projection onto that qubit (``_bare_qubit_placement``),
-which draws nothing: one entry per grid point, reported with std 0.
+An occupancy of the placement is injected into the encoded state; its
+entry is the support right after injection and the infidelity 1 - F
+that recovery leaves, as its exact expectation over syndrome outcomes.
+For a code with one logical qubit, measuring the stabilizers projects
+onto a syndrome space s spanned by R_s|0_L> and R_s|1_L>, where R_s is
+the table's correction, and recovery applies R_s; so each outcome's
+weight and the infidelity it leaves are read off the overlaps
+<R_s v_L|psi> (``_leaves``; ``qeclab correct`` prints the leaf of the
+outcome it draws).  An entry carries its variance over syndrome
+outcomes: a row's ``std_coded`` is the population std of one occupancy's
+infidelity, by the law of total variance.  ``_kernel`` evaluates
+occupancies as one block, on the register ``codes._layout`` picks (each
+row only on the kets its flips can reach, or the dense one), at the
+(row, outcome) pairs of weight > 0 alone; a block's rows round exactly as
+each row alone does.  Each side is encoded once per sweep, and one
+injector holds every grid point's operator for both sides.  The uncoded
+baseline is the kernel on the bare qubit, a code with no stabilizer,
+under the placement's projection onto it (``_bare_qubit_placement``).
 The rows that draw nothing, the bare side's and a drawless coded side's,
-are one block per side with a row per grid point, each row injected
-under its own grid point's operator; a placement that draws keeps one
-block per grid point, so its per-trial buffers stay one grid point long.
+are one block per side, a row per grid point under its own operator;
+they depend on neither seed nor trial count.
 
-Trial t of grid point g of a placement that draws takes its occupancy
-from ``default_rng(SeedSequence(entropy=seed, spawn_key=(g, t, 0)))``
-(``_trial_rng``), so results do not depend on how trials are scheduled
-and any one trial can be rebuilt alone.  A sweep draws those streams as
-arrays, ``_DRAW_TRIALS`` trials at a time (``_trial_occupancies``): the
-SeedSequence words, PCG64 and the Lemire draws of Floyd's algorithm,
-integer for integer as numpy computes them, so every row is the one its
-trial's stream draws.  A trial whose draw numpy would reject and redraw
-is rebuilt alone from ``_trial_rng``.
+A bose_einstein or fermi placement can take C patterns, each with
+probability 1/C (``errors`` counts them), so a row is a finite uniform
+sum.  Where C <= ``trials`` the sweep computes it: every pattern once
+under every grid point's operator, a chunk of patterns at a time
+(``_every_slots``), and the row depends on neither seed nor trial count.
+Where C > ``trials``, grid point g draws its trials in order from one
+generator, ``default_rng(SeedSequence(seed, spawn_key=(g,)))``, a chunk
+at a time by one ``rng.integers`` call (``_drawn_slots``): exactly the
+occupancies that ``trials`` successive ``resolve_occupancy`` calls on
+that generator draw.  Either way the trial budget bounds a grid point's
+kernel rows.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -69,7 +55,9 @@ from .errors import (
     ROTATION_AXES,
     _injector,
     apply_error_model,
+    bose_einstein_pattern_prob,
     check_placement,
+    fermi_pattern_prob,
     resolve_occupancy,
 )
 from .statevec import StateVector, _scatter, support_mask, support_size
@@ -211,155 +199,43 @@ def model_for(config: ExperimentConfig, theta: float) -> ErrorModel:
     return ErrorModel(kind, None, config.placement)
 
 
-def _trial_rng(seed: int, grid_index: int, trial: int) -> np.random.Generator:
-    """The stream of one trial, rebuilt on its own in any order."""
-    # The fixed trailing 0 keeps each stream, and so every published row, bit for bit.
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(grid_index, trial, 0))
-    )
+_DRAW_TRIALS = 2048  # trials drawn, or patterns enumerated, at a time: arrays near 1 MB
 
 
-# The constants of numpy's SeedSequence hash (a pool of four 32-bit words)
-# and of its default generator, PCG64 (O'Neill, HMC-CS-2014-0905).
-_MASK32 = 0xFFFFFFFF
-_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
-_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
-# Trials whose occupancies are drawn as one set of arrays.  Each holds a
-# few hundred bytes (stream state, draws, occupancy and its key), so a
-# chunk's arrays stay near 1 MB.
-_DRAW_TRIALS = 2048
+def _every_slots(pool: int, k: int, step: int):
+    """Every k-subset of range(pool), in lexicographic order, as (m, k)
+    arrays of at most ``step`` rows."""
+    subsets = itertools.combinations(range(pool), k)
+    while chunk := list(itertools.islice(subsets, step)):
+        yield np.array(chunk, dtype=np.intp)
 
 
-def _hash(value, before, after):
-    """SeedSequence's hashmix of ``value`` under the hash constant ``before``
-    and the one it advances to, ``after``, mod 2**32."""
-    value = (value ^ before) * after & _MASK32
-    return value ^ value >> 16
+def _drawn_slots(pool: int, k: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """The sorted k-subsets of range(pool) that ``count`` successive
+    ``errors._uniform_subset(pool, k, rng)`` calls pick, one row each.
 
-
-def _mix(x, y):
-    """SeedSequence's mix of the pool word ``x`` with the hashed ``y``, mod 2**32."""
-    x = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
-    return x ^ x >> 16
-
-
-def _constants(const: int, count: int, mult: int) -> np.ndarray:
-    """The hash constant ``const`` and the ``count`` it advances to next,
-    as a (count + 1, 1) uint32 array."""
-    return np.array([const * pow(mult, i, 1 << 32) & _MASK32 for i in range(count + 1)],
-                    np.uint32)[:, None]
-
-
-def _seed_words(seed: int, grid_index: int, trials: np.ndarray) -> np.ndarray:
-    """``SeedSequence(seed, spawn_key=(grid_index, t, 0)).generate_state(4,
-    np.uint64)`` as row t of a (T, 4) array, for the uint32 ``trials``.
-
-    The words of ``seed`` and ``grid_index`` leave the pool of
-    ``SeedSequence(seed, spawn_key=(grid_index,))``, alike for every t,
-    and four hashmixes per entropy word (the seed's padded to the pool's
-    four) advance the hash constant.  From there t's word and the trailing
-    0 each mix into the four pool words as one (4, T) array operation.
+    One ``rng.integers`` call draws every Floyd bound of every trial, in
+    the order those calls draw them (a bound of 0 takes no word); each
+    trial's collisions are then resolved column by column, all at once.
     """
-    def n_words(value: int) -> int:
-        return max(1, (value.bit_length() + 31) // 32)
-
-    entropy = max(4, n_words(seed)) + n_words(grid_index)
-    pool = np.random.SeedSequence(seed, spawn_key=(grid_index,)).pool[:, None]
-    chain = _constants(_HASH_INIT_A * pow(_HASH_MULT_A, 4 * entropy, 1 << 32), 8, _HASH_MULT_A)
-    for lo, word in ((0, trials), (4, 0)):
-        pool = _mix(pool, _hash(word, chain[lo:lo + 4], chain[lo + 1:lo + 5]))
-    chain = _constants(_HASH_INIT_B, 8, _HASH_MULT_B)
-    state = _hash(np.concatenate([pool, pool]), chain[:-1], chain[1:])
-    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+    slots = rng.integers(0, np.arange(pool - k, pool) + 1, size=(count, k))
+    # Each trial's row of slots its picks so far have taken.
+    taken, rows = np.zeros(count * pool, dtype=bool), np.arange(0, count * pool, pool)
+    for i, j in enumerate(range(pool - k, pool)):
+        draw = slots[:, i]
+        slots[:, i] = np.where(taken.take(rows + draw), j, draw)  # a draw taken gives way to j
+        taken.put(rows + slots[:, i], True)
+    return np.sort(slots, axis=1)
 
 
-def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
-    """One step of PCG64's 128-bit LCG, state * multiplier + inc, on
-    (hi, lo) uint64 halves; the high half of lo times the multiplier's
-    low half is summed from 32-bit limbs."""
-    lo0, lo1 = lo & _MASK32, lo >> 32
-    m0, m1 = _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
-    cross0, cross1 = lo0 * m1, lo1 * m0
-    mid = (lo0 * m0 >> 32) + (cross0 & _MASK32) + (cross1 & _MASK32)
-    carry = lo1 * m1 + (cross0 >> 32) + (cross1 >> 32) + (mid >> 32)
-    hi = carry + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + inc_hi
-    lo = lo * _PCG_MULT_LO + inc_lo
-    return hi + (lo < inc_lo), lo
-
-
-def _lemire(words: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lemire's draw of an integer in [0, bound] from each 32-bit word
-    (arXiv:1805.10941), as numpy's ``integers(0, bound + 1)`` makes it
-    for 0 < bound < 2**32 - 1, and where the word falls in the rejection
-    zone, after which numpy would draw another word."""
-    scaled = words * (bound + 1)
-    return scaled >> 32, (scaled & _MASK32) < (_MASK32 - bound) % (bound + 1)
-
-
-def _trial_occupancies(
-    placement: Placement, n: int, seed: int, grid_index: int, trials: range
-) -> np.ndarray:
-    """The (T, n) occupancies the bose_einstein or fermi ``placement``
-    draws on ``n`` qubits for the trials ``trials`` of ``grid_index``:
-    row i is ``resolve_occupancy(placement, n, _trial_rng(seed,
-    grid_index, trials[i]))`` byte for byte.
-
-    Every trial's stream is computed at once: its SeedSequence words
-    (``_seed_words``), then PCG64 seeded from them and stepped on every
-    trial together, whose XSL-RR outputs hand out their low 32 bits, then
-    their high ones, to Floyd's draws (``_lemire``; a bound of 0 takes no
-    word).  A trial whose draw is rejected, and every trial of a range
-    past 2**32, is rebuilt from ``_trial_rng``, so that stream remains the
-    one definition of a trial.
-    """
-    k = placement.n_errors
-    pool = n + k - 1 if placement.rule == "bose_einstein" else n
-    count = len(trials)
-    if trials.stop > _MASK32 + 1:
-        rebuild = np.ones(count, dtype=bool)
-        occupancies = np.empty((count, n), dtype=np.int64)
-    else:
-        t = np.arange(trials.start, trials.stop, dtype=np.uint32)
-        seed_hi, seed_lo, seq_hi, seq_lo = _seed_words(seed, grid_index, t).T
-        # pcg64_set_seed: inc = initseq << 1 | 1, a step from state 0, add the seed, step.
-        inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
-        lo = inc_lo + seed_lo
-        hi, lo = _pcg_step(inc_hi + seed_hi + (lo < seed_lo), lo, inc_hi, inc_lo)
-        rebuild = np.zeros(count, dtype=bool)
-        # Floyd's picks so far, and each trial's row of slots they have taken.
-        chosen, taken = [], np.zeros(count * pool, dtype=bool)
-        rows, used = np.arange(0, count * pool, pool), 0  # used: the 32-bit words drawn
-        for j in range(pool - k, pool):
-            if not j:
-                draw = np.zeros(count, dtype=np.intp)  # a bound of 0 takes no word
-            else:
-                if used % 2 == 0:
-                    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-                    mixed, turn = hi ^ lo, hi >> 58
-                    output = mixed >> turn | mixed << (64 - turn & 63)
-                    word = output & _MASK32
-                else:
-                    word = output >> 32
-                used += 1
-                draw, missed = _lemire(word, j)
-                draw = draw.astype(np.intp)
-                rebuild |= missed
-            # A draw already chosen gives way to j.
-            pick = np.where(taken.take(rows + draw), j, draw)
-            taken.put(rows + pick, True)
-            chosen.append(pick)
-        cells = np.sort(np.array(chosen, dtype=np.intp).reshape(k, count).T, axis=1)
-        if placement.rule == "bose_einstein":
-            cells -= np.arange(k)  # stars and bars: star i in slot p sits in cell p - i
-        cells += np.arange(count)[:, None] * n
-        occupancies = np.bincount(cells.ravel(), minlength=count * n).astype(np.int64, copy=False)
-        occupancies = occupancies.reshape(count, n)
-    for i in np.flatnonzero(rebuild).tolist():
-        rng = _trial_rng(seed, grid_index, trials[i])
-        occupancies[i] = resolve_occupancy(placement, n, rng)
-    return occupancies
+def _occupancies(slots: np.ndarray, placement: Placement, n: int) -> np.ndarray:
+    """The (T, n) errors per qubit of (T, k) sorted slots, as
+    ``errors.sample_placement`` reads its subset under ``placement``."""
+    count, k = slots.shape
+    if placement.rule == "bose_einstein":
+        slots = slots - np.arange(k)  # stars and bars: star i in slot p sits in cell p - i
+    cells = slots + np.arange(0, count * n, n)[:, None]
+    return np.bincount(cells.ravel(), minlength=count * n).astype(np.int64).reshape(count, n)
 
 
 def _leaves(overlaps: np.ndarray, weight: np.ndarray, logical: LogicalQubit):
@@ -438,9 +314,12 @@ def _bare_qubit_placement(placement: Placement) -> Placement:
 
 
 def sweep_theta(config: ExperimentConfig) -> SweepResult:
-    """Monte Carlo sweep over the theta grid, coded against uncoded baseline.
+    """Sweep over the theta grid, coded against uncoded baseline.
 
-    The uncoded side runs the identical channel on a bare qubit, so under
+    A placement whose C patterns the trial budget covers is summed over
+    every pattern, exactly; one with more patterns than trials is sampled,
+    ``trials`` draws per grid point from that grid point's generator.  The
+    uncoded side runs the identical channel on a bare qubit, so under
     ``all_qubits`` placement the comparison is per-physical-qubit fair:
     the baseline sees the error exactly once.
     """
@@ -452,16 +331,19 @@ def sweep_theta(config: ExperimentConfig) -> SweepResult:
     # Each side's encoded state, syndrome table and logical state, as _kernel reads them.
     coded_side = (code.encoder(logical), code._syndromes, logical)
     bare_side = (uncoded.encoder(logical), uncoded._syndromes, logical)
-    n = code.n_physical
-    sampled = config.placement.n_errors > 0
-    # Allocated up front, so a trial budget too large to hold fails at once.
-    if sampled:
-        inverse = np.empty(config.trials, dtype=np.intp)
-        moments = np.empty((3, config.trials))
-        # Trials drawn at a time; each takes a byte per Floyd slot, of which
-        # a bose_einstein placement has n + n_errors - 1, so a huge count
-        # draws fewer at a time (ExperimentConfig keeps that at least one).
-        step = min(_DRAW_TRIALS, _BLOCK_BYTES // (n + config.placement.n_errors))
+    n, placement = code.n_physical, config.placement
+    k, bose = placement.n_errors, placement.rule == "bose_einstein"
+    if k:
+        # C, the patterns the placement can take, as errors counts them.
+        count = (bose_einstein_pattern_prob if bose else fermi_pattern_prob)(n, k).denominator
+        exact = count <= config.trials
+        if not exact:
+            # Allocated up front, so a trial budget too large to hold fails at once.
+            inverse = np.empty(config.trials, dtype=np.intp)
+            moments = np.empty((3, config.trials))
+        # Floyd's n + k - 1 slots of a bose_einstein placement: a huge count
+        # takes fewer trials at a time (ExperimentConfig keeps that >= 1).
+        pool, step = n + k - 1 if bose else n, min(_DRAW_TRIALS, _BLOCK_BYTES // (n + k))
     inject = _injector(*(model_for(config, theta) for theta in config.theta_grid))
     grid = np.arange(len(config.theta_grid))
 
@@ -471,15 +353,32 @@ def sweep_theta(config: ExperimentConfig) -> SweepResult:
         occupancy = resolve_occupancy(placement, n_qubits, None)
         return _kernel(inject, *side, np.repeat(occupancy[None], len(grid), axis=0), grid)
 
-    if sampled:
+    if k and exact:
+        # Every pattern once, each of weight 1/C, a chunk of patterns under
+        # every grid point's operator at a time.  Each grid point's sums run
+        # around its first chunk's mean, so no per-pattern entry is kept.
+        sums, chunk = np.zeros((4, len(grid))), max(1, step // len(grid))
+        for lo, slots in zip(range(0, count, chunk), _every_slots(pool, k, chunk)):
+            occupancies = np.tile(_occupancies(slots, placement, n), (len(grid), 1))
+            entries = _kernel(inject, *coded_side, occupancies, np.repeat(grid, len(slots)))
+            means, variances, supports = np.reshape(entries, (3, len(grid), len(slots)))
+            shift = shift if lo else means.mean(axis=1, keepdims=True)
+            spread = means - shift
+            sums += [spread.sum(1), (spread * spread).sum(1), variances.sum(1), supports.sum(1)]
+        drift, square, within, support = sums / count
+        # The law of total variance: within patterns, then across them.
+        across = np.maximum(square - drift * drift, 0.0)  # >= 0 but for rounding
+        coded = zip((shift[:, 0] + drift).tolist(), (within + across).tolist(), support.tolist())
+    elif k:
         coded = []
         for grid_index in grid.tolist():
+            seeds = np.random.SeedSequence(config.seed, spawn_key=(grid_index,))
+            rng = np.random.default_rng(seeds)
             # Each trial's occupancy, as the index of the distinct one it is.
             distinct: dict[bytes, int] = {}
             for lo in range(0, config.trials, step):
-                trials = range(config.trials)[lo:lo + step]
-                drawn = _trial_occupancies(config.placement, n, config.seed, grid_index, trials)
-                raw, width = drawn.tobytes(), drawn.itemsize * n
+                slots = _drawn_slots(pool, k, rng, min(step, config.trials - lo))
+                raw, width = _occupancies(slots, placement, n).tobytes(), 8 * n
                 inverse[lo:lo + step] = [
                     distinct.setdefault(raw[i:i + width], len(distinct))
                     for i in range(0, len(raw), width)

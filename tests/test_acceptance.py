@@ -31,7 +31,6 @@ from qeclab.errors import (
 from qeclab.experiments import (
     ExperimentConfig,
     _kernel,
-    _trial_rng,
     model_for,
     proliferation_experiment,
     sweep_theta,
@@ -350,10 +349,9 @@ def test_criterion_8_determinism(capsys, tmp_path):
     encoded = code.encoder(config.logical)
 
     def coded_trial(job):
-        grid_index, trial = job
+        grid_index, _ = job
         inject = _injector(model_for(config, config.theta_grid[grid_index]))
-        rng = _trial_rng(config.seed, grid_index, trial)
-        occupancy = resolve_occupancy(config.placement, code.n_physical, rng)
+        occupancy = resolve_occupancy(config.placement, code.n_physical, None)  # draws nothing
         (infid,), _, _ = _kernel(inject, encoded, code._syndromes, config.logical, occupancy[None])
         return grid_index, infid
 

@@ -1,10 +1,13 @@
 """Tests for the Monte Carlo harness and its deterministic contracts."""
 
 import dataclasses
+import json
 import math
 import re
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from itertools import combinations, combinations_with_replacement
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -47,11 +50,11 @@ from qeclab.experiments import (
     SweepRow,
     _DRAW_TRIALS,
     _bare_qubit_placement,
+    _drawn_slots,
+    _every_slots,
     _kernel,
-    _lemire,
     _moments,
-    _trial_occupancies,
-    _trial_rng,
+    _occupancies,
     fit_power_law,
     model_for,
     proliferation_experiment,
@@ -105,21 +108,58 @@ def assert_draws_nothing(placement, n_qubits):
     assert rng.bit_generator.state == state
 
 
+def pattern_occupancies(placement, n):
+    """Every occupancy pattern a bose_einstein or fermi ``placement`` can
+    take on ``n`` qubits, each once."""
+    choose = combinations if placement.rule == "fermi" else combinations_with_replacement
+    return [np.bincount(cells, minlength=n) for cells in choose(range(n), placement.n_errors)]
+
+
+def grid_rng(seed, grid_index):
+    """The generator grid point ``grid_index`` of a sweep seeded ``seed`` draws from."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(grid_index,)))
+
+
+def sweep_occupancies(config, grid_index):
+    """The occupancies ``sweep_theta(config)`` averages at ``grid_index``,
+    rebuilt from ``errors`` alone: a drawless placement's one occupancy;
+    every pattern once where the trial budget covers them all; else the
+    ``trials`` occupancies that successive ``resolve_occupancy`` calls
+    draw from the grid point's generator."""
+    placement, n = config.placement, get_code(config.code).n_physical
+    if not placement.n_errors:
+        assert_draws_nothing(placement, n)
+        return [resolve_occupancy(placement, n, None)]
+    patterns = pattern_occupancies(placement, n)
+    if len(patterns) <= config.trials:
+        return patterns
+    rng = grid_rng(config.seed, grid_index)
+    return [resolve_occupancy(placement, n, rng) for _ in range(config.trials)]
+
+
+def placed(occupancy):
+    """The fixed placement that puts ``occupancy``'s errors where it does."""
+    qubits = np.repeat(np.arange(len(occupancy)), occupancy)
+    return Placement.fixed(qubits) if len(qubits) else Placement.fermi(0)
+
+
 def dense_oracle_rows(config):
-    """The sweep's rows from the dense oracle.  Each trial draws its
-    placement from its own stream as ``apply_error_model`` does; a row's
-    std is the population std of one trial's infidelity over placements
-    and syndrome outcomes together.  The bare qubit's projected placement
-    draws nothing, so it runs once per grid point, from no stream."""
+    """The sweep's rows from the dense oracle.  Each occupancy the sweep
+    averages (``sweep_occupancies``) is injected by ``apply_error_model``
+    as a fixed placement; a row's std is the population std of one
+    occupancy's infidelity over occupancies and syndrome outcomes
+    together.  The bare qubit's projected placement draws nothing, so it
+    runs once per grid point."""
     bare_config = dataclasses.replace(
         config, code="uncoded", placement=_bare_qubit_placement(config.placement)
     )
     assert_draws_nothing(bare_config.placement, 1)
     outcomes = {}
 
-    def trial(config, theta, rng):
+    def trial(config, theta, occupancy):
         code = get_code(config.code)
-        state = apply_error_model(code.encoder(config.logical), model_for(config, theta), rng)
+        model = dataclasses.replace(model_for(config, theta), placement=placed(occupancy))
+        state = apply_error_model(code.encoder(config.logical), model, None)
         key = (config.code, state.amps.tobytes())
         if key not in outcomes:
             outcomes[key] = dense_outcomes(state.amps, config.code, config.logical)
@@ -128,12 +168,12 @@ def dense_oracle_rows(config):
     rows = []
     for grid_index, theta in enumerate(config.theta_grid):
         coded, supports = zip(*(
-            trial(config, theta, _trial_rng(config.seed, grid_index, t))
-            for t in range(config.trials)
+            trial(config, theta, occupancy) for occupancy in sweep_occupancies(config, grid_index)
         ))
         mean = np.mean([weights @ leaves for weights, leaves in coded])
         variance = np.mean([weights @ (leaves - mean) ** 2 for weights, leaves in coded])
-        (weights, leaves), _ = trial(bare_config, theta, None)
+        bare_occupancy = resolve_occupancy(bare_config.placement, 1, None)
+        (weights, leaves), _ = trial(bare_config, theta, bare_occupancy)
         bare = float(weights @ leaves)
         rows.append(SweepRow(theta, mean, math.sqrt(variance), bare, 0.0, np.mean(supports)))
     return tuple(rows)
@@ -229,15 +269,12 @@ class TestExperimentConfig:
     def test_a_bose_count_too_large_to_draw_is_refused_before_any_work(self):
         """A trial's draw takes a byte per Floyd slot, n_errors + n - 1 of
         them, and a sweep draws at least one trial at a time under
-        ``_BLOCK_BYTES``; a count past that is refused as its placement.
-        So on every code the largest count accepted has a pool below 2**32,
-        every bound of its draws one ``_lemire`` draws as numpy does."""
+        ``_BLOCK_BYTES``; a count past that is refused as its placement."""
         budget = qeclab.experiments._BLOCK_BYTES
         for code in CODE_NAMES:
             n = get_code(code).n_physical
             largest = budget - n
             rotation_config(code=code, placement=Placement.bose_einstein(largest))
-            assert n + largest - 1 < 2**32  # its Floyd pool
             for count in (largest + 1, 10**9):
                 with pytest.raises(ConfigError, match="placement needs") as refused:
                     rotation_config(code=code, placement=Placement.bose_einstein(count))
@@ -323,81 +360,133 @@ class TestCorrectedRows:
         assert row.mean_infid_coded == 0.0
 
 
-def reference_rng(seed, key):
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-
-
-class TestTrialStreams:
-    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 9, 0x9E3779B97F4A7C15F39CC060]
-    KEYS = [(g, t) for g in (0, 6, 300) for t in range(0, 1000, 37)]
-
-    @staticmethod
-    def assert_same_stream(rng, reference):
-        assert rng.bit_generator.state == reference.bit_generator.state
-        assert rng.random(3).tolist() == reference.random(3).tolist()
-        assert rng.integers(0, 2**40, size=3).tolist() == (
-            reference.integers(0, 2**40, size=3).tolist()
-        )
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_single_key_matches_seed_sequence(self, seed):
-        for key in self.KEYS:
-            self.assert_same_stream(_trial_rng(seed, *key), reference_rng(seed, (*key, 0)))
-
-    def test_negative_seed_is_left_to_numpy(self):
-        with pytest.raises(ValueError):
-            _trial_rng(-1, 0, 0)
+class TestPlacementSums:
+    """A placement that draws is summed over every pattern where the trial
+    budget covers them, and otherwise drawn from one generator per grid
+    point, as successive ``resolve_occupancy`` calls draw."""
 
     # fermi n = N starts Floyd's draws at a bound of 0, which takes no word.
-    PLACEMENTS = [(Placement.fermi(k), 9) for k in range(1, 10)] + [
-        (Placement.bose_einstein(1), 1),
-        (Placement.bose_einstein(3), 1),
-        (Placement.bose_einstein(2), 9),
-        (Placement.bose_einstein(9), 13),
+    PLACEMENTS = [(Placement.fermi(k), n) for n in range(1, 10) for k in range(1, n + 1)] + [
+        (Placement.bose_einstein(k), n) for n in (1, 2, 7, 9) for k in (1, 2, 3, 9)
     ]
 
     @staticmethod
-    def assert_rows_are_the_streams(placement, n, seed, grid_index, trials):
-        rows = _trial_occupancies(placement, n, seed, grid_index, trials)
-        expected = [
-            resolve_occupancy(placement, n, reference_rng(seed, (grid_index, t, 0)))
-            for t in trials
-        ]
-        assert rows.shape == (len(trials), n)
-        assert [row.tobytes() for row in rows] == [row.tobytes() for row in expected]
+    def pool(placement, n):
+        return n + placement.n_errors - 1 if placement.rule == "bose_einstein" else n
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_trial_occupancies_are_the_trials_streams(self, seed):
-        """Each drawn row is the occupancy its trial's own stream draws,
-        byte for byte, also for a range that starts inside a later chunk
-        and for a grid index of two 32-bit words."""
-        later = range(2 * _DRAW_TRIALS - 13, 2 * _DRAW_TRIALS + 17)
-        for grid_index in (0, 6, 300, 2**32 + 5):
-            for placement, n in self.PLACEMENTS:
-                for trials in (range(30), later):
-                    self.assert_rows_are_the_streams(placement, n, seed, grid_index, trials)
+    @pytest.mark.parametrize(
+        "chunks", [(100,), (1,) * 7, (156, 3, 57)], ids=["100", "1x7", "156-3-57"]
+    )
+    def test_chunked_array_draw_is_sequential_resolve_occupancy(self, chunks):
+        """Each drawn row is the occupancy the next ``resolve_occupancy``
+        call on the same generator draws, byte for byte, across chunk
+        boundaries, and the generator ends where those calls leave it."""
+        for placement, n in self.PLACEMENTS:
+            pool, k = self.pool(placement, n), placement.n_errors
+            rng, reference = grid_rng(7, 3), grid_rng(7, 3)
+            rows = np.concatenate([
+                _occupancies(_drawn_slots(pool, k, rng, count), placement, n) for count in chunks
+            ])
+            expected = [resolve_occupancy(placement, n, reference) for _ in range(sum(chunks))]
+            assert rows.dtype == np.int64 and rows.shape == (sum(chunks), n)
+            assert [row.tobytes() for row in rows] == [row.tobytes() for row in expected]
+            assert rng.bit_generator.state == reference.bit_generator.state, (placement, n)
 
-    def test_trials_past_32_bits_take_the_scalar_route(self):
-        """A trial index of two words changes the seed's entropy length;
-        such trials are rebuilt from their own streams."""
-        trials = range(2**32 - 2, 2**32 + 2)
-        self.assert_rows_are_the_streams(Placement.bose_einstein(2), 9, 5, 1, trials)
+    @pytest.mark.parametrize("step", [1, 5, _DRAW_TRIALS])
+    def test_enumeration_yields_every_pattern_once(self, step):
+        """``_every_slots`` read as occupancies gives C distinct rows, each a
+        pattern the placement can take, whatever the chunk size."""
+        for placement, n in self.PLACEMENTS:
+            k = placement.n_errors
+            rows = np.concatenate([
+                _occupancies(slots, placement, n)
+                for slots in _every_slots(self.pool(placement, n), k, step)
+            ])
+            count = math.comb(self.pool(placement, n), k)
+            assert count == len(pattern_occupancies(placement, n))
+            assert rows.shape == (count, n)
+            assert len({row.tobytes() for row in rows}) == count
+            assert (rows.sum(axis=1) == k).all() and (rows >= 0).all()
+            if placement.rule == "fermi":
+                assert rows.max() <= 1
 
-    @pytest.mark.parametrize("bound", [1, 5, 6, 2**31, 2**32 - 2])
-    def test_lemire_rejects_exactly_below_the_threshold(self, bound):
-        """A word is rejected exactly when the low half of word * (bound + 1)
-        is below (2**32 - 1 - bound) mod (bound + 1); otherwise its draw is
-        the high half."""
-        excl = bound + 1
-        threshold = (2**32 - 1 - bound) % excl
-        words = [0, 1, 2, 3, 2**31, 2**32 - 1, 0x9E3779B9]
-        if excl % 2:  # the words whose low half lands on either side of the threshold
-            inverse = pow(excl, -1, 2**32)
-            words += [low * inverse % 2**32 for low in (threshold - 1, threshold, threshold + 1)]
-        draws, rejected = _lemire(np.array(words, dtype=np.uint64), bound)
-        assert draws.tolist() == [w * excl >> 32 for w in words]
-        assert rejected.tolist() == [(w * excl) % 2**32 < threshold for w in words]
-        assert any(rejected) == (threshold > 0)
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(code="shor9", placement=Placement.bose_einstein(2)),
+            dict(placement=Placement.fermi(2)),
+            dict(placement=Placement.fermi(3), axis="x"),
+            dict(code="shor9", placement=Placement.fermi(2), error_kind="decay", decay_rate=0.9),
+        ],
+        ids=["shor9-bose2", "steane7-fermi2", "steane7-fermi3-x", "shor9-decay-fermi2"],
+    )
+    def test_exact_rows_are_the_pattern_sums(self, overrides):
+        """Where the trial budget covers every pattern, a row is the uniform
+        sum over the patterns: the dense oracle's to its tolerance, and
+        the sum of each pattern's one-row kernel entries, mean and law of
+        total variance summed exactly, within 1e-15 relative.  It depends
+        on neither the seed nor the trial count."""
+        config = rotation_config(
+            logical=GENERIC, theta_grid=(0.3, 0.8, 1.1), trials=100, seed=4, **overrides
+        )
+        rows = sweep_theta(config).rows
+        assert_rows_match(rows, dense_oracle_rows(config))
+        code = get_code(config.code)
+        side = (code.encoder(config.logical), code._syndromes, config.logical)
+        inject = _injector(*(model_for(config, theta) for theta in config.theta_grid))
+        patterns = pattern_occupancies(config.placement, code.n_physical)
+        for grid_index, row in enumerate(rows):
+            entries = [
+                _kernel(inject, *side, occupancy[None], grid_index) for occupancy in patterns
+            ]
+            means = [mean for (mean,), _, _ in entries]
+            mean = math.fsum(means) / len(patterns)
+            variance = math.fsum(
+                variance + (m - mean) ** 2 for m, (_, (variance,), _) in zip(means, entries)
+            ) / len(patterns)
+            support = math.fsum(support for _, _, (support,) in entries) / len(patterns)
+            assert row.mean_infid_coded == pytest.approx(mean, rel=1e-15, abs=0.0)
+            assert row.std_coded == pytest.approx(math.sqrt(variance), rel=1e-15, abs=0.0)
+            assert row.mean_support == support
+        for trials, seed in ((len(patterns), 0), (10**6, 99)):
+            again = dataclasses.replace(config, trials=trials, seed=seed)
+            assert repr(sweep_theta(again).rows) == repr(rows)
+
+    @pytest.mark.parametrize("draw_trials", [1, 4, 50])
+    def test_pattern_chunks_sum_as_one(self, monkeypatch, draw_trials):
+        """Patterns taken a few at a time, each chunk under every grid
+        point's operator, sum to the rows of one chunk, to rounding."""
+        config = rotation_config(
+            code="shor9", placement=Placement.fermi(3), axis="x", logical=GENERIC,
+            theta_grid=(0.05, 0.3, 1.1), trials=100,
+        )
+        whole = sweep_theta(config).rows
+        monkeypatch.setattr(qeclab.experiments, "_DRAW_TRIALS", draw_trials)
+        chunked = sweep_theta(config).rows
+        assert [r.mean_support for r in chunked] == [r.mean_support for r in whole]
+        np.testing.assert_allclose(
+            [(r.mean_infid_coded, r.std_coded) for r in chunked],
+            [(r.mean_infid_coded, r.std_coded) for r in whole],
+            rtol=1e-14, atol=0.0,
+        )
+
+    def test_the_benchmark_config_is_its_exact_reference(self):
+        """The shor9 bose_einstein:2 benchmark sweep covers its 45 patterns
+        at 50 trials, so its coded side is the exact values ``perfbench``
+        gates against, std included, from any seed.  (The reference's bare
+        side is 1 - F, whose cancellation leaves ~1e-13 at theta = 0.05.)"""
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+        reference = json.loads(path.read_text(encoding="utf-8"))["shor9_bose"]
+        config = rotation_config(
+            code="shor9", placement=Placement.bose_einstein(2), logical=GENERIC,
+            theta_grid=(0.05, 0.2, 0.8), trials=50, seed=12345,
+        )
+        rows = sweep_theta(config).rows
+        assert [row.theta for row in rows] == [ref["theta"] for ref in reference]
+        for row, ref in zip(rows, reference):
+            for value, exact in ((row.mean_infid_coded, ref["coded"]["mean"]),
+                                 (row.std_coded, ref["coded"]["std"])):
+                assert value == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
 class TestSweepTheta:
@@ -471,77 +560,54 @@ class TestSweepTheta:
         check_placement(projected, 1, kind, "uncoded")
         assert_draws_nothing(projected, 1)
 
-    def test_sweep_derives_one_uncoded_stream_per_grid_point(self, monkeypatch):
-        """A placement that draws draws exactly its ``trials`` coded keys per
-        grid point, each once, in trial order across chunks, and no uncoded
-        key (the baseline draws nothing); no trial here needs its scalar
-        stream, and the chunking leaves the rows as they are."""
+    def test_a_sampled_sweep_draws_its_trials_in_order_from_one_generator(self, monkeypatch):
+        """A placement with more patterns than trials draws exactly its
+        ``trials`` occupancies per grid point, in chunks, from the one
+        generator of that grid point, and nothing for the baseline; the
+        chunk size leaves the rows as they are."""
         config = rotation_config(
             placement=Placement.fermi(2), theta_grid=(0.02, 0.08, 0.3), trials=12, seed=9
         )
+        assert math.comb(7, 2) > config.trials
         expected = repr(sweep_theta(config))
-        keys, rebuilt = [], []
+        draws = []
 
-        def counting(placement, n, seed, grid_index, trials):
-            keys.extend((seed, (grid_index, t)) for t in trials)
-            return _trial_occupancies(placement, n, seed, grid_index, trials)
+        def counting(pool, k, rng, count):
+            draws.append((rng.bit_generator.state, count))
+            return _drawn_slots(pool, k, rng, count)
 
-        monkeypatch.setattr(qeclab.experiments, "_trial_occupancies", counting)
-        monkeypatch.setattr(qeclab.experiments, "_trial_rng", lambda *key: rebuilt.append(key))
+        monkeypatch.setattr(qeclab.experiments, "_drawn_slots", counting)
         monkeypatch.setattr(qeclab.experiments, "_DRAW_TRIALS", 5)
         assert repr(sweep_theta(config)) == expected
-        assert keys == [
-            (config.seed, (g, t))
-            for g in range(len(config.theta_grid)) for t in range(config.trials)
-        ]
-        assert rebuilt == []
+        assert [count for _, count in draws] == [5, 5, 2] * len(config.theta_grid)
+        for grid_index in range(len(config.theta_grid)):
+            rng = grid_rng(config.seed, grid_index)
+            for state, count in draws[3 * grid_index:3 * grid_index + 3]:
+                assert state == rng.bit_generator.state
+                for _ in range(count):
+                    resolve_occupancy(config.placement, 7, rng)
 
-    def test_a_rejected_trial_is_rebuilt_from_its_own_stream(self, monkeypatch):
-        """A trial whose Lemire draw is rejected is recomputed alone from
-        ``_trial_rng``, so the rows do not move, whatever the array draw
-        made of it."""
+    def test_patterns_are_schedule_independent(self):
+        """Recomputing an exact sweep's patterns one at a time, out of order
+        and concurrently, reproduces its rows."""
         config = rotation_config(
-            code="shor9", placement=Placement.bose_einstein(2), logical=GENERIC,
-            theta_grid=(0.05, 0.8), trials=40, seed=6,
+            placement=Placement.fermi(2), theta_grid=(0.04, 0.09), trials=30, seed=5
         )
-        expected = repr(sweep_theta(config))
-        rebuilt = []
-
-        def rejecting(words, bound):
-            draws, rejected = _lemire(words, bound)
-            draws[3], rejected[3] = 0, True  # a wrong draw, which the flag disowns
-            return draws, rejected
-
-        def counting(seed, *key):
-            rebuilt.append(key)
-            return _trial_rng(seed, *key)
-
-        monkeypatch.setattr(qeclab.experiments, "_lemire", rejecting)
-        monkeypatch.setattr(qeclab.experiments, "_trial_rng", counting)
-        assert repr(sweep_theta(config)) == expected
-        assert rebuilt == [(g, 3) for g in range(len(config.theta_grid))]
-
-    def test_trials_are_schedule_independent(self):
-        """Recomputing trials out of order reproduces the sweep exactly."""
-        config = rotation_config(theta_grid=(0.04, 0.09), trials=30, seed=5)
         result = sweep_theta(config)
         code, uncoded = get_code(config.code), get_code("uncoded")
         coded_side = (code.encoder(config.logical), code._syndromes, config.logical)
         bare_side = (uncoded.encoder(config.logical), uncoded._syndromes, config.logical)
-        bare_placement = _bare_qubit_placement(config.placement)
-        assert_draws_nothing(bare_placement, 1)
+        bare_occupancy = resolve_occupancy(_bare_qubit_placement(config.placement), 1, None)
 
         def one(job):
-            grid_index, trial = job
+            grid_index, occupancy = job
             inject = _injector(model_for(config, config.theta_grid[grid_index]))
-            rng = _trial_rng(config.seed, grid_index, trial)
-            occupancy = resolve_occupancy(config.placement, code.n_physical, rng)
             (coded,), _, (support,) = _kernel(inject, *coded_side, occupancy[None])
-            occupancy = resolve_occupancy(bare_placement, 1, None)
-            (bare,), _, _ = _kernel(inject, *bare_side, occupancy[None])
+            (bare,), _, _ = _kernel(inject, *bare_side, bare_occupancy[None])
             return grid_index, coded, bare, support
 
-        jobs = [(g, t) for g in range(2) for t in range(config.trials)]
+        jobs = [(g, occupancy) for g in range(2) for occupancy in sweep_occupancies(config, g)]
+        assert len(jobs) == 2 * 21
         jobs.reverse()  # deliberately not the serial order
         with ThreadPoolExecutor(max_workers=4) as pool:
             outcomes = list(pool.map(one, jobs))
@@ -634,46 +700,62 @@ class TestSweepTheta:
              "shor9-decay-fixed1", "steane7-x-zero"],
     )
     def test_rows_match_the_dense_oracle(self, overrides, leaves_residue):
-        """A sweep's rows, under placements that draw and placements that
-        draw nothing, are the rows of the dense oracle, which rebuilds every
-        trial from its own stream.  Where the channel leaves a residue after
-        correction, every row carries one, so the match is not vacuous."""
+        """A sweep's rows, under placements summed over every pattern,
+        placements with more patterns than trials and placements that draw
+        nothing, are the rows of the dense oracle, which rebuilds every
+        occupancy from ``errors`` alone.  Where the channel leaves a residue
+        after correction, every row carries one, so the match is not vacuous."""
         config = rotation_config(theta_grid=(0.3, 1.1), trials=60, seed=2, **overrides)
         rows = sweep_theta(config).rows
         assert_rows_match(rows, dense_oracle_rows(config))
         if leaves_residue:
             assert all(0.0 < row.mean_infid_coded < 1.0 and row.std_coded > 0.0 for row in rows)
 
-    def test_sweep_derives_its_streams_in_one_pass(self, monkeypatch):
-        """A placement that draws draws each trial's occupancy once per sweep;
-        the criterion-4 grid, which draws nothing, draws none."""
-        keys = []
+    def test_a_sweep_draws_only_beyond_its_patterns(self, monkeypatch):
+        """A placement draws its trials once per sweep only where they do not
+        cover its patterns: the criterion-4 grid, which draws nothing,
+        draws none, and neither does a budget that covers every pattern."""
+        draws = []
 
-        def counting(placement, n, seed, grid_index, trials):
-            keys.extend((grid_index, t) for t in trials)
-            return _trial_occupancies(placement, n, seed, grid_index, trials)
+        def counting(pool, k, rng, count):
+            draws.append(count)
+            return _drawn_slots(pool, k, rng, count)
 
-        monkeypatch.setattr(qeclab.experiments, "_trial_occupancies", counting)
+        monkeypatch.setattr(qeclab.experiments, "_drawn_slots", counting)
         config = rotation_config(theta_grid=tuple(np.geomspace(1e-3, 1e-1, 7)), trials=20)
         sweep_theta(config)
-        assert keys == []
-        sweep_theta(dataclasses.replace(config, placement=Placement.bose_einstein(2)))
-        assert len(keys) == len(set(keys)) == 7 * 20
+        sweep_theta(dataclasses.replace(config, placement=Placement.fermi(1)))  # 7 patterns
+        assert draws == []
+        sweep_theta(dataclasses.replace(config, placement=Placement.bose_einstein(2)))  # 28
+        assert sum(draws) == 7 * 20
 
     def test_an_unholdable_trial_budget_fails_before_any_draw(self, monkeypatch):
-        """A placement that draws allocates its per-trial buffers first, so a
-        budget too large to hold fails at once: no stream, no injector."""
+        """A placement with more patterns than its trials allocates its
+        per-trial buffers first, so a budget too large to hold fails at
+        once: no draw, no injector.  A budget that covers every pattern
+        holds one entry per pattern, whatever its size."""
         calls = []
-        for name in ("_trial_rng", "_injector"):
+        for name in ("_drawn_slots", "_injector"):
             def counting(*args, _name=name, _original=getattr(qeclab.experiments, name)):
                 calls.append(_name)
                 return _original(*args)
 
             monkeypatch.setattr(qeclab.experiments, name, counting)
-        config = rotation_config(placement=Placement.fermi(2), trials=10**15)
+        config = rotation_config(placement=Placement.bose_einstein(10**4), trials=10**15)
+        assert math.comb(7 + 10**4 - 1, 10**4) > config.trials
         with pytest.raises(MemoryError):
             sweep_theta(config)
         assert calls == []
+        exact = rotation_config(placement=Placement.fermi(2), trials=21, logical=GENERIC)
+        tracemalloc.start()
+        try:
+            rows = sweep_theta(dataclasses.replace(exact, trials=10**15)).rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert repr(rows) == repr(sweep_theta(exact).rows)
+        assert peak < 1 << 20
+        assert "_drawn_slots" not in calls
 
     @pytest.mark.parametrize(
         "placement",
@@ -802,6 +884,10 @@ class TestBlockSweep:
         ids=["steane7-bose2", "steane7-fermi2", "shor9-bose2", "shor9-fermi3", "shor9-decay-fermi2"],
     )
     def test_rows_match_one_row_trials_byte_for_byte(self, overrides):
+        """Each row is the mean, over the occupancies the sweep averages, of
+        one-row kernel entries, byte for byte: over every pattern, summed
+        around the patterns' mean, or over the drawn trials where there are
+        more patterns than trials."""
         config = rotation_config(
             logical=GENERIC, theta_grid=(0.05, 0.3, 1.1), trials=40, seed=5, **overrides
         )
@@ -812,17 +898,24 @@ class TestBlockSweep:
         rows = []
         for grid_index, theta in enumerate(config.theta_grid):
             inject = _injector(model_for(config, theta))
-            moments, distinct = np.empty((3, config.trials)), set()
-            for t in range(config.trials):
-                occupancy = resolve_occupancy(
-                    config.placement, code.n_physical, _trial_rng(config.seed, grid_index, t)
-                )
+            occupancies = sweep_occupancies(config, grid_index)
+            moments, distinct = np.empty((3, len(occupancies))), set()
+            for t, occupancy in enumerate(occupancies):
                 distinct.add(occupancy.tobytes())
                 (mean,), (variance,), (support,) = _kernel(inject, *coded_side, occupancy[None])
                 moments[:, t] = mean, variance, support
             assert len(distinct) > 1  # the sweep evaluates a block of several rows
-            mean, variance, support = moments.mean(axis=1).tolist()
-            variance += float(moments[0].var())
+            if len(pattern_occupancies(config.placement, code.n_physical)) <= config.trials:
+                shift = float(moments[0].mean())
+                spread = moments[0] - shift
+                drift, square, within, support = (
+                    np.array([spread.sum(), (spread * spread).sum(), *moments[1:].sum(axis=1)])
+                    / len(occupancies)
+                ).tolist()
+                mean, variance = shift + drift, within + square - drift * drift
+            else:
+                mean, variance, support = moments.mean(axis=1).tolist()
+                variance += float(moments[0].var())
             (bare,), _, _ = _kernel(inject, *bare_side, bare_occupancy[None])
             rows.append(SweepRow(theta, mean, math.sqrt(variance), bare, 0.0, float(support)))
         assert repr(sweep_theta(config).rows) == repr(tuple(rows))
@@ -865,14 +958,8 @@ def _sweep_blocks(config: ExperimentConfig):
     code, uncoded = get_code(config.code), get_code("uncoded")
     inject = _injector(*(model_for(config, theta) for theta in config.theta_grid))
     bare = resolve_occupancy(_bare_qubit_placement(config.placement), 1, None)[None]
-    n = code.n_physical
     for grid_index in range(len(config.theta_grid)):
-        if config.placement.n_errors:
-            trials = range(config.trials)
-            drawn = _trial_occupancies(config.placement, n, config.seed, grid_index, trials)
-            coded = np.unique(drawn, axis=0)
-        else:
-            coded = resolve_occupancy(config.placement, n, None)[None]
+        coded = np.unique(sweep_occupancies(config, grid_index), axis=0)
         for spec, occupancies in ((code, coded), (uncoded, bare)):
             table = spec._syndromes
             register, slots, reached = _layout(table, occupancies)
