@@ -452,6 +452,59 @@ class TestPlacementSums:
             again = dataclasses.replace(config, trials=trials, seed=seed)
             assert repr(sweep_theta(again).rows) == repr(rows)
 
+    @pytest.mark.parametrize(
+        "code,placement",
+        [
+            ("steane7", Placement.fermi(1)),
+            ("steane7", Placement.bose_einstein(2)),
+            ("shor9", Placement.fermi(2)),
+            ("shor9", Placement.fermi(9)),
+        ],
+        ids=["steane7-fermi1", "steane7-bose2", "shor9-fermi2", "shor9-fermi9"],
+    )
+    def test_the_pattern_count_alone_picks_the_path(self, monkeypatch, code, placement):
+        """A budget of exactly C trials sums every pattern and draws
+        nothing; one trial fewer draws every trial of every grid point.
+        Both are the dense oracle's rows.  fermi:n on n qubits has one
+        pattern, so no budget draws it."""
+        draws = []
+
+        def counting(pool, k, rng, count):
+            draws.append(count)
+            return _drawn_slots(pool, k, rng, count)
+
+        monkeypatch.setattr(qeclab.experiments, "_drawn_slots", counting)
+        count = len(pattern_occupancies(placement, get_code(code).n_physical))
+        config = rotation_config(
+            code=code, placement=placement, logical=GENERIC, theta_grid=(0.3, 1.1),
+            trials=count, seed=3,
+        )
+        assert_rows_match(sweep_theta(config).rows, dense_oracle_rows(config))
+        assert draws == []
+        if count > 1:
+            short = dataclasses.replace(config, trials=count - 1)
+            assert_rows_match(sweep_theta(short).rows, dense_oracle_rows(short))
+            assert sum(draws) == len(config.theta_grid) * short.trials
+
+    # Seeds across SeedSequence's 32-bit words, and past 64 bits.
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 9, 0x9E3779B97F4A7C15F39CC060]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_sampled_rows_are_the_grid_generators_draws(self, seed):
+        """Whatever words its seed takes, a sweep with more patterns than
+        trials samples each grid point as successive ``resolve_occupancy``
+        calls on that grid point's generator: its rows are the dense
+        oracle's on exactly those draws, support included, and a rerun is
+        byte-identical."""
+        config = rotation_config(
+            code="shor9", placement=Placement.bose_einstein(3), logical=GENERIC,
+            theta_grid=(0.3, 1.1), trials=40, seed=seed,
+        )
+        assert math.comb(9 + 3 - 1, 3) > config.trials
+        rows = sweep_theta(config).rows
+        assert_rows_match(rows, dense_oracle_rows(config))
+        assert repr(sweep_theta(config).rows) == repr(rows)
+
     @pytest.mark.parametrize("draw_trials", [1, 4, 50])
     def test_pattern_chunks_sum_as_one(self, monkeypatch, draw_trials):
         """Patterns taken a few at a time, each chunk under every grid
