@@ -4,8 +4,11 @@ amplitude decay over time, and correlated placement statistics.
 The placement rules treat errors as indistinguishable particles dropped
 into register cells: ``bose_einstein`` draws a uniform multiset (several
 errors may pile onto one qubit), ``fermi`` a uniform subset (at most one
-per qubit).  Pattern probabilities are kept as exact rationals; floats
-appear only where a caller compares against sampled frequencies.
+per qubit), either as n of Floyd's slots (``_pool``).  This module alone
+knows a placement's patterns: it counts them (``pattern_count``; exact
+rationals for the probabilities), enumerates them (``every_pattern``) and
+draws them, one trial (``sample_placement``) or a chunk of trials
+(``drawn_patterns``) at a time, the two draws bit for bit alike.
 
 ``check_placement`` alone decides whether a placement fits a register:
 ``ExperimentConfig`` refuses through it and ``apply_error_model`` calls
@@ -14,6 +17,7 @@ it before it draws, so occupancy and injection take a fit as given.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -213,39 +217,57 @@ def decoherence_prob(m: DecayModel) -> float:
 # Occupancy statistics
 # ---------------------------------------------------------------------------
 
-def _check_counts(n_cells: int, n_errors: int, statistics: str) -> None:
-    """The occupancy-count rules: known statistics, N >= 1 cells, n >= 0
-    errors, and under fermi statistics at most one error per cell."""
+def _pool(n_cells: int, n_errors: int, statistics: str) -> int:
+    """The slots Floyd's algorithm picks n of: the N cells under fermi, the
+    N + n - 1 stars-and-bars slots under bose_einstein.  Refuses unknown
+    statistics, N < 1 cells, n < 0 errors, and under fermi n > N."""
     if statistics not in ("bose_einstein", "fermi"):
         raise ValueError(f"unknown statistics {statistics!r}")
     if n_cells < 1:
         raise ValueError(f"need at least one cell, got {n_cells}")
     if statistics == "fermi" and not 0 <= n_errors <= n_cells:
-        raise ValueError(
-            f"fermi placement needs 0 <= n <= N, got n={n_errors}, N={n_cells}"
-        )
+        raise ValueError(f"fermi placement needs 0 <= n <= N, got n={n_errors}, N={n_cells}")
     if n_errors < 0:
         raise ValueError(f"error count must be >= 0, got {n_errors}")
+    return n_cells + n_errors - 1 if statistics == "bose_einstein" else n_cells
 
 
-def _inverse_count(pool: int, k: int, n_cells: int, n_errors: int) -> Fraction:
-    """1 / C(pool, k), refused unworked if C has more digits than an int prints (4,300)."""
+def _patterns(n_cells: int, n_errors: int, statistics: str) -> int:
+    """C, the patterns of n errors on N cells, refused unworked if C has
+    more digits than an int prints (4,300)."""
+    pool, k = _pool(n_cells, n_errors, statistics), n_errors
     digits = (math.lgamma(pool + 1) - math.lgamma(k + 1) - math.lgamma(pool - k + 1)) / math.log(10)
     if digits >= 4300:
         raise ValueError(f"the pattern count for N={n_cells}, n={n_errors} has over 4300 digits")
-    return Fraction(1, math.comb(pool, k))
+    return math.comb(pool, k)
 
 
 def bose_einstein_pattern_prob(n_cells: int, n_errors: int) -> Fraction:
     """Probability of each multiset pattern: 1 / C(N + n - 1, n), exact."""
-    _check_counts(n_cells, n_errors, "bose_einstein")
-    return _inverse_count(n_cells + n_errors - 1, n_errors, n_cells, n_errors)
+    return Fraction(1, _patterns(n_cells, n_errors, "bose_einstein"))
 
 
 def fermi_pattern_prob(n_cells: int, n_errors: int) -> Fraction:
     """Probability of each subset pattern: 1 / C(N, n), exact."""
-    _check_counts(n_cells, n_errors, "fermi")
-    return _inverse_count(n_cells, n_errors, n_cells, n_errors)
+    return Fraction(1, _patterns(n_cells, n_errors, "fermi"))
+
+
+def pattern_count(placement: Placement, n: int) -> int:
+    """C, the occupancy patterns a fitting ``placement`` takes on n qubits,
+    each with probability 1/C: 1 for a rule that draws nothing."""
+    return _patterns(n, placement.n_errors, placement.rule) if placement.n_errors else 1
+
+
+def every_pattern(placement: Placement, n: int, step: int):
+    """Each occupancy a fitting ``placement`` takes on n qubits, once, as (m, n)
+    arrays of m <= ``step`` rows, in lexicographic order of Floyd's slots."""
+    if placement.rule not in ("bose_einstein", "fermi"):
+        yield resolve_occupancy(placement, n, None)[None]
+        return
+    k = placement.n_errors
+    subsets = itertools.combinations(range(_pool(n, k, placement.rule)), k)
+    while chunk := list(itertools.islice(subsets, step)):
+        yield _occupancies(np.array(chunk, dtype=np.intp), n, placement.rule)
 
 
 def _uniform_subset(pool: int, k: int, rng: np.random.Generator) -> list[int]:
@@ -257,6 +279,32 @@ def _uniform_subset(pool: int, k: int, rng: np.random.Generator) -> list[int]:
     return sorted(chosen)
 
 
+def drawn_patterns(placement: Placement, n: int, rng: np.random.Generator, count: int):
+    """The (count, n) occupancies of ``count`` successive ``resolve_occupancy``
+    calls: one ``rng.integers`` call draws every ``_uniform_subset`` bound of
+    every trial in their order (a bound of 0 takes no word), then each
+    trial's collisions resolve column by column."""
+    pool, k = _pool(n, placement.n_errors, placement.rule), placement.n_errors
+    slots = rng.integers(0, np.arange(pool - k, pool) + 1, size=(count, k))
+    # Each trial's row of slots its picks so far have taken.
+    taken, rows = np.zeros(count * pool, dtype=bool), np.arange(0, count * pool, pool)
+    for i, j in enumerate(range(pool - k, pool)):
+        draw = slots[:, i]
+        slots[:, i] = np.where(taken.take(rows + draw), j, draw)  # a draw taken gives way to j
+        taken.put(rows + slots[:, i], True)
+    return _occupancies(np.sort(slots, axis=1), n, placement.rule)
+
+
+def _occupancies(slots: np.ndarray, n: int, statistics: str) -> np.ndarray:
+    """The (T, n) errors per cell of (T, k) sorted slots on n cells, as
+    ``sample_placement`` reads one subset."""
+    count, k = slots.shape
+    if statistics == "bose_einstein":
+        slots = slots - np.arange(k)  # stars and bars: star i in slot p sits in cell p - i
+    cells = slots + np.arange(0, count * n, n)[:, None]
+    return np.bincount(cells.ravel(), minlength=count * n).astype(np.int64).reshape(count, n)
+
+
 def sample_placement(
     n_cells: int, n_errors: int, statistics: str, rng: np.random.Generator
 ) -> np.ndarray:
@@ -266,15 +314,14 @@ def sample_placement(
     hold more than one error); ``fermi`` is uniform over all n-subsets.
     The occupancies always sum to n.
     """
-    _check_counts(n_cells, n_errors, statistics)
+    pool = _pool(n_cells, n_errors, statistics)
     occupancy = np.zeros(n_cells, dtype=np.int64)
     if statistics == "bose_einstein":
-        # Stars and bars: a uniform n-subset of N+n-1 slot indices marks the
-        # star positions; star j in slot p sits in cell p - j.
-        for j, pos in enumerate(_uniform_subset(n_cells + n_errors - 1, n_errors, rng)):
+        # Stars and bars: the subset marks the stars; star j in slot p sits in cell p - j.
+        for j, pos in enumerate(_uniform_subset(pool, n_errors, rng)):
             occupancy[pos - j] += 1
     else:
-        for cell in _uniform_subset(n_cells, n_errors, rng):
+        for cell in _uniform_subset(pool, n_errors, rng):
             occupancy[cell] = 1
     return occupancy
 

@@ -1,5 +1,5 @@
-"""Monte Carlo harness: residual infidelity vs. error strength, component
-proliferation, and amplitude-sensitivity measurements.
+"""Sweeps of residual infidelity vs. error strength, exact or sampled over
+a placement's patterns; component proliferation; amplitude sensitivity.
 
 An occupancy of the placement is injected into the encoded state; its
 entry is the support right after injection and the infidelity 1 - F
@@ -19,25 +19,20 @@ each row alone does.  Each side is encoded once per sweep, and one
 injector holds every grid point's operator for both sides.  The uncoded
 baseline is the kernel on the bare qubit, a code with no stabilizer,
 under the placement's projection onto it (``_bare_qubit_placement``).
-The rows that draw nothing, the bare side's and a drawless coded side's,
-are one block per side, a row per grid point under its own operator;
-they depend on neither seed nor trial count.
 
-A bose_einstein or fermi placement can take C patterns, each with
-probability 1/C (``errors`` counts them), so a row is a finite uniform
-sum.  Where C <= ``trials`` the sweep computes it: every pattern once
-under every grid point's operator, a chunk of patterns at a time
-(``_every_slots``), and the row depends on neither seed nor trial count.
-Where C > ``trials``, grid point g draws its trials in order from one
-generator, ``default_rng(SeedSequence(seed, spawn_key=(g,)))``, a chunk
-at a time by one ``rng.integers`` call (``_drawn_slots``): exactly the
-occupancies that ``trials`` successive ``resolve_occupancy`` calls on
-that generator draw.  Either way the trial budget bounds a grid point's
-kernel rows.
+A placement takes C patterns, each with probability 1/C; ``errors``
+counts, enumerates and draws them, and C alone picks a side's path.  A
+side with one pattern (the bare qubit, a fixed or all-qubit placement,
+fermi:N) is one block, a row per grid point under its own operator.
+Where C <= ``trials`` every pattern runs once under every grid point's
+operator, a chunk of patterns at a time (``every_pattern``), and the rows
+depend on neither seed nor trial count.  Where C > ``trials``, grid
+point g draws its trials in order, a chunk at a time (``drawn_patterns``),
+from ``default_rng(SeedSequence(seed, spawn_key=(g,)))``.  Either way the
+trial budget bounds a grid point's kernel rows.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -55,10 +50,10 @@ from .errors import (
     ROTATION_AXES,
     _injector,
     apply_error_model,
-    bose_einstein_pattern_prob,
     check_placement,
-    fermi_pattern_prob,
-    resolve_occupancy,
+    drawn_patterns,
+    every_pattern,
+    pattern_count,
 )
 from .statevec import StateVector, _scatter, support_mask, support_size
 
@@ -202,42 +197,6 @@ def model_for(config: ExperimentConfig, theta: float) -> ErrorModel:
 _DRAW_TRIALS = 2048  # trials drawn, or patterns enumerated, at a time: arrays near 1 MB
 
 
-def _every_slots(pool: int, k: int, step: int):
-    """Every k-subset of range(pool), in lexicographic order, as (m, k)
-    arrays of at most ``step`` rows."""
-    subsets = itertools.combinations(range(pool), k)
-    while chunk := list(itertools.islice(subsets, step)):
-        yield np.array(chunk, dtype=np.intp)
-
-
-def _drawn_slots(pool: int, k: int, rng: np.random.Generator, count: int) -> np.ndarray:
-    """The sorted k-subsets of range(pool) that ``count`` successive
-    ``errors._uniform_subset(pool, k, rng)`` calls pick, one row each.
-
-    One ``rng.integers`` call draws every Floyd bound of every trial, in
-    the order those calls draw them (a bound of 0 takes no word); each
-    trial's collisions are then resolved column by column, all at once.
-    """
-    slots = rng.integers(0, np.arange(pool - k, pool) + 1, size=(count, k))
-    # Each trial's row of slots its picks so far have taken.
-    taken, rows = np.zeros(count * pool, dtype=bool), np.arange(0, count * pool, pool)
-    for i, j in enumerate(range(pool - k, pool)):
-        draw = slots[:, i]
-        slots[:, i] = np.where(taken.take(rows + draw), j, draw)  # a draw taken gives way to j
-        taken.put(rows + slots[:, i], True)
-    return np.sort(slots, axis=1)
-
-
-def _occupancies(slots: np.ndarray, placement: Placement, n: int) -> np.ndarray:
-    """The (T, n) errors per qubit of (T, k) sorted slots, as
-    ``errors.sample_placement`` reads its subset under ``placement``."""
-    count, k = slots.shape
-    if placement.rule == "bose_einstein":
-        slots = slots - np.arange(k)  # stars and bars: star i in slot p sits in cell p - i
-    cells = slots + np.arange(0, count * n, n)[:, None]
-    return np.bincount(cells.ravel(), minlength=count * n).astype(np.int64).reshape(count, n)
-
-
 def _leaves(overlaps: np.ndarray, weight: np.ndarray, logical: LogicalQubit):
     """The floored infidelity |b_s|^2 / p_s recovery leaves on each of the
     ``_overlaps`` pairs, (a_0, a_1) in ``overlaps`` and p_s in ``weight``;
@@ -316,12 +275,13 @@ def _bare_qubit_placement(placement: Placement) -> Placement:
 def sweep_theta(config: ExperimentConfig) -> SweepResult:
     """Sweep over the theta grid, coded against uncoded baseline.
 
-    A placement whose C patterns the trial budget covers is summed over
-    every pattern, exactly; one with more patterns than trials is sampled,
-    ``trials`` draws per grid point from that grid point's generator.  The
-    uncoded side runs the identical channel on a bare qubit, so under
-    ``all_qubits`` placement the comparison is per-physical-qubit fair:
-    the baseline sees the error exactly once.
+    A placement with one pattern is one block; one whose C patterns the
+    trial budget covers is summed over every pattern, exactly; one with
+    more patterns than trials is sampled, ``trials`` draws per grid point
+    from that grid point's generator.  The uncoded side runs the identical
+    channel on a bare qubit, so under ``all_qubits`` placement the
+    comparison is per-physical-qubit fair: the baseline sees the error
+    exactly once.
     """
     # The bare qubit is a register of its own, so its projected placement
     # must fit it too: decay refuses the errors the projection stacks.
@@ -332,36 +292,31 @@ def sweep_theta(config: ExperimentConfig) -> SweepResult:
     coded_side = (code.encoder(logical), code._syndromes, logical)
     bare_side = (uncoded.encoder(logical), uncoded._syndromes, logical)
     n, placement = code.n_physical, config.placement
-    k, bose = placement.n_errors, placement.rule == "bose_einstein"
-    if k:
-        # C, the patterns the placement can take, as errors counts them.
-        count = (bose_einstein_pattern_prob if bose else fermi_pattern_prob)(n, k).denominator
-        exact = count <= config.trials
-        if not exact:
-            # Allocated up front, so a trial budget too large to hold fails at once.
-            inverse = np.empty(config.trials, dtype=np.intp)
-            moments = np.empty((3, config.trials))
-        # Floyd's n + k - 1 slots of a bose_einstein placement: a huge count
-        # takes fewer trials at a time (ExperimentConfig keeps that >= 1).
-        pool, step = n + k - 1 if bose else n, min(_DRAW_TRIALS, _BLOCK_BYTES // (n + k))
+    count = pattern_count(placement, n)
+    # Huge Floyd slot pools take fewer trials at a time (ExperimentConfig keeps it >= 1).
+    step = min(_DRAW_TRIALS, _BLOCK_BYTES // (n + placement.n_errors))
+    if count > config.trials:
+        # Allocated up front, so a trial budget too large to hold fails at once.
+        inverse, moments = np.empty(config.trials, dtype=np.intp), np.empty((3, config.trials))
     inject = _injector(*(model_for(config, theta) for theta in config.theta_grid))
     grid = np.arange(len(config.theta_grid))
 
     def drawless(side, placement: Placement, n_qubits: int) -> tuple[list, list, list]:
-        """One side's entry at every grid point under a placement that draws
-        nothing: one block, a row per grid point under its own operator."""
-        occupancy = resolve_occupancy(placement, n_qubits, None)
-        return _kernel(inject, *side, np.repeat(occupancy[None], len(grid), axis=0), grid)
+        """One side's entries under a one-pattern placement: a row per grid point."""
+        occupancy = next(every_pattern(placement, n_qubits, 1))
+        return _kernel(inject, *side, np.repeat(occupancy, len(grid), axis=0), grid)
 
-    if k and exact:
+    if count == 1:
+        coded = zip(*drawless(coded_side, placement, n))
+    elif count <= config.trials:
         # Every pattern once, each of weight 1/C, a chunk of patterns under
         # every grid point's operator at a time.  Each grid point's sums run
         # around its first chunk's mean, so no per-pattern entry is kept.
         sums, chunk = np.zeros((4, len(grid))), max(1, step // len(grid))
-        for lo, slots in zip(range(0, count, chunk), _every_slots(pool, k, chunk)):
-            occupancies = np.tile(_occupancies(slots, placement, n), (len(grid), 1))
-            entries = _kernel(inject, *coded_side, occupancies, np.repeat(grid, len(slots)))
-            means, variances, supports = np.reshape(entries, (3, len(grid), len(slots)))
+        for lo, patterns in zip(range(0, count, chunk), every_pattern(placement, n, chunk)):
+            occupancies = np.tile(patterns, (len(grid), 1))
+            entries = _kernel(inject, *coded_side, occupancies, np.repeat(grid, len(patterns)))
+            means, variances, supports = np.reshape(entries, (3, len(grid), len(patterns)))
             shift = shift if lo else means.mean(axis=1, keepdims=True)
             spread = means - shift
             sums += [spread.sum(1), (spread * spread).sum(1), variances.sum(1), supports.sum(1)]
@@ -369,7 +324,7 @@ def sweep_theta(config: ExperimentConfig) -> SweepResult:
         # The law of total variance: within patterns, then across them.
         across = np.maximum(square - drift * drift, 0.0)  # >= 0 but for rounding
         coded = zip((shift[:, 0] + drift).tolist(), (within + across).tolist(), support.tolist())
-    elif k:
+    else:
         coded = []
         for grid_index in grid.tolist():
             seeds = np.random.SeedSequence(config.seed, spawn_key=(grid_index,))
@@ -377,8 +332,8 @@ def sweep_theta(config: ExperimentConfig) -> SweepResult:
             # Each trial's occupancy, as the index of the distinct one it is.
             distinct: dict[bytes, int] = {}
             for lo in range(0, config.trials, step):
-                slots = _drawn_slots(pool, k, rng, min(step, config.trials - lo))
-                raw, width = _occupancies(slots, placement, n).tobytes(), 8 * n
+                drawn = drawn_patterns(placement, n, rng, min(step, config.trials - lo))
+                raw, width = drawn.tobytes(), 8 * n
                 inverse[lo:lo + step] = [
                     distinct.setdefault(raw[i:i + width], len(distinct))
                     for i in range(0, len(raw), width)
@@ -389,8 +344,6 @@ def sweep_theta(config: ExperimentConfig) -> SweepResult:
             mean, variance, support = moments.mean(axis=1).tolist()
             # The law of total variance: within occupancies, then across them.
             coded.append((mean, variance + float(moments[0].var()), support))
-    else:
-        coded = zip(*drawless(coded_side, config.placement, n))
     # The bare qubit's projected placement draws nothing: one entry per grid point.
     bare, _, _ = drawless(bare_side, bare_placement, 1)
     rows = [

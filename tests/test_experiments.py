@@ -40,6 +40,9 @@ from qeclab.errors import (
     _injector,
     apply_error_model,
     check_placement,
+    drawn_patterns,
+    every_pattern,
+    pattern_count,
     resolve_occupancy,
 )
 from qeclab.experiments import (
@@ -50,11 +53,8 @@ from qeclab.experiments import (
     SweepRow,
     _DRAW_TRIALS,
     _bare_qubit_placement,
-    _drawn_slots,
-    _every_slots,
     _kernel,
     _moments,
-    _occupancies,
     fit_power_law,
     model_for,
     proliferation_experiment,
@@ -382,11 +382,8 @@ class TestPlacementSums:
         call on the same generator draws, byte for byte, across chunk
         boundaries, and the generator ends where those calls leave it."""
         for placement, n in self.PLACEMENTS:
-            pool, k = self.pool(placement, n), placement.n_errors
             rng, reference = grid_rng(7, 3), grid_rng(7, 3)
-            rows = np.concatenate([
-                _occupancies(_drawn_slots(pool, k, rng, count), placement, n) for count in chunks
-            ])
+            rows = np.concatenate([drawn_patterns(placement, n, rng, count) for count in chunks])
             expected = [resolve_occupancy(placement, n, reference) for _ in range(sum(chunks))]
             assert rows.dtype == np.int64 and rows.shape == (sum(chunks), n)
             assert [row.tobytes() for row in rows] == [row.tobytes() for row in expected]
@@ -394,14 +391,11 @@ class TestPlacementSums:
 
     @pytest.mark.parametrize("step", [1, 5, _DRAW_TRIALS])
     def test_enumeration_yields_every_pattern_once(self, step):
-        """``_every_slots`` read as occupancies gives C distinct rows, each a
-        pattern the placement can take, whatever the chunk size."""
+        """``every_pattern`` gives C distinct rows, each a pattern the
+        placement can take, whatever the chunk size."""
         for placement, n in self.PLACEMENTS:
             k = placement.n_errors
-            rows = np.concatenate([
-                _occupancies(slots, placement, n)
-                for slots in _every_slots(self.pool(placement, n), k, step)
-            ])
+            rows = np.concatenate(list(every_pattern(placement, n, step)))
             count = math.comb(self.pool(placement, n), k)
             assert count == len(pattern_occupancies(placement, n))
             assert rows.shape == (count, n)
@@ -409,6 +403,84 @@ class TestPlacementSums:
             assert (rows.sum(axis=1) == k).all() and (rows >= 0).all()
             if placement.rule == "fermi":
                 assert rows.max() <= 1
+
+    @pytest.mark.parametrize("step", [1, 5, _DRAW_TRIALS])
+    def test_the_count_is_the_enumeration(self, step):
+        """For every rule, drawless ones included, ``pattern_count`` is the
+        number of rows ``every_pattern`` yields: distinct rows, each holding
+        the placement's errors and each a fixed placement that fits."""
+        placements = self.PLACEMENTS + [
+            (ALL_QUBITS, 7), (Placement.fixed([0, 3]), 7), (Placement.fixed([1, 1]), 7),
+            (Placement.fermi(0), 7), (Placement.bose_einstein(0), 9),
+        ]
+        for placement, n in placements:
+            errors = {"all_qubits": n, "fixed": len(placement.qubits)}.get(
+                placement.rule, placement.n_errors
+            )
+            chunks = list(every_pattern(placement, n, step))
+            assert all(1 <= len(chunk) <= step for chunk in chunks)
+            rows = np.concatenate(chunks)
+            assert pattern_count(placement, n) == len(rows), (placement, n)
+            assert len({row.tobytes() for row in rows}) == len(rows)
+            assert (rows.sum(axis=1) == errors).all() and (rows >= 0).all()
+            for row in rows:
+                check_placement(placed(row), n, "rotation", f"{n}-qubit")
+
+    @pytest.mark.parametrize("logical", [LogicalQubit(1.0, 0.0), GENERIC], ids=["zero", "generic"])
+    @pytest.mark.parametrize(
+        "kind",
+        [dict(axis="x"), dict(axis="y"), dict(error_kind="bit_flip"),
+         dict(error_kind="general_unitary", general=GeneralErrorParams(0.3, complex(0.1, 0.2))),
+         dict(error_kind="decay", decay_rate=0.8)],
+        ids=["x", "y", "bit_flip", "general", "decay"],
+    )
+    @pytest.mark.parametrize(
+        "code,placement,fixed",
+        [("steane7", Placement.fermi(7), ALL_QUBITS),
+         ("shor9", Placement.fermi(9), ALL_QUBITS),
+         ("uncoded", Placement.bose_einstein(3), Placement.fixed([0, 0, 0]))],
+        ids=["steane7-fermi7", "shor9-fermi9", "uncoded-bose3"],
+    )
+    def test_one_pattern_is_one_block(self, monkeypatch, code, placement, fixed, kind, logical):
+        """A placement with one pattern is the drawless placement of that
+        pattern, byte for byte, and takes the drawless path: one kernel
+        call per side, no draw, and one pattern asked for per side (the
+        exact sum asks for a chunk of patterns, and would also take one
+        kernel call).  Decay refuses the stacked bose_einstein:3 with
+        fixed:0,0,0's words."""
+        fields = dict(code=code, logical=logical, theta_grid=(0.05, 0.3, 1.1), trials=5, seed=3)
+        if kind.get("error_kind") == "decay" and code == "uncoded":
+            refusals = []
+            for refused in (placement, fixed):
+                with pytest.raises(ConfigError, match="must not stack errors") as info:
+                    rotation_config(placement=refused, **fields, **kind)
+                refusals.append((str(info.value), info.value.field))
+            assert refusals[0] == refusals[1]
+            return
+        config = rotation_config(placement=placement, **fields, **kind)
+        expected = dataclasses.replace(config, placement=fixed)
+        calls = []
+
+        def counting_kernel(*args):
+            calls.append("kernel")
+            return _kernel(*args)
+
+        def counting_draw(*args):
+            calls.append("draw")
+            return drawn_patterns(*args)
+
+        def counting_patterns(placement, n_qubits, step):
+            for patterns in every_pattern(placement, n_qubits, step):
+                calls.append(("patterns", n_qubits, step, len(patterns)))
+                yield patterns
+
+        monkeypatch.setattr(qeclab.experiments, "_kernel", counting_kernel)
+        monkeypatch.setattr(qeclab.experiments, "drawn_patterns", counting_draw)
+        monkeypatch.setattr(qeclab.experiments, "every_pattern", counting_patterns)
+        rows = sweep_theta(config).rows
+        n = get_code(code).n_physical
+        assert calls == [("patterns", n, 1, 1), "kernel", ("patterns", 1, 1, 1), "kernel"]
+        assert repr(rows) == repr(sweep_theta(expected).rows)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -469,11 +541,11 @@ class TestPlacementSums:
         pattern, so no budget draws it."""
         draws = []
 
-        def counting(pool, k, rng, count):
+        def counting(placement, n_qubits, rng, count):
             draws.append(count)
-            return _drawn_slots(pool, k, rng, count)
+            return drawn_patterns(placement, n_qubits, rng, count)
 
-        monkeypatch.setattr(qeclab.experiments, "_drawn_slots", counting)
+        monkeypatch.setattr(qeclab.experiments, "drawn_patterns", counting)
         count = len(pattern_occupancies(placement, get_code(code).n_physical))
         config = rotation_config(
             code=code, placement=placement, logical=GENERIC, theta_grid=(0.3, 1.1),
@@ -625,11 +697,11 @@ class TestSweepTheta:
         expected = repr(sweep_theta(config))
         draws = []
 
-        def counting(pool, k, rng, count):
+        def counting(placement, n_qubits, rng, count):
             draws.append((rng.bit_generator.state, count))
-            return _drawn_slots(pool, k, rng, count)
+            return drawn_patterns(placement, n_qubits, rng, count)
 
-        monkeypatch.setattr(qeclab.experiments, "_drawn_slots", counting)
+        monkeypatch.setattr(qeclab.experiments, "drawn_patterns", counting)
         monkeypatch.setattr(qeclab.experiments, "_DRAW_TRIALS", 5)
         assert repr(sweep_theta(config)) == expected
         assert [count for _, count in draws] == [5, 5, 2] * len(config.theta_grid)
@@ -770,11 +842,11 @@ class TestSweepTheta:
         draws none, and neither does a budget that covers every pattern."""
         draws = []
 
-        def counting(pool, k, rng, count):
+        def counting(placement, n_qubits, rng, count):
             draws.append(count)
-            return _drawn_slots(pool, k, rng, count)
+            return drawn_patterns(placement, n_qubits, rng, count)
 
-        monkeypatch.setattr(qeclab.experiments, "_drawn_slots", counting)
+        monkeypatch.setattr(qeclab.experiments, "drawn_patterns", counting)
         config = rotation_config(theta_grid=tuple(np.geomspace(1e-3, 1e-1, 7)), trials=20)
         sweep_theta(config)
         sweep_theta(dataclasses.replace(config, placement=Placement.fermi(1)))  # 7 patterns
@@ -788,7 +860,7 @@ class TestSweepTheta:
         once: no draw, no injector.  A budget that covers every pattern
         holds one entry per pattern, whatever its size."""
         calls = []
-        for name in ("_drawn_slots", "_injector"):
+        for name in ("drawn_patterns", "_injector"):
             def counting(*args, _name=name, _original=getattr(qeclab.experiments, name)):
                 calls.append(_name)
                 return _original(*args)
@@ -808,7 +880,7 @@ class TestSweepTheta:
             tracemalloc.stop()
         assert repr(rows) == repr(sweep_theta(exact).rows)
         assert peak < 1 << 20
-        assert "_drawn_slots" not in calls
+        assert "drawn_patterns" not in calls
 
     @pytest.mark.parametrize(
         "placement",
@@ -817,22 +889,23 @@ class TestSweepTheta:
     def test_deterministic_occupancy_is_injected_once_per_grid_point(
         self, monkeypatch, placement
     ):
-        """Each side resolves an occupancy that draws nothing once per sweep,
-        and injects it once per grid point, whatever the trial count: as one
-        block per side and sweep, a row per grid point, each row under its
-        own grid point's model."""
+        """Each side looks up the one pattern of a placement that draws
+        nothing once per sweep, and injects it once per grid point, whatever
+        the trial count: as one block per side and sweep, a row per grid
+        point, each row under its own grid point's model."""
         resolved, laid_out, injections = [], [], []
-        original_resolve, original_injector = (
-            qeclab.experiments.resolve_occupancy, qeclab.experiments._injector
+        original_patterns, original_injector = (
+            qeclab.experiments.every_pattern, qeclab.experiments._injector
         )
 
         def counting_layout(table, occupancies):
             laid_out.append(occupancies.tolist())
             return _layout(table, occupancies)
 
-        def counting_resolve(placement, n_qubits, rng):
-            resolved.append(n_qubits)
-            return original_resolve(placement, n_qubits, rng)
+        def counting_patterns(placement, n_qubits, step):
+            for patterns in original_patterns(placement, n_qubits, step):
+                resolved.append((n_qubits, len(patterns)))
+                yield patterns
 
         def counting_injector(*models):
             inject = original_injector(*models)
@@ -843,12 +916,12 @@ class TestSweepTheta:
 
             return counting
 
-        monkeypatch.setattr(qeclab.experiments, "resolve_occupancy", counting_resolve)
+        monkeypatch.setattr(qeclab.experiments, "every_pattern", counting_patterns)
         monkeypatch.setattr(qeclab.experiments, "_injector", counting_injector)
         monkeypatch.setattr(qeclab.experiments, "_layout", counting_layout)
         occupancy = {
-            7: original_resolve(placement, 7, None).tolist(),
-            1: original_resolve(_bare_qubit_placement(placement), 1, None).tolist(),
+            7: resolve_occupancy(placement, 7, None).tolist(),
+            1: resolve_occupancy(_bare_qubit_placement(placement), 1, None).tolist(),
         }
         for trials in (1, 20):
             for calls in (resolved, laid_out, injections):
@@ -856,7 +929,7 @@ class TestSweepTheta:
             sweep_theta(
                 rotation_config(placement=placement, theta_grid=(0.05, 0.3, 1.1), trials=trials)
             )
-            assert resolved == [7, 1]
+            assert resolved == [(7, 1), (1, 1)]
             assert laid_out == [[occupancy[7]] * 3, [occupancy[1]] * 3]
             assert injections == [(7, 3, [0, 1, 2]), (1, 3, [0, 1, 2])]
 
