@@ -8,7 +8,7 @@ per qubit), either as n of Floyd's slots (``_pool``).  This module alone
 knows a placement's patterns: it counts them (``pattern_count``; exact
 rationals for the probabilities), enumerates them (``every_pattern``) and
 draws them, one trial (``sample_placement``) or a chunk of trials
-(``drawn_patterns``) at a time, the two draws bit for bit alike.
+(``drawn_patterns``) at a time, both through one Floyd draw (``_floyd``).
 
 ``check_placement`` alone decides whether a placement fits a register:
 ``ExperimentConfig`` refuses through it and ``apply_error_model`` calls
@@ -270,21 +270,29 @@ def every_pattern(placement: Placement, n: int, step: int):
         yield _occupancies(np.array(chunk, dtype=np.intp), n, placement.rule)
 
 
-def _uniform_subset(pool: int, k: int, rng: np.random.Generator) -> list[int]:
-    # Floyd's algorithm: uniform k-subset of range(pool) in O(k) draws.
-    chosen: set[int] = set()
-    for j in range(pool - k, pool):
-        t = int(rng.integers(0, j + 1))
-        chosen.add(j if t in chosen else t)
-    return sorted(chosen)
-
-
 def drawn_patterns(placement: Placement, n: int, rng: np.random.Generator, count: int):
-    """The (count, n) occupancies of ``count`` successive ``resolve_occupancy``
-    calls: one ``rng.integers`` call draws every ``_uniform_subset`` bound of
-    every trial in their order (a bound of 0 takes no word), then each
-    trial's collisions resolve column by column."""
-    pool, k = _pool(n, placement.n_errors, placement.rule), placement.n_errors
+    """The (count, n) occupancies ``count`` successive ``resolve_occupancy`` calls draw."""
+    return _floyd(n, placement.n_errors, placement.rule, rng, count)
+
+
+def sample_placement(
+    n_cells: int, n_errors: int, statistics: str, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw one occupancy vector of length N, summing to n: uniform over all
+    multisets of size n under ``bose_einstein`` (cells may hold more than
+    one error), over all n-subsets under ``fermi``."""
+    return _floyd(n_cells, n_errors, statistics, rng, 1)[0]
+
+
+def _floyd(n: int, k: int, statistics: str, rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count, n) occupancies of ``count`` trials of Floyd's k-subset of
+    ``_pool``'s slots (Bentley & Floyd, CACM 30(9), 1987): slot j = pool - k,
+    ..., pool - 1 draws t in [0, j] and takes t, or j if t is taken.  One
+    ``integers`` call draws every bound of every trial in that order (a
+    bound of 0 takes no word); k = 0 leaves ``rng`` untouched."""
+    pool = _pool(n, k, statistics)
+    if not k:
+        return np.zeros((count, n), dtype=np.int64)
     slots = rng.integers(0, np.arange(pool - k, pool) + 1, size=(count, k))
     # Each trial's row of slots its picks so far have taken.
     taken, rows = np.zeros(count * pool, dtype=bool), np.arange(0, count * pool, pool)
@@ -292,38 +300,16 @@ def drawn_patterns(placement: Placement, n: int, rng: np.random.Generator, count
         draw = slots[:, i]
         slots[:, i] = np.where(taken.take(rows + draw), j, draw)  # a draw taken gives way to j
         taken.put(rows + slots[:, i], True)
-    return _occupancies(np.sort(slots, axis=1), n, placement.rule)
+    return _occupancies(np.sort(slots, axis=1), n, statistics)
 
 
 def _occupancies(slots: np.ndarray, n: int, statistics: str) -> np.ndarray:
-    """The (T, n) errors per cell of (T, k) sorted slots on n cells, as
-    ``sample_placement`` reads one subset."""
+    """The (T, n) errors per cell of (T, k) sorted slots on n cells."""
     count, k = slots.shape
     if statistics == "bose_einstein":
         slots = slots - np.arange(k)  # stars and bars: star i in slot p sits in cell p - i
     cells = slots + np.arange(0, count * n, n)[:, None]
     return np.bincount(cells.ravel(), minlength=count * n).astype(np.int64).reshape(count, n)
-
-
-def sample_placement(
-    n_cells: int, n_errors: int, statistics: str, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw one occupancy vector of length N under the given statistics.
-
-    ``bose_einstein`` is uniform over all multisets of size n (cells may
-    hold more than one error); ``fermi`` is uniform over all n-subsets.
-    The occupancies always sum to n.
-    """
-    pool = _pool(n_cells, n_errors, statistics)
-    occupancy = np.zeros(n_cells, dtype=np.int64)
-    if statistics == "bose_einstein":
-        # Stars and bars: the subset marks the stars; star j in slot p sits in cell p - j.
-        for j, pos in enumerate(_uniform_subset(pool, n_errors, rng)):
-            occupancy[pos - j] += 1
-    else:
-        for cell in _uniform_subset(pool, n_errors, rng):
-            occupancy[cell] = 1
-    return occupancy
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,12 @@ from qeclab.errors import (
     ALL_QUBITS,
     DecayModel,
     GeneralErrorParams,
+    Placement,
     _injector,
     bose_einstein_pattern_prob,
     build_general_unitary,
     decoherence_prob,
+    drawn_patterns,
     fermi_pattern_prob,
     resolve_occupancy,
     sample_placement,
@@ -218,10 +220,9 @@ def test_criterion_6_occupancy_statistics(capsys):
                         }
                     )
                     probability = float(bose_einstein_pattern_prob(n_cells, n_errors))
-                counts = Counter(
-                    tuple(sample_placement(n_cells, n_errors, statistics, rng))
-                    for _ in range(samples)
-                )
+                placement = Placement(statistics, n_errors=n_errors)
+                drawn = drawn_patterns(placement, n_cells, rng, samples)
+                counts = Counter(map(tuple, drawn.tolist()))
                 sigma = math.sqrt(samples * probability * (1.0 - probability))
                 for pattern in patterns:
                     pull = abs(counts[pattern] - samples * probability)
@@ -241,17 +242,21 @@ def test_criterion_6_occupancy_statistics(capsys):
 
 
 class ScriptedRng:
-    """Stands in for a Generator: ``integers(0, h)`` replays ``path``, and
-    draws 0 past its end, recording every bound h it is asked for."""
+    """Stands in for a Generator: ``integers(0, highs, size=(1, k))`` draws
+    one entry per bound h of ``highs``, in order, replaying ``path`` and
+    drawing 0 past its end, and records every bound it is asked for."""
 
     def __init__(self, path):
         self.path, self.bounds = path, []
 
-    def integers(self, low, high):
-        assert low == 0
-        draw = len(self.bounds)
-        self.bounds.append(high)
-        return self.path[draw] if draw < len(self.path) else 0
+    def integers(self, low, highs, size):
+        assert low == 0 and size == (1, len(highs))
+        draws = []
+        for high in highs.tolist():
+            draw = len(self.bounds)
+            self.bounds.append(high)
+            draws.append(self.path[draw] if draw < len(self.path) else 0)
+        return np.array([draws], dtype=np.int64)
 
 
 def sampler_paths(n_cells, n_errors, statistics):

@@ -27,12 +27,15 @@ from qeclab.errors import (
     bose_einstein_pattern_prob,
     build_general_unitary,
     decoherence_prob,
+    drawn_patterns,
     fermi_pattern_prob,
     pauli_unitary,
     rotation_unitary,
     sample_placement,
 )
 from qeclab.statevec import StateVector, support_size
+
+from floyd_oracle import scalar_placement
 
 
 def _component(exponent: float, phase: float) -> complex:
@@ -278,22 +281,49 @@ class TestSamplePlacement:
         for statistics in ("bose_einstein", "fermi"):
             assert sample_placement(4, 0, statistics, rng).sum() == 0
 
+    def test_zero_error_draw_is_drawless(self):
+        """No error draws no word, so a generator is left untouched and none
+        is needed, even from the one-cell ``bose_einstein:0`` pool of 0 slots."""
+        for placement in (Placement.bose_einstein(0), Placement.fermi(0)):
+            for n in (1, 7):
+                rng = np.random.default_rng(0)
+                state = rng.bit_generator.state
+                for generator in (rng, None):
+                    rows = drawn_patterns(placement, n, generator, 3)
+                    assert rows.dtype == np.int64 and rows.shape == (3, n) and not rows.any()
+                assert rng.bit_generator.state == state
+        assert sample_placement(1, 0, "bose_einstein", None).tolist() == [0]
+
+    def test_successive_draws_are_the_scalar_stream(self):
+        """200 successive draws on one generator are the scalar Floyd's
+        (``floyd_oracle``), row for row, and leave the generator where it
+        does, for N <= 9 cells and n <= 4 errors under both statistics."""
+        for n_cells in range(1, 10):
+            for n_errors in range(0, 5):
+                for statistics in ("bose_einstein", "fermi"):
+                    if statistics == "fermi" and n_errors > n_cells:
+                        continue
+                    for seed in range(3):
+                        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+                        for _ in range(200):
+                            drawn = sample_placement(n_cells, n_errors, statistics, rng)
+                            expected = scalar_placement(n_cells, n_errors, statistics, reference)
+                            assert drawn.dtype == np.int64
+                            assert drawn.tobytes() == expected.tobytes()
+                        assert rng.bit_generator.state == reference.bit_generator.state
+
     def test_bose_three_cells_one_error_frequencies(self):
         """Each of the 3 patterns lands with frequency 1/3 +/- 0.01 at 1e5."""
         rng = np.random.default_rng(2024)
-        counts = Counter(
-            int(np.flatnonzero(sample_placement(3, 1, "bose_einstein", rng))[0])
-            for _ in range(100_000)
-        )
+        rows = drawn_patterns(Placement.bose_einstein(1), 3, rng, 100_000)
+        counts = Counter(rows.argmax(axis=1).tolist())
         for cell in range(3):
             assert abs(counts[cell] / 100_000 - 1 / 3) < 0.01
 
     def test_fermi_four_cells_two_errors_frequencies(self):
         """Each of the 6 subsets lands with frequency 1/6 +/- 0.01 at 1e5."""
         rng = np.random.default_rng(2025)
-        counts = Counter(
-            tuple(sample_placement(4, 2, "fermi", rng)) for _ in range(100_000)
-        )
+        counts = Counter(map(tuple, drawn_patterns(Placement.fermi(2), 4, rng, 100_000).tolist()))
         assert len(counts) == 6
         for frequency in counts.values():
             assert abs(frequency / 100_000 - 1 / 6) < 0.01

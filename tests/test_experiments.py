@@ -71,6 +71,7 @@ from dense_oracle import (
     dense_overlaps,
     reached_rows,
 )
+from floyd_oracle import scalar_placement
 
 
 def rotation_config(**overrides) -> ExperimentConfig:
@@ -378,13 +379,19 @@ class TestPlacementSums:
         "chunks", [(100,), (1,) * 7, (156, 3, 57)], ids=["100", "1x7", "156-3-57"]
     )
     def test_chunked_array_draw_is_sequential_resolve_occupancy(self, chunks):
-        """Each drawn row is the occupancy the next ``resolve_occupancy``
-        call on the same generator draws, byte for byte, across chunk
-        boundaries, and the generator ends where those calls leave it."""
-        for placement, n in self.PLACEMENTS:
+        """Each drawn row is the occupancy the next scalar Floyd draw
+        (``floyd_oracle``) on the same generator draws, byte for byte,
+        across chunk boundaries, and the generator ends where those draws
+        leave it; no error draws nothing, even from the one-cell
+        ``bose_einstein:0`` pool of 0 slots."""
+        drawless = [(Placement.bose_einstein(0), 1), (Placement.fermi(0), 1), (Placement.fermi(0), 7)]
+        for placement, n in self.PLACEMENTS + drawless:
             rng, reference = grid_rng(7, 3), grid_rng(7, 3)
             rows = np.concatenate([drawn_patterns(placement, n, rng, count) for count in chunks])
-            expected = [resolve_occupancy(placement, n, reference) for _ in range(sum(chunks))]
+            expected = [
+                scalar_placement(n, placement.n_errors, placement.rule, reference)
+                for _ in range(sum(chunks))
+            ]
             assert rows.dtype == np.int64 and rows.shape == (sum(chunks), n)
             assert [row.tobytes() for row in rows] == [row.tobytes() for row in expected]
             assert rng.bit_generator.state == reference.bit_generator.state, (placement, n)
