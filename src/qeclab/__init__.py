@@ -23,7 +23,6 @@ from .errors import (
     fermi_pattern_prob,
     pauli_unitary,
     rotation_unitary,
-    sample_placement,
 )
 from .experiments import (
     ExperimentConfig,
@@ -74,7 +73,6 @@ __all__ = [
     "pauli_unitary",
     "proliferation_experiment",
     "rotation_unitary",
-    "sample_placement",
     "sensitivity_experiment",
     "support_size",
     "sweep_theta",

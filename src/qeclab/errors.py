@@ -7,8 +7,8 @@ errors may pile onto one qubit), ``fermi`` a uniform subset (at most one
 per qubit), either as n of Floyd's slots (``_pool``).  This module alone
 knows a placement's patterns: it counts them (``pattern_count``; exact
 rationals for the probabilities), enumerates them (``every_pattern``) and
-draws them, one trial (``sample_placement``) or a chunk of trials
-(``drawn_patterns``) at a time, both through one Floyd draw (``_floyd``).
+draws them, a chunk of trials at a time (``drawn_patterns``), through one
+Floyd draw (``_floyd``) when the rule samples.
 
 ``check_placement`` alone decides whether a placement fits a register:
 ``ExperimentConfig`` refuses through it and ``apply_error_model`` calls
@@ -219,10 +219,8 @@ def decoherence_prob(m: DecayModel) -> float:
 
 def _pool(n_cells: int, n_errors: int, statistics: str) -> int:
     """The slots Floyd's algorithm picks n of: the N cells under fermi, the
-    N + n - 1 stars-and-bars slots under bose_einstein.  Refuses unknown
-    statistics, N < 1 cells, n < 0 errors, and under fermi n > N."""
-    if statistics not in ("bose_einstein", "fermi"):
-        raise ValueError(f"unknown statistics {statistics!r}")
+    N + n - 1 stars-and-bars slots under bose_einstein.  Refuses N < 1
+    cells, n < 0 errors, and under fermi n > N."""
     if n_cells < 1:
         raise ValueError(f"need at least one cell, got {n_cells}")
     if statistics == "fermi" and not 0 <= n_errors <= n_cells:
@@ -262,7 +260,7 @@ def every_pattern(placement: Placement, n: int, step: int):
     """Each occupancy a fitting ``placement`` takes on n qubits, once, as (m, n)
     arrays of m <= ``step`` rows, in lexicographic order of Floyd's slots."""
     if placement.rule not in ("bose_einstein", "fermi"):
-        yield resolve_occupancy(placement, n, None)[None]
+        yield drawn_patterns(placement, n, None, 1)
         return
     k = placement.n_errors
     subsets = itertools.combinations(range(_pool(n, k, placement.rule)), k)
@@ -270,18 +268,18 @@ def every_pattern(placement: Placement, n: int, step: int):
         yield _occupancies(np.array(chunk, dtype=np.intp), n, placement.rule)
 
 
-def drawn_patterns(placement: Placement, n: int, rng: np.random.Generator, count: int):
-    """The (count, n) occupancies ``count`` successive ``resolve_occupancy`` calls draw."""
+def drawn_patterns(placement: Placement, n: int, rng: np.random.Generator | None, count: int):
+    """The (count, n) errors per qubit of ``count`` trials of a fitting
+    ``placement`` on n qubits, row for row what ``count`` successive
+    one-trial calls draw.  Fixed and all-qubit rules repeat their one
+    occupancy and leave ``rng`` untouched (it may be None); ``bose_einstein``
+    draws each row uniformly over the multisets of n errors (a qubit may
+    hold several), ``fermi`` over the n-subsets, both through ``_floyd``."""
+    if placement.rule == "all_qubits":
+        return np.ones((count, n), dtype=np.int64)
+    if placement.rule == "fixed":
+        return np.tile(np.bincount(placement.qubits, minlength=n).astype(np.int64), (count, 1))
     return _floyd(n, placement.n_errors, placement.rule, rng, count)
-
-
-def sample_placement(
-    n_cells: int, n_errors: int, statistics: str, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw one occupancy vector of length N, summing to n: uniform over all
-    multisets of size n under ``bose_einstein`` (cells may hold more than
-    one error), over all n-subsets under ``fermi``."""
-    return _floyd(n_cells, n_errors, statistics, rng, 1)[0]
 
 
 def _floyd(n: int, k: int, statistics: str, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -332,18 +330,6 @@ def check_placement(placement: Placement, n_qubits: int, error_kind: str, regist
         raise ValueError(
             f"decay placement must not stack errors on one qubit of the {register} register"
         )
-
-
-def resolve_occupancy(
-    placement: Placement, n_qubits: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Errors per qubit under a ``placement`` that fits: fixed rules draw
-    nothing from ``rng``, sampled rules draw one pattern."""
-    if placement.rule == "all_qubits":
-        return np.ones(n_qubits, dtype=np.int64)
-    if placement.rule == "fixed":
-        return np.bincount(placement.qubits, minlength=n_qubits)
-    return sample_placement(n_qubits, placement.n_errors, placement.rule, rng)
 
 
 def _operator_for(model: ErrorModel) -> np.ndarray:
@@ -431,9 +417,9 @@ def _injector(*models: ErrorModel):
 def apply_error_model(
     state: StateVector, model: ErrorModel, rng: np.random.Generator
 ) -> StateVector:
-    """Check and sample a placement; apply the channel to each occupied qubit."""
+    """Check a placement and draw one trial of it (``drawn_patterns``); apply
+    the channel to each occupied qubit."""
     n = state.n_qubits
     check_placement(model.placement, n, model.kind, f"{n}-qubit")
-    occupancy = resolve_occupancy(model.placement, n, rng)
-    block = _injector(model)(state, occupancy[None])
+    block = _injector(model)(state, drawn_patterns(model.placement, n, rng, 1))
     return StateVector(n, block.reshape(-1))

@@ -1,11 +1,11 @@
 """The scalar Floyd draw, the stream reference for the package's one
 array draw (``errors._floyd``), shared by the test modules.
 
-``scalar_placement`` draws one occupancy as ``sample_placement`` did
-before it drew through the array: Floyd's k-subset of the slot pool one
-``rng.integers(0, j + 1)`` call per slot j, read cell by cell (stars and
-bars under ``bose_einstein``).  Successive calls on one generator are the
-stream every placement draw must reproduce, row for row and word for word.
+``scalar_placement`` draws one occupancy a draw at a time: Floyd's
+k-subset of the slot pool, one ``rng.integers(0, j + 1)`` call per slot j,
+read cell by cell (stars and bars under ``bose_einstein``).  Successive
+calls on one generator are the stream every placement draw must
+reproduce, row for row and word for word.
 """
 
 import numpy as np

@@ -27,8 +27,6 @@ from qeclab.errors import (
     decoherence_prob,
     drawn_patterns,
     fermi_pattern_prob,
-    resolve_occupancy,
-    sample_placement,
 )
 from qeclab.experiments import (
     ExperimentConfig,
@@ -260,13 +258,14 @@ class ScriptedRng:
 
 
 def sampler_paths(n_cells, n_errors, statistics):
-    """Every path of draws ``sample_placement`` can take, depth first, as
-    its occupancy and its exact probability, the product of 1/h over its
-    draws."""
+    """Every path of draws one ``drawn_patterns`` trial can take, depth
+    first, as its occupancy and its exact probability, the product of 1/h
+    over its draws."""
     path = []
     while True:
         rng = ScriptedRng(path)
-        occupancy = tuple(sample_placement(n_cells, n_errors, statistics, rng).tolist())
+        placement = Placement(statistics, n_errors=n_errors)
+        occupancy = tuple(drawn_patterns(placement, n_cells, rng, 1)[0].tolist())
         path = path + [0] * (len(rng.bounds) - len(path))
         probability = Fraction(1)
         for high in rng.bounds:
@@ -356,8 +355,8 @@ def test_criterion_8_determinism(capsys, tmp_path):
     def coded_trial(job):
         grid_index, _ = job
         inject = _injector(model_for(config, config.theta_grid[grid_index]))
-        occupancy = resolve_occupancy(config.placement, code.n_physical, None)  # draws nothing
-        (infid,), _, _ = _kernel(inject, encoded, code._syndromes, config.logical, occupancy[None])
+        occupancy = drawn_patterns(config.placement, code.n_physical, None, 1)  # draws nothing
+        (infid,), _, _ = _kernel(inject, encoded, code._syndromes, config.logical, occupancy)
         return grid_index, infid
 
     jobs = [(g, t) for g in range(2) for t in range(config.trials)][::-1]

@@ -36,7 +36,7 @@ from qeclab.errors import (
     RotationErrorParams,
     _injector,
     apply_error_model,
-    resolve_occupancy,
+    drawn_patterns,
     rotation_unitary,
 )
 from qeclab.experiments import (
@@ -1173,10 +1173,10 @@ class TestCorrectPrintsTheSweepLeaf:
             # The same trial as a sweep evaluates it: the occupancy drawn from
             # the command's stream, injected as a block of one row.
             config = qeclab.cli._resolve_experiment(qeclab.cli._build_parser().parse_args(argv))
-            occupancy = resolve_occupancy(
-                config.placement, spec.n_physical, np.random.default_rng(seed)
+            occupancy = drawn_patterns(
+                config.placement, spec.n_physical, np.random.default_rng(seed), 1
             )
-            block = _injector(model_for(config, 0.8))(spec.encoder(config.logical), occupancy[None])
+            block = _injector(model_for(config, 0.8))(spec.encoder(config.logical), occupancy)
             summed.clear()
             (mean,), _ = _moments(block, spec._syndromes, config.logical)
             (leaf,) = summed

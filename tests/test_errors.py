@@ -31,7 +31,6 @@ from qeclab.errors import (
     fermi_pattern_prob,
     pauli_unitary,
     rotation_unitary,
-    sample_placement,
 )
 from qeclab.statevec import StateVector, support_size
 
@@ -267,19 +266,19 @@ class TestSamplePlacement:
         rng = np.random.default_rng(1)
         for statistics in ("bose_einstein", "fermi"):
             for n_errors in range(0, 4):
-                occupancy = sample_placement(5, n_errors, statistics, rng)
+                (occupancy,) = drawn_patterns(Placement(statistics, n_errors=n_errors), 5, rng, 1)
                 assert occupancy.sum() == n_errors
                 assert len(occupancy) == 5
 
     def test_fermi_occupancies_are_binary(self):
         rng = np.random.default_rng(2)
         for _ in range(500):
-            assert sample_placement(6, 3, "fermi", rng).max() <= 1
+            assert drawn_patterns(Placement.fermi(3), 6, rng, 1).max() <= 1
 
     def test_zero_errors_gives_zero_vector(self):
         rng = np.random.default_rng(3)
         for statistics in ("bose_einstein", "fermi"):
-            assert sample_placement(4, 0, statistics, rng).sum() == 0
+            assert drawn_patterns(Placement(statistics), 4, rng, 1).sum() == 0
 
     def test_zero_error_draw_is_drawless(self):
         """No error draws no word, so a generator is left untouched and none
@@ -292,7 +291,26 @@ class TestSamplePlacement:
                     rows = drawn_patterns(placement, n, generator, 3)
                     assert rows.dtype == np.int64 and rows.shape == (3, n) and not rows.any()
                 assert rng.bit_generator.state == state
-        assert sample_placement(1, 0, "bose_einstein", None).tolist() == [0]
+        assert drawn_patterns(Placement.bose_einstein(0), 1, None, 1).tolist() == [[0]]
+
+    @pytest.mark.parametrize(
+        "placement",
+        [ALL_QUBITS, Placement.fixed([0, 3]), Placement.fixed([1, 1])],
+        ids=["all_qubits", "fixed:0,3", "fixed:1,1"],
+    )
+    def test_placement_without_a_draw_repeats_its_occupancy(self, placement):
+        """A fixed or all-qubit placement repeats its one occupancy in every
+        row, int64, with no generator or without moving the one it gets."""
+        for n in (7, 9):
+            expected = np.bincount(placement.qubits, minlength=n) if placement.qubits else np.ones(n)
+            for count in (1, 5):
+                rng = np.random.default_rng(11)
+                state = rng.bit_generator.state
+                for generator in (None, rng):
+                    rows = drawn_patterns(placement, n, generator, count)
+                    assert rows.dtype == np.int64 and rows.shape == (count, n)
+                    assert (rows == expected).all()
+                assert rng.bit_generator.state == state
 
     def test_successive_draws_are_the_scalar_stream(self):
         """200 successive draws on one generator are the scalar Floyd's
@@ -303,10 +321,11 @@ class TestSamplePlacement:
                 for statistics in ("bose_einstein", "fermi"):
                     if statistics == "fermi" and n_errors > n_cells:
                         continue
+                    placement = Placement(statistics, n_errors=n_errors)
                     for seed in range(3):
                         rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
                         for _ in range(200):
-                            drawn = sample_placement(n_cells, n_errors, statistics, rng)
+                            (drawn,) = drawn_patterns(placement, n_cells, rng, 1)
                             expected = scalar_placement(n_cells, n_errors, statistics, reference)
                             assert drawn.dtype == np.int64
                             assert drawn.tobytes() == expected.tobytes()
@@ -331,12 +350,7 @@ class TestSamplePlacement:
     def test_fermi_rejects_overfull(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="n <= N"):
-            sample_placement(3, 4, "fermi", rng)
-
-    def test_rejects_unknown_statistics(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="statistics"):
-            sample_placement(3, 1, "boltzmann", rng)
+            drawn_patterns(Placement.fermi(4), 3, rng, 1)
 
 
 class TestErrorModelValidation:

@@ -43,7 +43,6 @@ from qeclab.errors import (
     drawn_patterns,
     every_pattern,
     pattern_count,
-    resolve_occupancy,
 )
 from qeclab.experiments import (
     SUPPORT_THRESHOLD,
@@ -102,10 +101,10 @@ def dense_moments(amps, name, logical):
 
 
 def assert_draws_nothing(placement, n_qubits):
-    """Resolving ``placement`` on ``n_qubits`` leaves a generator untouched."""
+    """Drawing ``placement`` on ``n_qubits`` leaves a generator untouched."""
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    resolve_occupancy(placement, n_qubits, rng)
+    drawn_patterns(placement, n_qubits, rng, 1)
     assert rng.bit_generator.state == state
 
 
@@ -125,17 +124,17 @@ def sweep_occupancies(config, grid_index):
     """The occupancies ``sweep_theta(config)`` averages at ``grid_index``,
     rebuilt from ``errors`` alone: a drawless placement's one occupancy;
     every pattern once where the trial budget covers them all; else the
-    ``trials`` occupancies that successive ``resolve_occupancy`` calls
-    draw from the grid point's generator."""
+    ``trials`` occupancies that successive one-trial ``drawn_patterns``
+    calls draw from the grid point's generator."""
     placement, n = config.placement, get_code(config.code).n_physical
     if not placement.n_errors:
         assert_draws_nothing(placement, n)
-        return [resolve_occupancy(placement, n, None)]
+        return list(drawn_patterns(placement, n, None, 1))
     patterns = pattern_occupancies(placement, n)
     if len(patterns) <= config.trials:
         return patterns
     rng = grid_rng(config.seed, grid_index)
-    return [resolve_occupancy(placement, n, rng) for _ in range(config.trials)]
+    return [drawn_patterns(placement, n, rng, 1)[0] for _ in range(config.trials)]
 
 
 def placed(occupancy):
@@ -173,7 +172,7 @@ def dense_oracle_rows(config):
         ))
         mean = np.mean([weights @ leaves for weights, leaves in coded])
         variance = np.mean([weights @ (leaves - mean) ** 2 for weights, leaves in coded])
-        bare_occupancy = resolve_occupancy(bare_config.placement, 1, None)
+        (bare_occupancy,) = drawn_patterns(bare_config.placement, 1, None, 1)
         (weights, leaves), _ = trial(bare_config, theta, bare_occupancy)
         bare = float(weights @ leaves)
         rows.append(SweepRow(theta, mean, math.sqrt(variance), bare, 0.0, np.mean(supports)))
@@ -364,7 +363,7 @@ class TestCorrectedRows:
 class TestPlacementSums:
     """A placement that draws is summed over every pattern where the trial
     budget covers them, and otherwise drawn from one generator per grid
-    point, as successive ``resolve_occupancy`` calls draw."""
+    point, as successive one-trial ``drawn_patterns`` calls draw."""
 
     # fermi n = N starts Floyd's draws at a bound of 0, which takes no word.
     PLACEMENTS = [(Placement.fermi(k), n) for n in range(1, 10) for k in range(1, n + 1)] + [
@@ -571,10 +570,10 @@ class TestPlacementSums:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_sampled_rows_are_the_grid_generators_draws(self, seed):
         """Whatever words its seed takes, a sweep with more patterns than
-        trials samples each grid point as successive ``resolve_occupancy``
-        calls on that grid point's generator: its rows are the dense
-        oracle's on exactly those draws, support included, and a rerun is
-        byte-identical."""
+        trials samples each grid point as successive one-trial
+        ``drawn_patterns`` calls on that grid point's generator: its rows
+        are the dense oracle's on exactly those draws, support included,
+        and a rerun is byte-identical."""
         config = rotation_config(
             code="shor9", placement=Placement.bose_einstein(3), logical=GENERIC,
             theta_grid=(0.3, 1.1), trials=40, seed=seed,
@@ -717,7 +716,7 @@ class TestSweepTheta:
             for state, count in draws[3 * grid_index:3 * grid_index + 3]:
                 assert state == rng.bit_generator.state
                 for _ in range(count):
-                    resolve_occupancy(config.placement, 7, rng)
+                    drawn_patterns(config.placement, 7, rng, 1)
 
     def test_patterns_are_schedule_independent(self):
         """Recomputing an exact sweep's patterns one at a time, out of order
@@ -729,13 +728,13 @@ class TestSweepTheta:
         code, uncoded = get_code(config.code), get_code("uncoded")
         coded_side = (code.encoder(config.logical), code._syndromes, config.logical)
         bare_side = (uncoded.encoder(config.logical), uncoded._syndromes, config.logical)
-        bare_occupancy = resolve_occupancy(_bare_qubit_placement(config.placement), 1, None)
+        bare_occupancy = drawn_patterns(_bare_qubit_placement(config.placement), 1, None, 1)
 
         def one(job):
             grid_index, occupancy = job
             inject = _injector(model_for(config, config.theta_grid[grid_index]))
             (coded,), _, (support,) = _kernel(inject, *coded_side, occupancy[None])
-            (bare,), _, _ = _kernel(inject, *bare_side, bare_occupancy[None])
+            (bare,), _, _ = _kernel(inject, *bare_side, bare_occupancy)
             return grid_index, coded, bare, support
 
         jobs = [(g, occupancy) for g in range(2) for occupancy in sweep_occupancies(config, g)]
@@ -927,8 +926,8 @@ class TestSweepTheta:
         monkeypatch.setattr(qeclab.experiments, "_injector", counting_injector)
         monkeypatch.setattr(qeclab.experiments, "_layout", counting_layout)
         occupancy = {
-            7: resolve_occupancy(placement, 7, None).tolist(),
-            1: resolve_occupancy(_bare_qubit_placement(placement), 1, None).tolist(),
+            7: drawn_patterns(placement, 7, None, 1)[0].tolist(),
+            1: drawn_patterns(_bare_qubit_placement(placement), 1, None, 1)[0].tolist(),
         }
         for trials in (1, 20):
             for calls in (resolved, laid_out, injections):
@@ -1027,7 +1026,7 @@ class TestBlockSweep:
         code, uncoded = get_code(config.code), get_code("uncoded")
         coded_side = (code.encoder(config.logical), code._syndromes, config.logical)
         bare_side = (uncoded.encoder(config.logical), uncoded._syndromes, config.logical)
-        bare_occupancy = resolve_occupancy(_bare_qubit_placement(config.placement), 1, None)
+        bare_occupancy = drawn_patterns(_bare_qubit_placement(config.placement), 1, None, 1)
         rows = []
         for grid_index, theta in enumerate(config.theta_grid):
             inject = _injector(model_for(config, theta))
@@ -1049,7 +1048,7 @@ class TestBlockSweep:
             else:
                 mean, variance, support = moments.mean(axis=1).tolist()
                 variance += float(moments[0].var())
-            (bare,), _, _ = _kernel(inject, *bare_side, bare_occupancy[None])
+            (bare,), _, _ = _kernel(inject, *bare_side, bare_occupancy)
             rows.append(SweepRow(theta, mean, math.sqrt(variance), bare, 0.0, float(support)))
         assert repr(sweep_theta(config).rows) == repr(tuple(rows))
 
@@ -1090,7 +1089,7 @@ def _sweep_blocks(config: ExperimentConfig):
     them the compact register, else None)."""
     code, uncoded = get_code(config.code), get_code("uncoded")
     inject = _injector(*(model_for(config, theta) for theta in config.theta_grid))
-    bare = resolve_occupancy(_bare_qubit_placement(config.placement), 1, None)[None]
+    bare = drawn_patterns(_bare_qubit_placement(config.placement), 1, None, 1)
     for grid_index in range(len(config.theta_grid)):
         coded = np.unique(sweep_occupancies(config, grid_index), axis=0)
         for spec, occupancies in ((code, coded), (uncoded, bare)):
@@ -1177,10 +1176,10 @@ class TestOverlapPaths:
         config = rotation_config(
             code="shor9", placement=Placement.fixed([0]), logical=GENERIC, theta_grid=(0.7,)
         )
-        occupancy = resolve_occupancy(config.placement, code.n_physical, None)
-        block = _injector(model_for(config, 0.7))(code.encoder(GENERIC), occupancy[None])
+        occupancy = drawn_patterns(config.placement, code.n_physical, None, 1)
+        block = _injector(model_for(config, 0.7))(code.encoder(GENERIC), occupancy)
         y0, mask = corrections.index("YIIIIIIII"), 1 << code.n_physical - 1
-        assert dense_overlaps(block, table, reached_rows(table, occupancy[None]))[2][0, y0] > 0.0
+        assert dense_overlaps(block, table, reached_rows(table, occupancy))[2][0, y0] > 0.0
         missing = [without("YIIIIIIII", mask).reach[mask][2]]
         assert dense_overlaps(block, table, missing)[2][0, y0] == 0.0
 
