@@ -24,12 +24,13 @@ A placement takes C patterns, each with probability 1/C; ``errors``
 counts, enumerates and draws them, and C alone picks a side's path.  A
 side with one pattern (the bare qubit, a fixed or all-qubit placement,
 fermi:N) is one block, a row per grid point under its own operator.
-Where C <= ``trials`` every pattern runs once under every grid point's
-operator, a chunk of patterns at a time (``every_pattern``), and the rows
-depend on neither seed nor trial count.  Where C > ``trials``, grid
-point g draws its trials in order, a chunk at a time (``drawn_patterns``),
-from ``default_rng(SeedSequence(seed, spawn_key=(g,)))``.  Either way the
-trial budget bounds a grid point's kernel rows.
+Any other side is one reducer's weighted mean over occupancies: where C
+<= ``trials`` each pattern weighs 1 (``every_pattern``), and the rows
+depend on neither seed nor trial count; where C > ``trials`` the sweep
+draws its trials once, in order (``drawn_patterns``), from
+``default_rng(seed)``, and each distinct occupancy weighs the trials
+that drew it.  Every grid point averages the same occupancies, and the
+trial budget bounds the kernel rows of each.
 """
 from __future__ import annotations
 
@@ -275,13 +276,13 @@ def _bare_qubit_placement(placement: Placement) -> Placement:
 def sweep_theta(config: ExperimentConfig) -> SweepResult:
     """Sweep over the theta grid, coded against uncoded baseline.
 
-    A placement with one pattern is one block; one whose C patterns the
-    trial budget covers is summed over every pattern, exactly; one with
-    more patterns than trials is sampled, ``trials`` draws per grid point
-    from that grid point's generator.  The uncoded side runs the identical
-    channel on a bare qubit, so under ``all_qubits`` placement the
-    comparison is per-physical-qubit fair: the baseline sees the error
-    exactly once.
+    A placement with one pattern is one block; any other is a weighted
+    mean over its occupancies under every grid point's operator: each of
+    its C patterns weighs 1 where the trial budget covers them, else each
+    distinct occupancy of ``trials`` draws from the sweep's one generator
+    weighs its draws.  The uncoded side runs the identical channel on a
+    bare qubit, so under ``all_qubits`` placement the comparison is
+    per-physical-qubit fair: the baseline sees the error exactly once.
     """
     # The bare qubit is a register of its own, so its projected placement
     # must fit it too: decay refuses the errors the projection stacks.
@@ -297,7 +298,7 @@ def sweep_theta(config: ExperimentConfig) -> SweepResult:
     step = min(_DRAW_TRIALS, _BLOCK_BYTES // (n + placement.n_errors))
     if count > config.trials:
         # Allocated up front, so a trial budget too large to hold fails at once.
-        inverse, moments = np.empty(config.trials, dtype=np.intp), np.empty((3, config.trials))
+        inverse = np.empty(config.trials, dtype=np.intp)
     inject = _injector(*(model_for(config, theta) for theta in config.theta_grid))
     grid = np.arange(len(config.theta_grid))
 
@@ -308,29 +309,13 @@ def sweep_theta(config: ExperimentConfig) -> SweepResult:
 
     if count == 1:
         coded = zip(*drawless(coded_side, placement, n))
-    elif count <= config.trials:
-        # Every pattern once, each of weight 1/C, a chunk of patterns under
-        # every grid point's operator at a time.  Each grid point's sums run
-        # around its first chunk's mean, so no per-pattern entry is kept.
-        sums, chunk = np.zeros((4, len(grid))), max(1, step // len(grid))
-        for lo, patterns in zip(range(0, count, chunk), every_pattern(placement, n, chunk)):
-            occupancies = np.tile(patterns, (len(grid), 1))
-            entries = _kernel(inject, *coded_side, occupancies, np.repeat(grid, len(patterns)))
-            means, variances, supports = np.reshape(entries, (3, len(grid), len(patterns)))
-            shift = shift if lo else means.mean(axis=1, keepdims=True)
-            spread = means - shift
-            sums += [spread.sum(1), (spread * spread).sum(1), variances.sum(1), supports.sum(1)]
-        drift, square, within, support = sums / count
-        # The law of total variance: within patterns, then across them.
-        across = np.maximum(square - drift * drift, 0.0)  # >= 0 but for rounding
-        coded = zip((shift[:, 0] + drift).tolist(), (within + across).tolist(), support.tolist())
     else:
-        coded = []
-        for grid_index in grid.tolist():
-            seeds = np.random.SeedSequence(config.seed, spawn_key=(grid_index,))
-            rng = np.random.default_rng(seeds)
+        chunk, total = max(1, step // len(grid)), min(count, config.trials)
+        if count <= config.trials:
+            blocks = ((patterns, 1.0) for patterns in every_pattern(placement, n, chunk))
+        else:
             # Each trial's occupancy, as the index of the distinct one it is.
-            distinct: dict[bytes, int] = {}
+            rng, distinct = np.random.default_rng(config.seed), {}
             for lo in range(0, config.trials, step):
                 drawn = drawn_patterns(placement, n, rng, min(step, config.trials - lo))
                 raw, width = drawn.tobytes(), 8 * n
@@ -339,11 +324,24 @@ def sweep_theta(config: ExperimentConfig) -> SweepResult:
                     for i in range(0, len(raw), width)
                 ]
             occupancies = np.frombuffer(b"".join(distinct), dtype=np.int64).reshape(-1, n)
-            entries = np.array(_kernel(inject, *coded_side, occupancies, grid_index))
-            np.take(entries, inverse, axis=1, out=moments)
-            mean, variance, support = moments.mean(axis=1).tolist()
-            # The law of total variance: within occupancies, then across them.
-            coded.append((mean, variance + float(moments[0].var()), support))
+            weights = np.bincount(inverse)
+            blocks = ((occupancies[lo:lo + chunk], weights[lo:lo + chunk])
+                      for lo in range(0, len(occupancies), chunk))
+        # A chunk of occupancies under every grid point's operator at a time;
+        # each grid point's weighted sums run around its first chunk's mean,
+        # so no per-occupancy entry is kept.
+        sums = np.zeros((4, len(grid)))
+        for i, (patterns, weight) in enumerate(blocks):
+            which = np.repeat(grid, len(patterns)) if len(grid) > 1 else 0  # one GEMM a step
+            entries = _kernel(inject, *coded_side, np.tile(patterns, (len(grid), 1)), which)
+            means, variances, supports = np.reshape(entries, (3, len(grid), len(patterns)))
+            shift = shift if i else means.mean(axis=1, keepdims=True)
+            spread = means - shift
+            sums += (weight * np.array([spread, spread * spread, variances, supports])).sum(2)
+        drift, square, within, support = sums / total
+        # The law of total variance: within occupancies, then across them.
+        across = np.maximum(square - drift * drift, 0.0)  # >= 0 but for rounding
+        coded = zip((shift[:, 0] + drift).tolist(), (within + across).tolist(), support.tolist())
     # The bare qubit's projected placement draws nothing: one entry per grid point.
     bare, _, _ = drawless(bare_side, bare_placement, 1)
     rows = [

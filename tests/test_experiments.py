@@ -115,17 +115,17 @@ def pattern_occupancies(placement, n):
     return [np.bincount(cells, minlength=n) for cells in choose(range(n), placement.n_errors)]
 
 
-def grid_rng(seed, grid_index):
-    """The generator grid point ``grid_index`` of a sweep seeded ``seed`` draws from."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(grid_index,)))
+def sweep_rng(seed):
+    """The one generator a sweep seeded ``seed`` draws its trials from."""
+    return np.random.default_rng(seed)
 
 
-def sweep_occupancies(config, grid_index):
-    """The occupancies ``sweep_theta(config)`` averages at ``grid_index``,
+def sweep_occupancies(config):
+    """The occupancies ``sweep_theta(config)`` averages at every grid point,
     rebuilt from ``errors`` alone: a drawless placement's one occupancy;
     every pattern once where the trial budget covers them all; else the
     ``trials`` occupancies that successive one-trial ``drawn_patterns``
-    calls draw from the grid point's generator."""
+    calls draw from the sweep's generator."""
     placement, n = config.placement, get_code(config.code).n_physical
     if not placement.n_errors:
         assert_draws_nothing(placement, n)
@@ -133,7 +133,7 @@ def sweep_occupancies(config, grid_index):
     patterns = pattern_occupancies(placement, n)
     if len(patterns) <= config.trials:
         return patterns
-    rng = grid_rng(config.seed, grid_index)
+    rng = sweep_rng(config.seed)
     return [drawn_patterns(placement, n, rng, 1)[0] for _ in range(config.trials)]
 
 
@@ -165,11 +165,9 @@ def dense_oracle_rows(config):
             outcomes[key] = dense_outcomes(state.amps, config.code, config.logical)
         return outcomes[key], support_size(state, SUPPORT_THRESHOLD)
 
-    rows = []
-    for grid_index, theta in enumerate(config.theta_grid):
-        coded, supports = zip(*(
-            trial(config, theta, occupancy) for occupancy in sweep_occupancies(config, grid_index)
-        ))
+    rows, occupancies = [], sweep_occupancies(config)
+    for theta in config.theta_grid:
+        coded, supports = zip(*(trial(config, theta, occupancy) for occupancy in occupancies))
         mean = np.mean([weights @ leaves for weights, leaves in coded])
         variance = np.mean([weights @ (leaves - mean) ** 2 for weights, leaves in coded])
         (bare_occupancy,) = drawn_patterns(bare_config.placement, 1, None, 1)
@@ -362,8 +360,8 @@ class TestCorrectedRows:
 
 class TestPlacementSums:
     """A placement that draws is summed over every pattern where the trial
-    budget covers them, and otherwise drawn from one generator per grid
-    point, as successive one-trial ``drawn_patterns`` calls draw."""
+    budget covers them, and otherwise drawn once per sweep from its one
+    generator, as successive one-trial ``drawn_patterns`` calls draw."""
 
     # fermi n = N starts Floyd's draws at a bound of 0, which takes no word.
     PLACEMENTS = [(Placement.fermi(k), n) for n in range(1, 10) for k in range(1, n + 1)] + [
@@ -385,7 +383,7 @@ class TestPlacementSums:
         ``bose_einstein:0`` pool of 0 slots."""
         drawless = [(Placement.bose_einstein(0), 1), (Placement.fermi(0), 1), (Placement.fermi(0), 7)]
         for placement, n in self.PLACEMENTS + drawless:
-            rng, reference = grid_rng(7, 3), grid_rng(7, 3)
+            rng, reference = sweep_rng(7), sweep_rng(7)
             rows = np.concatenate([drawn_patterns(placement, n, rng, count) for count in chunks])
             expected = [
                 scalar_placement(n, placement.n_errors, placement.rule, reference)
@@ -542,9 +540,9 @@ class TestPlacementSums:
     )
     def test_the_pattern_count_alone_picks_the_path(self, monkeypatch, code, placement):
         """A budget of exactly C trials sums every pattern and draws
-        nothing; one trial fewer draws every trial of every grid point.
-        Both are the dense oracle's rows.  fermi:n on n qubits has one
-        pattern, so no budget draws it."""
+        nothing; one trial fewer draws every trial once, for every grid
+        point.  Both are the dense oracle's rows.  fermi:n on n qubits has
+        one pattern, so no budget draws it."""
         draws = []
 
         def counting(placement, n_qubits, rng, count):
@@ -562,16 +560,16 @@ class TestPlacementSums:
         if count > 1:
             short = dataclasses.replace(config, trials=count - 1)
             assert_rows_match(sweep_theta(short).rows, dense_oracle_rows(short))
-            assert sum(draws) == len(config.theta_grid) * short.trials
+            assert sum(draws) == short.trials
 
     # Seeds across SeedSequence's 32-bit words, and past 64 bits.
     SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 9, 0x9E3779B97F4A7C15F39CC060]
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_sampled_rows_are_the_grid_generators_draws(self, seed):
+    def test_sampled_rows_are_the_sweep_generators_draws(self, seed):
         """Whatever words its seed takes, a sweep with more patterns than
-        trials samples each grid point as successive one-trial
-        ``drawn_patterns`` calls on that grid point's generator: its rows
+        trials samples its trials as successive one-trial
+        ``drawn_patterns`` calls on the sweep's generator: its rows
         are the dense oracle's on exactly those draws, support included,
         and a rerun is byte-identical."""
         config = rotation_config(
@@ -693,9 +691,9 @@ class TestSweepTheta:
 
     def test_a_sampled_sweep_draws_its_trials_in_order_from_one_generator(self, monkeypatch):
         """A placement with more patterns than trials draws exactly its
-        ``trials`` occupancies per grid point, in chunks, from the one
-        generator of that grid point, and nothing for the baseline; the
-        chunk size leaves the rows as they are."""
+        ``trials`` occupancies once per sweep, in chunks, from the sweep's
+        one generator, and nothing for the baseline; the chunk size leaves
+        the rows as they are."""
         config = rotation_config(
             placement=Placement.fermi(2), theta_grid=(0.02, 0.08, 0.3), trials=12, seed=9
         )
@@ -710,13 +708,12 @@ class TestSweepTheta:
         monkeypatch.setattr(qeclab.experiments, "drawn_patterns", counting)
         monkeypatch.setattr(qeclab.experiments, "_DRAW_TRIALS", 5)
         assert repr(sweep_theta(config)) == expected
-        assert [count for _, count in draws] == [5, 5, 2] * len(config.theta_grid)
-        for grid_index in range(len(config.theta_grid)):
-            rng = grid_rng(config.seed, grid_index)
-            for state, count in draws[3 * grid_index:3 * grid_index + 3]:
-                assert state == rng.bit_generator.state
-                for _ in range(count):
-                    drawn_patterns(config.placement, 7, rng, 1)
+        assert [count for _, count in draws] == [5, 5, 2]
+        rng = sweep_rng(config.seed)
+        for state, count in draws:
+            assert state == rng.bit_generator.state
+            for _ in range(count):
+                drawn_patterns(config.placement, 7, rng, 1)
 
     def test_patterns_are_schedule_independent(self):
         """Recomputing an exact sweep's patterns one at a time, out of order
@@ -737,7 +734,7 @@ class TestSweepTheta:
             (bare,), _, _ = _kernel(inject, *bare_side, bare_occupancy)
             return grid_index, coded, bare, support
 
-        jobs = [(g, occupancy) for g in range(2) for occupancy in sweep_occupancies(config, g)]
+        jobs = [(g, occupancy) for g in range(2) for occupancy in sweep_occupancies(config)]
         assert len(jobs) == 2 * 21
         jobs.reverse()  # deliberately not the serial order
         with ThreadPoolExecutor(max_workers=4) as pool:
@@ -843,9 +840,10 @@ class TestSweepTheta:
             assert all(0.0 < row.mean_infid_coded < 1.0 and row.std_coded > 0.0 for row in rows)
 
     def test_a_sweep_draws_only_beyond_its_patterns(self, monkeypatch):
-        """A placement draws its trials once per sweep only where they do not
-        cover its patterns: the criterion-4 grid, which draws nothing,
-        draws none, and neither does a budget that covers every pattern."""
+        """A placement draws its trials once per sweep, whatever its grid,
+        only where they do not cover its patterns: the criterion-4 grid,
+        which draws nothing, draws none, and neither does a budget that
+        covers every pattern."""
         draws = []
 
         def counting(placement, n_qubits, rng, count):
@@ -858,7 +856,7 @@ class TestSweepTheta:
         sweep_theta(dataclasses.replace(config, placement=Placement.fermi(1)))  # 7 patterns
         assert draws == []
         sweep_theta(dataclasses.replace(config, placement=Placement.bose_einstein(2)))  # 28
-        assert sum(draws) == 7 * 20
+        assert sum(draws) == 20
 
     def test_an_unholdable_trial_budget_fails_before_any_draw(self, monkeypatch):
         """A placement with more patterns than its trials allocates its
@@ -974,8 +972,9 @@ class TestSweepTheta:
 
 
 class TestBlockSweep:
-    """A sweep evaluates each grid point's distinct occupancies as one block;
-    its rows must be the bytes of rows rebuilt one trial at a time."""
+    """A sweep evaluates its distinct occupancies as blocks under every grid
+    point's operator; its rows must be the bytes of rows rebuilt one trial
+    at a time."""
 
     @pytest.mark.parametrize(
         "placement", [ALL_QUBITS, Placement.fixed([0])], ids=["all", "fixed0"]
@@ -1016,10 +1015,10 @@ class TestBlockSweep:
         ids=["steane7-bose2", "steane7-fermi2", "shor9-bose2", "shor9-fermi3", "shor9-decay-fermi2"],
     )
     def test_rows_match_one_row_trials_byte_for_byte(self, overrides):
-        """Each row is the mean, over the occupancies the sweep averages, of
-        one-row kernel entries, byte for byte: over every pattern, summed
-        around the patterns' mean, or over the drawn trials where there are
-        more patterns than trials."""
+        """Each row is the weighted mean, over the distinct occupancies the
+        sweep averages, of one-row kernel entries, byte for byte: each
+        pattern weighs 1 and each drawn occupancy the trials that drew it,
+        summed around the distinct occupancies' mean."""
         config = rotation_config(
             logical=GENERIC, theta_grid=(0.05, 0.3, 1.1), trials=40, seed=5, **overrides
         )
@@ -1027,30 +1026,50 @@ class TestBlockSweep:
         coded_side = (code.encoder(config.logical), code._syndromes, config.logical)
         bare_side = (uncoded.encoder(config.logical), uncoded._syndromes, config.logical)
         bare_occupancy = drawn_patterns(_bare_qubit_placement(config.placement), 1, None, 1)
+        occupancies, weights = sweep_occupancies(config), {}
+        for occupancy in occupancies:  # the drawn multiset, in order of first draw
+            weights[occupancy.tobytes()] = weights.get(occupancy.tobytes(), 0) + 1
+        assert len(weights) > 1  # the sweep evaluates a block of several rows
+        distinct = np.frombuffer(b"".join(weights), dtype=np.int64).reshape(len(weights), -1)
         rows = []
-        for grid_index, theta in enumerate(config.theta_grid):
+        for theta in config.theta_grid:
             inject = _injector(model_for(config, theta))
-            occupancies = sweep_occupancies(config, grid_index)
-            moments, distinct = np.empty((3, len(occupancies))), set()
-            for t, occupancy in enumerate(occupancies):
-                distinct.add(occupancy.tobytes())
-                (mean,), (variance,), (support,) = _kernel(inject, *coded_side, occupancy[None])
-                moments[:, t] = mean, variance, support
-            assert len(distinct) > 1  # the sweep evaluates a block of several rows
-            if len(pattern_occupancies(config.placement, code.n_physical)) <= config.trials:
-                shift = float(moments[0].mean())
-                spread = moments[0] - shift
-                drift, square, within, support = (
-                    np.array([spread.sum(), (spread * spread).sum(), *moments[1:].sum(axis=1)])
-                    / len(occupancies)
-                ).tolist()
-                mean, variance = shift + drift, within + square - drift * drift
-            else:
-                mean, variance, support = moments.mean(axis=1).tolist()
-                variance += float(moments[0].var())
+            moments = np.array([
+                [entry for (entry,) in _kernel(inject, *coded_side, occupancy[None])]
+                for occupancy in distinct
+            ]).T
+            shift = moments[0].mean()
+            spread = moments[0] - shift
+            folded = np.array(list(weights.values())) * [spread, spread * spread, *moments[1:]]
+            drift, square, within, support = (folded.sum(axis=1) / len(occupancies)).tolist()
+            mean, variance = float(shift) + drift, within + max(square - drift * drift, 0.0)
             (bare,), _, _ = _kernel(inject, *bare_side, bare_occupancy)
-            rows.append(SweepRow(theta, mean, math.sqrt(variance), bare, 0.0, float(support)))
+            rows.append(SweepRow(theta, mean, math.sqrt(variance), bare, 0.0, support))
         assert repr(sweep_theta(config).rows) == repr(tuple(rows))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(placement=ALL_QUBITS, trials=1),
+            dict(placement=Placement.fermi(3), trials=35),
+            dict(code="shor9", placement=Placement.fermi(3), axis="x", trials=84),
+            dict(code="shor9", placement=Placement.bose_einstein(3), trials=100, seed=9),
+            dict(placement=Placement.fermi(2), trials=12, error_kind="decay", decay_rate=0.8),
+        ],
+        ids=["drawless", "steane7-exact", "shor9-exact", "shor9-sampled", "steane7-sampled-decay"],
+    )
+    def test_every_row_is_its_theta_swept_alone(self, overrides):
+        """A row does not depend on the grid around it, whether the sweep
+        draws nothing, sums every pattern (in one chunk of at most 2048 // G
+        occupancies) or samples its trials: the sampled trials are drawn once
+        per sweep, so every grid point averages the same ones."""
+        config = rotation_config(logical=GENERIC, theta_grid=(0.05, 0.3, 1.1), **overrides)
+        assert len(sweep_occupancies(config)) <= _DRAW_TRIALS // len(config.theta_grid)
+        rows = sweep_theta(config).rows
+        assert all(row.mean_infid_coded > 0.0 for row in rows)
+        for row in rows:
+            (alone,) = sweep_theta(dataclasses.replace(config, theta_grid=(row.theta,))).rows
+            assert repr(alone) == repr(row)
 
 
 def _path_configs() -> list[ExperimentConfig]:
@@ -1091,7 +1110,7 @@ def _sweep_blocks(config: ExperimentConfig):
     inject = _injector(*(model_for(config, theta) for theta in config.theta_grid))
     bare = drawn_patterns(_bare_qubit_placement(config.placement), 1, None, 1)
     for grid_index in range(len(config.theta_grid)):
-        coded = np.unique(sweep_occupancies(config, grid_index), axis=0)
+        coded = np.unique(sweep_occupancies(config), axis=0)
         for spec, occupancies in ((code, coded), (uncoded, bare)):
             table = spec._syndromes
             register, slots, reached = _layout(table, occupancies)
